@@ -22,7 +22,7 @@ from .core import (
     verify_partial,
     verify_prize,
 )
-from .fullcover import FullCoverResult, full_cover, full_cover_bounded_search
+from .fullcover import FullCoverResult, full_cover
 from .lspc import (
     LspcInstance,
     LspcResult,
@@ -86,7 +86,6 @@ __all__ = [
     "covers",
     "decompose",
     "full_cover",
-    "full_cover_bounded_search",
     "is_feasible",
     "job_profile",
     "lift_lspc",

@@ -2,15 +2,35 @@
 
 The partial-coverage pipeline treats full cover as a pluggable subroutine
 with a guarantee factor beta; this module pins beta = 1 by solving the
-cover exactly with branch and bound over copy counts. An optimal cover
-never needs more than ceil(max demand / w) copies of a resource, which
-bounds the search space at desk scale.
+cover exactly with branch and bound over copy counts.
+
+Resources are branched on in order of cost per unit of capacity, compared
+exactly in integers (c_a * w_b against c_b * w_a, ties to input
+position). Walking that order from the back gives, per level and slot,
+the cheapest-per-unit resource still to come; it drives the admissible
+bound max_t ceil(residual_t * c / w), marks slots that nothing left can
+cover, and at the root picks the resource of the greedy incumbent. A
+demand with an uncovered slot is refused before any of this is built.
+
+The copies tried for a resource follow from the residual demand at its
+level. Fewer than ``lo``, the largest ceil(residual_t / w) over its slots
+that no later resource covers, leaves such a slot short. More than
+``hi``, the same maximum over all its slots, only adds cost: dropping the
+surplus keeps the cover feasible, costs no more and gives a smaller copy
+vector. So the search over [lo, hi] still reaches the lexicographically
+smallest optimal copy vector (in input order), which is the one
+returned, and hi never exceeds ceil(max demand / w). At the last level
+lo == hi.
+
+A caller that only wants covers cheaper than some ``cutoff`` passes it:
+every node whose cost plus bound reaches the cutoff is pruned, and the
+search reports INFEASIBLE_COVER when no cover beats it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cmp_to_key
 from typing import Mapping, Sequence
 
 from .core import INFEASIBLE, Cost, Resource
@@ -36,86 +56,61 @@ class FullCoverResult:
 INFEASIBLE_COVER = FullCoverResult({}, INFEASIBLE)
 
 
-def _ceildiv(a: int, b: int) -> int:
-    return -(-a // b)
+def full_cover(demand: Sequence[int], resources: Sequence[Resource],
+               cutoff: Cost = INFEASIBLE) -> FullCoverResult:
+    """Minimum-cost multiset whose capacity profile dominates ``demand``.
 
-
-def copy_upper_bounds(demand: Sequence[int], resources: Sequence[Resource]) -> dict[int, int]:
-    """ceil(max demand / w) per resource: no optimal cover needs more copies."""
-    maxd = max(demand, default=0)
-    return {r.id: _ceildiv(maxd, r.w) for r in resources}
-
-
-def full_cover(demand: Sequence[int], resources: Sequence[Resource]) -> FullCoverResult:
-    """Minimum-cost multiset whose capacity profile dominates ``demand``."""
-    return full_cover_bounded_search(demand, resources, copy_upper_bounds(demand, resources))
-
-
-def full_cover_bounded_search(
-    demand: Sequence[int],
-    resources: Sequence[Resource],
-    upper_bounds: Mapping[int, int],
-) -> FullCoverResult:
-    """Branch and bound over copy counts in [0, upper_bounds[id]].
-
-    Prunes a node when its cost plus an optimistic completion bound
-    exceeds the incumbent. Equal-cost optima are all visited, and ties
-    break to the lexicographically smallest copy vector in the order the
-    resources were given. INFEASIBLE iff some slot has positive demand
-    and no active resource.
+    Only covers costing strictly less than ``cutoff`` count; with none,
+    the result is INFEASIBLE_COVER. Equal-cost optima break to the
+    lexicographically smallest copy vector in the order the resources
+    were given. Without a cutoff, INFEASIBLE iff some slot has positive
+    demand and no active resource.
     """
     T = len(demand)
-    m = len(resources)
-    active_at = [[] for _ in range(T)]  # slot -> positions into `resources`
-    for pos, r in enumerate(resources):
-        for t in range(r.s - 1, r.e):
-            active_at[t].append(pos)
+    live = [False] * T
+    for r in resources:
+        live[r.s - 1:r.e] = [True] * (r.e - r.s + 1)
     for t in range(T):
-        if demand[t] > 0 and not active_at[t]:
+        if demand[t] > 0 and not live[t]:
             return INFEASIBLE_COVER
     if all(d <= 0 for d in demand):
-        return FullCoverResult({}, 0)
+        return FullCoverResult({}, 0) if 0 < cutoff else INFEASIBLE_COVER
 
-    # Branch on cheap capacity first; the incumbent drops fast and the
-    # bound bites early. Ratio ties break to input order.
-    order = sorted(range(m), key=lambda pos: (Fraction(resources[pos].c, resources[pos].w), pos))
+    # Branch on cheap capacity first: the incumbent drops fast and the
+    # bound bites early.
+    m = len(resources)
+    order = sorted(range(m), key=cmp_to_key(
+        lambda a, b: resources[a].c * resources[b].w - resources[b].c * resources[a].w or a - b))
 
-    # Cheapest-per-unit resource active at each slot (for the greedy seed).
-    best_at = [None] * T
-    for t in range(T):
-        if active_at[t]:
-            best_at[t] = min(active_at[t], key=lambda pos: (Fraction(resources[pos].c, resources[pos].w), pos))
+    # suffix_best[i][t]: the cheapest-per-unit resource among order[i:]
+    # active at slot t (earliest in order on ties), or None.
+    suffix_best = [[None] * T]
+    for pos in reversed(order):
+        r = resources[pos]
+        cur = suffix_best[-1][:]
+        for t in range(r.s - 1, r.e):
+            prev = cur[t]
+            if prev is None or r.c * prev.w <= prev.c * r.w:
+                cur[t] = r
+        suffix_best.append(cur)
+    suffix_best.reverse()
 
     # Greedy incumbent: a feasible cost cap, not a candidate vector.
-    residual = [d for d in demand]
+    residual = list(demand)
     greedy_cost = 0
     for t in range(T):
         if residual[t] > 0:
-            r = resources[best_at[t]]
-            need = _ceildiv(residual[t], r.w)
+            r = suffix_best[0][t]
+            need = -(-residual[t] // r.w)
             greedy_cost += need * r.c
             add = need * r.w
             for u in range(r.s - 1, r.e):
                 residual[u] -= add
 
-    # suffix_best[i][t]: (c, w) of the best cost-per-unit resource among
-    # order[i:] active at slot t, or None. Drives the admissible bound
-    # max_t ceil(residual_t * c / w) and detects dead slots.
-    suffix_best = [[None] * T for _ in range(m + 1)]
-    for i in range(m - 1, -1, -1):
-        r = resources[order[i]]
-        row = suffix_best[i + 1]
-        cur = suffix_best[i]
-        for t in range(T):
-            cur[t] = row[t]
-        for t in range(r.s - 1, r.e):
-            prev = cur[t]
-            if prev is None or r.c * prev[1] < prev[0] * r.w:
-                cur[t] = (r.c, r.w)
-
     residual = list(demand)
     counts = [0] * m  # indexed by position in `resources`
-    best_cost = greedy_cost
+    # Costs are integers, so "below cutoff" is "at most cutoff - 1".
+    best_cost = greedy_cost if greedy_cost < cutoff else cutoff - 1
     best_vec = None
 
     def lower_bound(i: int) -> Cost:
@@ -127,7 +122,7 @@ def full_cover_bounded_search(
                 br = row[t]
                 if br is None:
                     return INFEASIBLE
-                est = _ceildiv(rt * br[0], br[1])
+                est = -(-rt * br.c // br.w)
                 if est > lb:
                     lb = est
         return lb
@@ -145,19 +140,30 @@ def full_cover_bounded_search(
             return
         pos = order[i]
         r = resources[pos]
-        ub = upper_bounds[r.id]
-        for n in range(ub + 1):
+        w = r.w
+        later = suffix_best[i + 1]
+        lo = hi = 0
+        for t in range(r.s - 1, r.e):
+            need = -(-residual[t] // w)
+            if need > hi:
+                hi = need
+            if need > lo and later[t] is None:
+                lo = need
+        take = lo * w
+        for n in range(lo, hi + 1):
             counts[pos] = n
-            if n:
+            if take:
                 for t in range(r.s - 1, r.e):
-                    residual[t] -= r.w
+                    residual[t] -= take
             dfs(i + 1, cost + n * r.c)
+            take = w
         counts[pos] = 0
-        back = ub * r.w
+        back = hi * w
         for t in range(r.s - 1, r.e):
             residual[t] += back
 
     dfs(0, 0)
-    assert best_vec is not None, "greedy incumbent exists, search must find an optimum"
+    if best_vec is None:
+        return INFEASIBLE_COVER  # every cover costs at least ``cutoff``
     picked = {resources[pos].id: n for pos, n in enumerate(best_vec) if n > 0}
     return FullCoverResult(picked, best_cost)

@@ -164,16 +164,19 @@ def single_mountain_solve(jobs: Sequence[Job], resources: Sequence[Resource],
     """Cover k jobs of a single mountain at cost at most twice the optimum.
 
     Full-covers every extremal-exclusion candidate and keeps the cheapest;
-    ties go to the earliest candidate. INFEASIBLE iff no candidate's
-    profile is coverable (equivalently, no k jobs are coverable at all).
+    ties go to the earliest candidate. Each cover is asked only to beat
+    the best cost so far (the ``cutoff`` of ``full_cover``), so a
+    candidate that cannot win is abandoned early and comes back
+    infeasible. INFEASIBLE iff no candidate's profile is coverable
+    (equivalently, no k jobs are coverable at all).
     """
     by_id = {j.id: j for j in jobs}
     best_cost = INFEASIBLE
     best = None
     for kept in candidate_exclusions(jobs, k):
         prof = job_profile((by_id[i] for i in kept), T)
-        res = full_cover(prof, resources)
-        if res.feasible and res.cost < best_cost:
+        res = full_cover(prof, resources, best_cost)
+        if res.feasible:
             best_cost = res.cost
             best = PartialSolution(res.counts, kept)
     if best is None:

@@ -151,9 +151,11 @@ def build_lspc(rng: MountainRange, jobs: Sequence[Job],
             continue
         covered_idx = [i for i, (s, e) in enumerate(spans)
                        if rec.resource.s <= s and e <= rec.resource.e]
-        assert covered_idx, "a wide part spans at least one mountain"
+        if not covered_idx:
+            raise RuntimeError(f"wide part {rec.resource.id} spans no mountain")
         p, q = covered_idx[0], covered_idx[-1]
-        assert covered_idx == list(range(p, q + 1)), "spanned mountains are contiguous"
+        if covered_idx != list(range(p, q + 1)):
+            raise RuntimeError(f"wide part {rec.resource.id} spans non-contiguous mountains")
         lid = len(longs)
         longs.append(Resource(lid, p + 1, q + 1, rec.resource.w, rec.resource.c))
         long_origin[lid] = rec.resource.id
@@ -168,9 +170,13 @@ def build_lspc(rng: MountainRange, jobs: Sequence[Job],
             if res.solution is None:
                 continue
             assoc = ShortAssociation(idx, kappa, res.solution.counts, res.solution.covered)
-            assert len(assoc.covered) == kappa
+            if len(assoc.covered) != kappa:
+                raise RuntimeError(f"short for mountain {idx} covers "
+                                   f"{len(assoc.covered)} jobs, not kappa={kappa}")
             narrow_prof = multiset_profile(assoc.counts, narrows, T)
-            assert covers(narrow_prof, job_profile((by_id[i] for i in assoc.covered), T))
+            if not covers(narrow_prof, job_profile((by_id[i] for i in assoc.covered), T)):
+                raise RuntimeError(f"narrow multiset of mountain {idx} does not cover "
+                                   f"its kappa={kappa} jobs")
             sid = len(shorts)
             shorts.append(ShortResource(sid, idx + 1, kappa, res.cost))
             associations[sid] = assoc
@@ -212,7 +218,9 @@ def lift_lspc(sol: LspcSolution, build: LspcBuild, rng: MountainRange,
             continue
         wide_cap = sum(n * by_id[did].w for did, n in counts.items()
                        if by_id[did].s <= m.span[0] and m.span[1] <= by_id[did].e)
-        assert wide_cap >= extra, "picked wide capacity must absorb the extra jobs"
+        if wide_cap < extra:
+            raise RuntimeError(f"mountain {idx}: picked wide capacity {wide_cap} "
+                               f"cannot absorb {extra} extra jobs")
         remaining = sorted(m.job_ids - covered)
         covered.update(remaining[:extra])
     return PartialSolution(counts, frozenset(covered))

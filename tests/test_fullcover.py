@@ -4,7 +4,7 @@ import itertools
 import random
 
 from intervalcover.core import INFEASIBLE, Resource
-from intervalcover.fullcover import copy_upper_bounds, full_cover, full_cover_bounded_search
+from intervalcover.fullcover import full_cover
 
 
 def brute_force_cover(demand, resources):
@@ -27,6 +27,12 @@ def brute_force_cover(demand, resources):
         if cost < best_cost:
             best_cost, best_vec = cost, vec
     return best_cost, best_vec
+
+
+def copy_upper_bounds(demand, resources):
+    """ceil(max demand / w) per resource id: no optimal cover needs more copies."""
+    maxd = max(demand, default=0)
+    return {r.id: -(-maxd // r.w) for r in resources}
 
 
 def _random_case(rnd, max_resources=6, max_demand=4, max_T=10):
@@ -75,11 +81,45 @@ def test_matches_unpruned_enumeration():
             assert got_vec == want_vec  # lex-smallest optimum, deterministically
 
 
+def test_cutoff_matches_unpruned_enumeration():
+    rnd = random.Random("fullcover-cutoff")
+    for _ in range(120):
+        demand, resources = _random_case(rnd)
+        want_cost, want_vec = brute_force_cover(demand, resources)
+        cutoffs = [0, INFEASIBLE]
+        if want_vec is not None:
+            cutoffs += [want_cost, want_cost + 1]
+        for cutoff in cutoffs:
+            got = full_cover(demand, resources, cutoff)
+            if want_cost < cutoff:
+                assert got.cost == want_cost
+                assert tuple(got.counts.get(r.id, 0) for r in resources) == want_vec
+            else:
+                assert got.cost is INFEASIBLE and got.counts == {}
+
+
+def test_zero_cost_and_equal_ratio_ties():
+    # r0 and r2 both cost 1 per unit (1/1 and 2/2), so the integer
+    # ordering ties them by position; r1 and r3 are free, so the copy
+    # range of a free resource ends where the residual is met, not at
+    # ceil(max demand / w).
+    demand = (3, 5, 2, 4)
+    resources = (Resource(0, 1, 4, 1, 1), Resource(1, 2, 2, 2, 0),
+                 Resource(2, 1, 4, 2, 2), Resource(3, 3, 4, 1, 0))
+    want_cost, want_vec = brute_force_cover(demand, resources)
+    assert (want_cost, want_vec) == (3, (1, 1, 1, 1))
+    for cutoff in (INFEASIBLE, want_cost + 1):
+        res = full_cover(demand, resources, cutoff)
+        assert res.cost == want_cost
+        assert tuple(res.counts.get(r.id, 0) for r in resources) == want_vec
+    assert not full_cover(demand, resources, want_cost).feasible
+
+
 def test_per_slot_exact_match():
     # one resource per slot, each sized to its slot's demand
     demand = (2, 1, 3)
     resources = tuple(Resource(i, i + 1, i + 1, demand[i], i + 1) for i in range(3))
-    res = full_cover_bounded_search(demand, resources, copy_upper_bounds(demand, resources))
+    res = full_cover(demand, resources)
     assert res.cost == 1 + 2 + 3
 
 

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from intervalcover.core import INFEASIBLE, Instance, Job, Resource, verify_partial
+from intervalcover.core import INFEASIBLE, Instance, Job, Resource, job_profile, verify_partial
+from intervalcover.fullcover import full_cover
 from intervalcover.generate import generate_single_mountain
 from intervalcover.mountains import (
     Mountain,
@@ -148,6 +149,29 @@ def test_single_mountain_within_twice_optimum():
         assert ora.cost <= res.cost <= 2 * ora.cost
         report = verify_partial(inst, res.solution)
         assert report.feasible and report.cost == res.cost
+
+
+def _reference_single_mountain(jobs, resources, k, T):
+    """Full-cover every candidate without a cutoff; the earliest minimum wins."""
+    by_id = {j.id: j for j in jobs}
+    best = (INFEASIBLE, None)
+    for kept in candidate_exclusions(jobs, k):
+        res = full_cover(job_profile((by_id[i] for i in kept), T), resources)
+        if res.cost < best[0]:
+            best = (res.cost, (dict(res.counts), kept))
+    return best
+
+
+def test_single_mountain_matches_uncut_reference():
+    for seed in range(60):
+        inst = generate_single_mountain(seed)
+        for k in range(len(inst.jobs) + 1):
+            res = single_mountain_solve(inst.jobs, inst.resources, k, inst.T)
+            want_cost, want_sol = _reference_single_mountain(inst.jobs, inst.resources, k, inst.T)
+            assert res.cost == want_cost
+            got_sol = None if res.solution is None else (dict(res.solution.counts),
+                                                         res.solution.covered)
+            assert got_sol == want_sol
 
 
 def test_decompose_rejects_empty():

@@ -1,6 +1,8 @@
 """End-to-end partial and prize solvers with their certified bounds."""
 
+import json
 import random
+from pathlib import Path
 
 from intervalcover.core import INFEASIBLE, Instance, is_feasible, multiset_cost, verify_partial, verify_prize
 from intervalcover.generate import generate_mountain_range, generate_uniform
@@ -151,3 +153,20 @@ def test_solve_prize_matches_oracle():
         assert res.total == ora.total
         report = verify_prize(inst, res.solution)
         assert report.feasible and report.total == res.total
+
+
+def test_outputs_match_recorded_golden():
+    # (cost, sorted counts, sorted covered) per seed, recorded from the
+    # solvers before the full-cover search gained its cutoff and copy ranges
+    golden = json.loads((Path(__file__).parent / "data" / "pipeline_golden.json").read_text())
+
+    def record(cost, sol):
+        if sol is None:
+            return [None, None, None]
+        return [cost, sorted([k, v] for k, v in sol.counts.items()), sorted(sol.covered)]
+
+    for s in range(40):
+        res = solve_partial(generate_uniform(s, jobs=16, resources=8, timeslots=30, k=8))
+        assert record(res.cost, res.solution) == golden["partial"][s]
+        pz = solve_prize(generate_uniform(s, jobs=10, resources=4, timeslots=24, penalties=True))
+        assert record(pz.total, pz.solution) == golden["prize"][s]

@@ -19,7 +19,7 @@ from intervalcover.core import (
     verify_prize,
 )
 from intervalcover.generate import generate_mountain_range, generate_uniform
-from intervalcover.lspc import LspcSolver, verify_lspc
+from intervalcover.lspc import LspcSolution, LspcSolver, verify_lspc
 from intervalcover.mountains import Mountain, MountainRange
 from intervalcover.oracle import oracle_prize
 from intervalcover.reductions import (
@@ -177,6 +177,20 @@ def test_lift_lspc_trivials():
     lifted = lift_lspc(one.solution, with_target(build, 1), rng, derived)
     assert lifted.counts == {0: 1}
     assert len(lifted.covered) == 1
+
+
+def test_lift_lspc_rejects_coverage_beyond_short_and_wide():
+    jobs = [Job(0, 2, 3), Job(1, 2, 4), Job(2, 3, 4)]
+    rng = MountainRange((Mountain(3, frozenset({0, 1, 2}), (2, 4)),))
+    # a narrow part pricing the kappa=1 short, and a unit-capacity wide part
+    derived, smap = split_narrow_wide(rng, (Resource(0, 2, 3, 1, 6), Resource(1, 1, 5, 1, 4)))
+    build = build_lspc(rng, jobs, derived, 3, 5)
+    (short,) = build.instance.shorts
+    assert short.w == 1 and build.instance.longs[0].w == 1
+    # three jobs claimed: one from the short, two more than one wide copy holds
+    sol = LspcSolution({0: 1}, frozenset({short.id}), (3,))
+    with pytest.raises(RuntimeError, match="wide capacity"):
+        lift_lspc(sol, build, rng, derived)
 
 
 def test_lift_lspc_roundtrip_random():
