@@ -11,6 +11,7 @@ from .core import (
     Instance,
     Job,
     PartialSolution,
+    PrizeSolveResult,
     Resource,
     SolveResult,
     covers,
@@ -45,8 +46,6 @@ from .oracle import Budget, oracle_lspc, oracle_partial, oracle_prize
 from .pipeline import (
     RANGE_FACTOR,
     PartialSolveResult,
-    PrizeSolveResult,
-    range_solve,
     solve_partial,
     solve_prize,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "oracle_partial",
     "oracle_prize",
     "pc_to_smfc",
-    "range_solve",
     "single_mountain_solve",
     "smfc_solve_exact",
     "solve_lspc",

@@ -12,24 +12,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .core import (
     BudgetExceeded,
-    INFEASIBLE,
-    Instance,
     PartialSolution,
-    covers,
     is_feasible,
     job_profile,
-    multiset_cost,
-    multiset_profile,
     verify_partial,
     verify_prize,
 )
 from .files import (
     ParseError,
-    SolutionDoc,
     emit_instance,
     emit_lspc,
     emit_solution,
@@ -43,10 +38,9 @@ from .generate import (
     PROFILES,
     generate,
     generate_lspc,
-    generate_single_mountain,
     generate_uniform,
 )
-from .lspc import LspcInstance, solve_lspc, verify_lspc
+from .lspc import LspcSolution, solve_lspc, verify_lspc
 from .oracle import Budget, oracle_lspc, oracle_partial, oracle_prize
 from .pipeline import solve_partial, solve_prize
 
@@ -66,23 +60,15 @@ def _emit_line(**fields) -> None:
 
 
 def _cmd_generate(args) -> int:
-    params = {}
     if args.profile == "lspc-random":
-        params = dict(timeslots=args.timeslots, max_demand=args.max_demand,
-                      shorts=args.shorts, longs=args.longs, max_c=args.max_c)
-        if args.k is not None:
-            params["k"] = args.k
-        inst = generate_lspc(args.seed, **params)
+        inst = generate_lspc(args.seed, timeslots=args.timeslots, max_demand=args.max_demand,
+                             shorts=args.shorts, longs=args.longs, max_c=args.max_c, k=args.k)
         text = emit_lspc(inst)
     else:
         params = dict(jobs=args.jobs, resources=args.resources, timeslots=args.timeslots,
-                      max_w=args.max_w, max_c=args.max_c)
-        if args.k is not None:
-            params["k"] = args.k
+                      max_w=args.max_w, max_c=args.max_c, k=args.k)
         if args.profile == "uniform-random":
             params["penalties"] = args.penalties
-            if args.penalties:
-                params.pop("k", None)
         elif args.penalties:
             raise ParseError("", "--penalties is only supported with uniform-random")
         if args.profile == "mountain-range":
@@ -127,22 +113,33 @@ def _solve_dispatch(problem: str, algorithm: str, inst) -> tuple:
     return res.cost, sol, True
 
 
-def _self_check(problem: str, inst, solution, cost: int) -> None:
-    if problem == "partial":
-        report = verify_partial(inst, solution)
-        ok = report.feasible and report.cost == cost
+def _verify(problem: str, inst, sol, cost: int) -> tuple[bool, dict]:
+    """Check a solution against its instance and its claimed cost.
+
+    Returns (accepted, detail fields for the verify line). A full cover is
+    checked as a partial cover that must cover every job.
+    """
+    if problem == "lspc":
+        report = verify_lspc(inst, sol)
+        recomputed, reason_key, reason = report.cost, "violated_clause", report.violated_clause
     elif problem == "prize":
-        report = verify_prize(inst, solution)
-        ok = report.feasible and report.total == cost
-    elif problem == "lspc":
-        report = verify_lspc(inst, solution)
-        ok = report.feasible and report.cost == cost
+        report = verify_prize(inst, sol)
+        recomputed, reason_key, reason = report.total, "reason", report.reason
     else:
-        have = multiset_profile(solution.counts, inst.resources, inst.T)
-        ok = covers(have, job_profile(inst.jobs, inst.T)) \
-            and multiset_cost(solution.counts, inst.resources) == cost
-    if not ok:
-        raise RuntimeError(f"internal error: produced {problem} solution failed its own verifier")
+        if problem == "fullcover":
+            inst = replace(inst, k=len(inst.jobs))
+        report = verify_partial(inst, sol)
+        recomputed, reason_key, reason = report.cost, "reason", report.reason
+    detail = {"feasible": report.feasible,
+              "cost_recomputed": recomputed if is_feasible(recomputed) else None}
+    if reason:
+        detail[reason_key] = reason
+    if report.violated_slot:
+        detail["violated_slot"] = report.violated_slot
+    ok = report.feasible and recomputed == cost
+    if report.feasible and recomputed != cost:
+        detail["reason"] = f"reported cost {cost} != recomputed {recomputed}"
+    return ok, detail
 
 
 def _cmd_solve(args) -> int:
@@ -152,7 +149,9 @@ def _cmd_solve(args) -> int:
     if not is_feasible(cost):
         _emit_line(status="infeasible", problem=args.problem)
         return 2
-    _self_check(args.problem, inst, solution, cost)
+    if not _verify(args.problem, inst, solution, cost)[0]:
+        raise RuntimeError(f"internal error: produced {args.problem} solution "
+                           f"failed its own verifier")
     if args.output:
         doc = solution_doc_for(args.problem, solution, cost)
         _write(args.output, emit_solution(doc))
@@ -163,62 +162,16 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _verify_doc(inst, doc: SolutionDoc):
-    """Returns (feasible, detail dict)."""
-    if doc.problem == "lspc":
-        if not isinstance(inst, LspcInstance):
-            raise ParseError("", "lspc solutions verify against lspc instances")
-        from .lspc import LspcSolution
-
-        sol = LspcSolution(doc.counts, frozenset(doc.short_picks), doc.coverage)
-        report = verify_lspc(inst, sol)
-        detail = {"feasible": report.feasible, "cost_recomputed": report.cost
-                  if is_feasible(report.cost) else None}
-        if report.violated_clause:
-            detail["violated_clause"] = report.violated_clause
-            if report.violated_slot:
-                detail["violated_slot"] = report.violated_slot
-        ok = report.feasible and report.cost == doc.cost
-        if report.feasible and report.cost != doc.cost:
-            detail["reason"] = f"reported cost {doc.cost} != recomputed {report.cost}"
-        return ok, detail
-    sol = PartialSolution(doc.counts, frozenset(doc.covered))
-    if doc.problem == "partial":
-        report = verify_partial(inst, sol)
-        recomputed = report.cost
-    elif doc.problem == "prize":
-        report = verify_prize(inst, sol)
-        recomputed = report.total
-    else:
-        try:
-            have = multiset_profile(sol.counts, inst.resources, inst.T)
-        except ValueError as exc:
-            return False, {"feasible": False, "reason": str(exc)}
-        need = job_profile(inst.jobs, inst.T)
-        feasible = covers(have, need) and set(doc.covered) == {j.id for j in inst.jobs}
-        recomputed = multiset_cost(sol.counts, inst.resources)
-        ok = feasible and recomputed == doc.cost
-        detail = {"feasible": feasible, "cost_recomputed": recomputed}
-        if feasible and recomputed != doc.cost:
-            detail["reason"] = f"reported cost {doc.cost} != recomputed {recomputed}"
-        return ok, detail
-    detail = {"feasible": report.feasible,
-              "cost_recomputed": recomputed if is_feasible(recomputed) else None}
-    if report.reason:
-        detail["reason"] = report.reason
-    if report.violated_slot:
-        detail["violated_slot"] = report.violated_slot
-    ok = report.feasible and recomputed == doc.cost
-    if report.feasible and recomputed != doc.cost:
-        detail["reason"] = f"reported cost {doc.cost} != recomputed {recomputed}"
-    return ok, detail
-
-
 def _cmd_verify(args) -> int:
     doc = parse_solution(_read(args.solution))
     text = _read(args.input)
-    inst = parse_lspc(text) if doc.problem == "lspc" else parse_instance(text)
-    ok, detail = _verify_doc(inst, doc)
+    if doc.problem == "lspc":
+        inst = parse_lspc(text)
+        sol = LspcSolution(doc.counts, frozenset(doc.short_picks), doc.coverage)
+    else:
+        inst = parse_instance(text)
+        sol = PartialSolution(doc.counts, frozenset(doc.covered))
+    ok, detail = _verify(doc.problem, inst, sol, doc.cost)
     _emit_line(problem=doc.problem, **detail)
     return 0 if ok else 2
 
@@ -235,8 +188,6 @@ def _ratio_instance(problem: str, profile: str, seed: int):
         return generate_lspc(seed)
     if problem == "prize":
         return generate_uniform(seed, penalties=True)
-    if profile == "single-mountain":
-        return generate_single_mountain(seed)
     return generate(profile, seed)
 
 

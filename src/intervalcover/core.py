@@ -160,6 +160,12 @@ class SolveResult:
     solution: PartialSolution | None
 
 
+@dataclass(frozen=True)
+class PrizeSolveResult:
+    total: Cost
+    solution: PartialSolution | None
+
+
 def job_profile(jobs: Iterable[Job], T: int) -> tuple[int, ...]:
     """Cumulative demand profile: entry t-1 counts the jobs active at timeslot t."""
     diff = [0] * (T + 1)

@@ -51,6 +51,16 @@ def _as_list(value, path: str) -> list:
     return value
 
 
+def _as_interval(item: dict, path: str, T: int) -> tuple[int, int]:
+    s = _as_int(item["s"], f"{path}.s", minimum=1)
+    e = _as_int(item["e"], f"{path}.e", minimum=1)
+    if e < s:
+        raise ParseError(f"{path}.e", f"end {e} before start {s}")
+    if e > T:
+        raise ParseError(f"{path}.e", f"end {e} beyond T={T}")
+    return s, e
+
+
 def _check_version(obj: dict, path: str = "") -> None:
     if obj.get("version") != FORMAT_VERSION:
         raise ParseError(path or "version", f"expected version {FORMAT_VERSION}")
@@ -61,6 +71,8 @@ def _loads(text: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("", f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise ParseError("", "invalid JSON: nested too deeply")
 
 
 def _dumps(obj) -> str:
@@ -76,12 +88,7 @@ def parse_instance(text: str) -> Instance:
     for i, item in enumerate(_as_list(doc["jobs"], "jobs")):
         path = f"jobs[{i}]"
         _require_keys(item, path, {"s": 1, "e": 1}, {"penalty": 1})
-        s = _as_int(item["s"], f"{path}.s", minimum=1)
-        e = _as_int(item["e"], f"{path}.e", minimum=1)
-        if e < s:
-            raise ParseError(f"{path}.e", f"end {e} before start {s}")
-        if e > T:
-            raise ParseError(f"{path}.e", f"end {e} beyond T={T}")
+        s, e = _as_interval(item, path, T)
         penalty = None
         if "penalty" in item:
             penalty = _as_int(item["penalty"], f"{path}.penalty", minimum=0)
@@ -90,12 +97,7 @@ def parse_instance(text: str) -> Instance:
     for i, item in enumerate(_as_list(doc["resources"], "resources")):
         path = f"resources[{i}]"
         _require_keys(item, path, {"s": 1, "e": 1, "w": 1, "c": 1})
-        s = _as_int(item["s"], f"{path}.s", minimum=1)
-        e = _as_int(item["e"], f"{path}.e", minimum=1)
-        if e < s:
-            raise ParseError(f"{path}.e", f"end {e} before start {s}")
-        if e > T:
-            raise ParseError(f"{path}.e", f"end {e} beyond T={T}")
+        s, e = _as_interval(item, path, T)
         w = _as_int(item["w"], f"{path}.w", minimum=1)
         c = _as_int(item["c"], f"{path}.c", minimum=0)
         resources.append(Resource(i, s, e, w, c))
@@ -149,12 +151,7 @@ def parse_lspc(text: str) -> LspcInstance:
     for i, item in enumerate(_as_list(doc["longs"], "longs")):
         path = f"longs[{i}]"
         _require_keys(item, path, {"s": 1, "e": 1, "w": 1, "c": 1})
-        s = _as_int(item["s"], f"{path}.s", minimum=1)
-        e = _as_int(item["e"], f"{path}.e", minimum=1)
-        if e < s:
-            raise ParseError(f"{path}.e", f"end {e} before start {s}")
-        if e > T:
-            raise ParseError(f"{path}.e", f"end {e} beyond T={T}")
+        s, e = _as_interval(item, path, T)
         longs.append(Resource(i, s, e, _as_int(item["w"], f"{path}.w", minimum=1),
                               _as_int(item["c"], f"{path}.c", minimum=0)))
     k = _as_int(doc["k"], "k", minimum=0)
@@ -202,7 +199,7 @@ def parse_solution(text: str) -> SolutionDoc:
     if not isinstance(doc["counts"], dict):
         raise ParseError("counts", "expected an object")
     for key, val in doc["counts"].items():
-        if not key.isdigit():
+        if not (key.isascii() and key.isdigit() and key == str(int(key))):
             raise ParseError(f"counts.{key}", "resource ids are non-negative integers")
         counts[int(key)] = _as_int(val, f"counts.{key}", minimum=1)
     cost = _as_int(doc["cost"], "cost", minimum=0)
@@ -244,10 +241,12 @@ def emit_solution(sol: SolutionDoc) -> str:
 def solution_doc_for(problem: str, solution, cost: int) -> SolutionDoc:
     """Wrap an in-memory solution for writing."""
     if problem == "lspc":
-        assert isinstance(solution, LspcSolution)
+        if not isinstance(solution, LspcSolution):
+            raise TypeError(f"lspc solutions are LspcSolution, got {type(solution).__name__}")
         return SolutionDoc(problem, dict(solution.long_counts), cost,
                            short_picks=tuple(sorted(solution.short_picks)),
                            coverage=solution.coverage)
-    assert isinstance(solution, PartialSolution)
+    if not isinstance(solution, PartialSolution):
+        raise TypeError(f"{problem} solutions are PartialSolution, got {type(solution).__name__}")
     return SolutionDoc(problem, dict(solution.counts), cost,
                        covered=tuple(sorted(solution.covered)))

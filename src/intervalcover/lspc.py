@@ -161,9 +161,6 @@ class LspcSolver:
                 return s.c, s.id
         return INFEASIBLE, None
 
-    def gamma(self, t: int, q: int, h: int) -> Cost:
-        return self.gamma_choice(t, q, h)[0]
-
     def table_a(self, a: int, b: int, q: int, h: int) -> Cost:
         if a > b:
             return 0 if q == 0 else INFEASIBLE
@@ -175,7 +172,7 @@ class LspcSolver:
         best_q1 = None
         if q <= self._dsum(a, b):
             for q1 in range(min(q, self.inst.d[b - 1]) + 1):
-                g = self.gamma(b, q1, h)
+                g = self.gamma_choice(b, q1, h)[0]
                 if not is_feasible(g):
                     continue
                 sub = self.table_a(a, b - 1, q - q1, h)
@@ -302,7 +299,8 @@ class LspcSolver:
                 take = min(self.inst.d[t - 1], rem)
                 coverage[t - 1] = take
                 rem -= take
-            assert rem == 0
+            if rem != 0:
+                raise RuntimeError(f"BASEH entry {(a, b, q, h)} asks {rem} units beyond the demand")
             return
         if tag == "E1":
             self._replay_a(a, b, q, h, coverage, shorts)
@@ -329,24 +327,13 @@ class LspcSolver:
                 shorts.add(sid)
             q -= q1
             b -= 1
-        assert q == 0
+        if q != 0:
+            raise RuntimeError(f"table A replay from slot {a} left {q} units uncovered")
 
 
-def solve_lspc(inst: LspcInstance, check_invariants: bool = False) -> LspcResult:
+def solve_lspc(inst: LspcInstance) -> LspcResult:
     """Cheapest SLRA solution covering measure >= k, with reconstruction."""
-    return LspcSolver(inst, check_invariants=check_invariants).solve()
-
-
-def gamma(inst: LspcInstance, t: int, q: int, h: int) -> Cost:
-    return LspcSolver(inst).gamma(t, q, h)
-
-
-def table_a(inst: LspcInstance, a: int, b: int, q: int, h: int) -> Cost:
-    return LspcSolver(inst).table_a(a, b, q, h)
-
-
-def table_m(inst: LspcInstance, a: int, b: int, q: int, h: int) -> Cost:
-    return LspcSolver(inst).table_m(a, b, q, h)
+    return LspcSolver(inst).solve()
 
 
 def verify_lspc(inst: LspcInstance, sol: LspcSolution) -> LspcReport:

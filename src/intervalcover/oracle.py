@@ -23,13 +23,13 @@ from .core import (
     BudgetExceeded,
     Instance,
     PartialSolution,
+    PrizeSolveResult,
     SolveResult,
     is_feasible,
     job_profile,
 )
 from .fullcover import full_cover
 from .lspc import LspcInstance, LspcResult, LspcSolution
-from .pipeline import PrizeSolveResult
 
 ENV_VAR = "INTERVALCOVER_BUDGET"
 
@@ -196,5 +196,6 @@ def oracle_prize(inst: Instance, budget: Budget | None = None) -> PrizeSolveResu
         if total < best_cost:
             best_cost = total
             best = PartialSolution(fc.counts, frozenset(j.id for j in covered))
-    assert best is not None, "the empty subset is always coverable"
+    if best is None:
+        raise RuntimeError("the empty subset is always coverable, yet no subset was")
     return PrizeSolveResult(best_cost, best)

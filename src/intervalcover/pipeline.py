@@ -17,7 +17,6 @@ directions, so the result is exactly optimal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .core import (
     EMPTY_SOLUTION,
@@ -25,17 +24,14 @@ from .core import (
     Cost,
     Instance,
     PartialSolution,
+    PrizeSolveResult,
     SolveResult,
     is_feasible,
     multiset_cost,
 )
-from .lspc import LspcResult, LspcSolver
-from .mountains import Decomposition, MountainRange, decompose
+from .lspc import LspcSolver
+from .mountains import MountainRange, decompose
 from .reductions import (
-    DEFAULT_MAX_STYPES,
-    LspcBuild,
-    SplitMap,
-    DerivedResource,
     build_lspc,
     lift_lspc,
     lift_smfc,
@@ -43,23 +39,9 @@ from .reductions import (
     pc_to_smfc,
     smfc_solve_exact,
     split_narrow_wide,
-    with_target,
 )
 
 RANGE_FACTOR = 384  # certified per-range approximation factor (3 * 8 * 16)
-
-
-@dataclass(frozen=True)
-class RangeTrace:
-    """Intermediate pipeline artifacts for one (range, kappa) solve."""
-
-    kappa: int
-    derived: tuple[DerivedResource, ...]
-    split_map: SplitMap
-    build: LspcBuild
-    lspc: LspcResult
-    lifted_derived: PartialSolution | None
-    lifted_original: PartialSolution | None
 
 
 class _RangePipeline:
@@ -72,43 +54,17 @@ class _RangePipeline:
         self.build = build_lspc(rng, inst.jobs, self.derived, 0, inst.T)
         self.solver = LspcSolver(self.build.instance)
 
-    def solve(self, kappa: int, want_trace: bool = False) -> tuple[SolveResult, RangeTrace | None]:
+    def solve(self, kappa: int) -> SolveResult:
+        """Cover at least kappa jobs of the range, within RANGE_FACTOR of
+        that subproblem's optimum."""
         if kappa == 0:
-            res = SolveResult(0, EMPTY_SOLUTION)
-            trace = None
-            if want_trace:
-                trace = RangeTrace(0, self.derived, self.split_map,
-                                   with_target(self.build, 0),
-                                   LspcResult(0, None), EMPTY_SOLUTION, EMPTY_SOLUTION)
-            return res, trace
+            return SolveResult(0, EMPTY_SOLUTION)
         lres = self.solver.solve_for(kappa)
-        build = with_target(self.build, kappa)
         if lres.solution is None:
-            trace = RangeTrace(kappa, self.derived, self.split_map, build, lres, None, None) \
-                if want_trace else None
-            return SolveResult(INFEASIBLE, None), trace
-        lifted_d = lift_lspc(lres.solution, build, self.rng, self.derived)
+            return SolveResult(INFEASIBLE, None)
+        lifted_d = lift_lspc(lres.solution, self.build, self.rng, self.derived)
         lifted_o = lift_split(lifted_d, self.split_map)
-        cost = multiset_cost(lifted_o.counts, self.inst.resources)
-        trace = RangeTrace(kappa, self.derived, self.split_map, build, lres, lifted_d, lifted_o) \
-            if want_trace else None
-        return SolveResult(cost, lifted_o), trace
-
-
-def range_solve(inst: Instance, rng: MountainRange, kappa: int,
-                want_trace: bool = False) -> tuple[SolveResult, RangeTrace | None]:
-    """Cover at least kappa jobs of one mountain range, within RANGE_FACTOR
-    of that subproblem's optimum."""
-    return _RangePipeline(inst, rng).solve(kappa, want_trace)
-
-
-@dataclass(frozen=True)
-class PartialSolveDetails:
-    decomposition: Decomposition
-    range_costs: tuple[tuple[Cost, ...], ...]  # [range][kappa]
-    dp: tuple[tuple[Cost, ...], ...]  # [q][kappa] over range prefixes
-    picked: tuple[int, ...]  # kappa chosen per range in the emitted solution
-    traces: tuple[RangeTrace, ...]
+        return SolveResult(multiset_cost(lifted_o.counts, self.inst.resources), lifted_o)
 
 
 @dataclass(frozen=True)
@@ -117,10 +73,9 @@ class PartialSolveResult:
     solution: PartialSolution | None
     num_ranges: int
     bound_factor: int  # certified approximation factor: RANGE_FACTOR * num_ranges
-    details: PartialSolveDetails | None = None
 
 
-def solve_partial(inst: Instance, keep_details: bool = False) -> PartialSolveResult:
+def solve_partial(inst: Instance) -> PartialSolveResult:
     """Cover at least k jobs of the instance at small cost.
 
     The emitted solution is the union of per-range solutions chosen by
@@ -133,28 +88,17 @@ def solve_partial(inst: Instance, keep_details: bool = False) -> PartialSolveRes
     k = inst.k
     n = len(inst.jobs)
     if k == 0:
-        return PartialSolveResult(0, EMPTY_SOLUTION, 0, 0,
-                                  PartialSolveDetails(Decomposition(()), (), ((0,),), (), ())
-                                  if keep_details else None)
+        return PartialSolveResult(0, EMPTY_SOLUTION, 0, 0)
     if k > n:
         return PartialSolveResult(INFEASIBLE, None, 0, 0)
 
     decomp = decompose(inst.jobs)
     L = decomp.L
     range_solutions: list[list[SolveResult]] = []
-    range_costs: list[tuple[Cost, ...]] = []
-    traces: list[RangeTrace] = []
     for rng in decomp.ranges:
         pipe = _RangePipeline(inst, rng)
         size = len(rng.job_ids())
-        row: list[SolveResult] = []
-        for kappa in range(min(k, size) + 1):
-            res, trace = pipe.solve(kappa, want_trace=keep_details)
-            row.append(res)
-            if trace is not None:
-                traces.append(trace)
-        range_solutions.append(row)
-        range_costs.append(tuple(r.cost for r in row))
+        range_solutions.append([pipe.solve(kappa) for kappa in range(min(k, size) + 1)])
 
     # dp[q][kappa]: cheapest way to cover kappa jobs using ranges 1..q
     dp: list[list[Cost]] = [[0] + [INFEASIBLE] * k]
@@ -181,46 +125,28 @@ def solve_partial(inst: Instance, keep_details: bool = False) -> PartialSolveRes
         choice.append(row_choice)
 
     final = dp[L][k]
-    details = None
-    if keep_details:
-        details_dp = tuple(tuple(row) for row in dp)
-
     if not is_feasible(final):
-        if keep_details:
-            details = PartialSolveDetails(decomp, tuple(range_costs), details_dp, (), tuple(traces))
-        return PartialSolveResult(INFEASIBLE, None, L, RANGE_FACTOR * L, details)
+        return PartialSolveResult(INFEASIBLE, None, L, RANGE_FACTOR * L)
 
     counts: dict[int, int] = {}
     covered: set[int] = set()
-    picked: list[int] = []
     kappa = k
     for q in range(L, 0, -1):
         kp = choice[q][kappa]
-        picked.append(kp)
         sol = range_solutions[q - 1][kp].solution
         for rid, cnt in sol.counts.items():
             counts[rid] = counts.get(rid, 0) + cnt
         covered |= sol.covered
         kappa -= kp
-    picked.reverse()
     solution = PartialSolution(counts, frozenset(covered))
-    if keep_details:
-        details = PartialSolveDetails(decomp, tuple(range_costs), details_dp,
-                                      tuple(picked), tuple(traces))
-    return PartialSolveResult(final, solution, L, RANGE_FACTOR * L, details)
+    return PartialSolveResult(final, solution, L, RANGE_FACTOR * L)
 
 
-@dataclass(frozen=True)
-class PrizeSolveResult:
-    total: Cost
-    solution: PartialSolution | None
-
-
-def solve_prize(inst: Instance, max_stypes: int = DEFAULT_MAX_STYPES) -> PrizeSolveResult:
+def solve_prize(inst: Instance) -> PrizeSolveResult:
     """Exactly optimal prize-collecting solution: resource cost plus the
     penalties of the uncovered jobs is minimized."""
-    build = pc_to_smfc(inst)
-    res = smfc_solve_exact(build.instance, max_stypes=max_stypes)
+    smfc = pc_to_smfc(inst)
+    res = smfc_solve_exact(smfc)
     if not is_feasible(res.cost):
         return PrizeSolveResult(INFEASIBLE, None)
-    return PrizeSolveResult(res.cost, lift_smfc(res, build))
+    return PrizeSolveResult(res.cost, lift_smfc(res, smfc))

@@ -24,7 +24,7 @@ problem exactly solves the prize-collecting problem exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .core import (
@@ -43,7 +43,7 @@ from .fullcover import full_cover
 from .lspc import LspcInstance, LspcSolution, ShortResource
 from .mountains import MountainRange, single_mountain_solve
 
-DEFAULT_MAX_STYPES = 16
+MAX_STYPES = 16  # cap on once-only resources for smfc_solve_exact's subset enumeration
 
 
 @dataclass(frozen=True)
@@ -185,10 +185,6 @@ def build_lspc(rng: MountainRange, jobs: Sequence[Job],
     return LspcBuild(inst, associations, long_origin)
 
 
-def with_target(build: LspcBuild, k: int) -> LspcBuild:
-    return LspcBuild(replace(build.instance, k=k), build.associations, build.long_origin)
-
-
 def lift_lspc(sol: LspcSolution, build: LspcBuild, rng: MountainRange,
               derived: Sequence[DerivedResource]) -> PartialSolution:
     """Expand a long/short solution back over the derived resources.
@@ -241,44 +237,38 @@ class SmfcInstance:
 
 
 @dataclass(frozen=True)
-class SmfcBuild:
-    instance: SmfcInstance
-    stype_job: Mapping[int, int]  # S-type id -> job id
-
-
-@dataclass(frozen=True)
 class SmfcResult:
     cost: Cost
-    s_selected: frozenset[int]
+    s_selected: frozenset[int]  # positions in s_types
     m_counts: Mapping[int, int]
 
 
-def pc_to_smfc(inst: Instance) -> SmfcBuild:
+def pc_to_smfc(inst: Instance) -> SmfcInstance:
     """Prize-collecting instance -> once-only/unlimited full cover.
 
     The demand is the profile of all jobs; every job becomes a once-only
     unit-capacity resource over its interval priced at its penalty, and
-    the original resources carry over as the unlimited class.
+    the original resources carry over as the unlimited class. Once-only
+    resource i stands for job i: same id, same position in ``s_types``.
     """
     if any(j.penalty is None for j in inst.jobs):
         raise ValueError("every job needs a penalty")
     demand = job_profile(inst.jobs, inst.T)
     s_types = tuple(Resource(j.id, j.s, j.e, 1, j.penalty) for j in inst.jobs)
-    smfc = SmfcInstance(inst.T, demand, s_types, inst.resources)
-    return SmfcBuild(smfc, {j.id: j.id for j in inst.jobs})
+    return SmfcInstance(inst.T, demand, s_types, inst.resources)
 
 
-def smfc_solve_exact(smfc: SmfcInstance, max_stypes: int = DEFAULT_MAX_STYPES) -> SmfcResult:
+def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
     """Exact minimum over once-only subsets, each completed by an exact
     full cover of the residual demand with the unlimited class.
 
-    Refuses instances with more than ``max_stypes`` once-only resources
+    Refuses instances with more than ``MAX_STYPES`` once-only resources
     rather than approximating silently.
     """
     n = len(smfc.s_types)
-    if n > max_stypes:
+    if n > MAX_STYPES:
         raise BudgetExceeded(
-            f"{n} once-only resources exceed the subset-enumeration cap of {max_stypes}")
+            f"{n} once-only resources exceed the subset-enumeration cap of {MAX_STYPES}")
     best_cost: Cost = INFEASIBLE
     best: SmfcResult | None = None
     cover_memo: dict[tuple[int, ...], object] = {}
@@ -308,10 +298,10 @@ def smfc_solve_exact(smfc: SmfcInstance, max_stypes: int = DEFAULT_MAX_STYPES) -
     return best
 
 
-def lift_smfc(result: SmfcResult, build: SmfcBuild) -> PartialSolution:
+def lift_smfc(result: SmfcResult, smfc: SmfcInstance) -> PartialSolution:
     """Back to prize-collecting: a selected once-only resource means its
     job goes uncovered and pays its penalty; everything else is covered by
     the unlimited-class picks. The totals match exactly."""
-    uncovered = {build.stype_job[sid] for sid in result.s_selected}
-    covered = frozenset(build.stype_job.values()) - uncovered
+    uncovered = {smfc.s_types[i].id for i in result.s_selected}
+    covered = frozenset(r.id for r in smfc.s_types) - uncovered
     return PartialSolution(dict(result.m_counts), covered)

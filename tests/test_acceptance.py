@@ -39,7 +39,8 @@ from intervalcover.mountains import (
     verify_mountain_range,
 )
 from intervalcover.oracle import Budget, oracle_lspc, oracle_partial, oracle_prize
-from intervalcover.pipeline import solve_partial, solve_prize
+from intervalcover.pipeline import _RangePipeline, solve_partial, solve_prize
+from intervalcover.reductions import lift_lspc, lift_split
 
 BUDGET = Budget()
 
@@ -81,7 +82,7 @@ def lspc_runs():
 
 @pytest.fixture(scope="module")
 def partial_runs():
-    """Criterion 4 workload; criterion 8 reuses the pipeline traces."""
+    """Criterion 4 workload; criterion 8 rebuilds its ranges' pipelines."""
     rnd = random.Random("acceptance-partial")
     runs = []
     start = time.monotonic()
@@ -90,7 +91,7 @@ def partial_runs():
                                 jobs=rnd.randint(1, 8),
                                 resources=rnd.randint(1, 6),
                                 timeslots=rnd.randint(2, 12))
-        result = solve_partial(inst, keep_details=True)
+        result = solve_partial(inst)
         exact = oracle_partial(inst, BUDGET)
         runs.append((inst, result, exact))
     return runs, time.monotonic() - start
@@ -297,36 +298,40 @@ def test_criterion_8_reduction_roundtrips(partial_runs):
     with criterion(8, "lift feasibility and cost monotonicity") as c:
         lifts = associations = 0
         for idx, (inst, result, exact) in enumerate(runs):
-            if result.details is None:
-                continue
-            for trace in result.details.traces:
-                derived_res = [p.resource for p in trace.derived]
-                narrow_res = [p.resource for p in trace.derived if p.role == "narrow"]
-                for sid, assoc in trace.build.associations.items():
-                    short = trace.build.instance.shorts[sid]
+            if not 0 < inst.k <= len(inst.jobs):
+                continue  # solve_partial returns before decomposing
+            for rng in decompose(inst.jobs).ranges:
+                pipe = _RangePipeline(inst, rng)
+                derived_res = [p.resource for p in pipe.derived]
+                narrow_res = [p.resource for p in pipe.derived if p.role == "narrow"]
+                for sid, assoc in pipe.build.associations.items():
+                    short = pipe.build.instance.shorts[sid]
                     assert short.w == assoc.kappa == len(assoc.covered), (idx, sid)
                     have = multiset_profile(assoc.counts, narrow_res, inst.T)
                     need = job_profile((inst.jobs[j] for j in assoc.covered), inst.T)
                     assert covers(have, need), (idx, sid)
                     associations += 1
-                if trace.lifted_derived is None or trace.kappa == 0:
-                    continue
-                dsol = trace.lifted_derived
-                dcost = multiset_cost(dsol.counts, derived_res)
-                assert dcost <= trace.lspc.cost, (idx, trace.kappa)
-                have = multiset_profile(dsol.counts, derived_res, inst.T) \
-                    if dsol.counts else (0,) * inst.T
-                need = job_profile((inst.jobs[j] for j in dsol.covered), inst.T)
-                assert covers(have, need), (idx, trace.kappa)
-                assert len(dsol.covered) >= trace.kappa
+                for kappa in range(1, min(inst.k, len(rng.job_ids())) + 1):
+                    lres = pipe.solver.solve_for(kappa)
+                    if lres.solution is None:
+                        continue
+                    dsol = lift_lspc(lres.solution, pipe.build, rng, pipe.derived)
+                    dcost = multiset_cost(dsol.counts, derived_res)
+                    assert dcost <= lres.cost, (idx, kappa)
+                    have = multiset_profile(dsol.counts, derived_res, inst.T) \
+                        if dsol.counts else (0,) * inst.T
+                    need = job_profile((inst.jobs[j] for j in dsol.covered), inst.T)
+                    assert covers(have, need), (idx, kappa)
+                    assert len(dsol.covered) >= kappa
 
-                osol = trace.lifted_original
-                ocost = multiset_cost(osol.counts, inst.resources)
-                assert ocost <= dcost, (idx, trace.kappa)
-                ohave = multiset_profile(osol.counts, inst.resources, inst.T) \
-                    if osol.counts else (0,) * inst.T
-                oneed = job_profile((inst.jobs[j] for j in osol.covered), inst.T)
-                assert covers(ohave, oneed), (idx, trace.kappa)
-                lifts += 1
+                    osol = lift_split(dsol, pipe.split_map)
+                    ocost = multiset_cost(osol.counts, inst.resources)
+                    assert ocost <= dcost, (idx, kappa)
+                    ohave = multiset_profile(osol.counts, inst.resources, inst.T) \
+                        if osol.counts else (0,) * inst.T
+                    oneed = job_profile((inst.jobs[j] for j in osol.covered), inst.T)
+                    assert covers(ohave, oneed), (idx, kappa)
+                    assert pipe.solve(kappa).solution == osol, (idx, kappa)
+                    lifts += 1
         assert lifts > 0 and associations > 0
         c["info"] = f"{lifts} lift pairs, {associations} short associations"

@@ -169,3 +169,37 @@ def test_ratio_prize_is_exact(capsys):
 def test_ratio_bad_seed_range(capsys):
     code, _, err = run(capsys, "ratio", "--seeds", "5..1")
     assert code == 1
+
+
+def test_verify_fullcover(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "version": 1, "T": 3,
+        "jobs": [{"s": 1, "e": 2}, {"s": 2, "e": 3}],
+        "resources": [{"s": 1, "e": 3, "w": 2, "c": 3}, {"s": 1, "e": 3, "w": 1, "c": 5}],
+    }))
+    out = tmp_path / "sol.json"
+    code, _, _ = run(capsys, "solve", "--problem", "fullcover",
+                     "--input", str(inst), "--output", str(out))
+    assert code == 0
+    code, stdout, _ = run(capsys, "verify", "--input", str(inst), "--solution", str(out))
+    assert code == 0
+    assert stdout == '{"cost_recomputed": 3, "feasible": true, "problem": "fullcover"}\n'
+
+    doc = json.loads(out.read_text())
+    assert doc["counts"] == {"0": 1} and doc["covered"] == [0, 1]
+    dropped_job = tmp_path / "dropped_job.json"
+    dropped_job.write_text(json.dumps(dict(doc, covered=[0])))
+    code, stdout, _ = run(capsys, "verify", "--input", str(inst), "--solution", str(dropped_job))
+    assert code == 2
+    line = json.loads(stdout)
+    assert line["feasible"] is False and line["reason"] == "covers 1 jobs, needs 2"
+
+    dropped_resource = tmp_path / "dropped_resource.json"
+    dropped_resource.write_text(json.dumps(dict(doc, counts={})))
+    code, stdout, _ = run(capsys, "verify", "--input", str(inst),
+                          "--solution", str(dropped_resource))
+    assert code == 2
+    line = json.loads(stdout)
+    assert line["feasible"] is False
+    assert line["reason"] == "capacity below demand" and line["violated_slot"] == 1

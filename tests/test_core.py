@@ -1,6 +1,8 @@
 """Profile arithmetic, cost sentinel, and verifier behaviour."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -259,3 +261,15 @@ def test_instance_validation():
 def test_multiset_cost_exact():
     res = (Resource(0, 1, 1, 1, 3), Resource(1, 1, 1, 1, 10))
     assert multiset_cost({0: 2, 1: 1}, res) == 16
+
+
+def test_no_assert_in_package_source():
+    # python -O strips asserts, so no check the solvers rely on may live in one
+    src = Path(__file__).resolve().parent.parent / "src" / "intervalcover"
+    files = sorted(src.glob("*.py"))
+    assert files
+    found = [f"{path.name}:{node.lineno}"
+             for path in files
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert not found, found

@@ -130,3 +130,29 @@ def test_generate_zero_jobs():
     inst = generate_uniform(3, jobs=0, k=0)
     text = emit_instance(inst)
     assert parse_instance(text) == inst
+
+
+def test_deep_nesting_is_a_parse_error():
+    text = "[" * 200_000
+    for parse in (parse_instance, parse_lspc, parse_solution):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse(text)
+
+
+@pytest.mark.parametrize("key", ["٣", "03"])
+def test_solution_ids_must_be_canonical_decimal(key):
+    text = emit_solution(SolutionDoc("partial", {}, 0, covered=()))
+    doc = json.loads(text)
+    doc["counts"] = {key: 1}
+    with pytest.raises(ParseError) as err:
+        parse_solution(json.dumps(doc))
+    assert err.value.path == f"counts.{key}"
+
+
+def test_solution_id_spelled_twice_is_rejected():
+    text = emit_solution(SolutionDoc("partial", {}, 0, covered=()))
+    doc = json.loads(text)
+    doc["counts"] = {"3": 1, "03": 2}
+    with pytest.raises(ParseError) as err:
+        parse_solution(json.dumps(doc))
+    assert err.value.path == "counts.03"

@@ -11,10 +11,7 @@ from intervalcover.lspc import (
     LspcSolution,
     LspcSolver,
     ShortResource,
-    gamma,
     solve_lspc,
-    table_a,
-    table_m,
     verify_lspc,
 )
 from intervalcover.oracle import oracle_lspc
@@ -28,30 +25,30 @@ def _inst(d, shorts, longs, k):
 
 def test_gamma_zero_coverage_is_free():
     inst = _inst([2], [], [], 0)
-    assert gamma(inst, 1, 0, 0) == 0
+    assert LspcSolver(inst).gamma_choice(1, 0, 0)[0] == 0
 
 
 def test_gamma_above_demand_infeasible():
     inst = _inst([2], [(1, 5, 1)], [], 0)
-    assert gamma(inst, 1, 3, 5) is INFEASIBLE
+    assert LspcSolver(inst).gamma_choice(1, 3, 5)[0] is INFEASIBLE
 
 
 def test_gamma_picks_cheapest_sufficient_short():
     inst = _inst([2], [(1, 1, 1), (1, 2, 5)], [], 0)
-    got = gamma(inst, 1, 2, 0)
+    got = LspcSolver(inst).gamma_choice(1, 2, 0)[0]
     scan = min((s.c for s in inst.shorts if s.w >= 2), default=INFEASIBLE)
     assert got == scan == 5
 
 
 def test_table_a_zero_coverage():
     inst = _inst([1, 2, 0], [], [], 0)
-    assert table_a(inst, 1, 3, 0, 0) == 0
-    assert table_a(inst, 2, 1, 0, 0) == 0  # empty range
+    assert LspcSolver(inst).table_a(1, 3, 0, 0) == 0
+    assert LspcSolver(inst).table_a(2, 1, 0, 0) == 0  # empty range
 
 
 def test_table_a_free_height_covers():
     inst = _inst([1], [], [], 0)
-    assert table_a(inst, 1, 1, 1, 1) == 0
+    assert LspcSolver(inst).table_a(1, 1, 1, 1) == 0
 
 
 def _enumerate_shorts_only(inst, a, b, q, h):
@@ -79,7 +76,7 @@ def _enumerate_shorts_only(inst, a, b, q, h):
 def test_table_a_two_slots():
     inst = _inst([1, 1], [(1, 1, 1), (2, 1, 1)], [], 2)
     assert _enumerate_shorts_only(inst, 1, 2, 2, 0) == 2
-    assert table_a(inst, 1, 2, 2, 0) == 2
+    assert LspcSolver(inst).table_a(1, 2, 2, 0) == 2
 
 
 def test_table_a_matches_enumeration():
@@ -94,21 +91,21 @@ def test_table_a_matches_enumeration():
 
 def test_table_m_base_zero():
     inst = _inst([1, 1], [], [(1, 2, 1, 3)], 0)
-    assert table_m(inst, 1, 2, 0, 0) == 0
+    assert LspcSolver(inst).table_m(1, 2, 0, 0) == 0
 
 
 def test_table_m_short_plus_long():
     inst = _inst([2], [(1, 1, 1)], [(1, 1, 1, 2)], 2)
     ora = oracle_lspc(inst)
     assert ora.cost == 3
-    assert table_m(inst, 1, 1, 2, 0) == 3
+    assert LspcSolver(inst).table_m(1, 1, 2, 0) == 3
 
 
 def test_table_m_shorts_only_route():
     inst = _inst([1, 1], [(1, 1, 1), (2, 1, 1)], [], 2)
     ora = oracle_lspc(inst)
     assert ora.cost == 2
-    assert table_m(inst, 1, 2, 2, 0) == 2
+    assert LspcSolver(inst).table_m(1, 2, 2, 0) == 2
 
 
 def test_solve_k0():
@@ -204,3 +201,12 @@ def test_solver_reusable_across_targets():
         if res.solution is not None:
             moved = LspcInstance(inst.T, inst.d, inst.shorts, inst.longs, k)
             assert verify_lspc(moved, res.solution).feasible
+
+
+def test_replay_of_a_corrupt_table_raises():
+    inst = LspcInstance(1, (1,), (ShortResource(0, 1, 1, 1),), (), 1)
+    solver = LspcSolver(inst)
+    assert solver.solve().cost == 1
+    solver.memo_a[(1, 1, 1, 0)] = (1, 0)  # claims cost 1 while covering nothing
+    with pytest.raises(RuntimeError, match="left 1 units uncovered"):
+        solver.solve_for(1)

@@ -1,18 +1,20 @@
 """End-to-end partial and prize solvers with their certified bounds."""
 
+import itertools
 import json
 import random
 from pathlib import Path
 
 from intervalcover.core import INFEASIBLE, Instance, is_feasible, multiset_cost, verify_partial, verify_prize
 from intervalcover.generate import generate_mountain_range, generate_uniform
+from intervalcover.mountains import decompose
 from intervalcover.oracle import oracle_partial, oracle_prize
-from intervalcover.pipeline import RANGE_FACTOR, range_solve, solve_partial, solve_prize
+from intervalcover.pipeline import RANGE_FACTOR, _RangePipeline, solve_partial, solve_prize
 
 
 def test_range_solve_kappa_zero():
     inst, rng = generate_mountain_range(3, mountains=2)
-    res, _ = range_solve(inst, rng, 0)
+    res = _RangePipeline(inst, rng).solve(0)
     assert res.cost == 0 and res.solution.covered == frozenset()
 
 
@@ -22,7 +24,7 @@ def test_range_solve_single_mountain_bound():
         inst, rng = generate_mountain_range(seed, mountains=1, jobs=5, resources=4,
                                             timeslots=8)
         kappa = random.Random(f"rs{seed}").randint(0, len(inst.jobs))
-        res, _ = range_solve(inst, rng, kappa)
+        res = _RangePipeline(inst, rng).solve(kappa)
         sub = Instance(inst.T, inst.jobs, inst.resources, kappa)
         ora = oracle_partial(sub)
         assert (res.solution is None) == (ora.solution is None)
@@ -38,7 +40,8 @@ def test_range_solve_two_mountains():
         inst, rng = generate_mountain_range(seed, mountains=2, jobs=6, resources=5,
                                             timeslots=12)
         kappa = random.Random(f"rs2{seed}").randint(0, len(inst.jobs))
-        res, trace = range_solve(inst, rng, kappa, want_trace=True)
+        pipe = _RangePipeline(inst, rng)
+        res = pipe.solve(kappa)
         sub = Instance(inst.T, inst.jobs, inst.resources, kappa)
         ora = oracle_partial(sub)
         assert (res.solution is None) == (ora.solution is None)
@@ -46,7 +49,7 @@ def test_range_solve_two_mountains():
             continue
         assert ora.cost <= res.cost <= RANGE_FACTOR * ora.cost
         assert len(res.solution.covered) >= kappa
-        assert trace.lspc.cost >= res.cost  # lifting never raises the cost
+        assert pipe.solver.solve_for(kappa).cost >= res.cost  # lifting never raises the cost
 
 
 def test_solve_partial_k0():
@@ -69,21 +72,33 @@ def test_solve_partial_single_range_equals_range_solve():
         inst, rng = generate_mountain_range(seed, mountains=1, jobs=5, resources=4,
                                             timeslots=8)
         res = solve_partial(inst)
-        decomp_res, _ = range_solve(inst, rng, inst.k)
+        _RangePipeline(inst, rng).solve(inst.k)
         # the decomposition may carve the same jobs into a different range,
         # so compare against the solver's own decomposition instead
-        detail = solve_partial(inst, keep_details=True)
-        if detail.details and detail.details.decomposition.L == 1:
-            only = detail.details.decomposition.ranges[0]
-            direct, _ = range_solve(inst, only, inst.k)
+        decomp = decompose(inst.jobs)
+        if inst.k > 0 and decomp.L == 1:
+            direct = _RangePipeline(inst, decomp.ranges[0]).solve(inst.k)
             assert res.cost == direct.cost
+
+
+def _best_split(range_costs, k):
+    """Cheapest way to split k jobs over the ranges, each range's share
+    priced by its own solve: every split is enumerated."""
+    best = INFEASIBLE
+    for split in itertools.product(*(range(len(costs)) for costs in range_costs)):
+        if sum(split) != k:
+            continue
+        parts = [costs[kp] for costs, kp in zip(range_costs, split)]
+        if all(is_feasible(c) for c in parts):
+            best = min(best, sum(parts))
+    return best
 
 
 def test_solve_partial_sandwich_and_dp_soundness():
     worst = 0.0
     for seed in range(60):
         inst = generate_uniform(seed, jobs=8, resources=6, timeslots=12)
-        res = solve_partial(inst, keep_details=True)
+        res = solve_partial(inst)
         ora = oracle_partial(inst)
         assert (res.solution is None) == (ora.solution is None)
         if ora.solution is None:
@@ -96,29 +111,27 @@ def test_solve_partial_sandwich_and_dp_soundness():
         if ora.cost > 0:
             worst = max(worst, res.cost / ora.cost)
 
-        details = res.details
-        dp = details.dp
         k = inst.k
-        for q in range(1, L + 1):
-            costs = details.range_costs[q - 1]
-            for kappa in range(k + 1):
-                for kp in range(min(kappa, len(costs) - 1) + 1):
-                    prev = dp[q - 1][kappa - kp]
-                    if is_feasible(prev) and is_feasible(costs[kp]):
-                        assert dp[q][kappa] <= prev + costs[kp]
+        ranges = decompose(inst.jobs).ranges if k > 0 else ()  # k = 0 solves no range
+        assert len(ranges) == L
+        range_costs = []
+        for rng in ranges:
+            pipe = _RangePipeline(inst, rng)
+            range_costs.append([pipe.solve(kappa).cost
+                                for kappa in range(min(k, len(rng.job_ids())) + 1)])
         # per-range covered sets are disjoint and the emitted union matches
         sol_cost = multiset_cost(res.solution.counts, inst.resources)
-        assert sol_cost == dp[L][k] == res.cost
+        assert sol_cost == _best_split(range_costs, k) == res.cost
     assert worst <= RANGE_FACTOR  # loose sanity; the hard bound is asserted above
 
 
 def test_solve_partial_range_disjointness():
     for seed in range(30):
         inst = generate_uniform(seed, jobs=8, resources=6, timeslots=12, k=4)
-        res = solve_partial(inst, keep_details=True)
+        res = solve_partial(inst)
         if res.solution is None:
             continue
-        decomp = res.details.decomposition
+        decomp = decompose(inst.jobs)
         seen = set()
         for rng in decomp.ranges:
             ids = rng.job_ids()

@@ -31,7 +31,6 @@ from intervalcover.reductions import (
     pc_to_smfc,
     smfc_solve_exact,
     split_narrow_wide,
-    with_target,
 )
 
 
@@ -169,12 +168,12 @@ def test_lift_lspc_trivials():
     solver = LspcSolver(build.instance)
 
     empty = solver.solve_for(0)
-    lifted = lift_lspc(empty.solution, with_target(build, 0), rng, derived)
+    lifted = lift_lspc(empty.solution, build, rng, derived)
     assert lifted.counts == {} and lifted.covered == frozenset()
 
     one = solver.solve_for(1)  # no shorts exist: one wide copy, one chosen job
     assert one.cost == 4 and one.solution.long_counts == {0: 1}
-    lifted = lift_lspc(one.solution, with_target(build, 1), rng, derived)
+    lifted = lift_lspc(one.solution, build, rng, derived)
     assert lifted.counts == {0: 1}
     assert len(lifted.covered) == 1
 
@@ -205,7 +204,7 @@ def test_lift_lspc_roundtrip_random():
             res = solver.solve_for(kappa)
             if res.solution is None:
                 continue
-            lifted = lift_lspc(res.solution, with_target(build, kappa), rng, derived)
+            lifted = lift_lspc(res.solution, build, rng, derived)
             assert len(lifted.covered) >= kappa
             dres = [p.resource for p in derived]
             assert multiset_cost(lifted.counts, dres) == res.cost
@@ -224,8 +223,7 @@ def test_lift_lspc_roundtrip_random():
 
 def test_pc_to_smfc_construction():
     inst = Instance(2, (Job(0, 1, 2, 5),), (Resource(0, 1, 2, 1, 3),))
-    build = pc_to_smfc(inst)
-    smfc = build.instance
+    smfc = pc_to_smfc(inst)
     assert smfc.demand == (1, 1)
     assert len(smfc.s_types) == 1
     assert smfc.s_types[0].w == 1 and smfc.s_types[0].c == 5
@@ -234,16 +232,15 @@ def test_pc_to_smfc_construction():
 
 def test_pc_to_smfc_empty_jobs():
     inst = Instance(2, (), (Resource(0, 1, 2, 1, 3),))
-    build = pc_to_smfc(inst)
-    assert build.instance.demand == (0, 0)
-    assert not build.instance.s_types
+    smfc = pc_to_smfc(inst)
+    assert smfc.demand == (0, 0)
+    assert not smfc.s_types
 
 
 def test_pc_to_smfc_demand_matches_profile():
     for seed in range(30):
         inst = generate_uniform(seed, jobs=6, resources=4, timeslots=9, penalties=True)
-        build = pc_to_smfc(inst)
-        assert build.instance.demand == job_profile(inst.jobs, inst.T)
+        assert pc_to_smfc(inst).demand == job_profile(inst.jobs, inst.T)
 
 
 def brute_force_smfc(smfc, max_copies=6):
@@ -310,10 +307,10 @@ def test_smfc_budget_refusal():
 
 def test_lift_smfc_extremes():
     inst = Instance(2, (Job(0, 1, 1, 2), Job(1, 2, 2, 3)), ())
-    build = pc_to_smfc(inst)
-    res = smfc_solve_exact(build.instance)
+    smfc = pc_to_smfc(inst)
+    res = smfc_solve_exact(smfc)
     assert res.cost == 5  # no resources: pay every penalty
-    sol = lift_smfc(res, build)
+    sol = lift_smfc(res, smfc)
     assert sol.covered == frozenset()
     report = verify_prize(inst, sol)
     assert report.feasible and report.total == 5
@@ -322,10 +319,10 @@ def test_lift_smfc_extremes():
 def test_lift_smfc_nothing_selected_means_full_cover():
     inst = Instance(2, (Job(0, 1, 2, 100), Job(1, 1, 1, 100)),
                     (Resource(0, 1, 2, 2, 3),))
-    build = pc_to_smfc(inst)
-    res = smfc_solve_exact(build.instance)
+    smfc = pc_to_smfc(inst)
+    res = smfc_solve_exact(smfc)
     assert res.cost == 3 and not res.s_selected
-    sol = lift_smfc(res, build)
+    sol = lift_smfc(res, smfc)
     assert sol.covered == {0, 1}
     report = verify_prize(inst, sol)
     assert report.feasible and report.total == 3
@@ -334,10 +331,10 @@ def test_lift_smfc_nothing_selected_means_full_cover():
 def test_prize_reduction_cost_exact_both_ways():
     for seed in range(60):
         inst = generate_uniform(seed, jobs=7, resources=5, timeslots=10, penalties=True)
-        build = pc_to_smfc(inst)
-        res = smfc_solve_exact(build.instance)
+        smfc = pc_to_smfc(inst)
+        res = smfc_solve_exact(smfc)
         ora = oracle_prize(inst)
         assert res.cost == ora.total
-        sol = lift_smfc(res, build)
+        sol = lift_smfc(res, smfc)
         report = verify_prize(inst, sol)
         assert report.feasible and report.total == res.cost
