@@ -60,6 +60,8 @@ def _emit_line(**fields) -> None:
 
 
 def _cmd_generate(args) -> int:
+    if args.penalties and args.profile != "uniform-random":
+        raise ParseError("", "--penalties is only supported with uniform-random")
     if args.profile == "lspc-random":
         inst = generate_lspc(args.seed, timeslots=args.timeslots, max_demand=args.max_demand,
                              shorts=args.shorts, longs=args.longs, max_c=args.max_c, k=args.k)
@@ -69,8 +71,6 @@ def _cmd_generate(args) -> int:
                       max_w=args.max_w, max_c=args.max_c, k=args.k)
         if args.profile == "uniform-random":
             params["penalties"] = args.penalties
-        elif args.penalties:
-            raise ParseError("", "--penalties is only supported with uniform-random")
         if args.profile == "mountain-range":
             params["mountains"] = args.mountains
         inst = generate(args.profile, args.seed, **params)

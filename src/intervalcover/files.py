@@ -37,7 +37,37 @@ def _require_keys(obj: dict, path: str, required: dict, optional: dict = {}) -> 
             raise ParseError(path, f"missing field {key!r}")
 
 
+class _HugeInt:
+    """A JSON integer with more digits than ``int()`` converts."""
+
+    __slots__ = ("digits",)
+
+    def __init__(self, digits: str):
+        self.digits = digits
+
+    def __repr__(self):
+        return f"<integer of {len(self.digits)} digits>"
+
+
+def _parse_int(digits: str) -> int | _HugeInt:
+    try:
+        return int(digits)
+    except ValueError:  # the interpreter's integer string conversion limit
+        return _HugeInt(digits)
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError("", f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _as_int(value, path: str, minimum: int | None = None) -> int:
+    if isinstance(value, _HugeInt):
+        raise ParseError(path, f"integer of {len(value.digits)} digits is too long")
     if not isinstance(value, int) or isinstance(value, bool):
         raise ParseError(path, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
@@ -68,7 +98,7 @@ def _check_version(obj: dict, path: str = "") -> None:
 
 def _loads(text: str) -> dict:
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_parse_int, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError("", f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
     except RecursionError:
@@ -199,9 +229,13 @@ def parse_solution(text: str) -> SolutionDoc:
     if not isinstance(doc["counts"], dict):
         raise ParseError("counts", "expected an object")
     for key, val in doc["counts"].items():
-        if not (key.isascii() and key.isdigit() and key == str(int(key))):
-            raise ParseError(f"counts.{key}", "resource ids are non-negative integers")
-        counts[int(key)] = _as_int(val, f"counts.{key}", minimum=1)
+        path = f"counts.{key}"
+        rid = _parse_int(key) if key.isascii() and key.isdigit() else None
+        if isinstance(rid, _HugeInt):
+            raise ParseError(path, f"resource id of {len(key)} digits is too long")
+        if rid is None or key != str(rid):
+            raise ParseError(path, "resource ids are non-negative integers")
+        counts[rid] = _as_int(val, path, minimum=1)
     cost = _as_int(doc["cost"], "cost", minimum=0)
     if problem == "lspc":
         for field in ("short_picks", "coverage"):

@@ -13,19 +13,36 @@ after the slot's short resource. The solver finds the cheapest SLRA
 solution exactly; SLRA solutions are within a constant factor of the
 unrestricted optimum, which is what the callers rely on.
 
-Two memoized tables drive the recursion, both keyed by (range [a,b],
-residual coverage q, free height h). Slots whose residual is at most h
-are already absorbed by a long resource chosen at an enclosing level,
-so they cost nothing here:
+Two tables drive the solver. Both are stored as rows: one list over the
+residual coverage q = 0..d_a+...+d_b per key (range [a,b], free height
+h). Slots whose residual is at most h are already absorbed by a long
+resource chosen at an enclosing level, so they cost nothing here:
 
-  A: cheapest way to reach measure q over [a,b] with shorts alone,
-     peeling one slot at a time off the right end (gamma prices a slot).
+  A: cheapest way to reach measure q over [a,b] with shorts alone. Row
+     (a,b,h) is row (a,b-1,h) min-plus convolved with slot b's price
+     list gamma, so a row is built by extending its longest stored
+     prefix row one slot at a time.
   M: cheapest h-free SLRA q-cover of [a,b]; the minimum of
-     E1  shorts alone (table A),
-     E2  a time cut t*: solve [a,t*] and [t*+1,b] independently,
-     E3  commit alpha copies of one long resource: its span (clipped to
-         [a,b]) recurses with free height alpha*w, the strips left and
-         right of it must make do with shorts at the old height.
+     E1  shorts alone (row A(a,b,h)),
+     E2  a time cut t: rows M(a,t,h) and M(t+1,b,h) convolved,
+     E3  alpha copies of one long resource: its span (clipped to [a,b])
+         takes row M(s2,e2,min(H,alpha*w)), the strips left and right of
+         it make do with shorts at the old height. Mid and right are
+         convolved first, then left with that. From the first alpha with
+         alpha*w >= H on, the span is free and more copies only cost
+         more, so the alpha loop stops there.
+
+Every row is non-decreasing in q, so the convolution loops bisect the
+rows for the window of entries where a candidate can still win and skip
+the rest.
+
+Rows are filled on demand, whole rows at a time. An M row needs rows of
+strictly shorter ranges, or of its own range at a strictly larger free
+height, so the requests are acyclic. They are served from an explicit
+stack of row generators rather than by recursion; a row requested while
+it is being filled raises RuntimeError. Within a row, ties keep the
+first candidate in the order E1, E2 by (t, q1), E3 by (long, alpha, q1,
+q2), because every update needs a strictly lower cost.
 
 Entries are (cost, choice); replaying choices reconstructs a feasible
 solution whose recomputed cost equals the root table entry exactly.
@@ -33,7 +50,7 @@ solution whose recomputed cost equals the root table entry exactly.
 
 from __future__ import annotations
 
-import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -106,31 +123,28 @@ class LspcReport:
     violated_slot: int | None = None
 
 
-def _precedes(child: tuple, parent: tuple) -> bool:
-    """Strict order the recursion must respect: smaller range first, then
-    at equal range larger q first is *forbidden* (q must shrink), then at
-    equal (range, q) the larger free height is computed first."""
-    ca, cb, cq, ch = child
-    pa, pb, pq, ph = parent
-    if (ca, cb) != (pa, pb):
-        return pa <= ca and cb <= pb and (pb - pa) > (cb - ca)
-    if cq != pq:
-        return cq < pq
-    return ch > ph
+_INF = float("inf")  # internal cost of an unreachable entry
+_EMPTY_ROW = ([0], [None])  # table A over an empty range
+
+
+def _cost(v: float) -> Cost:
+    return INFEASIBLE if v == _INF else v
 
 
 class LspcSolver:
-    """Memoized evaluation of tables A and M for one instance.
+    """Tables A and M of one instance, as rows filled on demand.
 
-    One solver may answer root queries for several coverage targets; the
-    tables only depend on the demands and resources. Not thread-safe:
-    each solve owns its memo dictionaries.
+    ``memo_a`` and ``memo_m`` map (a, b, h) to a row (costs, choices),
+    two lists indexed by q with ``float('inf')`` as the cost of an
+    unreachable q. A choices are the coverage q1 put on slot b; M choices
+    are tagged tuples. One solver may answer root queries for several
+    coverage targets; the tables only depend on the demands and
+    resources. Not thread-safe: each solve owns its rows.
     """
 
-    def __init__(self, inst: LspcInstance, check_invariants: bool = False):
+    def __init__(self, inst: LspcInstance):
         self.inst = inst
         self.H = inst.H
-        self.check_invariants = check_invariants
         d = inst.d
         self._pref = [0] * (inst.T + 1)
         for t in range(inst.T):
@@ -140,8 +154,8 @@ class LspcSolver:
             self._shorts_at[s.t].append(s)
         for lst in self._shorts_at:
             lst.sort(key=lambda s: (s.c, s.id))
-        self.memo_a: dict[tuple, tuple] = {}
-        self.memo_m: dict[tuple, tuple] = {}
+        self.memo_a: dict[tuple[int, int, int], tuple[list, list]] = {}
+        self.memo_m: dict[tuple[int, int, int], tuple[list, list]] = {}
 
     def _dsum(self, a: int, b: int) -> int:
         if a > b:
@@ -162,117 +176,166 @@ class LspcSolver:
         return INFEASIBLE, None
 
     def table_a(self, a: int, b: int, q: int, h: int) -> Cost:
-        if a > b:
-            return 0 if q == 0 else INFEASIBLE
-        key = (a, b, q, h)
-        hit = self.memo_a.get(key)
-        if hit is not None:
-            return hit[0]
-        best: Cost = INFEASIBLE
-        best_q1 = None
-        if q <= self._dsum(a, b):
-            for q1 in range(min(q, self.inst.d[b - 1]) + 1):
-                g = self.gamma_choice(b, q1, h)[0]
-                if not is_feasible(g):
-                    continue
-                sub = self.table_a(a, b - 1, q - q1, h)
-                if not is_feasible(sub):
-                    continue
-                total = sub + g
-                if total < best:
-                    best = total
-                    best_q1 = q1
-        self.memo_a[key] = (best, best_q1)
-        return best
+        if q > self._dsum(a, b):
+            return INFEASIBLE
+        return _cost(self._row_a(a, b, h)[0][q])
 
     def table_m(self, a: int, b: int, q: int, h: int) -> Cost:
-        return self._entry_m(a, b, q, h)[0]
+        if q == 0:
+            return 0
+        if q > self._dsum(a, b):
+            return INFEASIBLE
+        return _cost(self._row_m(a, b, h)[0][q])
 
-    def _entry_m(self, a: int, b: int, q: int, h: int) -> tuple:
-        key = (a, b, q, h)
-        hit = self.memo_m.get(key)
-        if hit is not None:
-            return hit
+    def _row_a(self, a: int, b: int, h: int) -> tuple[list, list]:
+        """Row A(a,b,h), extending the longest stored prefix row."""
         if a > b:
-            entry = (0, ("EMPTY",)) if q == 0 else (INFEASIBLE, None)
-        elif q == 0:
-            entry = (0, ("BASE0",))
-        elif q > self._dsum(a, b):
-            # No coverage profile of measure q fits under the demands,
-            # whatever resources are picked.
-            entry = (INFEASIBLE, None)
-        elif h >= self.H:
-            entry = (0, ("BASEH",))
-        else:
-            entry = self._entry_m_search(key)
-        self.memo_m[key] = entry
-        return entry
+            return _EMPTY_ROW
+        memo = self.memo_a
+        row = memo.get((a, b, h))
+        if row is not None:
+            return row
+        top = b - 1
+        while top >= a and (a, top, h) not in memo:
+            top -= 1
+        prev = memo[(a, top, h)][0] if top >= a else _EMPTY_ROW[0]
+        for t in range(top + 1, b + 1):
+            gamma = [_INF if c is INFEASIBLE else c for c, _ in
+                     (self.gamma_choice(t, q1, h) for q1 in range(self.inst.d[t - 1] + 1))]
+            costs = [_INF] * (len(prev) + len(gamma) - 1)
+            picks = [None] * len(costs)
+            for q1, g in enumerate(gamma):
+                if g == _INF:
+                    continue
+                q = q1
+                for v in prev:
+                    if v + g < costs[q]:
+                        costs[q] = v + g
+                        picks[q] = q1
+                    q += 1
+            row = memo[(a, t, h)] = (costs, picks)
+            prev = costs
+        return row
 
-    def _sub_m(self, a, b, q, h, parent) -> Cost:
-        if self.check_invariants and not _precedes((a, b, q, h), parent):
-            raise AssertionError(f"recursion does not decrease: {parent} -> {(a, b, q, h)}")
-        return self._entry_m(a, b, q, h)[0]
+    def _row_m(self, a: int, b: int, h: int) -> tuple[list, list]:
+        """Row M(a,b,h). Rows it needs are filled first, each by its own
+        generator on an explicit stack."""
+        memo = self.memo_m
+        row = memo.get((a, b, h))
+        if row is not None:
+            return row
+        stack = [((a, b, h), self._fill_m(a, b, h))]
+        filling = {(a, b, h)}
+        while stack:
+            key, gen = stack[-1]
+            try:
+                need = gen.send(row)
+            except StopIteration as done:
+                row = memo[key] = done.value
+                filling.remove(key)
+                stack.pop()
+                continue
+            if need in filling:
+                raise RuntimeError(f"table M row {need} requested while it is being filled")
+            filling.add(need)
+            stack.append((need, self._fill_m(*need)))
+            row = None
+        return row
 
-    def _entry_m_search(self, key: tuple) -> tuple:
-        a, b, q, h = key
-        best = self.table_a(a, b, q, h)
-        choice = ("E1",) if is_feasible(best) else None
+    def _fill_m(self, a: int, b: int, h: int):
+        """Generator computing row M(a,b,h) for a <= b. It yields the key
+        of each M row it needs that is not stored yet and is sent that
+        row back; it returns its own row."""
+        size = self._dsum(a, b) + 1
+        if h >= self.H:
+            return [0] * size, [("BASE0",)] + [("BASEH",)] * (size - 1)
+        memo = self.memo_m
+        best = list(self._row_a(a, b, h)[0])
+        choice = [None if v == _INF else ("E1",) for v in best]
+        choice[0] = ("BASE0",)
 
+        # Every row is non-decreasing in q: A rows convolve non-decreasing
+        # price lists, and min-plus convolutions and minima of
+        # non-decreasing rows are non-decreasing. So is best between two
+        # passes. In a pass, a candidate lv + v for q can only win where
+        # best[q] > lv, which starts at a bisection point of best, and only
+        # while v < top - lv, which ends at a bisection point of the other
+        # row. Candidates left out that way could never win.
         for t in range(a, b):
-            lsum = self._dsum(a, t)
-            rsum = self._dsum(t + 1, b)
-            for q1 in range(max(0, q - rsum), min(q, lsum) + 1):
-                left = self._sub_m(a, t, q1, h, key)
-                if not is_feasible(left) or left >= best:
-                    continue
-                right = self._sub_m(t + 1, b, q - q1, h, key)
-                if not is_feasible(right):
-                    continue
-                total = left + right
-                if total < best:
-                    best = total
-                    choice = ("E2", t, q1)
+            reach = best[:]
+            top = reach[-1]
+            if top == 0:
+                break  # costs are non-negative, so no cut can improve
+            left = memo.get((a, t, h)) or (yield (a, t, h))
+            right = memo.get((t + 1, b, h)) or (yield (t + 1, b, h))
+            rcosts = right[0]
+            for q1, lv in enumerate(left[0]):
+                if lv >= top:
+                    break
+                lo = bisect_right(reach, lv) - q1
+                if lo < 0:
+                    lo = 0
+                q = q1 + lo
+                for v in rcosts[lo:bisect_left(rcosts, top - lv)]:
+                    if lv + v < best[q]:
+                        best[q] = lv + v
+                        choice[q] = ("E2", t, q1)
+                    q += 1
 
         H = self.H
         for r in self.inst.longs:
             s2, e2 = max(a, r.s), min(b, r.e)
             if s2 > e2:
                 continue
-            lcap = self._dsum(a, s2 - 1)
-            mcap = self._dsum(s2, e2)
-            rcap = self._dsum(e2 + 1, b)
-            for alpha in range(1, H + 1):
-                if alpha * r.w <= h:
-                    continue
+            lcosts = None
+            for alpha in range(h // r.w + 1, H + 1):
                 base = alpha * r.c
-                if is_feasible(best) and base >= best:
+                reach = best[:]
+                top = reach[-1]
+                if base >= top:
                     # copies only get dearer; nothing below can improve
                     break
+                if lcosts is None:
+                    lcosts = self._row_a(a, s2 - 1, h)[0]
+                    rcosts = self._row_a(e2 + 1, b, h)[0]
                 hc = min(H, alpha * r.w)
-                for q1 in range(min(q, lcap) + 1):
-                    left = self.table_a(a, s2 - 1, q1, h)
-                    if not is_feasible(left):
-                        continue
-                    rem = q - q1
-                    for q2 in range(max(0, rem - rcap), min(rem, mcap) + 1):
-                        mid = self._sub_m(s2, e2, q2, hc, key)
-                        if not is_feasible(mid):
-                            continue
-                        right = self.table_a(e2 + 1, b, rem - q2, h)
-                        if not is_feasible(right):
-                            continue
-                        total = base + left + mid + right
-                        if total < best:
-                            best = total
-                            choice = ("E3", r.id, alpha, q1, q2, rem - q2)
-
-        return (best, choice) if choice is not None else (INFEASIBLE, None)
+                mid = memo.get((s2, e2, hc)) or (yield (s2, e2, hc))
+                # mid then right, smallest q2 first on ties. Sums that cannot
+                # bring base + left + mid + right under top are left out, so
+                # mr is exact up to the first entry >= top - base and no entry
+                # after it is smaller: it can still be bisected.
+                mr = [_INF] * (len(mid[0]) + len(rcosts) - 1)
+                mr_q2 = [0] * len(mr)
+                for q2, mv in enumerate(mid[0]):
+                    if base + mv >= top:
+                        break
+                    rem = q2
+                    for v in rcosts[:bisect_left(rcosts, top - base - mv)]:
+                        if mv + v < mr[rem]:
+                            mr[rem] = mv + v
+                            mr_q2[rem] = q2
+                        rem += 1
+                # left with that, smallest q1 first on ties
+                for q1, lv in enumerate(lcosts):
+                    lv += base
+                    if lv >= top:
+                        break
+                    lo = bisect_right(reach, lv) - q1
+                    if lo < 0:
+                        lo = 0
+                    q = q1 + lo
+                    for rem, v in enumerate(mr[lo:bisect_left(mr, top - lv)], lo):
+                        if lv + v < best[q]:
+                            best[q] = lv + v
+                            q2 = mr_q2[rem]
+                            choice[q] = ("E3", r.id, alpha, q1, q2, rem - q2)
+                        q += 1
+                if hc == H:
+                    break
+        return best, choice
 
     def solve_for(self, k: int) -> LspcResult:
         inst = self.inst
-        depth = 4 * (inst.T + 2) * (self.H + 2) + 1000
-        if sys.getrecursionlimit() < depth:
-            sys.setrecursionlimit(depth)
         cost = self.table_m(1, inst.T, k, 0)
         if not is_feasible(cost):
             return LspcResult(INFEASIBLE, None)
@@ -287,40 +350,43 @@ class LspcSolver:
         return self.solve_for(self.inst.k)
 
     def _replay_m(self, a, b, q, h, coverage, shorts, longs) -> None:
-        if a > b:
-            return
-        _, choice = self.memo_m[(a, b, q, h)]
-        tag = choice[0]
-        if tag in ("EMPTY", "BASE0"):
-            return
-        if tag == "BASEH":
-            rem = q
-            for t in range(a, b + 1):
-                take = min(self.inst.d[t - 1], rem)
-                coverage[t - 1] = take
-                rem -= take
-            if rem != 0:
-                raise RuntimeError(f"BASEH entry {(a, b, q, h)} asks {rem} units beyond the demand")
-            return
-        if tag == "E1":
-            self._replay_a(a, b, q, h, coverage, shorts)
-            return
-        if tag == "E2":
-            _, t, q1 = choice
-            self._replay_m(a, t, q1, h, coverage, shorts, longs)
-            self._replay_m(t + 1, b, q - q1, h, coverage, shorts, longs)
-            return
-        _, rid, alpha, q1, q2, q3 = choice
-        r = self.inst.longs[rid]
-        longs[rid] = longs.get(rid, 0) + alpha
-        s2, e2 = max(a, r.s), min(b, r.e)
-        self._replay_a(a, s2 - 1, q1, h, coverage, shorts)
-        self._replay_m(s2, e2, q2, min(self.H, alpha * r.w), coverage, shorts, longs)
-        self._replay_a(e2 + 1, b, q3, h, coverage, shorts)
+        """Follow M choices depth first, left part before right part."""
+        todo = [("M", a, b, q, h)]
+        while todo:
+            table, a, b, q, h = todo.pop()
+            if table == "A":
+                self._replay_a(a, b, q, h, coverage, shorts)
+                continue
+            if a > b or q == 0:
+                continue
+            choice = self.memo_m[(a, b, h)][1][q]
+            tag = choice[0]
+            if tag == "BASEH":
+                rem = q
+                for t in range(a, b + 1):
+                    take = min(self.inst.d[t - 1], rem)
+                    coverage[t - 1] = take
+                    rem -= take
+                if rem != 0:
+                    raise RuntimeError(f"BASEH entry {(a, b, q, h)} asks {rem} units beyond the demand")
+            elif tag == "E1":
+                self._replay_a(a, b, q, h, coverage, shorts)
+            elif tag == "E2":
+                _, t, q1 = choice
+                todo.append(("M", t + 1, b, q - q1, h))
+                todo.append(("M", a, t, q1, h))
+            else:
+                _, rid, alpha, q1, q2, q3 = choice
+                r = self.inst.longs[rid]
+                longs[rid] = longs.get(rid, 0) + alpha
+                s2, e2 = max(a, r.s), min(b, r.e)
+                self._replay_a(a, s2 - 1, q1, h, coverage, shorts)
+                todo.append(("A", e2 + 1, b, q3, h))
+                todo.append(("M", s2, e2, q2, min(self.H, alpha * r.w)))
 
     def _replay_a(self, a, b, q, h, coverage, shorts) -> None:
         while b >= a:
-            _, q1 = self.memo_a[(a, b, q, h)]
+            q1 = self.memo_a[(a, b, h)][1][q]
             _, sid = self.gamma_choice(b, q1, h)
             coverage[b - 1] = q1
             if sid is not None:

@@ -128,6 +128,27 @@ def test_parse_error_exit_1(tmp_path, capsys):
     assert "error" in err
 
 
+def test_malformed_numbers_and_keys_exit_1(tmp_path, capsys):
+    inst = gen(tmp_path, capsys, "inst.json", "--k", "3")
+    sol = tmp_path / "sol.json"
+    base = {"version": 1, "problem": "partial", "counts": {}, "cost": 0, "covered": []}
+    for text, named in [
+        (json.dumps(base).replace('"cost": 0', '"cost": ' + "1" * 5000), "cost:"),
+        (json.dumps(base).replace('"counts": {}', '"counts": {"3": 1, "3": 2}'), "'3'"),
+    ]:
+        sol.write_text(text)
+        code, _, err = run(capsys, "verify", "--input", str(inst), "--solution", str(sol))
+        assert code == 1
+        assert err.startswith("error: ") and named in err
+
+
+def test_penalties_rejected_outside_uniform_random(capsys):
+    for profile in ("single-mountain", "mountain-range", "lspc-random"):
+        code, out, err = run(capsys, "generate", "--seed", "1", "--profile", profile, "--penalties")
+        assert code == 1 and out == ""
+        assert "--penalties is only supported with uniform-random" in err
+
+
 def test_missing_k_exit_1(tmp_path, capsys):
     inst = gen(tmp_path, capsys, "inst.json", "--penalties")
     code, _, err = run(capsys, "solve", "--problem", "partial", "--input", str(inst))

@@ -273,3 +273,22 @@ def test_no_assert_in_package_source():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_only_cli_imports_sys():
+    # solvers must not touch interpreter-global state such as the recursion limit
+    src = Path(__file__).resolve().parent.parent / "src" / "intervalcover"
+    files = sorted(p for p in src.glob("*.py") if p.name != "cli.py")
+    assert files
+    found = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name == "sys" or name.startswith("sys.") for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

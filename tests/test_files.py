@@ -156,3 +156,33 @@ def test_solution_id_spelled_twice_is_rejected():
     with pytest.raises(ParseError) as err:
         parse_solution(json.dumps(doc))
     assert err.value.path == "counts.03"
+
+
+_HUGE = "1" * 5000  # beyond the interpreter's default 4300-digit int() limit
+
+
+def test_oversized_integer_is_a_parse_error():
+    cases = [
+        (parse_instance, MINIMAL.replace('"T": 1', f'"T": {_HUGE}'), "T"),
+        (parse_lspc, emit_lspc(generate_lspc(1)).replace('"k": ', f'"k": {_HUGE}'), "k"),
+        (parse_solution, emit_solution(SolutionDoc("partial", {}, 0, covered=()))
+         .replace('"cost": 0', f'"cost": {_HUGE}'), "cost"),
+        (parse_solution, emit_solution(SolutionDoc("partial", {}, 0, covered=()))
+         .replace('"counts": {}', f'"counts": {{"{_HUGE}": 1}}'), f"counts.{_HUGE}"),
+    ]
+    for parse, text, path in cases:
+        with pytest.raises(ParseError, match="digits is too long") as err:
+            parse(text)
+        assert err.value.path == path
+
+
+def test_duplicate_keys_are_a_parse_error():
+    cases = [
+        (parse_instance, MINIMAL.replace('"T": 1', '"T": 1, "T": 2'), "'T'"),
+        (parse_lspc, emit_lspc(generate_lspc(1)).replace('"k": ', '"k": 0, "k": '), "'k'"),
+        (parse_solution, emit_solution(SolutionDoc("partial", {}, 0, covered=()))
+         .replace('"counts": {}', '"counts": {"3": 1, "3": 2}'), "'3'"),
+    ]
+    for parse, text, key in cases:
+        with pytest.raises(ParseError, match=f"duplicate key {key}"):
+            parse(text)

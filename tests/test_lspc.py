@@ -1,6 +1,11 @@
 """Long/short partial cover: table semantics, reconstruction, invariants."""
 
+import inspect
 import itertools
+import json
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -132,7 +137,7 @@ def test_solve_infeasible_when_target_exceeds_demand():
 def test_random_sandwich_and_reconstruction():
     for seed in range(120):
         inst = generate_lspc(seed, timeslots=6, max_demand=3)
-        solver = LspcSolver(inst, check_invariants=True)
+        solver = LspcSolver(inst)
         res = solver.solve()
         ora = oracle_lspc(inst)
         assert (res.solution is None) == (ora.solution is None)
@@ -146,24 +151,17 @@ def test_random_sandwich_and_reconstruction():
         assert oracle_report.feasible and oracle_report.cost == ora.cost
 
 
-def _stored_m_keys(solver):
-    return {k: v[0] for k, v in solver.memo_m.items()}
-
-
 def test_dp_monotonicity_and_domination():
     for seed in range(40):
         inst = generate_lspc(seed, timeslots=5, max_demand=3)
-        solver = LspcSolver(inst, check_invariants=True)
+        solver = LspcSolver(inst)
         solver.solve()
-        table = _stored_m_keys(solver)
-        for (a, b, q, h), cost in table.items():
-            up_q = table.get((a, b, q + 1, h))
-            if up_q is not None:
-                assert cost <= up_q
-            up_h = table.get((a, b, q, h + 1))
-            if up_h is not None:
-                assert cost >= up_h
-            if a <= b:
+        for a, b, h in list(solver.memo_m):
+            for q in range(len(solver.memo_m[(a, b, h)][0])):
+                cost = solver.table_m(a, b, q, h)
+                assert cost <= solver.table_m(a, b, q + 1, h)
+                if (a, b, h + 1) in solver.memo_m:
+                    assert cost >= solver.table_m(a, b, q, h + 1)
                 assert cost <= solver.table_a(a, b, q, h)
 
 
@@ -207,6 +205,46 @@ def test_replay_of_a_corrupt_table_raises():
     inst = LspcInstance(1, (1,), (ShortResource(0, 1, 1, 1),), (), 1)
     solver = LspcSolver(inst)
     assert solver.solve().cost == 1
-    solver.memo_a[(1, 1, 1, 0)] = (1, 0)  # claims cost 1 while covering nothing
+    solver.memo_a[(1, 1, 0)][1][1] = 0  # q=1 entry: puts nothing on slot 1
     with pytest.raises(RuntimeError, match="left 1 units uncovered"):
         solver.solve_for(1)
+
+
+def _golden_record(res):
+    if res.solution is None:
+        return [None, None, None, None]
+    sol = res.solution
+    return [res.cost, sorted([k, v] for k, v in sol.long_counts.items()),
+            sorted(sol.short_picks), list(sol.coverage)]
+
+
+_GOLDEN = json.loads((Path(__file__).parent / "data" / "lspc_golden.json").read_text())
+_BENCH_SIZES = dict(timeslots=12, max_demand=6, shorts=30, longs=10, max_c=50)
+
+
+def test_outputs_match_recorded_golden():
+    # (cost, sorted long counts, sorted short picks, coverage), recorded from
+    # the solver before its tables were stored as rows; pins the tie-breaking
+    for seed, expected in enumerate(_GOLDEN["solve"]):
+        inst = generate_lspc(seed, **_BENCH_SIZES)
+        inst = replace(inst, k=sum(inst.d) // 2)
+        assert _golden_record(LspcSolver(inst).solve()) == expected, seed
+    for seed, expected in _GOLDEN["sweep"].items():
+        inst = generate_lspc(int(seed), **_BENCH_SIZES)
+        solver = LspcSolver(inst)
+        assert len(expected) == sum(inst.d) + 1
+        for k, record in enumerate(expected):
+            assert _golden_record(solver.solve_for(k)) == record, (seed, k)
+
+
+def test_solve_needs_no_deep_stack():
+    inst = generate_lspc(1, timeslots=60, max_demand=1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        lowered = sys.getrecursionlimit()
+        res = LspcSolver(inst).solve()
+        assert sys.getrecursionlimit() == lowered
+    finally:
+        sys.setrecursionlimit(limit)
+    assert _golden_record(res) == _GOLDEN["deep"]
