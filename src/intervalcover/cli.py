@@ -216,7 +216,8 @@ def _cmd_ratio(args) -> int:
             feasible_ok = approx_sol is None or verify_lspc(inst, approx_sol).feasible
         if not feasible_ok or (is_feasible(exact_cost) and not is_feasible(approx_cost)):
             failures += 1
-            print(f"{seed}\tapprox=INFEASIBLE-OR-INVALID\texact={exact_cost}")
+            exact_shown = exact_cost if is_feasible(exact_cost) else "INFEASIBLE"
+            print(f"{seed}\tapprox=INFEASIBLE-OR-INVALID\texact={exact_shown}")
             continue
         if not is_feasible(exact_cost):
             print(f"{seed}\tapprox=INFEASIBLE\texact=INFEASIBLE\tratio=-")

@@ -7,13 +7,17 @@ copy paid at cost ``c``. A solution pairs a resource multiset with the
 set of job ids it commits to cover; feasibility means the multiset's
 capacity profile dominates the covered jobs' demand profile pointwise.
 
-All quantities are exact non-negative integers. Unattainable costs are
-the distinguished sentinel ``INFEASIBLE``, never a large finite number.
+Every finite quantity is an exact non-negative integer. The cost of an
+unattainable solution is ``INFEASIBLE``, which is ``math.inf``: it
+absorbs addition and compares above every finite cost by value, so
+``min`` and sums need no special case and a copied or unpickled result
+still reads infeasible. It is never a large finite number.
 Every type is immutable after construction and every operation is pure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -24,43 +28,13 @@ class BudgetExceeded(RuntimeError):
     """An exact solver refused to run because its search budget was exceeded."""
 
 
-class _Infeasible:
-    """Cost of an unattainable solution.
+INFEASIBLE = math.inf
 
-    Absorbs addition and sorts above every finite cost, so ``min`` and
-    saturating sums work without special-casing.
-    """
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __repr__(self):
-        return "INFEASIBLE"
-
-
-INFEASIBLE = _Infeasible()
-
-Cost = Union[int, _Infeasible]
+Cost = Union[int, float]  # a finite cost is an int; only INFEASIBLE is a float
 
 
 def is_feasible(cost: Cost) -> bool:
-    return cost is not INFEASIBLE
+    return cost != INFEASIBLE
 
 
 @dataclass(frozen=True)
@@ -220,9 +194,7 @@ def multiset_cost(counts: Mapping[int, int], resources: Sequence[Resource]) -> i
 
 def covers(p1: Sequence[int], p2: Sequence[int]) -> bool:
     """True iff p1 dominates p2 pointwise. Profiles must have equal length."""
-    if len(p1) != len(p2):
-        raise ValueError(f"profile length mismatch: {len(p1)} vs {len(p2)}")
-    return all(a >= b for a, b in zip(p1, p2))
+    return first_uncovered_slot(p1, p2) is None
 
 
 def first_uncovered_slot(p1: Sequence[int], p2: Sequence[int]) -> int | None:
@@ -267,6 +239,14 @@ def _solution_structure_error(inst: Instance, sol: PartialSolution) -> str | Non
     return None
 
 
+def _capacity_shortfall(inst: Instance, sol: PartialSolution) -> int | None:
+    """First timeslot where a well-formed solution's multiset falls short
+    of its covered jobs' demand, or None."""
+    need = job_profile((inst.jobs[j] for j in sol.covered), inst.T)
+    have = multiset_profile(sol.counts, inst.resources, inst.T)
+    return first_uncovered_slot(have, need)
+
+
 def verify_partial(inst: Instance, sol: PartialSolution) -> Report:
     """Check a partial-coverage solution: |covered| >= k and the multiset
     profile dominates the covered jobs' profile."""
@@ -278,9 +258,7 @@ def verify_partial(inst: Instance, sol: PartialSolution) -> Report:
     cost = multiset_cost(sol.counts, inst.resources)
     if len(sol.covered) < inst.k:
         return Report(False, cost, reason=f"covers {len(sol.covered)} jobs, needs {inst.k}")
-    need = job_profile((inst.jobs[j] for j in sol.covered), inst.T)
-    have = multiset_profile(sol.counts, inst.resources, inst.T)
-    bad = first_uncovered_slot(have, need)
+    bad = _capacity_shortfall(inst, sol)
     if bad is not None:
         return Report(False, cost, reason="capacity below demand", violated_slot=bad)
     return Report(True, cost)
@@ -296,9 +274,7 @@ def verify_prize(inst: Instance, sol: PartialSolution) -> PrizeReport:
         return PrizeReport(False, INFEASIBLE, 0, INFEASIBLE, reason=err)
     rcost = multiset_cost(sol.counts, inst.resources)
     penalty = sum(j.penalty for j in inst.jobs if j.id not in sol.covered)
-    need = job_profile((inst.jobs[j] for j in sol.covered), inst.T)
-    have = multiset_profile(sol.counts, inst.resources, inst.T)
-    bad = first_uncovered_slot(have, need)
+    bad = _capacity_shortfall(inst, sol)
     if bad is not None:
         return PrizeReport(False, rcost, penalty, rcost + penalty,
                            reason="capacity below demand", violated_slot=bad)

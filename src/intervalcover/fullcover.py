@@ -50,7 +50,7 @@ class FullCoverResult:
 
     @property
     def feasible(self) -> bool:
-        return self.cost is not INFEASIBLE
+        return self.cost != INFEASIBLE
 
 
 INFEASIBLE_COVER = FullCoverResult({}, INFEASIBLE)
@@ -130,7 +130,7 @@ def full_cover(demand: Sequence[int], resources: Sequence[Resource],
     def dfs(i: int, cost: int) -> None:
         nonlocal best_cost, best_vec
         lb = lower_bound(i)
-        if lb is INFEASIBLE or cost + lb > best_cost:
+        if cost + lb > best_cost:
             return
         if i == m:
             vec = tuple(counts)

@@ -123,19 +123,14 @@ class LspcReport:
     violated_slot: int | None = None
 
 
-_INF = float("inf")  # internal cost of an unreachable entry
 _EMPTY_ROW = ([0], [None])  # table A over an empty range
-
-
-def _cost(v: float) -> Cost:
-    return INFEASIBLE if v == _INF else v
 
 
 class LspcSolver:
     """Tables A and M of one instance, as rows filled on demand.
 
     ``memo_a`` and ``memo_m`` map (a, b, h) to a row (costs, choices),
-    two lists indexed by q with ``float('inf')`` as the cost of an
+    two lists indexed by q with ``INFEASIBLE`` as the cost of an
     unreachable q. A choices are the coverage q1 put on slot b; M choices
     are tagged tuples. One solver may answer root queries for several
     coverage targets; the tables only depend on the demands and
@@ -178,14 +173,14 @@ class LspcSolver:
     def table_a(self, a: int, b: int, q: int, h: int) -> Cost:
         if q > self._dsum(a, b):
             return INFEASIBLE
-        return _cost(self._row_a(a, b, h)[0][q])
+        return self._row_a(a, b, h)[0][q]
 
     def table_m(self, a: int, b: int, q: int, h: int) -> Cost:
         if q == 0:
             return 0
         if q > self._dsum(a, b):
             return INFEASIBLE
-        return _cost(self._row_m(a, b, h)[0][q])
+        return self._row_m(a, b, h)[0][q]
 
     def _row_a(self, a: int, b: int, h: int) -> tuple[list, list]:
         """Row A(a,b,h), extending the longest stored prefix row."""
@@ -200,12 +195,11 @@ class LspcSolver:
             top -= 1
         prev = memo[(a, top, h)][0] if top >= a else _EMPTY_ROW[0]
         for t in range(top + 1, b + 1):
-            gamma = [_INF if c is INFEASIBLE else c for c, _ in
-                     (self.gamma_choice(t, q1, h) for q1 in range(self.inst.d[t - 1] + 1))]
-            costs = [_INF] * (len(prev) + len(gamma) - 1)
+            gamma = [self.gamma_choice(t, q1, h)[0] for q1 in range(self.inst.d[t - 1] + 1)]
+            costs = [INFEASIBLE] * (len(prev) + len(gamma) - 1)
             picks = [None] * len(costs)
             for q1, g in enumerate(gamma):
-                if g == _INF:
+                if g == INFEASIBLE:
                     continue
                 q = q1
                 for v in prev:
@@ -251,7 +245,7 @@ class LspcSolver:
             return [0] * size, [("BASE0",)] + [("BASEH",)] * (size - 1)
         memo = self.memo_m
         best = list(self._row_a(a, b, h)[0])
-        choice = [None if v == _INF else ("E1",) for v in best]
+        choice = [None if v == INFEASIBLE else ("E1",) for v in best]
         choice[0] = ("BASE0",)
 
         # Every row is non-decreasing in q: A rows convolve non-decreasing
@@ -304,7 +298,7 @@ class LspcSolver:
                 # bring base + left + mid + right under top are left out, so
                 # mr is exact up to the first entry >= top - base and no entry
                 # after it is smaller: it can still be bisected.
-                mr = [_INF] * (len(mid[0]) + len(rcosts) - 1)
+                mr = [INFEASIBLE] * (len(mid[0]) + len(rcosts) - 1)
                 mr_q2 = [0] * len(mr)
                 for q2, mv in enumerate(mid[0]):
                     if base + mv >= top:

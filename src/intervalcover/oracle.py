@@ -25,7 +25,6 @@ from .core import (
     PartialSolution,
     PrizeSolveResult,
     SolveResult,
-    is_feasible,
     job_profile,
 )
 from .fullcover import full_cover
@@ -143,7 +142,7 @@ def oracle_lspc(inst: LspcInstance, budget: Budget | None = None) -> LspcResult:
     for coverage in _coverage_profiles(inst.d, inst.k):
         for picks in itertools.product(*(slot_options[t] for t in range(inst.T))):
             scost = sum(p.c for p in picks if p is not None)
-            if is_feasible(best_cost) and scost > best_cost:
+            if scost > best_cost:
                 continue
             residual = tuple(
                 max(0, coverage[t] - (picks[t].w if picks[t] is not None else 0))
@@ -183,7 +182,7 @@ def oracle_prize(inst: Instance, budget: Budget | None = None) -> PrizeSolveResu
     for mask in range(1 << n):
         covered = [inst.jobs[i] for i in range(n) if mask >> i & 1]
         penalty = total_penalty - sum(j.penalty for j in covered)
-        if is_feasible(best_cost) and penalty > best_cost:
+        if penalty > best_cost:
             continue
         prof = job_profile(covered, inst.T)
         fc = memo.get(prof)

@@ -111,11 +111,7 @@ def solve_partial(inst: Instance) -> PartialSolveResult:
             best: Cost = INFEASIBLE
             best_kp = None
             for kp in range(min(kappa, avail) + 1):
-                prev = dp[q - 1][kappa - kp]
-                cur = range_solutions[q - 1][kp].cost
-                if not is_feasible(prev) or not is_feasible(cur):
-                    continue
-                total = prev + cur
+                total = dp[q - 1][kappa - kp] + range_solutions[q - 1][kp].cost
                 if total < best:
                     best = total
                     best_kp = kp

@@ -275,7 +275,7 @@ def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
     for size in range(n + 1):
         for subset in itertools.combinations(range(n), size):
             scost = sum(smfc.s_types[i].c for i in subset)
-            if scost >= best_cost and best is not None:
+            if scost >= best_cost:
                 continue
             residual = list(smfc.demand)
             for i in subset:

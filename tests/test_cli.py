@@ -97,7 +97,12 @@ def test_verify_detects_tampering(tmp_path, capsys):
     out.write_text(json.dumps(doc))
     code, stdout, _ = run(capsys, "verify", "--input", str(inst), "--solution", str(out))
     assert code == 2
-    assert json.loads(stdout.strip())["feasible"] in (False, True)  # cost mismatch also fails
+    line = json.loads(stdout.strip())
+    dropped = json.loads(inst.read_text())["resources"][int(rid)]["c"]
+    assert line["feasible"] is False
+    assert line["reason"] == "capacity below demand"
+    assert isinstance(line["violated_slot"], int)
+    assert line["cost_recomputed"] == doc["cost"] - dropped
 
 
 def test_lspc_solve_and_verify(tmp_path, capsys):
@@ -185,6 +190,21 @@ def test_ratio_prize_is_exact(capsys):
         if "ratio=-" in line or "INFEASIBLE" in line:
             continue
         assert "ratio=1/1" in line or "ratio=0/0" in line
+
+
+def test_ratio_names_an_infeasible_optimum_in_its_failure_line(capsys, monkeypatch):
+    # an invalid approximate answer next to an infeasible optimum prints
+    # the optimum as INFEASIBLE, not as the float behind it
+    from intervalcover import cli
+    from intervalcover.core import INFEASIBLE, PartialSolution, SolveResult
+    from intervalcover.pipeline import PartialSolveResult
+
+    monkeypatch.setattr(cli, "solve_partial",
+                        lambda inst: PartialSolveResult(0, PartialSolution({}, frozenset()), 1, 384))
+    monkeypatch.setattr(cli, "oracle_partial", lambda inst, budget: SolveResult(INFEASIBLE, None))
+    code, stdout, _ = run(capsys, "ratio", "--problem", "partial", "--seeds", "0..0")
+    assert code == 1
+    assert stdout == "0\tapprox=INFEASIBLE-OR-INVALID\texact=INFEASIBLE\nmax-ratio -\n"
 
 
 def test_ratio_bad_seed_range(capsys):

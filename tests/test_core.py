@@ -1,6 +1,8 @@
 """Profile arithmetic, cost sentinel, and verifier behaviour."""
 
 import ast
+import copy
+import pickle
 import random
 from pathlib import Path
 
@@ -22,6 +24,11 @@ from intervalcover.core import (
     verify_partial,
     verify_prize,
 )
+from intervalcover.fullcover import full_cover
+from intervalcover.lspc import LspcInstance, LspcSolver
+from intervalcover.mountains import single_mountain_solve
+from intervalcover.oracle import oracle_partial
+from intervalcover.pipeline import solve_partial
 
 
 def _naive_job_profile(jobs, T):
@@ -39,13 +46,31 @@ def _random_jobs(rnd, n, T):
 
 
 def test_infeasible_sentinel_arithmetic():
-    assert INFEASIBLE + 5 is INFEASIBLE
-    assert 5 + INFEASIBLE is INFEASIBLE
+    assert INFEASIBLE + 5 == INFEASIBLE
+    assert 5 + INFEASIBLE == INFEASIBLE
     assert min(3, INFEASIBLE) == 3
     assert min(INFEASIBLE, 3) == 3
     assert INFEASIBLE > 10**18
     assert not is_feasible(INFEASIBLE)
     assert is_feasible(0)
+
+
+@pytest.mark.parametrize("clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_copied_infeasible_results_stay_infeasible(clone):
+    # slot 2 has a job and no resource, so no solver can cover both jobs
+    inst = make_instance(2, [(1, 1), (2, 2)], [(1, 1, 1, 1)], k=2)
+    results = {
+        "solve_partial": solve_partial(inst),
+        "full_cover": full_cover(job_profile(inst.jobs, inst.T), inst.resources),
+        "LspcSolver": LspcSolver(LspcInstance(1, (2,), (), (), 1)).solve(),
+        "single_mountain_solve": single_mountain_solve(inst.jobs, inst.resources, 2, inst.T),
+        "oracle_partial": oracle_partial(inst),
+    }
+    for name, res in results.items():
+        assert not is_feasible(res.cost), name
+        assert not is_feasible(clone(res).cost), name
+    assert not clone(results["full_cover"]).feasible
 
 
 def test_job_profile_empty():
@@ -291,4 +316,27 @@ def test_only_cli_imports_sys():
                 continue
             if any(name == "sys" or name.startswith("sys.") for name in names):
                 found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+def test_infeasible_is_compared_by_value():
+    # INFEASIBLE is a float; a copied or unpickled cost is equal to it but
+    # not the same object, so an identity check would read it as feasible
+    src = Path(__file__).resolve().parent.parent / "src" / "intervalcover"
+    files = sorted(src.glob("*.py"))
+    assert files
+
+    def names_infeasible(node):
+        return (isinstance(node, ast.Name) and node.id == "INFEASIBLE"
+                or isinstance(node, ast.Attribute) and node.attr == "INFEASIBLE")
+
+    found = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            for op, lhs, rhs in zip(node.ops, operands, operands[1:]):
+                if isinstance(op, (ast.Is, ast.IsNot)) and (names_infeasible(lhs) or names_infeasible(rhs)):
+                    found.append(f"{path.name}:{node.lineno}")
     assert not found, found

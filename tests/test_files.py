@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from intervalcover.files import (
     ParseError,
@@ -186,3 +187,55 @@ def test_duplicate_keys_are_a_parse_error():
     for parse, text, key in cases:
         with pytest.raises(ParseError, match=f"duplicate key {key}"):
             parse(text)
+
+
+_EMITTED = [
+    emit_instance(generate_uniform(1, k=3)),
+    emit_instance(generate_uniform(2, penalties=True)),
+    emit_lspc(generate_lspc(3)),
+    emit_solution(SolutionDoc("partial", {0: 2, 3: 1}, 17, covered=(0, 2))),
+    emit_solution(SolutionDoc("lspc", {1: 1}, 5, short_picks=(0,), coverage=(1, 0, 2))),
+]
+_HUGE_MARK = "@huge-int@"  # spliced into the text as _HUGE, which json.dumps cannot write
+_KEYS = st.one_of(st.text(max_size=4), st.just(_HUGE), st.sampled_from(
+    ["version", "T", "k", "jobs", "s", "e", "w", "c", "t", "penalty", "demands", "shorts",
+     "longs", "problem", "counts", "cost", "covered", "short_picks", "coverage", "3", "03"]))
+_VALUES = st.one_of(
+    st.integers(min_value=-3, max_value=12), st.integers(), st.just(_HUGE_MARK), st.floats(),
+    st.text(max_size=6), st.none(), st.booleans(),
+    st.lists(st.integers(min_value=-1, max_value=5), max_size=3),
+    st.dictionaries(_KEYS, st.integers(min_value=-1, max_value=5), max_size=2))
+_STOP_AT_ROOT = st.integers(min_value=0, max_value=9).map(lambda v: v == 0)
+
+
+@settings(derandomize=True, max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(_EMITTED), st.data())
+def test_mutated_documents_raise_only_parse_error(text, data):
+    holder = [json.loads(text)]  # lets a mutation replace the whole document
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        # walk down to a random container; about one walk in ten stops
+        # above the document and replaces all of it
+        node = holder
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            inner = [key for key in keys if isinstance(node[key], (dict, list))]
+            if not inner or data.draw(_STOP_AT_ROOT if node is holder else st.booleans()):
+                break
+            node = node[data.draw(st.sampled_from(inner))]
+        op = "replace" if node is holder else data.draw(st.sampled_from(["drop", "extra", "replace"]))
+        if op == "extra" or not keys:
+            if isinstance(node, dict):
+                node[data.draw(_KEYS)] = data.draw(_VALUES)
+            else:
+                node.append(data.draw(_VALUES))
+        elif op == "drop":
+            del node[data.draw(st.sampled_from(keys))]
+        else:
+            node[data.draw(st.sampled_from(keys))] = data.draw(_VALUES)
+    mutated = json.dumps(holder[0]).replace(f'"{_HUGE_MARK}"', _HUGE)
+    for parse in (parse_instance, parse_lspc, parse_solution):
+        try:
+            parse(mutated)
+        except ParseError:
+            pass

@@ -66,7 +66,7 @@ def test_mixed_capacities_prefers_cheap_units():
 
 def test_infeasible_uncovered_slot():
     res = full_cover((0, 1), (Resource(0, 1, 1, 5, 0),))
-    assert res.cost is INFEASIBLE and not res.feasible
+    assert res.cost == INFEASIBLE and not res.feasible
 
 
 def test_matches_unpruned_enumeration():
@@ -95,7 +95,7 @@ def test_cutoff_matches_unpruned_enumeration():
                 assert got.cost == want_cost
                 assert tuple(got.counts.get(r.id, 0) for r in resources) == want_vec
             else:
-                assert got.cost is INFEASIBLE and got.counts == {}
+                assert got.cost == INFEASIBLE and got.counts == {}
 
 
 def test_zero_cost_and_equal_ratio_ties():

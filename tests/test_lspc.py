@@ -35,7 +35,7 @@ def test_gamma_zero_coverage_is_free():
 
 def test_gamma_above_demand_infeasible():
     inst = _inst([2], [(1, 5, 1)], [], 0)
-    assert LspcSolver(inst).gamma_choice(1, 3, 5)[0] is INFEASIBLE
+    assert LspcSolver(inst).gamma_choice(1, 3, 5)[0] == INFEASIBLE
 
 
 def test_gamma_picks_cheapest_sufficient_short():
@@ -131,7 +131,7 @@ def test_solve_single_full_height_long():
 
 def test_solve_infeasible_when_target_exceeds_demand():
     inst = _inst([1, 1], [], [(1, 2, 5, 1)], 3)
-    assert solve_lspc(inst).cost is INFEASIBLE
+    assert solve_lspc(inst).cost == INFEASIBLE
 
 
 def test_random_sandwich_and_reconstruction():

@@ -135,7 +135,7 @@ def test_single_mountain_exact_fit():
 
 def test_single_mountain_infeasible():
     res = single_mountain_solve([Job(0, 1, 1)], (), 1, 1)
-    assert res.cost is INFEASIBLE and res.solution is None
+    assert res.cost == INFEASIBLE and res.solution is None
 
 
 def test_single_mountain_within_twice_optimum():

@@ -64,7 +64,7 @@ def test_solve_partial_k_above_n_infeasible():
     inst2 = generate_uniform(2, jobs=3, k=3)
     inst3 = Instance(inst2.T, inst2.jobs, (), 3)
     # no resources at all: only k=0 could succeed
-    assert solve_partial(inst3).cost is INFEASIBLE
+    assert solve_partial(inst3).cost == INFEASIBLE
 
 
 def test_solve_partial_single_range_equals_range_solve():
