@@ -220,7 +220,12 @@ def _cmd_ratio(args) -> int:
             print(f"{seed}\tapprox=INFEASIBLE-OR-INVALID\texact={exact_shown}")
             continue
         if not is_feasible(exact_cost):
-            print(f"{seed}\tapprox=INFEASIBLE\texact=INFEASIBLE\tratio=-")
+            if approx_sol is not None:
+                # a solution that passed its verifier refutes the oracle
+                failures += 1
+                print(f"{seed}\tapprox={approx_cost}\texact=INFEASIBLE-BUT-APPROX-VALID")
+            else:
+                print(f"{seed}\tapprox=INFEASIBLE\texact=INFEASIBLE\tratio=-")
             continue
         if exact_cost == 0:
             ratio = Fraction(0, 1) if approx_cost == 0 else None

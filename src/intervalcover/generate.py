@@ -8,7 +8,6 @@ ranges the verification harness uses.
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
 from .core import Instance, Job, Resource
 from .lspc import LspcInstance, ShortResource

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .core import INFEASIBLE, Cost, Resource, is_feasible
 

@@ -11,7 +11,10 @@ overall optimum for L ranges.
 
 Prize collecting: reduce to the once-only/unlimited full cover, solve
 that exactly, and lift back; the reduction preserves costs in both
-directions, so the result is exactly optimal.
+directions, so the result is exactly optimal. The exact search skips
+the sets of uncovered jobs that cannot be feasible: a job touching a
+slot that no resource covers is always left uncovered. Each cover of
+the remaining jobs is pruned against the best total found so far.
 """
 
 from __future__ import annotations

@@ -18,7 +18,10 @@ The demand is the full job profile; every job contributes a once-only
 resource over its own interval with unit capacity and cost equal to its
 penalty, and the real resources stay available in unlimited copies.
 Costs transfer exactly in both directions, so solving the covering
-problem exactly solves the prize-collecting problem exactly.
+problem exactly solves the prize-collecting problem exactly. The exact
+search over once-only subsets skips every subset that leaves demand at
+a slot no real resource covers, and prunes each subset's cover against
+the best total found so far.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .core import (
     job_profile,
     multiset_profile,
 )
-from .fullcover import full_cover
+from .fullcover import FullCoverResult, full_cover
 from .lspc import LspcInstance, LspcSolution, ShortResource
 from .mountains import MountainRange, single_mountain_solve
 
@@ -262,39 +265,85 @@ def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
     """Exact minimum over once-only subsets, each completed by an exact
     full cover of the residual demand with the unlimited class.
 
+    Subsets are visited by size, then lexicographically, and only a
+    strictly smaller total replaces the best, so the first subset to
+    reach the minimum wins, with the lexicographically smallest copy
+    vector of its cover.
+
+    Subsets that cannot be feasible are never visited. At a dead slot,
+    one with positive demand that no unlimited resource covers, only
+    once-only capacity counts. A once-only resource without which the
+    others fall short at some dead slot is forced: every feasible subset
+    contains it. So the search runs over ``forced + extra``, with
+    ``extra`` a subset of the free positions, by growing size. This keeps
+    the visiting order of the feasible subsets: for equal-size A and B
+    disjoint from the forced set F, sorted(A + F) < sorted(B + F) exactly
+    when sorted(A) < sorted(B), since both pairs differ first at the
+    smallest element of their symmetric difference. For a prize-collecting
+    reduction the forced set is every job touching a slot no real
+    resource covers.
+
+    Each cover runs under the cutoff ``best - subset cost``: a cover at or
+    above it could not give a strictly smaller total. Covers are memoised
+    per residual together with their cutoff. A feasible entry is the
+    optimum with its lexicographically smallest copy vector and is always
+    reused; an infeasible one only says the optimum is at or above its
+    cutoff, so it is reused under a cutoff no larger and solved again
+    under a larger one.
+
     Refuses instances with more than ``MAX_STYPES`` once-only resources
     rather than approximating silently.
     """
-    n = len(smfc.s_types)
+    s_types, demand = smfc.s_types, smfc.demand
+    n = len(s_types)
     if n > MAX_STYPES:
         raise BudgetExceeded(
             f"{n} once-only resources exceed the subset-enumeration cap of {MAX_STYPES}")
-    best_cost: Cost = INFEASIBLE
-    best: SmfcResult | None = None
-    cover_memo: dict[tuple[int, ...], object] = {}
-    for size in range(n + 1):
-        for subset in itertools.combinations(range(n), size):
-            scost = sum(smfc.s_types[i].c for i in subset)
-            if scost >= best_cost:
+    best = SmfcResult(INFEASIBLE, frozenset(), {})
+    live = [False] * smfc.T
+    for r in smfc.m_types:
+        live[r.s - 1:r.e] = [True] * (r.e - r.s + 1)
+    cap = [0] * smfc.T  # total once-only capacity per slot
+    for r in s_types:
+        for t in range(r.s - 1, r.e):
+            cap[t] += r.w
+    dead = [t for t in range(smfc.T) if demand[t] > 0 and not live[t]]
+    if any(cap[t] < demand[t] for t in dead):
+        return best
+    forced = [i for i, r in enumerate(s_types)
+              if any(r.s - 1 <= t < r.e and cap[t] - r.w < demand[t] for t in dead)]
+    free = [i for i in range(n) if i not in forced]
+    base = list(demand)
+    for i in forced:
+        r = s_types[i]
+        for t in range(r.s - 1, r.e):
+            base[t] -= r.w
+    forced_cost = sum(s_types[i].c for i in forced)
+
+    cover_memo: dict[tuple[int, ...], tuple[Cost, FullCoverResult]] = {}
+    for size in range(len(free) + 1):
+        for extra in itertools.combinations(free, size):
+            scost = forced_cost + sum(s_types[i].c for i in extra)
+            if scost >= best.cost:
                 continue
-            residual = list(smfc.demand)
-            for i in subset:
-                r = smfc.s_types[i]
+            residual = base[:]
+            for i in extra:
+                r = s_types[i]
                 for t in range(r.s - 1, r.e):
                     residual[t] -= r.w
-            key = tuple(max(0, x) for x in residual)
-            fc = cover_memo.get(key)
-            if fc is None:
-                fc = full_cover(key, smfc.m_types)
-                cover_memo[key] = fc
+            key = tuple([x if x > 0 else 0 for x in residual])
+            cutoff = best.cost - scost
+            hit = cover_memo.get(key)
+            if hit is not None and (hit[1].feasible or cutoff <= hit[0]):
+                fc = hit[1]
+            else:
+                fc = full_cover(key, smfc.m_types, cutoff)
+                cover_memo[key] = (cutoff, fc)
             if not fc.feasible:
                 continue
             total = scost + fc.cost
-            if total < best_cost:
-                best_cost = total
-                best = SmfcResult(total, frozenset(subset), fc.counts)
-    if best is None:
-        return SmfcResult(INFEASIBLE, frozenset(), {})
+            if total < best.cost:
+                best = SmfcResult(total, frozenset(forced).union(extra), fc.counts)
     return best
 
 

@@ -14,11 +14,8 @@ from fractions import Fraction
 import pytest
 
 from intervalcover.core import (
-    INFEASIBLE,
-    Instance,
     Job,
     covers,
-    is_feasible,
     job_profile,
     multiset_cost,
     multiset_profile,

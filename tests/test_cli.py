@@ -207,6 +207,22 @@ def test_ratio_names_an_infeasible_optimum_in_its_failure_line(capsys, monkeypat
     assert stdout == "0\tapprox=INFEASIBLE-OR-INVALID\texact=INFEASIBLE\nmax-ratio -\n"
 
 
+def test_ratio_fails_when_the_oracle_misses_a_verified_solution(capsys, monkeypatch):
+    from intervalcover import cli
+    from intervalcover.core import INFEASIBLE, SolveResult
+
+    code, stdout, _ = run(capsys, "ratio", "--problem", "partial", "--seeds", "0..1")
+    assert code == 0
+    costs = [line.split("\t")[1] for line in stdout.splitlines()[:-1]]
+    assert all(c.startswith("approx=") and c[len("approx="):].isdigit() for c in costs)
+
+    monkeypatch.setattr(cli, "oracle_partial", lambda inst, budget: SolveResult(INFEASIBLE, None))
+    code, stdout, _ = run(capsys, "ratio", "--problem", "partial", "--seeds", "0..1")
+    assert code == 1
+    assert stdout == "".join(f"{seed}\t{cost}\texact=INFEASIBLE-BUT-APPROX-VALID\n"
+                             for seed, cost in enumerate(costs)) + "max-ratio -\n"
+
+
 def test_ratio_bad_seed_range(capsys):
     code, _, err = run(capsys, "ratio", "--seeds", "5..1")
     assert code == 1

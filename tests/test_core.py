@@ -4,6 +4,7 @@ import ast
 import copy
 import pickle
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -339,4 +340,45 @@ def test_infeasible_is_compared_by_value():
             for op, lhs, rhs in zip(node.ops, operands, operands[1:]):
                 if isinstance(op, (ast.Is, ast.IsNot)) and (names_infeasible(lhs) or names_infeasible(rhs)):
                     found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+def _package_modules(exclude=()):
+    src = Path(__file__).resolve().parent.parent / "src" / "intervalcover"
+    files = sorted(p for p in src.glob("*.py") if p.name not in exclude)
+    assert files
+    return [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in files]
+
+
+def test_every_import_is_read():
+    # __init__ re-exports its imports through __all__
+    found = []
+    for path, tree in _package_modules(exclude=("__init__.py",)):
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+    assert not found, found
+
+
+def test_package_imports_only_stdlib():
+    found = []
+    for path, tree in _package_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top != "intervalcover" and top not in sys.stdlib_module_names:
+                    found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, found

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from intervalcover.core import INFEASIBLE, Resource, is_feasible
+from intervalcover.core import INFEASIBLE, Resource
 from intervalcover.generate import generate_lspc
 from intervalcover.lspc import (
     LspcInstance,

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from intervalcover.core import INFEASIBLE, Instance, Job, Resource, job_profile, verify_partial
+from intervalcover.core import INFEASIBLE, Job, Resource, job_profile, verify_partial
 from intervalcover.fullcover import full_cover
 from intervalcover.generate import generate_single_mountain
 from intervalcover.mountains import (

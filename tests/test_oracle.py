@@ -3,7 +3,6 @@
 import pytest
 
 from intervalcover.core import (
-    INFEASIBLE,
     BudgetExceeded,
     Instance,
     Job,

@@ -18,12 +18,16 @@ from intervalcover.core import (
     multiset_profile,
     verify_prize,
 )
+from intervalcover import reductions
+from intervalcover.fullcover import full_cover
 from intervalcover.generate import generate_mountain_range, generate_uniform
-from intervalcover.lspc import LspcSolution, LspcSolver, verify_lspc
+from intervalcover.lspc import LspcSolution, LspcSolver
 from intervalcover.mountains import Mountain, MountainRange
 from intervalcover.oracle import oracle_prize
+from intervalcover.pipeline import solve_prize
 from intervalcover.reductions import (
     SmfcInstance,
+    SmfcResult,
     build_lspc,
     lift_lspc,
     lift_smfc,
@@ -296,6 +300,101 @@ def test_smfc_matches_flat_enumeration():
             m_types.append(Resource(i, s, e, rnd.randint(1, 3), rnd.randint(0, 8)))
         smfc = SmfcInstance(T, demand, tuple(s_types), tuple(m_types))
         assert smfc_solve_exact(smfc).cost == brute_force_smfc(smfc)
+
+
+def plain_smfc(smfc):
+    """Reference for smfc_solve_exact: every once-only subset in (size,
+    lexicographic) order, each completed by an uncut full cover; only a
+    strictly smaller total replaces the best. Also counts the subsets
+    whose total tied the best at the time."""
+    best = SmfcResult(INFEASIBLE, frozenset(), {})
+    ties = 0
+    memo = {}
+    n = len(smfc.s_types)
+    for size in range(n + 1):
+        for subset in itertools.combinations(range(n), size):
+            scost = sum(smfc.s_types[i].c for i in subset)
+            if scost > best.cost:
+                continue
+            residual = list(smfc.demand)
+            for i in subset:
+                r = smfc.s_types[i]
+                for t in range(r.s - 1, r.e):
+                    residual[t] -= r.w
+            key = tuple(max(0, x) for x in residual)
+            if key not in memo:
+                memo[key] = full_cover(key, smfc.m_types)
+            fc = memo[key]
+            if not fc.feasible:
+                continue
+            if scost + fc.cost < best.cost:
+                best = SmfcResult(scost + fc.cost, frozenset(subset), fc.counts)
+            elif scost + fc.cost == best.cost:
+                ties += 1
+    return best, ties
+
+
+def _random_smfc(rnd):
+    T = rnd.randint(1, 7)
+    demand = tuple(rnd.randint(0, 4) for _ in range(T))
+    spans = []
+    for _ in range(rnd.randint(0, 8) + rnd.randint(0, 3)):
+        s = rnd.randint(1, T)
+        spans.append((s, rnd.randint(s, T)))
+    cut = rnd.randint(0, len(spans))
+    s_types = tuple(Resource(i, s, e, rnd.choice((1, 1, 2, 3)), rnd.choice((0, 0, 1, 2, 3, 5)))
+                    for i, (s, e) in enumerate(spans[:cut]))
+    m_types = tuple(Resource(i, s, e, rnd.randint(1, 3), rnd.choice((0, 1, 2, 3, 5)))
+                    for i, (s, e) in enumerate(spans[cut:]))
+    return SmfcInstance(T, demand, s_types, m_types)
+
+
+def test_smfc_tie_break_matches_plain_enumeration(monkeypatch):
+    # which subset and which copy vector win, not only the cost
+    calls = []
+
+    def recording_full_cover(demand, resources, cutoff=INFEASIBLE):
+        res = full_cover(demand, resources, cutoff)
+        calls.append((demand, cutoff, res.feasible))
+        return res
+
+    monkeypatch.setattr(reductions, "full_cover", recording_full_cover)
+    rnd = random.Random("smfc-tie-break")
+    seen = dict.fromkeys(("wide", "dead", "dead_infeasible", "ties", "asked_again"), 0)
+    for _ in range(3000):
+        smfc = _random_smfc(rnd)
+        calls.clear()
+        got = smfc_solve_exact(smfc)
+        want, ties = plain_smfc(smfc)
+        assert (got.cost, got.s_selected, dict(got.m_counts)) == \
+               (want.cost, want.s_selected, dict(want.m_counts)), smfc
+
+        live = [any(r.s <= t <= r.e for r in smfc.m_types) for t in range(1, smfc.T + 1)]
+        dead = [t for t in range(smfc.T) if smfc.demand[t] > 0 and not live[t]]
+        cap = [sum(r.w for r in smfc.s_types if r.s <= t + 1 <= r.e) for t in range(smfc.T)]
+        seen["wide"] += got.cost != INFEASIBLE and any(r.w > 1 for r in smfc.s_types)
+        seen["dead"] += got.cost != INFEASIBLE and bool(dead)
+        seen["dead_infeasible"] += any(cap[t] < smfc.demand[t] for t in dead)
+        seen["ties"] += ties > 0
+        refused = {}
+        for demand, cutoff, feasible in calls:
+            if demand in refused and cutoff > refused[demand]:
+                seen["asked_again"] += 1
+                break
+            if not feasible:
+                refused[demand] = cutoff
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+def test_solve_prize_matches_plain_enumeration():
+    for seed in range(40):
+        inst = generate_uniform(seed, jobs=10, resources=4, timeslots=24, penalties=True)
+        smfc = pc_to_smfc(inst)
+        want = plain_smfc(smfc)[0]
+        got = solve_prize(inst)
+        lifted = lift_smfc(want, smfc)
+        assert (got.total, got.solution.counts, got.solution.covered) == \
+               (want.cost, lifted.counts, lifted.covered)
 
 
 def test_smfc_budget_refusal():
