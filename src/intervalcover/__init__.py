@@ -23,7 +23,7 @@ from .core import (
     verify_partial,
     verify_prize,
 )
-from .fullcover import FullCoverResult, full_cover
+from .fullcover import CoverPlan, FullCoverResult, full_cover
 from .lspc import (
     LspcInstance,
     LspcResult,
@@ -63,6 +63,7 @@ __all__ = [
     "INFEASIBLE",
     "BudgetExceeded",
     "Budget",
+    "CoverPlan",
     "Decomposition",
     "FullCoverResult",
     "Instance",

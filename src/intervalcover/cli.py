@@ -33,7 +33,7 @@ from .files import (
     parse_solution,
     solution_doc_for,
 )
-from .fullcover import full_cover
+from .fullcover import CoverPlan, full_cover
 from .generate import (
     PROFILES,
     generate,
@@ -108,7 +108,7 @@ def _solve_dispatch(problem: str, algorithm: str, inst) -> tuple:
         return res.cost, res.solution, False
     # fullcover: exact either way (beta = 1)
     demand = job_profile(inst.jobs, inst.T)
-    res = full_cover(demand, inst.resources)
+    res = full_cover(demand, CoverPlan(inst.resources, inst.T))
     sol = PartialSolution(res.counts, frozenset(j.id for j in inst.jobs)) if res.feasible else None
     return res.cost, sol, True
 

@@ -64,6 +64,18 @@ class Resource:
         return self.s <= t <= self.e
 
 
+def check_resources(name: str, resources: Sequence[Resource], T: int) -> None:
+    """Raise ValueError unless every resource lies within [1, T] and has
+    capacity >= 1 and cost >= 0; ``name`` labels the sequence in messages."""
+    for i, r in enumerate(resources):
+        if not 1 <= r.s <= r.e <= T:
+            raise ValueError(f"{name}[{i}] interval [{r.s},{r.e}] not within [1,{T}]")
+        if r.w < 1:
+            raise ValueError(f"{name}[{i}] capacity must be >= 1, got {r.w}")
+        if r.c < 0:
+            raise ValueError(f"{name}[{i}] has negative cost {r.c}")
+
+
 @dataclass(frozen=True)
 class Instance:
     """A problem instance over timeline 1..T.
@@ -92,12 +104,7 @@ class Instance:
         for i, r in enumerate(self.resources):
             if r.id != i:
                 raise ValueError(f"resources[{i}] has id {r.id}, expected dense id {i}")
-            if not 1 <= r.s <= r.e <= self.T:
-                raise ValueError(f"resources[{i}] interval [{r.s},{r.e}] not within [1,{self.T}]")
-            if r.w < 1:
-                raise ValueError(f"resources[{i}] capacity must be >= 1, got {r.w}")
-            if r.c < 0:
-                raise ValueError(f"resources[{i}] has negative cost {r.c}")
+        check_resources("resources", self.resources, self.T)
         if self.k is not None and not 0 <= self.k <= len(self.jobs):
             raise ValueError(f"k={self.k} not in [0, {len(self.jobs)}]")
 

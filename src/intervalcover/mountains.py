@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import INFEASIBLE, Job, Resource, PartialSolution, SolveResult, job_profile
-from .fullcover import full_cover
+from .fullcover import CoverPlan, full_cover
 
 
 @dataclass(frozen=True)
@@ -167,15 +167,17 @@ def single_mountain_solve(jobs: Sequence[Job], resources: Sequence[Resource],
     ties go to the earliest candidate. Each cover is asked only to beat
     the best cost so far (the ``cutoff`` of ``full_cover``), so a
     candidate that cannot win is abandoned early and comes back
-    infeasible. INFEASIBLE iff no candidate's profile is coverable
-    (equivalently, no k jobs are coverable at all).
+    infeasible. All candidates share one cover plan of ``resources``.
+    INFEASIBLE iff no candidate's profile is coverable (equivalently, no
+    k jobs are coverable at all).
     """
     by_id = {j.id: j for j in jobs}
+    plan = CoverPlan(resources, T)
     best_cost = INFEASIBLE
     best = None
     for kept in candidate_exclusions(jobs, k):
         prof = job_profile((by_id[i] for i in kept), T)
-        res = full_cover(prof, resources, best_cost)
+        res = full_cover(prof, plan, best_cost)
         if res.feasible:
             best_cost = res.cost
             best = PartialSolution(res.counts, kept)

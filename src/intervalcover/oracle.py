@@ -27,7 +27,7 @@ from .core import (
     SolveResult,
     job_profile,
 )
-from .fullcover import full_cover
+from .fullcover import CoverPlan, full_cover
 from .lspc import LspcInstance, LspcResult, LspcSolution
 
 ENV_VAR = "INTERVALCOVER_BUDGET"
@@ -71,6 +71,7 @@ def oracle_partial(inst: Instance, budget: Budget | None = None) -> SolveResult:
             f"{n} jobs exceed the subset-enumeration budget of {budget.max_partial_jobs}")
     if inst.k > n:
         return SolveResult(INFEASIBLE, None)
+    plan = CoverPlan(inst.resources, inst.T)
     best_cost = INFEASIBLE
     best = None
     memo: dict[tuple[int, ...], object] = {}
@@ -78,7 +79,7 @@ def oracle_partial(inst: Instance, budget: Budget | None = None) -> SolveResult:
         prof = job_profile(subset, inst.T)
         fc = memo.get(prof)
         if fc is None:
-            fc = full_cover(prof, inst.resources)
+            fc = full_cover(prof, plan)
             memo[prof] = fc
         if fc.feasible and fc.cost < best_cost:
             best_cost = fc.cost
@@ -136,6 +137,7 @@ def oracle_lspc(inst: LspcInstance, budget: Budget | None = None) -> LspcResult:
     for t in range(1, inst.T + 1):
         slot_options.append([None] + shorts_at[t])
 
+    plan = CoverPlan(inst.longs, inst.T)
     cover_memo: dict[tuple[int, ...], object] = {}
     best_cost = INFEASIBLE
     best = None
@@ -149,7 +151,7 @@ def oracle_lspc(inst: LspcInstance, budget: Budget | None = None) -> LspcResult:
                 for t in range(inst.T))
             fc = cover_memo.get(residual)
             if fc is None:
-                fc = full_cover(residual, inst.longs)
+                fc = full_cover(residual, plan)
                 cover_memo[residual] = fc
             if not fc.feasible:
                 continue
@@ -176,6 +178,7 @@ def oracle_prize(inst: Instance, budget: Budget | None = None) -> PrizeSolveResu
         raise BudgetExceeded(
             f"{n} jobs exceed the subset-enumeration budget of {budget.max_prize_jobs}")
     total_penalty = sum(j.penalty for j in inst.jobs)
+    plan = CoverPlan(inst.resources, inst.T)
     best_cost = INFEASIBLE
     best = None
     memo: dict[tuple[int, ...], object] = {}
@@ -187,7 +190,7 @@ def oracle_prize(inst: Instance, budget: Budget | None = None) -> PrizeSolveResu
         prof = job_profile(covered, inst.T)
         fc = memo.get(prof)
         if fc is None:
-            fc = full_cover(prof, inst.resources)
+            fc = full_cover(prof, plan)
             memo[prof] = fc
         if not fc.feasible:
             continue

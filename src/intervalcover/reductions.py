@@ -20,8 +20,9 @@ penalty, and the real resources stay available in unlimited copies.
 Costs transfer exactly in both directions, so solving the covering
 problem exactly solves the prize-collecting problem exactly. The exact
 search over once-only subsets skips every subset that leaves demand at
-a slot no real resource covers, and prunes each subset's cover against
-the best total found so far.
+a slot no real resource covers, prunes each subset's cover against the
+best total found so far, and stops at the first subset size whose
+cheapest subset cannot beat that total.
 """
 
 from __future__ import annotations
@@ -38,11 +39,12 @@ from .core import (
     Job,
     PartialSolution,
     Resource,
+    check_resources,
     covers,
     job_profile,
     multiset_profile,
 )
-from .fullcover import FullCoverResult, full_cover
+from .fullcover import CoverPlan, FullCoverResult, full_cover
 from .lspc import LspcInstance, LspcSolution, ShortResource
 from .mountains import MountainRange, single_mountain_solve
 
@@ -227,7 +229,11 @@ def lift_lspc(sol: LspcSolution, build: LspcBuild, rng: MountainRange,
 
 @dataclass(frozen=True)
 class SmfcInstance:
-    """Full cover with two resource classes: once-only and unlimited-copy."""
+    """Full cover with two resource classes: once-only and unlimited-copy.
+
+    Raises ValueError for a demand of the wrong length or below 0, and for
+    a resource outside [1, T], with capacity below 1 or a negative cost.
+    """
 
     T: int
     demand: tuple[int, ...]
@@ -237,6 +243,11 @@ class SmfcInstance:
     def __post_init__(self):
         if len(self.demand) != self.T:
             raise ValueError("demand length must equal T")
+        for t, d in enumerate(self.demand):
+            if d < 0:
+                raise ValueError(f"demand[{t}] is negative: {d}")
+        check_resources("s_types", self.s_types, self.T)
+        check_resources("m_types", self.m_types, self.T)
 
 
 @dataclass(frozen=True)
@@ -283,6 +294,14 @@ def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
     reduction the forced set is every job touching a slot no real
     resource covers.
 
+    Once-only costs are at least 0, so no subset of ``size`` extras costs
+    less than the forced cost plus the ``size`` cheapest free costs, a
+    floor that grows with ``size``. Once the floor of a size reaches the
+    best total, the enumeration stops: every subset it leaves out, of
+    this size or larger, would have been skipped for its cost before any
+    cover was asked for, so the subsets that are covered, their order and
+    the winner stay the same.
+
     Each cover runs under the cutoff ``best - subset cost``: a cover at or
     above it could not give a strictly smaller total. Covers are memoised
     per residual together with their cutoff. A feasible entry is the
@@ -300,14 +319,12 @@ def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
         raise BudgetExceeded(
             f"{n} once-only resources exceed the subset-enumeration cap of {MAX_STYPES}")
     best = SmfcResult(INFEASIBLE, frozenset(), {})
-    live = [False] * smfc.T
-    for r in smfc.m_types:
-        live[r.s - 1:r.e] = [True] * (r.e - r.s + 1)
+    plan = CoverPlan(smfc.m_types, smfc.T)
     cap = [0] * smfc.T  # total once-only capacity per slot
     for r in s_types:
         for t in range(r.s - 1, r.e):
             cap[t] += r.w
-    dead = [t for t in range(smfc.T) if demand[t] > 0 and not live[t]]
+    dead = [t for t in range(smfc.T) if demand[t] > 0 and plan.suffix_best[0][t] is None]
     if any(cap[t] < demand[t] for t in dead):
         return best
     forced = [i for i, r in enumerate(s_types)
@@ -318,10 +335,14 @@ def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
         r = s_types[i]
         for t in range(r.s - 1, r.e):
             base[t] -= r.w
-    forced_cost = sum(s_types[i].c for i in forced)
+    floor = list(itertools.accumulate(sorted(s_types[i].c for i in free),
+                                      initial=sum(s_types[i].c for i in forced)))
+    forced_cost = floor[0]
 
     cover_memo: dict[tuple[int, ...], tuple[Cost, FullCoverResult]] = {}
     for size in range(len(free) + 1):
+        if floor[size] >= best.cost:
+            break
         for extra in itertools.combinations(free, size):
             scost = forced_cost + sum(s_types[i].c for i in extra)
             if scost >= best.cost:
@@ -337,7 +358,7 @@ def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
             if hit is not None and (hit[1].feasible or cutoff <= hit[0]):
                 fc = hit[1]
             else:
-                fc = full_cover(key, smfc.m_types, cutoff)
+                fc = full_cover(key, plan, cutoff)
                 cover_memo[key] = (cutoff, fc)
             if not fc.feasible:
                 continue

@@ -25,7 +25,7 @@ from intervalcover.core import (
     verify_partial,
     verify_prize,
 )
-from intervalcover.fullcover import full_cover
+from intervalcover.fullcover import CoverPlan, full_cover
 from intervalcover.lspc import LspcInstance, LspcSolver
 from intervalcover.mountains import single_mountain_solve
 from intervalcover.oracle import oracle_partial
@@ -63,7 +63,7 @@ def test_copied_infeasible_results_stay_infeasible(clone):
     inst = make_instance(2, [(1, 1), (2, 2)], [(1, 1, 1, 1)], k=2)
     results = {
         "solve_partial": solve_partial(inst),
-        "full_cover": full_cover(job_profile(inst.jobs, inst.T), inst.resources),
+        "full_cover": full_cover(job_profile(inst.jobs, inst.T), CoverPlan(inst.resources, inst.T)),
         "LspcSolver": LspcSolver(LspcInstance(1, (2,), (), (), 1)).solve(),
         "single_mountain_solve": single_mountain_solve(inst.jobs, inst.resources, 2, inst.T),
         "oracle_partial": oracle_partial(inst),

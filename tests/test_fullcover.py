@@ -1,10 +1,20 @@
-"""Exact full cover against an unpruned enumeration oracle."""
+"""Exact full cover against an unpruned enumeration oracle and against
+the one-shot search it replaced."""
 
 import itertools
 import random
+from functools import cmp_to_key
+
+import pytest
 
 from intervalcover.core import INFEASIBLE, Resource
-from intervalcover.fullcover import full_cover
+from intervalcover.fullcover import INFEASIBLE_COVER, FullCoverResult
+from intervalcover.fullcover import CoverPlan, full_cover
+
+
+def cover(demand, resources, cutoff=INFEASIBLE):
+    """One full cover through a plan built for it alone."""
+    return full_cover(demand, CoverPlan(resources, len(demand)), cutoff)
 
 
 def brute_force_cover(demand, resources):
@@ -47,12 +57,12 @@ def _random_case(rnd, max_resources=6, max_demand=4, max_T=10):
 
 
 def test_zero_demand():
-    res = full_cover((0, 0, 0), (Resource(0, 1, 3, 1, 5),))
+    res = cover((0, 0, 0), (Resource(0, 1, 3, 1, 5),))
     assert res.cost == 0 and res.counts == {} and res.beta == 1
 
 
 def test_single_candidate():
-    res = full_cover((2, 2), (Resource(0, 1, 2, 2, 5),))
+    res = cover((2, 2), (Resource(0, 1, 2, 2, 5),))
     assert res.cost == 5 and res.counts == {0: 1}
 
 
@@ -60,12 +70,12 @@ def test_mixed_capacities_prefers_cheap_units():
     resources = (Resource(0, 1, 1, 2, 3), Resource(1, 1, 1, 1, 1))
     expected_cost, expected_vec = brute_force_cover((3,), resources)
     assert expected_cost == 3 and expected_vec == (0, 3)
-    res = full_cover((3,), resources)
+    res = cover((3,), resources)
     assert res.cost == 3 and res.counts == {1: 3}
 
 
 def test_infeasible_uncovered_slot():
-    res = full_cover((0, 1), (Resource(0, 1, 1, 5, 0),))
+    res = cover((0, 1), (Resource(0, 1, 1, 5, 0),))
     assert res.cost == INFEASIBLE and not res.feasible
 
 
@@ -73,7 +83,7 @@ def test_matches_unpruned_enumeration():
     rnd = random.Random("fullcover-oracle")
     for _ in range(120):
         demand, resources = _random_case(rnd)
-        got = full_cover(demand, resources)
+        got = cover(demand, resources)
         want_cost, want_vec = brute_force_cover(demand, resources)
         assert got.cost == want_cost
         if want_vec is not None:
@@ -90,7 +100,7 @@ def test_cutoff_matches_unpruned_enumeration():
         if want_vec is not None:
             cutoffs += [want_cost, want_cost + 1]
         for cutoff in cutoffs:
-            got = full_cover(demand, resources, cutoff)
+            got = cover(demand, resources, cutoff)
             if want_cost < cutoff:
                 assert got.cost == want_cost
                 assert tuple(got.counts.get(r.id, 0) for r in resources) == want_vec
@@ -109,17 +119,17 @@ def test_zero_cost_and_equal_ratio_ties():
     want_cost, want_vec = brute_force_cover(demand, resources)
     assert (want_cost, want_vec) == (3, (1, 1, 1, 1))
     for cutoff in (INFEASIBLE, want_cost + 1):
-        res = full_cover(demand, resources, cutoff)
+        res = cover(demand, resources, cutoff)
         assert res.cost == want_cost
         assert tuple(res.counts.get(r.id, 0) for r in resources) == want_vec
-    assert not full_cover(demand, resources, want_cost).feasible
+    assert not cover(demand, resources, want_cost).feasible
 
 
 def test_per_slot_exact_match():
     # one resource per slot, each sized to its slot's demand
     demand = (2, 1, 3)
     resources = tuple(Resource(i, i + 1, i + 1, demand[i], i + 1) for i in range(3))
-    res = full_cover(demand, resources)
+    res = cover(demand, resources)
     assert res.cost == 1 + 2 + 3
 
 
@@ -127,10 +137,10 @@ def test_monotone_in_demand():
     rnd = random.Random("fullcover-monotone")
     for _ in range(40):
         demand, resources = _random_case(rnd, max_T=6)
-        base = full_cover(demand, resources)
+        base = cover(demand, resources)
         t = rnd.randrange(len(demand))
         bumped = tuple(d + (1 if i == t else 0) for i, d in enumerate(demand))
-        higher = full_cover(bumped, resources)
+        higher = cover(bumped, resources)
         assert base.cost <= higher.cost
 
 
@@ -138,9 +148,161 @@ def test_copy_bound_respected():
     rnd = random.Random("fullcover-bounds")
     for _ in range(40):
         demand, resources = _random_case(rnd, max_T=6)
-        res = full_cover(demand, resources)
+        res = cover(demand, resources)
         if not res.feasible:
             continue
         bounds = copy_upper_bounds(demand, resources)
         for rid, n in res.counts.items():
             assert 1 <= n <= bounds[rid]
+
+
+def reference_full_cover(demand, resources, cutoff=INFEASIBLE):
+    """The one-shot search that ``CoverPlan`` split up: every call builds
+    its own order, ``suffix_best`` rows and greedy incumbent, and refuses
+    dead slots with a separate mask. Kept as the reference the shared plan
+    must match bit for bit."""
+    T = len(demand)
+    live = [False] * T
+    for r in resources:
+        live[r.s - 1:r.e] = [True] * (r.e - r.s + 1)
+    for t in range(T):
+        if demand[t] > 0 and not live[t]:
+            return INFEASIBLE_COVER
+    if all(d <= 0 for d in demand):
+        return FullCoverResult({}, 0) if 0 < cutoff else INFEASIBLE_COVER
+
+    m = len(resources)
+    order = sorted(range(m), key=cmp_to_key(
+        lambda a, b: resources[a].c * resources[b].w - resources[b].c * resources[a].w or a - b))
+    suffix_best = [[None] * T]
+    for pos in reversed(order):
+        r = resources[pos]
+        cur = suffix_best[-1][:]
+        for t in range(r.s - 1, r.e):
+            prev = cur[t]
+            if prev is None or r.c * prev.w <= prev.c * r.w:
+                cur[t] = r
+        suffix_best.append(cur)
+    suffix_best.reverse()
+
+    residual = list(demand)
+    greedy_cost = 0
+    for t in range(T):
+        if residual[t] > 0:
+            r = suffix_best[0][t]
+            need = -(-residual[t] // r.w)
+            greedy_cost += need * r.c
+            add = need * r.w
+            for u in range(r.s - 1, r.e):
+                residual[u] -= add
+
+    residual = list(demand)
+    counts = [0] * m
+    best_cost = greedy_cost if greedy_cost < cutoff else cutoff - 1
+    best_vec = None
+
+    def lower_bound(i):
+        lb = 0
+        row = suffix_best[i]
+        for t in range(T):
+            rt = residual[t]
+            if rt > 0:
+                br = row[t]
+                if br is None:
+                    return INFEASIBLE
+                est = -(-rt * br.c // br.w)
+                if est > lb:
+                    lb = est
+        return lb
+
+    def dfs(i, cost):
+        nonlocal best_cost, best_vec
+        lb = lower_bound(i)
+        if cost + lb > best_cost:
+            return
+        if i == m:
+            vec = tuple(counts)
+            if cost < best_cost or best_vec is None or vec < best_vec:
+                best_cost = cost
+                best_vec = vec
+            return
+        pos = order[i]
+        r = resources[pos]
+        w = r.w
+        later = suffix_best[i + 1]
+        lo = hi = 0
+        for t in range(r.s - 1, r.e):
+            need = -(-residual[t] // w)
+            if need > hi:
+                hi = need
+            if need > lo and later[t] is None:
+                lo = need
+        take = lo * w
+        for n in range(lo, hi + 1):
+            counts[pos] = n
+            if take:
+                for t in range(r.s - 1, r.e):
+                    residual[t] -= take
+            dfs(i + 1, cost + n * r.c)
+            take = w
+        counts[pos] = 0
+        back = hi * w
+        for t in range(r.s - 1, r.e):
+            residual[t] += back
+
+    dfs(0, 0)
+    if best_vec is None:
+        return INFEASIBLE_COVER
+    picked = {resources[pos].id: n for pos, n in enumerate(best_vec) if n > 0}
+    return FullCoverResult(picked, best_cost)
+
+
+def test_shared_plan_matches_reference():
+    rnd = random.Random("fullcover-plan")
+    seen = dict.fromkeys(("dead", "zero_demand", "zero_cost", "feasible", "cut"), 0)
+    for _ in range(60):
+        T = rnd.randint(1, 8)
+        resources = []
+        for i in range(rnd.randint(0, 6)):
+            s = rnd.randint(1, T)
+            e = rnd.randint(s, min(T, s + rnd.randint(0, 4)))
+            resources.append(Resource(i, s, e, rnd.randint(1, 3), rnd.choice((0, 1, 2, 3, 5, 8))))
+        resources = tuple(resources)
+        plan = CoverPlan(resources, T)
+        covered = [any(r.s <= t <= r.e for r in resources) for t in range(1, T + 1)]
+        for j in range(25):
+            if j == 0:
+                demand = (0,) * T
+            elif j % 3:  # positive demand only where some resource is active
+                demand = tuple(rnd.randint(0, 4) if covered[t] else 0 for t in range(T))
+            else:
+                demand = tuple(rnd.randint(0, 4) for _ in range(T))
+            opt = reference_full_cover(demand, resources).cost
+            spread = 2 * opt + 2 if opt != INFEASIBLE else 40
+            for cutoff in (INFEASIBLE, 0, 1, opt, opt + 1, rnd.randint(0, spread)):
+                got = full_cover(demand, plan, cutoff)
+                want = reference_full_cover(demand, resources, cutoff)
+                assert (dict(got.counts), got.cost) == (dict(want.counts), want.cost), \
+                    (demand, resources, cutoff)
+                seen["cut"] += want.cost == INFEASIBLE and opt != INFEASIBLE
+            seen["dead"] += any(d > 0 and not c for d, c in zip(demand, covered))
+            seen["zero_demand"] += not any(demand)
+            seen["zero_cost"] += opt != INFEASIBLE and any(
+                r.c == 0 and r.s <= t + 1 <= r.e for r in resources for t in range(T) if demand[t])
+            seen["feasible"] += opt != INFEASIBLE and any(demand)
+        assert plan == CoverPlan(resources, T)  # reuse left the plan as built
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+def test_wrong_length_demand_raises():
+    plan = CoverPlan((Resource(0, 1, 2, 1, 1),), 2)
+    for demand in ((1,), (1, 1, 1)):
+        with pytest.raises(ValueError):
+            full_cover(demand, plan)
+
+
+def test_plan_rejects_bad_resources():
+    for r in (Resource(0, 1, 3, 1, 1), Resource(0, 0, 1, 1, 1),
+              Resource(0, 1, 2, 0, 1), Resource(0, 1, 2, 1, -1)):
+        with pytest.raises(ValueError):
+            CoverPlan((r,), 2)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from intervalcover.core import INFEASIBLE, Job, Resource, job_profile, verify_partial
-from intervalcover.fullcover import full_cover
+from intervalcover.fullcover import CoverPlan, full_cover
 from intervalcover.generate import generate_single_mountain
 from intervalcover.mountains import (
     Mountain,
@@ -155,8 +155,9 @@ def _reference_single_mountain(jobs, resources, k, T):
     """Full-cover every candidate without a cutoff; the earliest minimum wins."""
     by_id = {j.id: j for j in jobs}
     best = (INFEASIBLE, None)
+    plan = CoverPlan(resources, T)
     for kept in candidate_exclusions(jobs, k):
-        res = full_cover(job_profile((by_id[i] for i in kept), T), resources)
+        res = full_cover(job_profile((by_id[i] for i in kept), T), plan)
         if res.cost < best[0]:
             best = (res.cost, (dict(res.counts), kept))
     return best

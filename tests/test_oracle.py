@@ -11,7 +11,7 @@ from intervalcover.core import (
     verify_partial,
     verify_prize,
 )
-from intervalcover.fullcover import full_cover
+from intervalcover.fullcover import CoverPlan, full_cover
 from intervalcover.generate import generate_lspc, generate_uniform
 from intervalcover.lspc import LspcInstance, ShortResource, verify_lspc
 from intervalcover.oracle import Budget, oracle_lspc, oracle_partial, oracle_prize
@@ -26,7 +26,7 @@ def test_oracle_partial_k0():
 def test_oracle_partial_k_equals_n():
     inst = generate_uniform(5, jobs=4, resources=4, k=4)
     res = oracle_partial(inst)
-    fc = full_cover(job_profile(inst.jobs, inst.T), inst.resources)
+    fc = full_cover(job_profile(inst.jobs, inst.T), CoverPlan(inst.resources, inst.T))
     assert res.cost == fc.cost
 
 
@@ -81,7 +81,7 @@ def test_oracle_prize_trivials():
     res_list = (Resource(0, 1, 2, 3, 7),)
     inst = Instance(2, jobs, res_list)
     res = oracle_prize(inst)
-    assert res.total == full_cover(job_profile(jobs, 2), res_list).cost == 7
+    assert res.total == full_cover(job_profile(jobs, 2), CoverPlan(res_list, 2)).cost == 7
 
 
 def test_oracle_prize_two_branch():

@@ -19,7 +19,7 @@ from intervalcover.core import (
     verify_prize,
 )
 from intervalcover import reductions
-from intervalcover.fullcover import full_cover
+from intervalcover.fullcover import CoverPlan, full_cover
 from intervalcover.generate import generate_mountain_range, generate_uniform
 from intervalcover.lspc import LspcSolution, LspcSolver
 from intervalcover.mountains import Mountain, MountainRange
@@ -311,6 +311,7 @@ def plain_smfc(smfc):
     ties = 0
     memo = {}
     n = len(smfc.s_types)
+    plan = CoverPlan(smfc.m_types, smfc.T)
     for size in range(n + 1):
         for subset in itertools.combinations(range(n), size):
             scost = sum(smfc.s_types[i].c for i in subset)
@@ -323,7 +324,7 @@ def plain_smfc(smfc):
                     residual[t] -= r.w
             key = tuple(max(0, x) for x in residual)
             if key not in memo:
-                memo[key] = full_cover(key, smfc.m_types)
+                memo[key] = full_cover(key, plan)
             fc = memo[key]
             if not fc.feasible:
                 continue
@@ -353,14 +354,15 @@ def test_smfc_tie_break_matches_plain_enumeration(monkeypatch):
     # which subset and which copy vector win, not only the cost
     calls = []
 
-    def recording_full_cover(demand, resources, cutoff=INFEASIBLE):
-        res = full_cover(demand, resources, cutoff)
+    def recording_full_cover(demand, plan, cutoff=INFEASIBLE):
+        res = full_cover(demand, plan, cutoff)
         calls.append((demand, cutoff, res.feasible))
         return res
 
     monkeypatch.setattr(reductions, "full_cover", recording_full_cover)
     rnd = random.Random("smfc-tie-break")
-    seen = dict.fromkeys(("wide", "dead", "dead_infeasible", "ties", "asked_again"), 0)
+    seen = dict.fromkeys(
+        ("wide", "dead", "dead_infeasible", "ties", "asked_again", "size_stop"), 0)
     for _ in range(3000):
         smfc = _random_smfc(rnd)
         calls.clear()
@@ -376,6 +378,14 @@ def test_smfc_tie_break_matches_plain_enumeration(monkeypatch):
         seen["dead"] += got.cost != INFEASIBLE and bool(dead)
         seen["dead_infeasible"] += any(cap[t] < smfc.demand[t] for t in dead)
         seen["ties"] += ties > 0
+        # the forced cost plus the cheapest free costs of some size reaches
+        # the optimum, so smfc_solve_exact stops before the sizes run out
+        forced = [i for i, r in enumerate(smfc.s_types)
+                  if any(r.s <= t + 1 <= r.e and cap[t] - r.w < smfc.demand[t] for t in dead)]
+        floor = itertools.accumulate(
+            sorted(r.c for i, r in enumerate(smfc.s_types) if i not in forced),
+            initial=sum(smfc.s_types[i].c for i in forced))
+        seen["size_stop"] += any(f >= got.cost for f in floor)
         refused = {}
         for demand, cutoff, feasible in calls:
             if demand in refused and cutoff > refused[demand]:
@@ -395,6 +405,22 @@ def test_solve_prize_matches_plain_enumeration():
         lifted = lift_smfc(want, smfc)
         assert (got.total, got.solution.counts, got.solution.covered) == \
                (want.cost, lifted.counts, lifted.covered)
+
+
+def test_smfc_instance_validation():
+    # capacity 0 used to divide by zero in full_cover, a span past T to
+    # index out of range, and a negative once-only cost would break the
+    # cost floor smfc_solve_exact stops at
+    bad = [
+        (1, (1,), (), (Resource(0, 1, 1, 0, 1),)),
+        (2, (1, 1), (Resource(0, 1, 3, 1, 1),), ()),
+        (2, (1, 1), (Resource(0, 1, 2, 1, -1),), ()),
+        (2, (1, 1), (), (Resource(0, 0, 2, 1, 1),)),
+        (2, (1, -1), (), ()),
+    ]
+    for T, demand, s_types, m_types in bad:
+        with pytest.raises(ValueError):
+            SmfcInstance(T, demand, s_types, m_types)
 
 
 def test_smfc_budget_refusal():
