@@ -6,29 +6,47 @@ cover exactly with branch and bound over copy counts.
 
 What the search needs of the resources alone is a ``CoverPlan``, built
 once per resource set and timeline and shared by every demand solved
-over them. Resources are branched on in order of cost per unit of
-capacity, compared exactly in integers (c_a * w_b against c_b * w_a,
-ties to input position). Walking that order from the back gives
-``suffix_best``: per level and slot, the cheapest-per-unit resource still
-to come, or None. It drives the admissible bound
-max_t ceil(residual_t * c / w), marks slots that nothing left can cover,
-and at the root picks the resource of the greedy incumbent.
+over them. The plan cuts the timeline 1..T before every resource start
+and after every resource end, so m resources give at most 2m + 1
+pieces, and all slots of one piece see the same active resources. The
+pieces some resource is active on are the segments the search runs
+over; the others are gaps, slots no resource reaches. Resources are
+branched on in order of cost per unit of capacity, compared exactly in
+integers (c_a * w_b against c_b * w_a, ties to input position). Walking
+that order from the back gives ``suffix_best``: per level and segment,
+the cheapest-per-unit resource still to come, or None. It drives the
+admissible bound max ceil(residual * c / w), marks segments that nothing
+left can cover, and at the root picks the resource of the greedy
+incumbent.
 
-A call first takes the root bound of its demand over ``suffix_best[0]``
-and refuses when it reaches the cutoff, before the greedy incumbent or
-the search is set up. A dead slot, one with positive demand that no
-resource covers, has no entry in ``suffix_best[0]``, so its bound is
-INFEASIBLE and the same check refuses it under any cutoff.
+A call first refuses, under any cutoff, a demand that is positive
+somewhere in a gap: no multiset covers it. It then reduces the demand
+to the largest demand of each segment. Capacity is constant on a
+segment, so a multiset covers the demand exactly when it covers these
+peaks, and every quantity the search takes from the residual (the bound,
+the copy range below, the greedy cap) is a maximum of a non-decreasing
+function over the segment's slots, which the peak attains. The search
+over segments therefore visits the same nodes as one over slots and
+returns the same cover.
+
+The root bound is the largest of 0 and the segments' estimates
+ceil(peak * c / w) with the cheapest-per-unit resource of each, so a
+cutoff of at most 0 is refused at once and the reduction refuses as
+soon as one estimate reaches the cutoff, before the greedy incumbent or
+the search is set up. A call that gets past it has a root bound below
+the cutoff and at most the greedy cap, which is the cost of a feasible
+cover, so the root node is entered without taking that bound again;
+every other node's bound is checked by its parent just before the call.
 
 The copies tried for a resource follow from the residual demand at its
-level. Fewer than ``lo``, the largest ceil(residual_t / w) over its slots
-that no later resource covers, leaves such a slot short. More than
-``hi``, the same maximum over all its slots, only adds cost: dropping the
-surplus keeps the cover feasible, costs no more and gives a smaller copy
-vector. So the search over [lo, hi] still reaches the lexicographically
-smallest optimal copy vector (in input order), which is the one
-returned, and hi never exceeds ceil(max demand / w). At the last level
-lo == hi.
+level. Fewer than ``lo``, the largest ceil(residual / w) over its
+segments that no later resource covers, leaves such a segment short.
+More than ``hi``, the same maximum over all its segments, only adds
+cost: dropping the surplus keeps the cover feasible, costs no more and
+gives a smaller copy vector. So the search over [lo, hi] still reaches
+the lexicographically smallest optimal copy vector (in input order),
+which is the one returned, and hi never exceeds ceil(max demand / w).
+At the last level lo == hi.
 
 A caller that only wants covers cheaper than some ``cutoff`` passes it:
 every node whose cost plus bound reaches the cutoff is pruned, and the
@@ -68,9 +86,14 @@ INFEASIBLE_COVER = FullCoverResult({}, INFEASIBLE)
 class CoverPlan:
     """The search plan of one resource set over timeline 1..T.
 
+    Cutting the slots 0..T-1 (0-based) at every ``r.s - 1`` and ``r.e``
+    gives half-open ranges (start, stop) whose slots all have the same
+    active resources. Those some resource is active on are ``segments``,
+    the others ``gaps``. ``spans[p]`` is the half-open range of segments
+    that ``resources[p]`` is active on.
     ``order`` lists positions in ``resources`` by cost per unit of
-    capacity; ``suffix_best[i][t]`` is the cheapest-per-unit resource
-    among ``order[i:]`` active at slot t + 1 (earliest in order on ties),
+    capacity; ``suffix_best[i][j]`` is the cheapest-per-unit resource
+    among ``order[i:]`` active on segment j (earliest in order on ties),
     or None. Everything is a tuple, so one plan serves any number of
     ``full_cover`` calls. Raises ValueError for a resource outside [1, T],
     with capacity below 1 or with a negative cost.
@@ -79,33 +102,45 @@ class CoverPlan:
     resources: tuple[Resource, ...]
     T: int
     order: tuple[int, ...] = field(init=False, repr=False)
+    segments: tuple[tuple[int, int], ...] = field(init=False, repr=False)
+    gaps: tuple[tuple[int, int], ...] = field(init=False, repr=False)
+    spans: tuple[tuple[int, int], ...] = field(init=False, repr=False)
     suffix_best: tuple[tuple[Resource | None, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         resources = tuple(self.resources)
         check_resources("resources", resources, self.T)
+        cuts = sorted({0, self.T, *(r.s - 1 for r in resources), *(r.e for r in resources)})
+        pieces = tuple(zip(cuts, cuts[1:]))
+        segments = tuple(p for p in pieces if any(r.s <= p[1] and p[0] < r.e for r in resources))
+        first = {a: j for j, (a, _) in enumerate(segments)}
+        stop = {b: j + 1 for j, (_, b) in enumerate(segments)}
+        spans = tuple((first[r.s - 1], stop[r.e]) for r in resources)
         # Branch on cheap capacity first: the incumbent drops fast and the
         # bound bites early.
         order = tuple(sorted(range(len(resources)), key=cmp_to_key(
             lambda a, b: resources[a].c * resources[b].w - resources[b].c * resources[a].w
             or a - b)))
-        rows = [[None] * self.T]
+        rows = [[None] * len(segments)]
         for pos in reversed(order):
             r = resources[pos]
             cur = rows[-1][:]
-            for t in range(r.s - 1, r.e):
-                prev = cur[t]
+            for j in range(*spans[pos]):
+                prev = cur[j]
                 if prev is None or r.c * prev.w <= prev.c * r.w:
-                    cur[t] = r
+                    cur[j] = r
             rows.append(cur)
         object.__setattr__(self, "resources", resources)
         object.__setattr__(self, "order", order)
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "gaps", tuple(p for p in pieces if p not in segments))
+        object.__setattr__(self, "spans", spans)
         object.__setattr__(self, "suffix_best", tuple(tuple(row) for row in reversed(rows)))
 
 
 def _bound(residual: Sequence[int], row: Sequence[Resource | None]) -> Cost:
-    """max_t ceil(residual_t * c / w) with the resource of ``row`` at each
-    slot; INFEASIBLE if a slot with positive residual has none."""
+    """max_j ceil(residual_j * c / w) with the resource of ``row`` at each
+    segment; INFEASIBLE if a segment with positive residual has none."""
     lb = 0
     for rt, br in zip(residual, row):
         if rt > 0:
@@ -129,31 +164,43 @@ def full_cover(demand: Sequence[int], plan: CoverPlan,
     demand and no active resource. Raises ValueError unless ``demand``
     has ``plan.T`` slots.
     """
-    T = plan.T
-    if len(demand) != T:
-        raise ValueError(f"demand has {len(demand)} slots, the plan has T={T}")
+    if len(demand) != plan.T:
+        raise ValueError(f"demand has {len(demand)} slots, the plan has T={plan.T}")
+    if cutoff <= 0:
+        return INFEASIBLE_COVER  # costs are never negative
+    for a, b in plan.gaps:
+        if max(demand[a:b]) > 0:
+            return INFEASIBLE_COVER
+    segments = plan.segments
     root = plan.suffix_best[0]
-    if _bound(demand, root) >= cutoff:
-        return INFEASIBLE_COVER
-    if all(d <= 0 for d in demand):
+    peaks = []
+    for (a, b), r in zip(segments, root):
+        peak = max(demand[a:b])
+        if peak > 0 and -(-peak * r.c // r.w) >= cutoff:
+            return INFEASIBLE_COVER
+        peaks.append(peak)
+    if all(d <= 0 for d in peaks):
         return FullCoverResult({}, 0)
 
-    resources, order, suffix_best = plan.resources, plan.order, plan.suffix_best
+    resources, order, spans, suffix_best = plan.resources, plan.order, plan.spans, plan.suffix_best
     m = len(resources)
 
-    # Greedy incumbent: a feasible cost cap, not a candidate vector.
-    residual = list(demand)
+    # Greedy incumbent: a feasible cost cap, not a candidate vector. Only
+    # segments not yet visited need their residual lowered.
+    residual = peaks[:]
     greedy_cost = 0
-    for t in range(T):
-        if residual[t] > 0:
-            r = root[t]
-            need = -(-residual[t] // r.w)
+    for j in range(len(segments)):
+        if residual[j] > 0:
+            r = root[j]
+            need = -(-residual[j] // r.w)
             greedy_cost += need * r.c
             add = need * r.w
-            for u in range(r.s - 1, r.e):
+            u = j
+            while u < len(segments) and segments[u][0] < r.e:
                 residual[u] -= add
+                u += 1
 
-    residual = list(demand)
+    residual = peaks
     counts = [0] * m  # indexed by position in `resources`
     # Costs are integers, so "below cutoff" is "at most cutoff - 1".
     best_cost = greedy_cost if greedy_cost < cutoff else cutoff - 1
@@ -161,8 +208,6 @@ def full_cover(demand: Sequence[int], plan: CoverPlan,
 
     def dfs(i: int, cost: int) -> None:
         nonlocal best_cost, best_vec
-        if cost + _bound(residual, suffix_best[i]) > best_cost:
-            return
         if i == m:
             vec = tuple(counts)
             if cost < best_cost or best_vec is None or vec < best_vec:
@@ -172,26 +217,29 @@ def full_cover(demand: Sequence[int], plan: CoverPlan,
         pos = order[i]
         r = resources[pos]
         w = r.w
+        a, b = spans[pos]
         later = suffix_best[i + 1]
         lo = hi = 0
-        for t in range(r.s - 1, r.e):
-            need = -(-residual[t] // w)
+        for j in range(a, b):
+            need = -(-residual[j] // w)
             if need > hi:
                 hi = need
-            if need > lo and later[t] is None:
+            if need > lo and later[j] is None:
                 lo = need
         take = lo * w
         for n in range(lo, hi + 1):
             counts[pos] = n
             if take:
-                for t in range(r.s - 1, r.e):
-                    residual[t] -= take
-            dfs(i + 1, cost + n * r.c)
+                for j in range(a, b):
+                    residual[j] -= take
+            child = cost + n * r.c
+            if child + _bound(residual, later) <= best_cost:
+                dfs(i + 1, child)
             take = w
         counts[pos] = 0
         back = hi * w
-        for t in range(r.s - 1, r.e):
-            residual[t] += back
+        for j in range(a, b):
+            residual[j] += back
 
     dfs(0, 0)
     if best_vec is None:

@@ -54,7 +54,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import INFEASIBLE, Cost, Resource, is_feasible
+from .core import INFEASIBLE, Cost, Resource, check_resources, is_feasible
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,7 @@ class LspcInstance:
         for i, r in enumerate(self.longs):
             if r.id != i:
                 raise ValueError(f"longs[{i}] has id {r.id}, expected dense id {i}")
-            if not 1 <= r.s <= r.e <= self.T:
-                raise ValueError(f"longs[{i}] interval [{r.s},{r.e}] not within [1,{self.T}]")
-            if r.w < 1 or r.c < 0:
-                raise ValueError(f"longs[{i}] needs w >= 1 and c >= 0")
+        check_resources("longs", self.longs, self.T)
         if self.k < 0:
             raise ValueError(f"k must be >= 0, got {self.k}")
 

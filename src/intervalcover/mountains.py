@@ -16,7 +16,11 @@ a near-optimal solution may always discard jobs that are extremal in
 start or end time, so it suffices to try every way of excluding a
 prefix of the jobs sorted by start time together with a prefix sorted
 by falling end time, full-covering what remains. With the exact cover
-subroutine the winner costs at most twice the optimum.
+subroutine the winner costs at most twice the optimum. The caller passes
+the ``CoverPlan`` of the mountain's resources, so one plan serves every
+k of the same mountain, and may pass a ``cutoff`` to ask only for
+winners cheaper than a cost it already knows; ``build_lspc`` walks k
+downward and seeds each cutoff from the winner for k + 1.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import INFEASIBLE, Job, Resource, PartialSolution, SolveResult, job_profile
+from .core import INFEASIBLE, Cost, Job, PartialSolution, SolveResult, job_profile
 from .fullcover import CoverPlan, full_cover
 
 
@@ -159,24 +163,28 @@ def candidate_exclusions(jobs: Sequence[Job], k: int) -> list[frozenset[int]]:
     return out
 
 
-def single_mountain_solve(jobs: Sequence[Job], resources: Sequence[Resource],
-                          k: int, T: int) -> SolveResult:
+def single_mountain_solve(jobs: Sequence[Job], plan: CoverPlan, k: int,
+                          cutoff: Cost = INFEASIBLE) -> SolveResult:
     """Cover k jobs of a single mountain at cost at most twice the optimum.
 
-    Full-covers every extremal-exclusion candidate and keeps the cheapest;
-    ties go to the earliest candidate. Each cover is asked only to beat
-    the best cost so far (the ``cutoff`` of ``full_cover``), so a
-    candidate that cannot win is abandoned early and comes back
-    infeasible. All candidates share one cover plan of ``resources``.
-    INFEASIBLE iff no candidate's profile is coverable (equivalently, no
-    k jobs are coverable at all).
+    Full-covers every extremal-exclusion candidate over ``plan`` (the
+    cover plan of the mountain's resources) and keeps the cheapest; ties
+    go to the earliest candidate. Only winners costing strictly less than
+    ``cutoff`` count, mirroring ``full_cover``: each cover is asked to
+    beat the best cost so far, starting from ``cutoff``, so a candidate
+    that cannot win is abandoned early and comes back infeasible. When
+    the uncut winner costs less than ``cutoff`` it is returned unchanged,
+    since the earliest candidate at the minimum cost is the same with or
+    without the candidates the cutoff drops.
+
+    INFEASIBLE iff no candidate is coverable below ``cutoff``; without a
+    cutoff, iff no k jobs are coverable at all.
     """
     by_id = {j.id: j for j in jobs}
-    plan = CoverPlan(resources, T)
-    best_cost = INFEASIBLE
+    best_cost = cutoff
     best = None
     for kept in candidate_exclusions(jobs, k):
-        prof = job_profile((by_id[i] for i in kept), T)
+        prof = job_profile((by_id[i] for i in kept), plan.T)
         res = full_cover(prof, plan, best_cost)
         if res.feasible:
             best_cost = res.cost

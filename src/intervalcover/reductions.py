@@ -39,6 +39,7 @@ from .core import (
     Job,
     PartialSolution,
     Resource,
+    SolveResult,
     check_resources,
     covers,
     job_profile,
@@ -143,6 +144,18 @@ def build_lspc(rng: MountainRange, jobs: Sequence[Job],
     every mountain and every kappa up to its size, the single-mountain
     solver over the mountain's narrow parts prices a short of capacity
     kappa; infeasible pairs emit nothing.
+
+    Each mountain's narrow parts get one ``CoverPlan``, and kappa is
+    priced from the mountain's size down to 1, each call cut off at the
+    cost of the winner for kappa + 1, plus 1. The cutoff loses nothing:
+    the (kappa + 1) winner keeps the jobs left after dropping a prefix of
+    the start order and a prefix of the falling end order; growing the
+    start prefix up to the first job it keeps gives a kappa candidate
+    whose demand profile the winner's profile dominates, so the winner's
+    multiset covers it and opt(kappa) <= opt(kappa + 1) < cutoff. The
+    cut call therefore returns the uncut winner, and a kappa that comes
+    back infeasible under a seeded cutoff raises RuntimeError. Shorts are
+    still emitted in ascending kappa.
     """
     by_id = {j.id: j for j in jobs}
     spans = [m.span for m in rng.mountains]
@@ -170,9 +183,20 @@ def build_lspc(rng: MountainRange, jobs: Sequence[Job],
     for idx, m in enumerate(rng.mountains):
         mjobs = [by_id[i] for i in sorted(m.job_ids)]
         narrows = [rec.resource for rec in derived if rec.role == "narrow" and rec.mountain == idx]
+        plan = CoverPlan(narrows, T)
+        priced: list[SolveResult | None] = [None] * (d[idx] + 1)
+        cutoff = INFEASIBLE
+        for kappa in range(d[idx], 0, -1):
+            res = single_mountain_solve(mjobs, plan, kappa, cutoff)
+            if res.solution is not None:
+                priced[kappa] = res
+                cutoff = res.cost + 1
+            elif cutoff != INFEASIBLE:
+                raise RuntimeError(f"mountain {idx}: kappa={kappa} found no cover below "
+                                   f"{cutoff}, the cost of kappa={kappa + 1} plus 1")
         for kappa in range(1, d[idx] + 1):
-            res = single_mountain_solve(mjobs, narrows, kappa, T)
-            if res.solution is None:
+            res = priced[kappa]
+            if res is None:
                 continue
             assoc = ShortAssociation(idx, kappa, res.solution.counts, res.solution.covered)
             if len(assoc.covered) != kappa:
@@ -324,7 +348,7 @@ def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
     for r in s_types:
         for t in range(r.s - 1, r.e):
             cap[t] += r.w
-    dead = [t for t in range(smfc.T) if demand[t] > 0 and plan.suffix_best[0][t] is None]
+    dead = [t for a, b in plan.gaps for t in range(a, b) if demand[t] > 0]
     if any(cap[t] < demand[t] for t in dead):
         return best
     forced = [i for i, r in enumerate(s_types)

@@ -22,6 +22,7 @@ from intervalcover.core import (
     verify_partial,
     verify_prize,
 )
+from intervalcover.fullcover import CoverPlan
 from intervalcover.generate import (
     generate_lspc,
     generate_mountain_range,
@@ -116,7 +117,7 @@ def test_criterion_1_feasibility_suite():
             inst = generate_single_mountain(seed, jobs=rnd.randint(1, 7),
                                             resources=rnd.randint(1, 5),
                                             timeslots=rnd.randint(1, 10))
-            res = single_mountain_solve(inst.jobs, inst.resources, inst.k, inst.T)
+            res = single_mountain_solve(inst.jobs, CoverPlan(inst.resources, inst.T), inst.k)
             if res.solution is not None:
                 report = verify_partial(inst, res.solution)
                 assert report.feasible and report.cost == res.cost, seed
@@ -167,7 +168,7 @@ def test_criterion_2_single_mountain_bound():
                                             resources=rnd.randint(1, 5),
                                             timeslots=rnd.randint(1, 10),
                                             max_w=3, max_c=10)
-            res = single_mountain_solve(inst.jobs, inst.resources, inst.k, inst.T)
+            res = single_mountain_solve(inst.jobs, CoverPlan(inst.resources, inst.T), inst.k)
             exact = oracle_partial(inst, BUDGET)
             assert (res.solution is None) == (exact.solution is None), seed
             if exact.solution is None:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from intervalcover.cli import main
-from intervalcover.files import parse_solution
+from intervalcover.files import ParseError, parse_lspc, parse_solution
 
 
 def run(capsys, *argv):
@@ -145,6 +145,20 @@ def test_malformed_numbers_and_keys_exit_1(tmp_path, capsys):
         code, _, err = run(capsys, "verify", "--input", str(inst), "--solution", str(sol))
         assert code == 1
         assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("s, e, w, c", [(1, 2, 0, 1), (1, 2, 1, -1), (1, 3, 1, 1), (0, 1, 1, 1)],
+                         ids=["w0", "negative_c", "past_T", "before_1"])
+def test_bad_lspc_long_is_a_parse_error(tmp_path, capsys, s, e, w, c):
+    doc = {"version": 1, "demands": [1, 1], "shorts": [],
+           "longs": [{"s": s, "e": e, "w": w, "c": c}], "k": 1}
+    with pytest.raises(ParseError, match=r"longs\[0\]"):
+        parse_lspc(json.dumps(doc))
+    bad = tmp_path / "lspc.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", "--problem", "lspc", "--input", str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "longs[0]" in err
 
 
 def test_penalties_rejected_outside_uniform_random(capsys):

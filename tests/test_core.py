@@ -61,11 +61,12 @@ def test_infeasible_sentinel_arithmetic():
 def test_copied_infeasible_results_stay_infeasible(clone):
     # slot 2 has a job and no resource, so no solver can cover both jobs
     inst = make_instance(2, [(1, 1), (2, 2)], [(1, 1, 1, 1)], k=2)
+    plan = CoverPlan(inst.resources, inst.T)
     results = {
         "solve_partial": solve_partial(inst),
-        "full_cover": full_cover(job_profile(inst.jobs, inst.T), CoverPlan(inst.resources, inst.T)),
+        "full_cover": full_cover(job_profile(inst.jobs, inst.T), plan),
         "LspcSolver": LspcSolver(LspcInstance(1, (2,), (), (), 1)).solve(),
-        "single_mountain_solve": single_mountain_solve(inst.jobs, inst.resources, 2, inst.T),
+        "single_mountain_solve": single_mountain_solve(inst.jobs, plan, 2),
         "oracle_partial": oracle_partial(inst),
     }
     for name, res in results.items():

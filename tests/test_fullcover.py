@@ -257,17 +257,49 @@ def reference_full_cover(demand, resources, cutoff=INFEASIBLE):
     return FullCoverResult(picked, best_cost)
 
 
+def _plan_case(rnd):
+    """(T, resources) with endpoints often shared between resources and,
+    half the time, a gap of slots no resource reaches between two that
+    some resource may reach."""
+    T = rnd.randint(1, 10)
+    gap = None
+    if T >= 3 and rnd.random() < 0.5:
+        g = rnd.randint(2, T - 1)
+        gap = (g, min(T - 1, g + rnd.randint(0, 2)))
+    resources, points = [], []
+    for i in range(rnd.randint(0, 6)):
+        s = rnd.choice(points) if points and rnd.random() < 0.4 else rnd.randint(1, T)
+        later = [p for p in points if p >= s]
+        e = rnd.choice(later) if later and rnd.random() < 0.4 else \
+            rnd.randint(s, min(T, s + rnd.randint(0, 4)))
+        if gap and s <= gap[1] and gap[0] <= e:  # move it out of the gap
+            if s < gap[0]:
+                e = gap[0] - 1
+            else:
+                s, e = gap[1] + 1, max(e, gap[1] + 1)
+        points += [s, e]
+        resources.append(Resource(i, s, e, rnd.randint(1, 3), rnd.choice((0, 1, 2, 3, 5, 8))))
+    return T, tuple(resources)
+
+
+def _shares_a_cut(resources):
+    """Two resources cut the timeline at the same place."""
+    cuts = [c for r in resources for c in {r.s - 1, r.e}]
+    return len(cuts) != len(set(cuts))
+
+
+def _has_gap(resources, T):
+    """An uncovered slot between two covered ones."""
+    covered = [t for t in range(1, T + 1) if any(r.s <= t <= r.e for r in resources)]
+    return bool(covered) and covered[-1] - covered[0] + 1 > len(covered)
+
+
 def test_shared_plan_matches_reference():
     rnd = random.Random("fullcover-plan")
-    seen = dict.fromkeys(("dead", "zero_demand", "zero_cost", "feasible", "cut"), 0)
+    seen = dict.fromkeys(("dead", "zero_demand", "zero_cost", "feasible", "cut", "shared_cut",
+                          "gap"), 0)
     for _ in range(60):
-        T = rnd.randint(1, 8)
-        resources = []
-        for i in range(rnd.randint(0, 6)):
-            s = rnd.randint(1, T)
-            e = rnd.randint(s, min(T, s + rnd.randint(0, 4)))
-            resources.append(Resource(i, s, e, rnd.randint(1, 3), rnd.choice((0, 1, 2, 3, 5, 8))))
-        resources = tuple(resources)
+        T, resources = _plan_case(rnd)
         plan = CoverPlan(resources, T)
         covered = [any(r.s <= t <= r.e for r in resources) for t in range(1, T + 1)]
         for j in range(25):
@@ -290,6 +322,8 @@ def test_shared_plan_matches_reference():
             seen["zero_cost"] += opt != INFEASIBLE and any(
                 r.c == 0 and r.s <= t + 1 <= r.e for r in resources for t in range(T) if demand[t])
             seen["feasible"] += opt != INFEASIBLE and any(demand)
+            seen["shared_cut"] += _shares_a_cut(resources)
+            seen["gap"] += _has_gap(resources, T)
         assert plan == CoverPlan(resources, T)  # reuse left the plan as built
     assert all(count >= 20 for count in seen.values()), seen
 
@@ -306,3 +340,34 @@ def test_plan_rejects_bad_resources():
               Resource(0, 1, 2, 0, 1), Resource(0, 1, 2, 1, -1)):
         with pytest.raises(ValueError):
             CoverPlan((r,), 2)
+
+
+def test_plan_segments_partition_the_timeline():
+    rnd = random.Random("fullcover-segments")
+    for _ in range(300):
+        T, resources = _plan_case(rnd)
+        plan = CoverPlan(resources, T)
+        pieces = sorted(plan.segments + plan.gaps)
+        assert len(pieces) <= 2 * len(resources) + 1
+        assert [a for a, _ in pieces] + [T] == [0] + [b for _, b in pieces]
+        for a, b in pieces:
+            assert a < b
+            active = {frozenset(i for i, r in enumerate(resources) if r.s <= t + 1 <= r.e)
+                      for t in range(a, b)}
+            assert len(active) == 1
+            assert (active.pop() != frozenset()) == ((a, b) in plan.segments)
+        for r, (x, y) in zip(resources, plan.spans):
+            assert [t for a, b in plan.segments[x:y] for t in range(a, b)] == \
+                list(range(r.s - 1, r.e))
+
+
+def test_demand_in_a_gap_is_refused_under_any_cutoff():
+    resources = (Resource(0, 1, 2, 2, 1), Resource(1, 5, 6, 1, 0))
+    plan = CoverPlan(resources, 8)
+    assert cover([1, 1, 0, 0, 1, 0, 0, 0], resources).cost == 1
+    for base in ([0] * 8, [1, 1, 0, 0, 1, 0, 0, 0]):
+        for slot in (2, 3, 6, 7):  # between the two resources and after the last
+            demand = base[:]
+            demand[slot] = 1
+            for cutoff in (INFEASIBLE, 0, 1, 2, 10**6):
+                assert full_cover(demand, plan, cutoff) == INFEASIBLE_COVER

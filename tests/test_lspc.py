@@ -187,6 +187,12 @@ def test_instance_validation():
         _inst([-1], [], [], 0)
     with pytest.raises(ValueError):
         _inst([1], [], [(1, 2, 1, 1)], 0)  # long interval out of range
+    # longs go through the shared resource check in core, with its messages
+    for long, message in [((1, 2, 0, 1), r"longs\[0\] capacity must be >= 1"),
+                          ((1, 2, 1, -1), r"longs\[0\] has negative cost -1"),
+                          ((1, 3, 1, 1), r"longs\[0\] interval \[1,3\] not within \[1,2\]")]:
+        with pytest.raises(ValueError, match=message):
+            _inst([1, 1], [], [long], 1)
 
 
 def test_solver_reusable_across_targets():

@@ -122,26 +122,26 @@ def test_candidate_exclusions_shape_and_count():
 
 
 def test_single_mountain_k0():
-    res = single_mountain_solve([Job(0, 1, 2)], (Resource(0, 1, 2, 1, 3),), 0, 2)
+    res = single_mountain_solve([Job(0, 1, 2)], CoverPlan((Resource(0, 1, 2, 1, 3),), 2), 0)
     assert res.cost == 0 and res.solution.covered == frozenset()
 
 
 def test_single_mountain_exact_fit():
-    res = single_mountain_solve([Job(0, 2, 4)], (Resource(0, 2, 4, 1, 7),), 1, 5)
+    res = single_mountain_solve([Job(0, 2, 4)], CoverPlan((Resource(0, 2, 4, 1, 7),), 5), 1)
     assert res.cost == 7
     assert res.solution.counts == {0: 1}
     assert res.solution.covered == {0}
 
 
 def test_single_mountain_infeasible():
-    res = single_mountain_solve([Job(0, 1, 1)], (), 1, 1)
+    res = single_mountain_solve([Job(0, 1, 1)], CoverPlan((), 1), 1)
     assert res.cost == INFEASIBLE and res.solution is None
 
 
 def test_single_mountain_within_twice_optimum():
     for seed in range(80):
         inst = generate_single_mountain(seed, jobs=7, resources=5, timeslots=10)
-        res = single_mountain_solve(inst.jobs, inst.resources, inst.k, inst.T)
+        res = single_mountain_solve(inst.jobs, CoverPlan(inst.resources, inst.T), inst.k)
         ora = oracle_partial(inst)
         assert (res.solution is None) == (ora.solution is None)
         if ora.solution is None:
@@ -167,7 +167,7 @@ def test_single_mountain_matches_uncut_reference():
     for seed in range(60):
         inst = generate_single_mountain(seed)
         for k in range(len(inst.jobs) + 1):
-            res = single_mountain_solve(inst.jobs, inst.resources, k, inst.T)
+            res = single_mountain_solve(inst.jobs, CoverPlan(inst.resources, inst.T), k)
             want_cost, want_sol = _reference_single_mountain(inst.jobs, inst.resources, k, inst.T)
             assert res.cost == want_cost
             got_sol = None if res.solution is None else (dict(res.solution.counts),
@@ -178,3 +178,23 @@ def test_single_mountain_matches_uncut_reference():
 def test_decompose_rejects_empty():
     with pytest.raises(ValueError):
         decompose([])
+
+
+def test_single_mountain_cutoff_keeps_the_uncut_winner():
+    checked = 0
+    for seed in range(60):
+        inst = generate_single_mountain(seed)
+        plan = CoverPlan(inst.resources, inst.T)
+        for k in range(1, len(inst.jobs) + 1):
+            uncut = single_mountain_solve(inst.jobs, plan, k)
+            if uncut.solution is None:
+                continue
+            opt = uncut.cost
+            at_opt = single_mountain_solve(inst.jobs, plan, k, opt)
+            assert at_opt.cost == INFEASIBLE and at_opt.solution is None
+            want = (opt, dict(uncut.solution.counts), uncut.solution.covered)
+            for cutoff in (opt + 1, INFEASIBLE):
+                res = single_mountain_solve(inst.jobs, plan, k, cutoff)
+                assert (res.cost, dict(res.solution.counts), res.solution.covered) == want
+            checked += 1
+    assert checked >= 100, checked

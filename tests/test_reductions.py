@@ -12,6 +12,7 @@ from intervalcover.core import (
     Job,
     PartialSolution,
     Resource,
+    SolveResult,
     covers,
     job_profile,
     multiset_cost,
@@ -22,7 +23,7 @@ from intervalcover import reductions
 from intervalcover.fullcover import CoverPlan, full_cover
 from intervalcover.generate import generate_mountain_range, generate_uniform
 from intervalcover.lspc import LspcSolution, LspcSolver
-from intervalcover.mountains import Mountain, MountainRange
+from intervalcover.mountains import Mountain, MountainRange, decompose, single_mountain_solve
 from intervalcover.oracle import oracle_prize
 from intervalcover.pipeline import solve_prize
 from intervalcover.reductions import (
@@ -162,6 +163,70 @@ def test_build_lspc_associations_verify():
             prof = multiset_profile(assoc.counts, narrow_res, inst.T)
             need = job_profile((inst.jobs[j] for j in assoc.covered), inst.T)
             assert covers(prof, need)
+
+
+def per_kappa_reference(rng, jobs, derived, T):
+    """``build_lspc`` without the shared plan or the seeded cutoffs: every
+    (mountain, kappa) gets a fresh plan and an uncut single-mountain solve.
+    Returns the shorts as (t, w, c), the associations and the longs."""
+    by_id = {j.id: j for j in jobs}
+    spans = [m.span for m in rng.mountains]
+    longs = []
+    for r in (rec.resource for rec in derived if rec.role == "wide"):
+        idx = [i for i, (s, e) in enumerate(spans) if r.s <= s and e <= r.e]
+        longs.append(Resource(len(longs), idx[0] + 1, idx[-1] + 1, r.w, r.c))
+    shorts, assocs = [], []
+    for idx, m in enumerate(rng.mountains):
+        mjobs = [by_id[i] for i in sorted(m.job_ids)]
+        narrows = [rec.resource for rec in derived if rec.role == "narrow" and rec.mountain == idx]
+        for kappa in range(1, len(m.job_ids) + 1):
+            res = single_mountain_solve(mjobs, CoverPlan(narrows, T), kappa)
+            if res.solution is not None:
+                shorts.append((idx + 1, kappa, res.cost))
+                assocs.append((idx, kappa, dict(res.solution.counts), res.solution.covered))
+    return shorts, assocs, longs
+
+
+def test_build_lspc_matches_per_kappa_reference(monkeypatch):
+    seeded = []
+
+    def recording_solve(jobs, plan, k, cutoff=INFEASIBLE):
+        seeded.append(cutoff != INFEASIBLE)
+        return single_mountain_solve(jobs, plan, k, cutoff)
+
+    monkeypatch.setattr(reductions, "single_mountain_solve", recording_solve)
+    ranges = 0
+    for seed in range(60):
+        cases = [generate_mountain_range(seed, mountains=3, jobs=9, resources=6, timeslots=18)]
+        inst = generate_uniform(seed, jobs=12, resources=6, timeslots=20, k=0)
+        cases += [(inst, rng) for rng in decompose(inst.jobs).ranges]
+        for inst, rng in cases:
+            derived, _ = split_narrow_wide(rng, inst.resources)
+            build = build_lspc(rng, inst.jobs, derived, 0, inst.T)
+            shorts, assocs, longs = per_kappa_reference(rng, inst.jobs, derived, inst.T)
+            assert [(s.t, s.w, s.c) for s in build.instance.shorts] == shorts
+            assert [(a.mountain, a.kappa, dict(a.counts), a.covered)
+                    for _, a in sorted(build.associations.items())] == assocs
+            assert build.instance.longs == tuple(longs)
+            ranges += 1
+    assert ranges >= 200, ranges
+    assert sum(seeded) >= 200, sum(seeded)  # calls that ran under a seeded cutoff
+
+
+def test_build_lspc_raises_when_a_seeded_kappa_fails(monkeypatch):
+    jobs = [Job(0, 2, 3), Job(1, 2, 4)]
+    rng = MountainRange((Mountain(3, frozenset({0, 1}), (2, 4)),))
+    derived, _ = split_narrow_wide(rng, (Resource(0, 2, 3, 1, 6), Resource(1, 3, 4, 1, 2)))
+    assert len(build_lspc(rng, jobs, derived, 1, 5).instance.shorts) == 2
+
+    def failing_when_cut(jobs, plan, k, cutoff=INFEASIBLE):
+        if cutoff != INFEASIBLE:
+            return SolveResult(INFEASIBLE, None)
+        return single_mountain_solve(jobs, plan, k, cutoff)
+
+    monkeypatch.setattr(reductions, "single_mountain_solve", failing_when_cut)
+    with pytest.raises(RuntimeError, match="kappa=1 found no cover below 15"):
+        build_lspc(rng, jobs, derived, 1, 5)
 
 
 def test_lift_lspc_trivials():
