@@ -25,24 +25,36 @@ resource chosen at an enclosing level, so they cost nothing here:
   M: cheapest h-free SLRA q-cover of [a,b]; the minimum of
      E1  shorts alone (row A(a,b,h)),
      E2  a time cut t: rows M(a,t,h) and M(t+1,b,h) convolved,
-     E3  alpha copies of one long resource: its span (clipped to [a,b])
-         takes row M(s2,e2,min(H,alpha*w)), the strips left and right of
-         it make do with shorts at the old height. Mid and right are
-         convolved first, then left with that. From the first alpha with
-         alpha*w >= H on, the span is free and more copies only cost
+     E3  alpha copies of one long resource that spans all of [a,b]:
+         alpha*c plus row M(a,b,min(H,alpha*w)). From the first alpha
+         with alpha*w >= H on, the range is free and more copies only cost
          more, so the alpha loop stops there.
 
 Every row is non-decreasing in q, so the convolution loops bisect the
 rows for the window of entries where a candidate can still win and skip
 the rest.
 
+A long spanning only part of [a,b] needs no E3 candidate. Clipped to
+[s,e] != [a,b], with hc = min(H,alpha*w), its "strip" candidate for
+q = q1+q2+q3 is alpha*c + A(a,s-1,h)[q1] + M(s,e,hc)[q2] + A(e+1,b,h)[q3].
+Let M' be the table whose E3 takes strip candidates too. By induction
+over the fill order, M' = M with the same choices. In row (a,b,h), if
+s > a, the cut t = s-1 costs at most the strip candidate: E1 gives
+M(a,s-1,h)[q1] <= A(a,s-1,h)[q1], and M'(s,b,h)[q2+q3] is at most row
+(s,b,h)'s own candidate with an empty left strip (where its alpha loop
+stopped at alpha*c >= top, every entry is <= top). If s = a and e < b,
+the cut t = e does, by row (a,e,h)'s E3 and row (e+1,b,h)'s E1. E2 runs
+before E3, its pruning skips only candidates that cannot beat the entry,
+and an update needs a strictly lower cost, so a strip candidate never
+changes an entry or a choice.
+
 Rows are filled on demand, whole rows at a time. An M row needs rows of
 strictly shorter ranges, or of its own range at a strictly larger free
 height, so the requests are acyclic. They are served from an explicit
 stack of row generators rather than by recursion; a row requested while
 it is being filled raises RuntimeError. Within a row, ties keep the
-first candidate in the order E1, E2 by (t, q1), E3 by (long, alpha, q1,
-q2), because every update needs a strictly lower cost.
+first candidate in the order E1, E2 by (t, q1), E3 by (long, alpha),
+because every update needs a strictly lower cost.
 
 Entries are (cost, choice); replaying choices reconstructs a feasible
 solution whose recomputed cost equals the root table entry exactly.
@@ -128,8 +140,11 @@ class LspcSolver:
 
     ``memo_a`` and ``memo_m`` map (a, b, h) to a row (costs, choices),
     two lists indexed by q with ``INFEASIBLE`` as the cost of an
-    unreachable q. A choices are the coverage q1 put on slot b; M choices
-    are tagged tuples. One solver may answer root queries for several
+    unreachable q. A choices are the coverage q1 put on slot b. M choices
+    are ("BASE0",) for q = 0, ("BASEH",) when h >= H (slots filled left
+    to right), ("E1",), ("E2", t, q1) for a cut after slot t with q1
+    units in [a,t], and ("E3", long id, alpha), which goes on in row
+    M(a,b,min(H,alpha*w)). One solver may answer root queries for several
     coverage targets; the tables only depend on the demands and
     resources. Not thread-safe: each solve owns its rows.
     """
@@ -251,7 +266,8 @@ class LspcSolver:
         # passes. In a pass, a candidate lv + v for q can only win where
         # best[q] > lv, which starts at a bisection point of best, and only
         # while v < top - lv, which ends at a bisection point of the other
-        # row. Candidates left out that way could never win.
+        # row (lv is alpha * c in E3). Candidates left out that way could
+        # never win.
         for t in range(a, b):
             reach = best[:]
             top = reach[-1]
@@ -275,52 +291,22 @@ class LspcSolver:
 
         H = self.H
         for r in self.inst.longs:
-            s2, e2 = max(a, r.s), min(b, r.e)
-            if s2 > e2:
-                continue
-            lcosts = None
+            if r.s > a or r.e < b:
+                continue  # a strip long never wins (module docstring)
             for alpha in range(h // r.w + 1, H + 1):
                 base = alpha * r.c
-                reach = best[:]
-                top = reach[-1]
+                top = best[-1]
                 if base >= top:
                     # copies only get dearer; nothing below can improve
                     break
-                if lcosts is None:
-                    lcosts = self._row_a(a, s2 - 1, h)[0]
-                    rcosts = self._row_a(e2 + 1, b, h)[0]
                 hc = min(H, alpha * r.w)
-                mid = memo.get((s2, e2, hc)) or (yield (s2, e2, hc))
-                # mid then right, smallest q2 first on ties. Sums that cannot
-                # bring base + left + mid + right under top are left out, so
-                # mr is exact up to the first entry >= top - base and no entry
-                # after it is smaller: it can still be bisected.
-                mr = [INFEASIBLE] * (len(mid[0]) + len(rcosts) - 1)
-                mr_q2 = [0] * len(mr)
-                for q2, mv in enumerate(mid[0]):
-                    if base + mv >= top:
-                        break
-                    rem = q2
-                    for v in rcosts[:bisect_left(rcosts, top - base - mv)]:
-                        if mv + v < mr[rem]:
-                            mr[rem] = mv + v
-                            mr_q2[rem] = q2
-                        rem += 1
-                # left with that, smallest q1 first on ties
-                for q1, lv in enumerate(lcosts):
-                    lv += base
-                    if lv >= top:
-                        break
-                    lo = bisect_right(reach, lv) - q1
-                    if lo < 0:
-                        lo = 0
-                    q = q1 + lo
-                    for rem, v in enumerate(mr[lo:bisect_left(mr, top - lv)], lo):
-                        if lv + v < best[q]:
-                            best[q] = lv + v
-                            q2 = mr_q2[rem]
-                            choice[q] = ("E3", r.id, alpha, q1, q2, rem - q2)
-                        q += 1
+                raised = (memo.get((a, b, hc)) or (yield (a, b, hc)))[0]
+                q = bisect_right(best, base)
+                for v in raised[q:bisect_left(raised, top - base)]:
+                    if base + v < best[q]:
+                        best[q] = base + v
+                        choice[q] = ("E3", r.id, alpha)
+                    q += 1
                 if hc == H:
                     break
         return best, choice
@@ -342,13 +328,10 @@ class LspcSolver:
 
     def _replay_m(self, a, b, q, h, coverage, shorts, longs) -> None:
         """Follow M choices depth first, left part before right part."""
-        todo = [("M", a, b, q, h)]
+        todo = [(a, b, q, h)]
         while todo:
-            table, a, b, q, h = todo.pop()
-            if table == "A":
-                self._replay_a(a, b, q, h, coverage, shorts)
-                continue
-            if a > b or q == 0:
+            a, b, q, h = todo.pop()
+            if q == 0:
                 continue
             choice = self.memo_m[(a, b, h)][1][q]
             tag = choice[0]
@@ -364,16 +347,12 @@ class LspcSolver:
                 self._replay_a(a, b, q, h, coverage, shorts)
             elif tag == "E2":
                 _, t, q1 = choice
-                todo.append(("M", t + 1, b, q - q1, h))
-                todo.append(("M", a, t, q1, h))
+                todo.append((t + 1, b, q - q1, h))
+                todo.append((a, t, q1, h))
             else:
-                _, rid, alpha, q1, q2, q3 = choice
-                r = self.inst.longs[rid]
+                _, rid, alpha = choice
                 longs[rid] = longs.get(rid, 0) + alpha
-                s2, e2 = max(a, r.s), min(b, r.e)
-                self._replay_a(a, s2 - 1, q1, h, coverage, shorts)
-                todo.append(("A", e2 + 1, b, q3, h))
-                todo.append(("M", s2, e2, q2, min(self.H, alpha * r.w)))
+                todo.append((a, b, q, min(self.H, alpha * self.inst.longs[rid].w)))
 
     def _replay_a(self, a, b, q, h, coverage, shorts) -> None:
         while b >= a:

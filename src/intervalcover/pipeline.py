@@ -54,7 +54,7 @@ class _RangePipeline:
         self.inst = inst
         self.rng = rng
         self.derived, self.split_map = split_narrow_wide(rng, inst.resources)
-        self.build = build_lspc(rng, inst.jobs, self.derived, 0, inst.T)
+        self.build = build_lspc(rng, inst.jobs, self.derived, inst.T)
         self.solver = LspcSolver(self.build.instance)
 
     def solve(self, kappa: int) -> SolveResult:

@@ -254,3 +254,39 @@ def test_solve_needs_no_deep_stack():
     finally:
         sys.setrecursionlimit(limit)
     assert _golden_record(res) == _GOLDEN["deep"]
+
+
+def _units(inst, a, b):
+    """Coverage levels q of range [a,b]."""
+    return range(sum(inst.d[a - 1:b]) + 1)
+
+
+def test_strip_long_candidates_never_win():
+    # The lemma in the module docstring: an E3 candidate whose long covers
+    # only part of the row's range, with shorts on the strips left and
+    # right of it, never costs less than the row's entry, for every alpha
+    # up to the first with alpha*w >= H.
+    for seed in range(61):
+        inst = generate_lspc(seed, timeslots=6, max_demand=4, shorts=8, longs=5)
+        solver = LspcSolver(inst)
+        solver.solve()
+        H = solver.H
+        for a, b, h in list(solver.memo_m):
+            if h >= H:
+                continue
+            row = solver.memo_m[(a, b, h)][0]
+            for r in inst.longs:
+                s2, e2 = max(a, r.s), min(b, r.e)
+                if s2 > e2 or (s2, e2) == (a, b):
+                    continue
+                left = [solver.table_a(a, s2 - 1, q1, h) for q1 in _units(inst, a, s2 - 1)]
+                right = [solver.table_a(e2 + 1, b, q3, h) for q3 in _units(inst, e2 + 1, b)]
+                for alpha in range(h // r.w + 1, H + 1):
+                    hc = min(H, alpha * r.w)
+                    mid = [solver.table_m(s2, e2, q2, hc) for q2 in _units(inst, s2, e2)]
+                    for (q1, lv), (q2, mv), (q3, rv) in itertools.product(
+                            enumerate(left), enumerate(mid), enumerate(right)):
+                        assert alpha * r.c + lv + mv + rv >= row[q1 + q2 + q3], \
+                            (seed, (a, b, h), r.id, alpha, q1, q2, q3)
+                    if hc == H:
+                        break

@@ -126,7 +126,7 @@ def test_build_lspc_single_mountain_no_narrows():
     jobs = [Job(0, 2, 4), Job(1, 3, 5)]
     rng = MountainRange((Mountain(3, frozenset({0, 1}), (2, 5)),))
     derived, smap = split_narrow_wide(rng, (Resource(0, 1, 6, 2, 4),))
-    build = build_lspc(rng, jobs, derived, 1, 6)
+    build = build_lspc(rng, jobs, derived, 6)
     assert build.instance.T == 1
     assert build.instance.d == (2,)
     assert not build.instance.shorts
@@ -140,7 +140,7 @@ def test_build_lspc_prices_single_job_short():
     narrow = Resource(0, 2, 3, 1, 6)  # strictly inside the span
     derived, smap = split_narrow_wide(rng, (narrow,))
     assert derived[0].role == "narrow"
-    build = build_lspc(rng, jobs, derived, 1, 5)
+    build = build_lspc(rng, jobs, derived, 5)
     kappa_one = [s for s in build.instance.shorts if s.w == 1]
     assert len(kappa_one) == 1
     assert kappa_one[0].c == 6
@@ -154,7 +154,7 @@ def test_build_lspc_associations_verify():
         inst, rng = generate_mountain_range(seed, mountains=2, jobs=6, resources=5,
                                             timeslots=12)
         derived, smap = split_narrow_wide(rng, inst.resources)
-        build = build_lspc(rng, inst.jobs, derived, 0, inst.T)
+        build = build_lspc(rng, inst.jobs, derived, inst.T)
         assert sum(build.instance.d) == len(rng.job_ids())
         narrow_res = [p.resource for p in derived if p.role == "narrow"]
         for sid, assoc in build.associations.items():
@@ -202,7 +202,7 @@ def test_build_lspc_matches_per_kappa_reference(monkeypatch):
         cases += [(inst, rng) for rng in decompose(inst.jobs).ranges]
         for inst, rng in cases:
             derived, _ = split_narrow_wide(rng, inst.resources)
-            build = build_lspc(rng, inst.jobs, derived, 0, inst.T)
+            build = build_lspc(rng, inst.jobs, derived, inst.T)
             shorts, assocs, longs = per_kappa_reference(rng, inst.jobs, derived, inst.T)
             assert [(s.t, s.w, s.c) for s in build.instance.shorts] == shorts
             assert [(a.mountain, a.kappa, dict(a.counts), a.covered)
@@ -217,7 +217,7 @@ def test_build_lspc_raises_when_a_seeded_kappa_fails(monkeypatch):
     jobs = [Job(0, 2, 3), Job(1, 2, 4)]
     rng = MountainRange((Mountain(3, frozenset({0, 1}), (2, 4)),))
     derived, _ = split_narrow_wide(rng, (Resource(0, 2, 3, 1, 6), Resource(1, 3, 4, 1, 2)))
-    assert len(build_lspc(rng, jobs, derived, 1, 5).instance.shorts) == 2
+    assert len(build_lspc(rng, jobs, derived, 5).instance.shorts) == 2
 
     def failing_when_cut(jobs, plan, k, cutoff=INFEASIBLE):
         if cutoff != INFEASIBLE:
@@ -226,14 +226,14 @@ def test_build_lspc_raises_when_a_seeded_kappa_fails(monkeypatch):
 
     monkeypatch.setattr(reductions, "single_mountain_solve", failing_when_cut)
     with pytest.raises(RuntimeError, match="kappa=1 found no cover below 15"):
-        build_lspc(rng, jobs, derived, 1, 5)
+        build_lspc(rng, jobs, derived, 5)
 
 
 def test_lift_lspc_trivials():
     jobs = [Job(0, 2, 4), Job(1, 3, 5)]
     rng = MountainRange((Mountain(3, frozenset({0, 1}), (2, 5)),))
     derived, smap = split_narrow_wide(rng, (Resource(0, 2, 5, 1, 4),))
-    build = build_lspc(rng, jobs, derived, 1, 6)
+    build = build_lspc(rng, jobs, derived, 6)
     solver = LspcSolver(build.instance)
 
     empty = solver.solve_for(0)
@@ -252,7 +252,7 @@ def test_lift_lspc_rejects_coverage_beyond_short_and_wide():
     rng = MountainRange((Mountain(3, frozenset({0, 1, 2}), (2, 4)),))
     # a narrow part pricing the kappa=1 short, and a unit-capacity wide part
     derived, smap = split_narrow_wide(rng, (Resource(0, 2, 3, 1, 6), Resource(1, 1, 5, 1, 4)))
-    build = build_lspc(rng, jobs, derived, 3, 5)
+    build = build_lspc(rng, jobs, derived, 5)
     (short,) = build.instance.shorts
     assert short.w == 1 and build.instance.longs[0].w == 1
     # three jobs claimed: one from the short, two more than one wide copy holds
@@ -266,7 +266,7 @@ def test_lift_lspc_roundtrip_random():
         inst, rng = generate_mountain_range(seed, mountains=2, jobs=6, resources=5,
                                             timeslots=12)
         derived, smap = split_narrow_wide(rng, inst.resources)
-        build = build_lspc(rng, inst.jobs, derived, 0, inst.T)
+        build = build_lspc(rng, inst.jobs, derived, inst.T)
         solver = LspcSolver(build.instance)
         size = len(rng.job_ids())
         for kappa in range(size + 1):
