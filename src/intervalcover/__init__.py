@@ -30,7 +30,6 @@ from .lspc import (
     LspcSolution,
     LspcSolver,
     ShortResource,
-    solve_lspc,
     verify_lspc,
 )
 from .mountains import (
@@ -100,7 +99,6 @@ __all__ = [
     "pc_to_smfc",
     "single_mountain_solve",
     "smfc_solve_exact",
-    "solve_lspc",
     "solve_partial",
     "solve_prize",
     "split_narrow_wide",

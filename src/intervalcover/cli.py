@@ -1,10 +1,18 @@
 """Command line interface: generate, solve, verify, ratio.
 
 Exit codes: 0 feasible / success, 2 INFEASIBLE, 1 error (bad input,
-budget refusal, or an infeasible approximate answer in ``ratio``).
-``solve`` prints one machine-readable JSON line with the cost and, in
-exact mode, an optimality tag. Costs are exact integers; ratios print
-as exact fractions plus a decimal rendering.
+budget refusal, or a failed seed in ``ratio``). ``solve`` prints one
+machine-readable JSON line with the cost and, when the answer is
+certified optimal (exact mode, prize, fullcover), an optimality tag.
+Costs are exact integers; ratios print as exact fractions plus a
+decimal rendering.
+
+``ratio`` solves each seed approximately and exactly through ``solve``'s
+dispatch and checks the approximate answer with ``verify``'s verifier
+(feasible, recomputed cost equal to the reported one). A seed fails when
+that check fails, when only the oracle finds a solution, when the oracle
+says infeasible beside a verified answer, or when the approximate cost
+is below the optimum or positive beside an optimum of 0.
 """
 
 from __future__ import annotations
@@ -31,16 +39,10 @@ from .files import (
     parse_instance,
     parse_lspc,
     parse_solution,
-    solution_doc_for,
 )
 from .fullcover import CoverPlan, full_cover
-from .generate import (
-    PROFILES,
-    generate,
-    generate_lspc,
-    generate_uniform,
-)
-from .lspc import LspcSolution, solve_lspc, verify_lspc
+from .generate import PROFILES, generate, generate_lspc, generate_uniform
+from .lspc import LspcSolver, verify_lspc
 from .oracle import Budget, oracle_lspc, oracle_partial, oracle_prize
 from .pipeline import solve_partial, solve_prize
 
@@ -82,35 +84,30 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _solve_dispatch(problem: str, algorithm: str, inst) -> tuple:
-    """Returns (cost, solution or None, optimal flag)."""
+def _solve_dispatch(problem: str, algorithm: str, inst, budget: Budget | None = None) -> tuple:
+    """Returns (cost, solution or None, certified factor): 1 is optimal,
+    None is no certificate. ``budget`` bounds the exact oracles."""
     if problem == "partial":
         if inst.k is None:
             raise ParseError("k", "partial coverage needs the partiality parameter")
         if algorithm == "exact":
-            res = oracle_partial(inst)
-            return res.cost, res.solution, True
+            res = oracle_partial(inst, budget)
+            return res.cost, res.solution, 1
         res = solve_partial(inst)
-        return res.cost, res.solution, False
+        return res.cost, res.solution, res.bound_factor
     if problem == "prize":
         if any(j.penalty is None for j in inst.jobs):
             raise ParseError("jobs", "prize collecting needs a penalty on every job")
-        if algorithm == "exact":
-            res = oracle_prize(inst)
-            return res.total, res.solution, True
-        res = solve_prize(inst)
-        return res.total, res.solution, True  # the reduction is cost-exact
+        res = oracle_prize(inst, budget) if algorithm == "exact" else solve_prize(inst)
+        return res.total, res.solution, 1  # the reduction is cost-exact
     if problem == "lspc":
-        if algorithm == "exact":
-            res = oracle_lspc(inst)
-            return res.cost, res.solution, True
-        res = solve_lspc(inst)
-        return res.cost, res.solution, False
+        res = oracle_lspc(inst, budget) if algorithm == "exact" else LspcSolver(inst).solve()
+        return res.cost, res.solution, 1 if algorithm == "exact" else None
     # fullcover: exact either way (beta = 1)
     demand = job_profile(inst.jobs, inst.T)
     res = full_cover(demand, CoverPlan(inst.resources, inst.T))
     sol = PartialSolution(res.counts, frozenset(j.id for j in inst.jobs)) if res.feasible else None
-    return res.cost, sol, True
+    return res.cost, sol, 1
 
 
 def _verify(problem: str, inst, sol, cost: int) -> tuple[bool, dict]:
@@ -142,10 +139,14 @@ def _verify(problem: str, inst, sol, cost: int) -> tuple[bool, dict]:
     return ok, detail
 
 
+def _read_instance(problem: str, path: str):
+    text = _read(path)
+    return parse_lspc(text) if problem == "lspc" else parse_instance(text)
+
+
 def _cmd_solve(args) -> int:
-    text = _read(args.input)
-    inst = parse_lspc(text) if args.problem == "lspc" else parse_instance(text)
-    cost, solution, optimal = _solve_dispatch(args.problem, args.algorithm, inst)
+    inst = _read_instance(args.problem, args.input)
+    cost, solution, factor = _solve_dispatch(args.problem, args.algorithm, inst)
     if not is_feasible(cost):
         _emit_line(status="infeasible", problem=args.problem)
         return 2
@@ -153,26 +154,19 @@ def _cmd_solve(args) -> int:
         raise RuntimeError(f"internal error: produced {args.problem} solution "
                            f"failed its own verifier")
     if args.output:
-        doc = solution_doc_for(args.problem, solution, cost)
-        _write(args.output, emit_solution(doc))
+        _write(args.output, emit_solution(args.problem, solution, cost))
     fields = {"status": "feasible", "problem": args.problem, "cost": cost}
-    if optimal:
+    if factor == 1:
         fields["optimal"] = True
     _emit_line(**fields)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    doc = parse_solution(_read(args.solution))
-    text = _read(args.input)
-    if doc.problem == "lspc":
-        inst = parse_lspc(text)
-        sol = LspcSolution(doc.counts, frozenset(doc.short_picks), doc.coverage)
-    else:
-        inst = parse_instance(text)
-        sol = PartialSolution(doc.counts, frozenset(doc.covered))
-    ok, detail = _verify(doc.problem, inst, sol, doc.cost)
-    _emit_line(problem=doc.problem, **detail)
+    problem, cost, sol = parse_solution(_read(args.solution))
+    inst = _read_instance(problem, args.input)
+    ok, detail = _verify(problem, inst, sol, cost)
+    _emit_line(problem=problem, **detail)
     return 0 if ok else 2
 
 
@@ -183,38 +177,26 @@ def _parse_seed_range(text: str) -> range:
     return range(int(lo), int(hi) + 1)
 
 
-def _ratio_instance(problem: str, profile: str, seed: int):
+def _ratio_instance(problem: str, profile: str | None, seed: int):
     if problem == "lspc":
         return generate_lspc(seed)
     if problem == "prize":
         return generate_uniform(seed, penalties=True)
-    return generate(profile, seed)
+    return generate(profile or "uniform-random", seed)
 
 
 def _cmd_ratio(args) -> int:
+    if args.profile is not None and args.problem != "partial":
+        raise ParseError("", "--profile is only supported with --problem partial")
     budget = Budget.from_env()
     worst: Fraction | None = None
     failures = 0
     for seed in _parse_seed_range(args.seeds):
         inst = _ratio_instance(args.problem, args.profile, seed)
-        bound = None
-        if args.problem == "partial":
-            approx = solve_partial(inst)
-            exact = oracle_partial(inst, budget)
-            approx_cost, approx_sol, exact_cost = approx.cost, approx.solution, exact.cost
-            bound = approx.bound_factor
-            feasible_ok = approx_sol is None or verify_partial(inst, approx_sol).feasible
-        elif args.problem == "prize":
-            approx = solve_prize(inst)
-            exact = oracle_prize(inst, budget)
-            approx_cost, approx_sol, exact_cost = approx.total, approx.solution, exact.total
-            feasible_ok = approx_sol is None or verify_prize(inst, approx_sol).feasible
-        else:
-            approx = solve_lspc(inst)
-            exact = oracle_lspc(inst, budget)
-            approx_cost, approx_sol, exact_cost = approx.cost, approx.solution, exact.cost
-            feasible_ok = approx_sol is None or verify_lspc(inst, approx_sol).feasible
-        if not feasible_ok or (is_feasible(exact_cost) and not is_feasible(approx_cost)):
+        approx_cost, approx_sol, factor = _solve_dispatch(args.problem, "approx", inst)
+        exact_cost = _solve_dispatch(args.problem, "exact", inst, budget)[0]
+        valid = approx_sol is None or _verify(args.problem, inst, approx_sol, approx_cost)[0]
+        if not valid or (is_feasible(exact_cost) and not is_feasible(approx_cost)):
             failures += 1
             exact_shown = exact_cost if is_feasible(exact_cost) else "INFEASIBLE"
             print(f"{seed}\tapprox=INFEASIBLE-OR-INVALID\texact={exact_shown}")
@@ -237,11 +219,13 @@ def _cmd_ratio(args) -> int:
             worst = ratio
         dec = f"{float(ratio):.6f}" if ratio is not None else "inf"
         row = f"{seed}\tapprox={approx_cost}\texact={exact_cost}\tratio={shown}\t({dec})"
-        if bound is not None:
-            row += f"\tbound={bound}"
+        if factor not in (None, 1):
+            row += f"\tbound={factor}"
         print(row)
-        if ratio is None:
-            failures += 1  # approximate cost above an exact optimum of zero
+        if ratio is None or approx_cost < exact_cost:
+            # a positive cost beside an optimum of 0, or a verified answer
+            # cheaper than the optimum, which refutes the oracle
+            failures += 1
     if worst is None:
         print("max-ratio -")
     else:
@@ -286,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rat = sub.add_parser("ratio", help="compare approx vs exact over a seed range")
     rat.add_argument("--problem", choices=("partial", "prize", "lspc"), default="partial")
-    rat.add_argument("--profile", choices=PROFILES[:3], default="uniform-random")
+    rat.add_argument("--profile", choices=PROFILES[:3], help="partial only (uniform-random)")
     rat.add_argument("--seeds", required=True, help="inclusive range a..b")
     return parser
 

@@ -5,12 +5,15 @@ golden files stay stable. Parse errors name the offending field path
 (``jobs[3].e``); JSON syntax errors keep their line/column positions.
 Emission is byte-deterministic: sorted keys, fixed separators, trailing
 newline.
+
+A solution file maps to the problem it answers, its reported cost and
+the solver's own type: ``LspcSolution`` for lspc, ``PartialSolution``
+for the other problems.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .core import Instance, Job, PartialSolution, Resource
 from .lspc import LspcInstance, LspcSolution, ShortResource
@@ -202,22 +205,8 @@ def emit_lspc(inst: LspcInstance) -> str:
     return _dumps(doc)
 
 
-@dataclass(frozen=True)
-class SolutionDoc:
-    """On-disk solution: which problem it answers, the resource multiset,
-    and either the covered job ids or (for lspc) the short picks and the
-    coverage profile. ``cost`` is re-verified whenever an instance is at
-    hand."""
-
-    problem: str
-    counts: dict[int, int]
-    cost: int
-    covered: tuple[int, ...] | None = None
-    short_picks: tuple[int, ...] | None = None
-    coverage: tuple[int, ...] | None = None
-
-
-def parse_solution(text: str) -> SolutionDoc:
+def parse_solution(text: str) -> tuple[str, int, PartialSolution | LspcSolution]:
+    """(problem, reported cost, solver-typed solution) of a solution file."""
     doc = _loads(text)
     _require_keys(doc, "", {"version": 1, "problem": 1, "counts": 1, "cost": 1},
                   {"covered": 1, "short_picks": 1, "coverage": 1})
@@ -243,44 +232,28 @@ def parse_solution(text: str) -> SolutionDoc:
                 raise ParseError(field, "required for lspc solutions")
         if "covered" in doc:
             raise ParseError("covered", "not allowed for lspc solutions")
-        short_picks = tuple(_as_int(v, f"short_picks[{i}]", minimum=0)
-                            for i, v in enumerate(_as_list(doc["short_picks"], "short_picks")))
+        short_picks = frozenset(_as_int(v, f"short_picks[{i}]", minimum=0)
+                                for i, v in enumerate(_as_list(doc["short_picks"], "short_picks")))
         coverage = tuple(_as_int(v, f"coverage[{i}]", minimum=0)
                          for i, v in enumerate(_as_list(doc["coverage"], "coverage")))
-        return SolutionDoc(problem, counts, cost, None, short_picks, coverage)
+        return problem, cost, LspcSolution(counts, short_picks, coverage)
     if "short_picks" in doc or "coverage" in doc:
         raise ParseError("", "short_picks/coverage are only for lspc solutions")
     if "covered" not in doc:
         raise ParseError("covered", "required")
-    covered = tuple(_as_int(v, f"covered[{i}]", minimum=0)
-                    for i, v in enumerate(_as_list(doc["covered"], "covered")))
-    return SolutionDoc(problem, counts, cost, covered)
+    covered = frozenset(_as_int(v, f"covered[{i}]", minimum=0)
+                        for i, v in enumerate(_as_list(doc["covered"], "covered")))
+    return problem, cost, PartialSolution(counts, covered)
 
 
-def emit_solution(sol: SolutionDoc) -> str:
-    doc = {
-        "version": FORMAT_VERSION,
-        "problem": sol.problem,
-        "counts": {str(k): v for k, v in sorted(sol.counts.items())},
-        "cost": sol.cost,
-    }
-    if sol.problem == "lspc":
-        doc["short_picks"] = sorted(sol.short_picks)
-        doc["coverage"] = list(sol.coverage)
-    else:
-        doc["covered"] = sorted(sol.covered)
-    return _dumps(doc)
-
-
-def solution_doc_for(problem: str, solution, cost: int) -> SolutionDoc:
-    """Wrap an in-memory solution for writing."""
+def emit_solution(problem: str, solution: PartialSolution | LspcSolution, cost: int) -> str:
+    doc = {"version": FORMAT_VERSION, "problem": problem, "cost": cost}
     if problem == "lspc":
-        if not isinstance(solution, LspcSolution):
-            raise TypeError(f"lspc solutions are LspcSolution, got {type(solution).__name__}")
-        return SolutionDoc(problem, dict(solution.long_counts), cost,
-                           short_picks=tuple(sorted(solution.short_picks)),
-                           coverage=solution.coverage)
-    if not isinstance(solution, PartialSolution):
-        raise TypeError(f"{problem} solutions are PartialSolution, got {type(solution).__name__}")
-    return SolutionDoc(problem, dict(solution.counts), cost,
-                       covered=tuple(sorted(solution.covered)))
+        counts = solution.long_counts
+        doc["short_picks"] = sorted(solution.short_picks)
+        doc["coverage"] = list(solution.coverage)
+    else:
+        counts = solution.counts
+        doc["covered"] = sorted(solution.covered)
+    doc["counts"] = {str(k): v for k, v in sorted(counts.items())}
+    return _dumps(doc)

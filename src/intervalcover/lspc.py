@@ -367,11 +367,6 @@ class LspcSolver:
             raise RuntimeError(f"table A replay from slot {a} left {q} units uncovered")
 
 
-def solve_lspc(inst: LspcInstance) -> LspcResult:
-    """Cheapest SLRA solution covering measure >= k, with reconstruction."""
-    return LspcSolver(inst).solve()
-
-
 def verify_lspc(inst: LspcInstance, sol: LspcSolution) -> LspcReport:
     """Check the four feasibility clauses and recompute the cost.
 

@@ -73,11 +73,7 @@ def decompose(jobs: Sequence[Job]) -> Decomposition:
     if not jobs:
         raise ValueError("decompose needs at least one job")
     lmin = min(j.length for j in jobs)
-    lmax = max(j.length for j in jobs)
-    ncat = 0
-    while lmin << ncat < lmax:
-        ncat += 1
-    ncat = max(1, ncat)
+    ncat = range_count_bound(jobs) // 4
 
     # (category, group of every-fourth multiple) -> multiple q -> job ids.
     buckets: dict[tuple[int, int], dict[int, list[int]]] = {}

@@ -89,11 +89,8 @@ def solve_partial(inst: Instance) -> PartialSolveResult:
     if inst.k is None:
         raise ValueError("instance has no partiality parameter k")
     k = inst.k
-    n = len(inst.jobs)
     if k == 0:
         return PartialSolveResult(0, EMPTY_SOLUTION, 0, 0)
-    if k > n:
-        return PartialSolveResult(INFEASIBLE, None, 0, 0)
 
     decomp = decompose(inst.jobs)
     L = decomp.L

@@ -60,15 +60,12 @@ class DerivedResource:
     mountain: int | None  # owning mountain index for narrow parts
 
 
-@dataclass(frozen=True)
-class SplitMap:
-    """origin resource id -> (left-narrow, wide, right-narrow) derived ids."""
-
-    parts: Mapping[int, tuple[int | None, int | None, int | None]]
+# origin resource id -> (left-narrow, wide, right-narrow) derived ids, None where absent
+SplitParts = Mapping[int, tuple[int | None, int | None, int | None]]
 
 
 def split_narrow_wide(rng: MountainRange, resources: Sequence[Resource],
-                      ) -> tuple[tuple[DerivedResource, ...], SplitMap]:
+                      ) -> tuple[tuple[DerivedResource, ...], SplitParts]:
     """Split every resource into narrow and wide parts over the range.
 
     Parts keep the original capacity and cost. Resources that touch no
@@ -102,15 +99,15 @@ def split_narrow_wide(rng: MountainRange, resources: Sequence[Resource],
         if p2 <= q2 and (q != p or full[0]):
             wide = add(r.id, spans[p2][0], spans[q2][1], r.w, r.c, "wide", None)
         parts[r.id] = (left, wide, right)
-    return tuple(derived), SplitMap(parts)
+    return tuple(derived), parts
 
 
-def lift_split(sol: PartialSolution, smap: SplitMap) -> PartialSolution:
+def lift_split(sol: PartialSolution, parts: SplitParts) -> PartialSolution:
     """Map a solution over derived parts back to the original resources:
     each original gets the maximum of its parts' counts. Never costs more
     than the part solution and stays feasible."""
     counts: dict[int, int] = {}
-    for origin, ids in smap.parts.items():
+    for origin, ids in parts.items():
         f = max((sol.counts.get(d, 0) for d in ids if d is not None), default=0)
         if f > 0:
             counts[origin] = f

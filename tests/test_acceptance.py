@@ -29,7 +29,7 @@ from intervalcover.generate import (
     generate_single_mountain,
     generate_uniform,
 )
-from intervalcover.lspc import LspcSolver, solve_lspc, verify_lspc
+from intervalcover.lspc import LspcSolver, verify_lspc
 from intervalcover.mountains import (
     decompose,
     range_count_bound,
@@ -137,7 +137,7 @@ def test_criterion_1_feasibility_suite():
         for seed in range(100):
             inst = generate_lspc(seed, timeslots=rnd.randint(1, 6),
                                  max_demand=rnd.randint(0, 3))
-            res = solve_lspc(inst)
+            res = LspcSolver(inst).solve()
             if res.solution is not None:
                 report = verify_lspc(inst, res.solution)
                 assert report.feasible and report.cost == res.cost, seed

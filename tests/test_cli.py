@@ -30,8 +30,8 @@ def test_generate_then_solve_partial(tmp_path, capsys):
     line = json.loads(stdout.strip().splitlines()[-1])
     assert line["status"] == "feasible"
     assert isinstance(line["cost"], int)
-    doc = parse_solution(out.read_text())
-    assert doc.problem == "partial" and doc.cost == line["cost"]
+    problem, cost, _ = parse_solution(out.read_text())
+    assert problem == "partial" and cost == line["cost"]
 
     code, stdout, _ = run(capsys, "verify", "--input", str(inst), "--solution", str(out))
     assert code == 0
@@ -237,6 +237,44 @@ def test_ratio_fails_when_the_oracle_misses_a_verified_solution(capsys, monkeypa
                              for seed, cost in enumerate(costs)) + "max-ratio -\n"
 
 
+def test_ratio_fails_when_the_approximation_beats_the_optimum(capsys, monkeypatch):
+    # a verified answer cheaper than the oracle's optimum refutes the oracle
+    from dataclasses import replace
+
+    from intervalcover import cli
+
+    oracle = cli.oracle_partial
+    monkeypatch.setattr(cli, "oracle_partial",
+                        lambda inst, budget: replace(oracle(inst, budget),
+                                                     cost=oracle(inst, budget).cost + 1))
+    code, stdout, _ = run(capsys, "ratio", "--problem", "partial", "--seeds", "1..1")
+    assert code == 1
+    assert stdout == ("1\tapprox=1\texact=2\tratio=1/2\t(0.500000)\tbound=1536\n"
+                      "max-ratio 1/2 (0.500000)\n")
+
+
+def test_ratio_rejects_an_approximate_cost_its_solution_does_not_have(capsys, monkeypatch):
+    from dataclasses import replace
+
+    from intervalcover import cli
+
+    solve = cli.solve_partial
+    monkeypatch.setattr(cli, "solve_partial",
+                        lambda inst: replace(solve(inst), cost=solve(inst).cost - 1))
+    code, stdout, _ = run(capsys, "ratio", "--problem", "partial", "--seeds", "0..3")
+    assert code == 1
+    assert [line.split("\t")[1] for line in stdout.splitlines()[:-1]] == \
+        ["approx=INFEASIBLE-OR-INVALID"] * 4
+
+
+@pytest.mark.parametrize("problem", ["prize", "lspc"])
+def test_ratio_profile_is_only_for_partial(capsys, problem):
+    code, out, err = run(capsys, "ratio", "--problem", problem, "--profile", "uniform-random",
+                         "--seeds", "0..0")
+    assert code == 1 and out == ""
+    assert "--profile is only supported with --problem partial" in err
+
+
 def test_ratio_bad_seed_range(capsys):
     code, _, err = run(capsys, "ratio", "--seeds", "5..1")
     assert code == 1
@@ -274,3 +312,23 @@ def test_verify_fullcover(tmp_path, capsys):
     line = json.loads(stdout)
     assert line["feasible"] is False
     assert line["reason"] == "capacity below demand" and line["violated_slot"] == 1
+
+
+@pytest.mark.parametrize("problem, extra", [
+    ("partial", ("--k", "3")),
+    ("prize", ("--penalties",)),
+    ("lspc", ("--profile", "lspc-random")),
+    ("fullcover", ()),
+])
+def test_solve_output_then_verify_round_trip(tmp_path, capsys, problem, extra):
+    inst = gen(tmp_path, capsys, "inst.json", *extra)
+    out = tmp_path / "sol.json"
+    code, stdout, _ = run(capsys, "solve", "--problem", problem,
+                          "--input", str(inst), "--output", str(out))
+    assert code == 0
+    cost = json.loads(stdout)["cost"]
+    code, stdout, _ = run(capsys, "verify", "--input", str(inst), "--solution", str(out))
+    assert code == 0
+    line = json.loads(stdout)
+    assert line["problem"] == problem and line["feasible"] is True
+    assert line["cost_recomputed"] == cost

@@ -5,9 +5,9 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from intervalcover.core import EMPTY_SOLUTION, PartialSolution
 from intervalcover.files import (
     ParseError,
-    SolutionDoc,
     emit_instance,
     emit_lspc,
     emit_solution,
@@ -21,6 +21,7 @@ from intervalcover.generate import (
     generate_single_mountain,
     generate_uniform,
 )
+from intervalcover.lspc import LspcSolution
 from intervalcover.mountains import decompose, verify_mountain_range
 
 MINIMAL = """
@@ -91,16 +92,19 @@ def test_lspc_roundtrip_random():
         assert parse_lspc(emit_lspc(inst)) == inst
 
 
+_EMPTY_SOLUTION_TEXT = emit_solution("partial", EMPTY_SOLUTION, 0)
+
+
 def test_solution_roundtrip():
-    doc = SolutionDoc("partial", {0: 2, 3: 1}, 12, covered=(0, 2))
-    assert parse_solution(emit_solution(doc)) == doc
-    lspc_doc = SolutionDoc("lspc", {1: 2}, 9, short_picks=(0,), coverage=(1, 0, 2))
-    assert parse_solution(emit_solution(lspc_doc)) == lspc_doc
+    for problem in ("partial", "prize", "fullcover"):
+        sol = PartialSolution({0: 2, 3: 1}, frozenset({0, 2}))
+        assert parse_solution(emit_solution(problem, sol, 12)) == (problem, 12, sol)
+    lspc_sol = LspcSolution({1: 2}, frozenset({0}), (1, 0, 2))
+    assert parse_solution(emit_solution("lspc", lspc_sol, 9)) == ("lspc", 9, lspc_sol)
 
 
 def test_solution_rejects_mixed_fields():
-    text = emit_solution(SolutionDoc("partial", {}, 0, covered=()))
-    doc = json.loads(text)
+    doc = json.loads(_EMPTY_SOLUTION_TEXT)
     doc["coverage"] = [0]
     with pytest.raises(ParseError):
         parse_solution(json.dumps(doc))
@@ -142,8 +146,7 @@ def test_deep_nesting_is_a_parse_error():
 
 @pytest.mark.parametrize("key", ["٣", "03"])
 def test_solution_ids_must_be_canonical_decimal(key):
-    text = emit_solution(SolutionDoc("partial", {}, 0, covered=()))
-    doc = json.loads(text)
+    doc = json.loads(_EMPTY_SOLUTION_TEXT)
     doc["counts"] = {key: 1}
     with pytest.raises(ParseError) as err:
         parse_solution(json.dumps(doc))
@@ -151,8 +154,7 @@ def test_solution_ids_must_be_canonical_decimal(key):
 
 
 def test_solution_id_spelled_twice_is_rejected():
-    text = emit_solution(SolutionDoc("partial", {}, 0, covered=()))
-    doc = json.loads(text)
+    doc = json.loads(_EMPTY_SOLUTION_TEXT)
     doc["counts"] = {"3": 1, "03": 2}
     with pytest.raises(ParseError) as err:
         parse_solution(json.dumps(doc))
@@ -166,9 +168,8 @@ def test_oversized_integer_is_a_parse_error():
     cases = [
         (parse_instance, MINIMAL.replace('"T": 1', f'"T": {_HUGE}'), "T"),
         (parse_lspc, emit_lspc(generate_lspc(1)).replace('"k": ', f'"k": {_HUGE}'), "k"),
-        (parse_solution, emit_solution(SolutionDoc("partial", {}, 0, covered=()))
-         .replace('"cost": 0', f'"cost": {_HUGE}'), "cost"),
-        (parse_solution, emit_solution(SolutionDoc("partial", {}, 0, covered=()))
+        (parse_solution, _EMPTY_SOLUTION_TEXT.replace('"cost": 0', f'"cost": {_HUGE}'), "cost"),
+        (parse_solution, _EMPTY_SOLUTION_TEXT
          .replace('"counts": {}', f'"counts": {{"{_HUGE}": 1}}'), f"counts.{_HUGE}"),
     ]
     for parse, text, path in cases:
@@ -181,7 +182,7 @@ def test_duplicate_keys_are_a_parse_error():
     cases = [
         (parse_instance, MINIMAL.replace('"T": 1', '"T": 1, "T": 2'), "'T'"),
         (parse_lspc, emit_lspc(generate_lspc(1)).replace('"k": ', '"k": 0, "k": '), "'k'"),
-        (parse_solution, emit_solution(SolutionDoc("partial", {}, 0, covered=()))
+        (parse_solution, _EMPTY_SOLUTION_TEXT
          .replace('"counts": {}', '"counts": {"3": 1, "3": 2}'), "'3'"),
     ]
     for parse, text, key in cases:
@@ -193,8 +194,8 @@ _EMITTED = [
     emit_instance(generate_uniform(1, k=3)),
     emit_instance(generate_uniform(2, penalties=True)),
     emit_lspc(generate_lspc(3)),
-    emit_solution(SolutionDoc("partial", {0: 2, 3: 1}, 17, covered=(0, 2))),
-    emit_solution(SolutionDoc("lspc", {1: 1}, 5, short_picks=(0,), coverage=(1, 0, 2))),
+    emit_solution("partial", PartialSolution({0: 2, 3: 1}, frozenset({0, 2})), 17),
+    emit_solution("lspc", LspcSolution({1: 1}, frozenset({0}), (1, 0, 2)), 5),
 ]
 _HUGE_MARK = "@huge-int@"  # spliced into the text as _HUGE, which json.dumps cannot write
 _KEYS = st.one_of(st.text(max_size=4), st.just(_HUGE), st.sampled_from(

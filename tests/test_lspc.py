@@ -16,7 +16,6 @@ from intervalcover.lspc import (
     LspcSolution,
     LspcSolver,
     ShortResource,
-    solve_lspc,
     verify_lspc,
 )
 from intervalcover.oracle import oracle_lspc
@@ -115,7 +114,7 @@ def test_table_m_shorts_only_route():
 
 def test_solve_k0():
     inst = _inst([1, 2], [], [], 0)
-    res = solve_lspc(inst)
+    res = LspcSolver(inst).solve()
     assert res.cost == 0
     assert res.solution.coverage == (0, 0)
     assert not res.solution.long_counts and not res.solution.short_picks
@@ -123,7 +122,7 @@ def test_solve_k0():
 
 def test_solve_single_full_height_long():
     inst = _inst([2, 1, 2], [], [(1, 3, 2, 7)], 5)
-    res = solve_lspc(inst)
+    res = LspcSolver(inst).solve()
     assert res.cost == 7
     assert res.solution.long_counts == {0: 1}
     assert sum(res.solution.coverage) == 5
@@ -131,7 +130,7 @@ def test_solve_single_full_height_long():
 
 def test_solve_infeasible_when_target_exceeds_demand():
     inst = _inst([1, 1], [], [(1, 2, 5, 1)], 3)
-    assert solve_lspc(inst).cost == INFEASIBLE
+    assert LspcSolver(inst).solve().cost == INFEASIBLE
 
 
 def test_random_sandwich_and_reconstruction():
@@ -200,7 +199,7 @@ def test_solver_reusable_across_targets():
     solver = LspcSolver(inst)
     for k in range(sum(inst.d) + 1):
         res = solver.solve_for(k)
-        fresh = solve_lspc(LspcInstance(inst.T, inst.d, inst.shorts, inst.longs, k))
+        fresh = LspcSolver(LspcInstance(inst.T, inst.d, inst.shorts, inst.longs, k)).solve()
         assert res.cost == fresh.cost
         if res.solution is not None:
             moved = LspcInstance(inst.T, inst.d, inst.shorts, inst.longs, k)

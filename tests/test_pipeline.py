@@ -58,7 +58,7 @@ def test_solve_partial_k0():
     assert res.cost == 0 and res.solution.covered == frozenset()
 
 
-def test_solve_partial_k_above_n_infeasible():
+def test_solve_partial_empty_instance_and_no_resources():
     inst = Instance(3, (), (), 0)
     assert solve_partial(inst).cost == 0
     inst2 = generate_uniform(2, jobs=3, k=3)

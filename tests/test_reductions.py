@@ -108,17 +108,13 @@ def test_split_random_classification():
 def test_lift_split_takes_max():
     smap_parts = {4: (0, 1, 2)}
     derived_sol = PartialSolution({0: 2, 2: 1}, frozenset({9}))
-    from intervalcover.reductions import SplitMap
-
-    lifted = lift_split(derived_sol, SplitMap(smap_parts))
+    lifted = lift_split(derived_sol, smap_parts)
     assert lifted.counts == {4: 2}
     assert lifted.covered == {9}
 
 
 def test_lift_split_empty():
-    from intervalcover.reductions import SplitMap
-
-    lifted = lift_split(PartialSolution({}, frozenset()), SplitMap({}))
+    lifted = lift_split(PartialSolution({}, frozenset()), {})
     assert lifted.counts == {} and lifted.covered == frozenset()
 
 
