@@ -64,19 +64,17 @@ def _emit_line(**fields) -> None:
 def _cmd_generate(args) -> int:
     if args.penalties and args.profile != "uniform-random":
         raise ParseError("", "--penalties is only supported with uniform-random")
+    params = dict(timeslots=args.timeslots, max_c=args.max_c, k=args.k)
     if args.profile == "lspc-random":
-        inst = generate_lspc(args.seed, timeslots=args.timeslots, max_demand=args.max_demand,
-                             shorts=args.shorts, longs=args.longs, max_c=args.max_c, k=args.k)
-        text = emit_lspc(inst)
+        params.update(max_demand=args.max_demand, shorts=args.shorts, longs=args.longs)
     else:
-        params = dict(jobs=args.jobs, resources=args.resources, timeslots=args.timeslots,
-                      max_w=args.max_w, max_c=args.max_c, k=args.k)
-        if args.profile == "uniform-random":
-            params["penalties"] = args.penalties
-        if args.profile == "mountain-range":
-            params["mountains"] = args.mountains
-        inst = generate(args.profile, args.seed, **params)
-        text = emit_instance(inst)
+        params.update(jobs=args.jobs, resources=args.resources, max_w=args.max_w)
+    if args.profile == "uniform-random":
+        params["penalties"] = args.penalties
+    if args.profile == "mountain-range":
+        params["mountains"] = args.mountains
+    inst = generate(args.profile, args.seed, **params)
+    text = emit_lspc(inst) if args.profile == "lspc-random" else emit_instance(inst)
     if args.output:
         _write(args.output, text)
     else:

@@ -155,7 +155,8 @@ def _bound(residual: Sequence[int], row: Sequence[Resource | None]) -> Cost:
 def full_cover(demand: Sequence[int], plan: CoverPlan,
                cutoff: Cost = INFEASIBLE) -> FullCoverResult:
     """Minimum-cost multiset of ``plan.resources`` whose capacity profile
-    dominates ``demand``.
+    dominates ``demand``. An entry at or below 0 needs no capacity, so a
+    demand gives the same result as its copy clamped at 0.
 
     Only covers costing strictly less than ``cutoff`` count; with none,
     the result is INFEASIBLE_COVER. Equal-cost optima break to the

@@ -130,8 +130,9 @@ def candidate_exclusions(jobs: Sequence[Job], k: int) -> list[frozenset[int]]:
     """All ways to keep k jobs of a mountain after dropping a prefix of the
     start-time order and a prefix of the falling end-time order.
 
-    Returns the kept sets (deduplicated, in order of the prefix-length
-    pair that first produced them); there are at most n+1 of them.
+    For each start prefix of q1 <= n - k jobs, the end order then drops
+    jobs not yet dropped until n - k are gone. Returns the kept sets
+    (deduplicated, by growing q1); there are at most n - k + 1 of them.
     """
     n = len(jobs)
     if not 0 <= k <= n:
@@ -140,22 +141,15 @@ def candidate_exclusions(jobs: Sequence[Job], k: int) -> list[frozenset[int]]:
     right = [j.id for j in sorted(jobs, key=lambda j: (-j.e, j.id))]
     all_ids = frozenset(j.id for j in jobs)
     out: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
-    head: set[int] = set()
-    for q1 in range(n + 1):
-        if q1:
-            head.add(left[q1 - 1])
-        dropped = set(head)
-        for q2 in range(n + 1):
-            if q2:
-                dropped.add(right[q2 - 1])
+    for q1 in range(n - k + 1):
+        dropped = set(left[:q1])
+        for i in right:
             if len(dropped) == n - k:
-                kept = all_ids - dropped
-                if kept not in seen:
-                    seen.add(kept)
-                    out.append(kept)
-            elif len(dropped) > n - k:
                 break
+            dropped.add(i)
+        kept = all_ids - dropped
+        if kept not in out:
+            out.append(kept)
     return out
 
 

@@ -69,8 +69,6 @@ def oracle_partial(inst: Instance, budget: Budget | None = None) -> SolveResult:
     if n > budget.max_partial_jobs:
         raise BudgetExceeded(
             f"{n} jobs exceed the subset-enumeration budget of {budget.max_partial_jobs}")
-    if inst.k > n:
-        return SolveResult(INFEASIBLE, None)
     plan = CoverPlan(inst.resources, inst.T)
     best_cost = INFEASIBLE
     best = None
@@ -81,11 +79,9 @@ def oracle_partial(inst: Instance, budget: Budget | None = None) -> SolveResult:
         if fc is None:
             fc = full_cover(prof, plan)
             memo[prof] = fc
-        if fc.feasible and fc.cost < best_cost:
+        if fc.cost < best_cost:
             best_cost = fc.cost
             best = PartialSolution(fc.counts, frozenset(j.id for j in subset))
-    if best is None:
-        return SolveResult(INFEASIBLE, None)
     return SolveResult(best_cost, best)
 
 
@@ -153,8 +149,6 @@ def oracle_lspc(inst: LspcInstance, budget: Budget | None = None) -> LspcResult:
             if fc is None:
                 fc = full_cover(residual, plan)
                 cover_memo[residual] = fc
-            if not fc.feasible:
-                continue
             total = scost + fc.cost
             if total < best_cost:
                 best_cost = total
@@ -162,8 +156,6 @@ def oracle_lspc(inst: LspcInstance, budget: Budget | None = None) -> LspcResult:
                     fc.counts,
                     frozenset(p.id for p in picks if p is not None),
                     coverage)
-    if best is None:
-        return LspcResult(INFEASIBLE, None)
     return LspcResult(best_cost, best)
 
 
@@ -192,8 +184,6 @@ def oracle_prize(inst: Instance, budget: Budget | None = None) -> PrizeSolveResu
         if fc is None:
             fc = full_cover(prof, plan)
             memo[prof] = fc
-        if not fc.feasible:
-            continue
         total = fc.cost + penalty
         if total < best_cost:
             best_cost = total

@@ -75,7 +75,9 @@ class PartialSolveResult:
     cost: Cost
     solution: PartialSolution | None
     num_ranges: int
-    bound_factor: int  # certified approximation factor: RANGE_FACTOR * num_ranges
+    # certified approximation factor: RANGE_FACTOR * num_ranges, and 1 for
+    # k = 0, where the empty solution is optimal
+    bound_factor: int
 
 
 def solve_partial(inst: Instance) -> PartialSolveResult:
@@ -90,7 +92,7 @@ def solve_partial(inst: Instance) -> PartialSolveResult:
         raise ValueError("instance has no partiality parameter k")
     k = inst.k
     if k == 0:
-        return PartialSolveResult(0, EMPTY_SOLUTION, 0, 0)
+        return PartialSolveResult(0, EMPTY_SOLUTION, 0, 1)
 
     decomp = decompose(inst.jobs)
     L = decomp.L

@@ -45,7 +45,7 @@ from .core import (
     job_profile,
     multiset_profile,
 )
-from .fullcover import CoverPlan, FullCoverResult, full_cover
+from .fullcover import CoverPlan, full_cover
 from .lspc import LspcInstance, LspcSolution, ShortResource
 from .mountains import MountainRange, single_mountain_solve
 
@@ -325,12 +325,8 @@ def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
     the winner stay the same.
 
     Each cover runs under the cutoff ``best - subset cost``: a cover at or
-    above it could not give a strictly smaller total. Covers are memoised
-    per residual together with their cutoff. A feasible entry is the
-    optimum with its lexicographically smallest copy vector and is always
-    reused; an infeasible one only says the optimum is at or above its
-    cutoff, so it is reused under a cutoff no larger and solved again
-    under a larger one.
+    above it could not give a strictly smaller total, so any cover that
+    comes back is a new best.
 
     Refuses instances with more than ``MAX_STYPES`` once-only resources
     rather than approximating silently.
@@ -361,7 +357,6 @@ def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
                                       initial=sum(s_types[i].c for i in forced)))
     forced_cost = floor[0]
 
-    cover_memo: dict[tuple[int, ...], tuple[Cost, FullCoverResult]] = {}
     for size in range(len(free) + 1):
         if floor[size] >= best.cost:
             break
@@ -374,19 +369,9 @@ def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
                 r = s_types[i]
                 for t in range(r.s - 1, r.e):
                     residual[t] -= r.w
-            key = tuple([x if x > 0 else 0 for x in residual])
-            cutoff = best.cost - scost
-            hit = cover_memo.get(key)
-            if hit is not None and (hit[1].feasible or cutoff <= hit[0]):
-                fc = hit[1]
-            else:
-                fc = full_cover(key, plan, cutoff)
-                cover_memo[key] = (cutoff, fc)
-            if not fc.feasible:
-                continue
-            total = scost + fc.cost
-            if total < best.cost:
-                best = SmfcResult(total, frozenset(forced).union(extra), fc.counts)
+            fc = full_cover(residual, plan, best.cost - scost)
+            if fc.feasible:
+                best = SmfcResult(scost + fc.cost, frozenset(forced).union(extra), fc.counts)
     return best
 
 

@@ -5,7 +5,14 @@ import json
 import pytest
 
 from intervalcover.cli import main
-from intervalcover.files import ParseError, parse_lspc, parse_solution
+from intervalcover.files import (
+    ParseError,
+    emit_instance,
+    emit_lspc,
+    parse_instance,
+    parse_lspc,
+    parse_solution,
+)
 
 
 def run(capsys, *argv):
@@ -42,7 +49,8 @@ def test_solve_k0_cost_zero(tmp_path, capsys):
     inst = gen(tmp_path, capsys, "inst.json", "--k", "0")
     code, stdout, _ = run(capsys, "solve", "--problem", "partial", "--input", str(inst))
     assert code == 0
-    assert json.loads(stdout.strip())["cost"] == 0
+    line = json.loads(stdout.strip())
+    assert line["cost"] == 0 and line["optimal"] is True  # the empty cover is optimal
 
 
 def test_solve_infeasible_fullcover_exit_2(tmp_path, capsys):
@@ -168,6 +176,23 @@ def test_penalties_rejected_outside_uniform_random(capsys):
         assert "--penalties is only supported with uniform-random" in err
 
 
+@pytest.mark.parametrize("profile, extra", [
+    ("uniform-random", ("--penalties",)),
+    ("single-mountain", ("--k", "2")),
+    ("mountain-range", ("--mountains", "3", "--timeslots", "12")),
+    ("lspc-random", ("--timeslots", "6", "--shorts", "5")),
+])
+def test_generate_every_profile_round_trips(tmp_path, capsys, profile, extra):
+    path = gen(tmp_path, capsys, "inst.json", "--profile", profile, *extra)
+    text = path.read_text()
+    if profile == "lspc-random":
+        inst = parse_lspc(text)
+        assert (inst.T, len(inst.shorts)) == (6, 5)
+        assert emit_lspc(inst) == text
+    else:
+        assert emit_instance(parse_instance(text)) == text
+
+
 def test_missing_k_exit_1(tmp_path, capsys):
     inst = gen(tmp_path, capsys, "inst.json", "--penalties")
     code, _, err = run(capsys, "solve", "--problem", "partial", "--input", str(inst))
@@ -181,6 +206,13 @@ def test_ratio_partial(capsys):
     assert lines[-1].startswith("max-ratio")
     seeds = [int(line.split("\t")[0]) for line in lines[:-1]]
     assert seeds == sorted(seeds)
+
+
+def test_ratio_lspc(capsys):
+    code, stdout, _ = run(capsys, "ratio", "--problem", "lspc", "--seeds", "0..3")
+    assert code == 0
+    lines = stdout.strip().splitlines()
+    assert len(lines) == 5 and lines[-1].startswith("max-ratio ")
 
 
 def test_ratio_partial_stays_under_certified_bound(capsys):

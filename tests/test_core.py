@@ -5,6 +5,7 @@ import copy
 import pickle
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,8 @@ from intervalcover.core import (
     Instance,
     Job,
     PartialSolution,
+    PrizeReport,
+    Report,
     Resource,
     covers,
     is_feasible,
@@ -270,6 +273,53 @@ def test_verify_prize_matches_recompute_by_definition():
         expected = sum(n * res[rid].c for rid, n in counts.items()) \
             + sum(j.penalty for j in jobs if j.id not in covered)
         assert rep.total == expected
+
+
+# T=3; jobs [1,2], [2,3], [3,3] with penalties 4, 5, 6; resources [1,3]
+# (w=1, c=2) and [2,3] (w=1, c=3). Both resources once, jobs 0 and 1
+# covered, is a valid partial solution for k=2 and a valid prize solution.
+_VERIFY_INST = make_instance(3, [(1, 2, 4), (2, 3, 5), (3, 3, 6)],
+                             [(1, 3, 1, 2), (2, 3, 1, 3)], k=2)
+_VERIFY_SOL = PartialSolution({0: 1, 1: 1}, frozenset({0, 1}))
+
+# each case breaks the valid solution one way: (counts, covered, reason)
+_STRUCTURE_BREAKS = [
+    ({0: 1, 1: 0}, {0, 1}, "resource 1 has non-positive copy count 0"),
+    ({0: 1, 1: -2}, {0, 1}, "resource 1 has non-positive copy count -2"),
+    ({0: 1, 1: 1, 9: 1}, {0, 1}, "unknown resource id 9"),
+    ({0: 1, 1: 1}, {0, 1, 7}, "unknown job id 7"),
+]
+_SHORT_AT_2 = ({0: 1}, {0, 1})  # one copy of [1,3] for two jobs at slot 2
+
+
+@pytest.mark.parametrize("counts, covered, want", [
+    *((c, cv, Report(False, INFEASIBLE, reason=r)) for c, cv, r in _STRUCTURE_BREAKS),
+    ({0: 1, 1: 1}, {0}, Report(False, 5, reason="covers 1 jobs, needs 2")),
+    (*_SHORT_AT_2, Report(False, 2, reason="capacity below demand", violated_slot=2)),
+])
+def test_verify_partial_rejections(counts, covered, want):
+    assert verify_partial(_VERIFY_INST, _VERIFY_SOL) == Report(True, 5)
+    assert verify_partial(_VERIFY_INST, PartialSolution(counts, frozenset(covered))) == want
+
+
+@pytest.mark.parametrize("counts, covered, want", [
+    *((c, cv, PrizeReport(False, INFEASIBLE, 0, INFEASIBLE, reason=r))
+      for c, cv, r in _STRUCTURE_BREAKS),
+    (*_SHORT_AT_2, PrizeReport(False, 2, 6, 8, reason="capacity below demand",
+                               violated_slot=2)),
+])
+def test_verify_prize_rejections(counts, covered, want):
+    assert verify_prize(_VERIFY_INST, _VERIFY_SOL) == PrizeReport(True, 5, 6, 11)
+    assert verify_prize(_VERIFY_INST, PartialSolution(counts, frozenset(covered))) == want
+
+
+def test_verifiers_refuse_instances_without_their_parameter():
+    with pytest.raises(ValueError, match="no partiality parameter k"):
+        verify_partial(replace(_VERIFY_INST, k=None), _VERIFY_SOL)
+    jobs = (_VERIFY_INST.jobs[0], replace(_VERIFY_INST.jobs[1], penalty=None),
+            _VERIFY_INST.jobs[2])
+    with pytest.raises(ValueError, match="every job needs a penalty"):
+        verify_prize(replace(_VERIFY_INST, jobs=jobs), _VERIFY_SOL)
 
 
 def test_instance_validation():

@@ -371,3 +371,27 @@ def test_demand_in_a_gap_is_refused_under_any_cutoff():
             demand[slot] = 1
             for cutoff in (INFEASIBLE, 0, 1, 2, 10**6):
                 assert full_cover(demand, plan, cutoff) == INFEASIBLE_COVER
+
+
+def test_demand_at_or_below_zero_needs_no_capacity():
+    # smfc_solve_exact passes residuals that go negative where once-only
+    # capacity exceeds the demand; they must cover like their clamped copies
+    rnd = random.Random("fullcover-negative")
+    seen = dict.fromkeys(("negative_feasible", "negative_in_gap", "all_negative"), 0)
+    for _ in range(400):
+        T, resources = _plan_case(rnd)
+        plan = CoverPlan(resources, T)
+        demand = [rnd.randint(-3, 4) for _ in range(T)]
+        if rnd.random() < 0.1:
+            demand = [-rnd.randint(1, 3) for _ in range(T)]
+        clamped = [max(d, 0) for d in demand]
+        opt = full_cover(clamped, plan).cost
+        cutoffs = [INFEASIBLE, 0, 1] + ([opt, opt + 1] if opt != INFEASIBLE else [])
+        for cutoff in cutoffs:
+            got, want = full_cover(demand, plan, cutoff), full_cover(clamped, plan, cutoff)
+            assert (got.counts, got.cost) == (want.counts, want.cost)
+        gap_slots = [t for a, b in plan.gaps for t in range(a, b)]
+        seen["negative_feasible"] += opt not in (0, INFEASIBLE) and min(demand) < 0
+        seen["negative_in_gap"] += any(demand[t] < 0 for t in gap_slots)
+        seen["all_negative"] += max(demand) < 0
+    assert all(count >= 20 for count in seen.values()), seen

@@ -13,6 +13,7 @@ from intervalcover.core import INFEASIBLE, Resource
 from intervalcover.generate import generate_lspc
 from intervalcover.lspc import (
     LspcInstance,
+    LspcReport,
     LspcSolution,
     LspcSolver,
     ShortResource,
@@ -171,6 +172,29 @@ def test_verify_lspc_trivial_and_double_short():
     report = verify_lspc(inst, bad)
     assert not report.feasible
     assert report.violated_clause == "one-short-per-slot"
+
+
+# d=(2,1), k=3; shorts (slot, w, c): (1,1,1), (2,1,1), (1,2,5); one long
+# over [1,2] with w=1, c=3. Short 0 and one long, covering (2,1), is valid.
+_VERIFY_INST = _inst([2, 1], [(1, 1, 1), (2, 1, 1), (1, 2, 5)], [(1, 2, 1, 3)], 3)
+
+
+@pytest.mark.parametrize("long_counts, short_picks, coverage, want", [
+    ({0: 1}, {0}, (2,), LspcReport(False, INFEASIBLE, "structure")),
+    ({0: 1}, {0, 7}, (2, 1), LspcReport(False, INFEASIBLE, "structure")),
+    ({0: 1, 4: 1}, {0}, (2, 1), LspcReport(False, INFEASIBLE, "structure")),
+    ({0: 0}, {0}, (2, 1), LspcReport(False, INFEASIBLE, "structure")),
+    ({0: 1}, {0}, (3, 0), LspcReport(False, 4, "profile", 1)),
+    ({0: 1}, {0}, (1, 1), LspcReport(False, 4, "measure")),
+    ({0: 1}, set(), (2, 1), LspcReport(False, 3, "capacity", 1)),
+    ({0: 1}, {1}, (2, 1), LspcReport(False, 4, "capacity", 1)),
+    ({0: 1}, {0, 2}, (2, 1), LspcReport(False, 9, "one-short-per-slot", 1)),
+])
+def test_verify_lspc_rejections(long_counts, short_picks, coverage, want):
+    valid = LspcSolution({0: 1}, frozenset({0}), (2, 1))
+    assert verify_lspc(_VERIFY_INST, valid) == LspcReport(True, 4)
+    broken = LspcSolution(long_counts, frozenset(short_picks), coverage)
+    assert verify_lspc(_VERIFY_INST, broken) == want
 
 
 def test_verify_lspc_rejects_overcoverage():

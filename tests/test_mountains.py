@@ -113,12 +113,10 @@ def test_candidate_exclusions_shape_and_count():
         right = [j.id for j in sorted(jobs, key=lambda j: (-j.e, j.id))]
         everyone = frozenset(range(n))
         cands = candidate_exclusions(jobs, k)
-        assert len(cands) <= n + 1
-        for kept in cands:
-            assert len(kept) == k
-            shapes = [everyone - (set(left[:q1]) | set(right[:q2]))
-                      for q1 in range(n + 1) for q2 in range(n + 1)]
-            assert kept in shapes
+        assert len(set(cands)) == len(cands) <= n - k + 1
+        shapes = {everyone - (set(left[:q1]) | set(right[:q2]))
+                  for q1 in range(n + 1) for q2 in range(n + 1)}
+        assert set(cands) == {kept for kept in shapes if len(kept) == k}
 
 
 def test_single_mountain_k0():

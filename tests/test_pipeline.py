@@ -56,6 +56,7 @@ def test_solve_partial_k0():
     inst = generate_uniform(1, jobs=4, k=0)
     res = solve_partial(inst)
     assert res.cost == 0 and res.solution.covered == frozenset()
+    assert res.bound_factor == 1  # the empty solution is optimal
 
 
 def test_solve_partial_empty_instance_and_no_resources():
@@ -104,7 +105,7 @@ def test_solve_partial_sandwich_and_dp_soundness():
         if ora.solution is None:
             continue
         L = res.num_ranges
-        assert res.bound_factor == RANGE_FACTOR * L
+        assert res.bound_factor == (RANGE_FACTOR * L if inst.k else 1)
         assert ora.cost <= res.cost <= res.bound_factor * ora.cost
         report = verify_partial(inst, res.solution)
         assert report.feasible and report.cost == res.cost

@@ -417,7 +417,7 @@ def test_smfc_tie_break_matches_plain_enumeration(monkeypatch):
 
     def recording_full_cover(demand, plan, cutoff=INFEASIBLE):
         res = full_cover(demand, plan, cutoff)
-        calls.append((demand, cutoff, res.feasible))
+        calls.append((tuple(demand), cutoff, res.feasible))
         return res
 
     monkeypatch.setattr(reductions, "full_cover", recording_full_cover)
