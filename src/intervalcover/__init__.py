@@ -41,7 +41,7 @@ from .mountains import (
     single_mountain_solve,
     verify_mountain_range,
 )
-from .oracle import Budget, oracle_lspc, oracle_partial, oracle_prize
+from .oracle import oracle_lspc, oracle_partial, oracle_prize
 from .pipeline import (
     RANGE_FACTOR,
     PartialSolveResult,
@@ -61,7 +61,6 @@ from .reductions import (
 __all__ = [
     "INFEASIBLE",
     "BudgetExceeded",
-    "Budget",
     "CoverPlan",
     "Decomposition",
     "FullCoverResult",

@@ -11,8 +11,10 @@ decimal rendering.
 dispatch and checks the approximate answer with ``verify``'s verifier
 (feasible, recomputed cost equal to the reported one). A seed fails when
 that check fails, when only the oracle finds a solution, when the oracle
-says infeasible beside a verified answer, or when the approximate cost
-is below the optimum or positive beside an optimum of 0.
+says infeasible beside a verified answer, when the approximate cost
+is below the optimum or positive beside an optimum of 0, or when it is
+above the factor its solver certifies times the optimum (the row then
+ends in ABOVE-FACTOR).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .files import (
 from .fullcover import CoverPlan, full_cover
 from .generate import PROFILES, generate, generate_lspc, generate_uniform
 from .lspc import LspcSolver, verify_lspc
-from .oracle import Budget, oracle_lspc, oracle_partial, oracle_prize
+from .oracle import oracle_lspc, oracle_partial, oracle_prize
 from .pipeline import solve_partial, solve_prize
 
 
@@ -62,17 +64,8 @@ def _emit_line(**fields) -> None:
 
 
 def _cmd_generate(args) -> int:
-    if args.penalties and args.profile != "uniform-random":
-        raise ParseError("", "--penalties is only supported with uniform-random")
-    params = dict(timeslots=args.timeslots, max_c=args.max_c, k=args.k)
-    if args.profile == "lspc-random":
-        params.update(max_demand=args.max_demand, shorts=args.shorts, longs=args.longs)
-    else:
-        params.update(jobs=args.jobs, resources=args.resources, max_w=args.max_w)
-    if args.profile == "uniform-random":
-        params["penalties"] = args.penalties
-    if args.profile == "mountain-range":
-        params["mountains"] = args.mountains
+    params = {name: value for name, value in vars(args).items()
+              if value is not None and name not in ("command", "profile", "seed", "output")}
     inst = generate(args.profile, args.seed, **params)
     text = emit_lspc(inst) if args.profile == "lspc-random" else emit_instance(inst)
     if args.output:
@@ -82,24 +75,24 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _solve_dispatch(problem: str, algorithm: str, inst, budget: Budget | None = None) -> tuple:
+def _solve_dispatch(problem: str, algorithm: str, inst) -> tuple:
     """Returns (cost, solution or None, certified factor): 1 is optimal,
-    None is no certificate. ``budget`` bounds the exact oracles."""
+    None is no certificate."""
     if problem == "partial":
         if inst.k is None:
             raise ParseError("k", "partial coverage needs the partiality parameter")
         if algorithm == "exact":
-            res = oracle_partial(inst, budget)
+            res = oracle_partial(inst)
             return res.cost, res.solution, 1
         res = solve_partial(inst)
         return res.cost, res.solution, res.bound_factor
     if problem == "prize":
         if any(j.penalty is None for j in inst.jobs):
             raise ParseError("jobs", "prize collecting needs a penalty on every job")
-        res = oracle_prize(inst, budget) if algorithm == "exact" else solve_prize(inst)
+        res = oracle_prize(inst) if algorithm == "exact" else solve_prize(inst)
         return res.total, res.solution, 1  # the reduction is cost-exact
     if problem == "lspc":
-        res = oracle_lspc(inst, budget) if algorithm == "exact" else LspcSolver(inst).solve()
+        res = oracle_lspc(inst) if algorithm == "exact" else LspcSolver(inst).solve()
         return res.cost, res.solution, 1 if algorithm == "exact" else None
     # fullcover: exact either way (beta = 1)
     demand = job_profile(inst.jobs, inst.T)
@@ -186,13 +179,12 @@ def _ratio_instance(problem: str, profile: str | None, seed: int):
 def _cmd_ratio(args) -> int:
     if args.profile is not None and args.problem != "partial":
         raise ParseError("", "--profile is only supported with --problem partial")
-    budget = Budget.from_env()
     worst: Fraction | None = None
     failures = 0
     for seed in _parse_seed_range(args.seeds):
         inst = _ratio_instance(args.problem, args.profile, seed)
         approx_cost, approx_sol, factor = _solve_dispatch(args.problem, "approx", inst)
-        exact_cost = _solve_dispatch(args.problem, "exact", inst, budget)[0]
+        exact_cost = _solve_dispatch(args.problem, "exact", inst)[0]
         valid = approx_sol is None or _verify(args.problem, inst, approx_sol, approx_cost)[0]
         if not valid or (is_feasible(exact_cost) and not is_feasible(approx_cost)):
             failures += 1
@@ -219,10 +211,14 @@ def _cmd_ratio(args) -> int:
         row = f"{seed}\tapprox={approx_cost}\texact={exact_cost}\tratio={shown}\t({dec})"
         if factor not in (None, 1):
             row += f"\tbound={factor}"
+        above = factor is not None and approx_cost > factor * exact_cost
+        if above:
+            row += "\tABOVE-FACTOR"
         print(row)
-        if ratio is None or approx_cost < exact_cost:
-            # a positive cost beside an optimum of 0, or a verified answer
-            # cheaper than the optimum, which refutes the oracle
+        if ratio is None or approx_cost < exact_cost or above:
+            # a positive cost beside an optimum of 0, a verified answer
+            # cheaper than the optimum, which refutes the oracle, or one
+            # dearer than its certified factor allows
             failures += 1
     if worst is None:
         print("max-ratio -")
@@ -242,17 +238,18 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--profile", choices=PROFILES, default="uniform-random")
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--output", help="path; stdout when omitted")
-    gen.add_argument("--jobs", type=int, default=6)
-    gen.add_argument("--resources", type=int, default=5)
+    # unset options take the generator's default; one it lacks is an error
+    gen.add_argument("--jobs", type=int)
+    gen.add_argument("--resources", type=int)
     gen.add_argument("--timeslots", type=int, default=10)
-    gen.add_argument("--mountains", type=int, default=2)
-    gen.add_argument("--max-w", type=int, default=3)
-    gen.add_argument("--max-c", type=int, default=10)
-    gen.add_argument("--max-demand", type=int, default=3)
-    gen.add_argument("--shorts", type=int, default=4)
-    gen.add_argument("--longs", type=int, default=4)
+    gen.add_argument("--mountains", type=int)
+    gen.add_argument("--max-w", type=int)
+    gen.add_argument("--max-c", type=int)
+    gen.add_argument("--max-demand", type=int)
+    gen.add_argument("--shorts", type=int)
+    gen.add_argument("--longs", type=int)
     gen.add_argument("--k", type=int)
-    gen.add_argument("--penalties", action="store_true",
+    gen.add_argument("--penalties", action="store_true", default=None,
                      help="attach penalties instead of k (uniform-random only)")
 
     sol = sub.add_parser("solve", help="solve an instance file")

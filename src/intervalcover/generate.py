@@ -7,13 +7,12 @@ ranges the verification harness uses.
 
 from __future__ import annotations
 
+import inspect
 import random
 
 from .core import Instance, Job, Resource
 from .lspc import LspcInstance, ShortResource
 from .mountains import Mountain, MountainRange
-
-PROFILES = ("single-mountain", "mountain-range", "uniform-random", "lspc-random")
 
 
 def _random_resources(rnd: random.Random, m: int, T: int, max_w: int, max_c: int) -> tuple[Resource, ...]:
@@ -117,16 +116,23 @@ def generate_lspc(seed: int, *, timeslots: int = 5, max_demand: int = 3,
     return LspcInstance(timeslots, d, tuple(built_shorts), tuple(built_longs), kk)
 
 
+_GENERATORS = {
+    "single-mountain": generate_single_mountain,
+    "mountain-range": generate_mountain_range,
+    "uniform-random": generate_uniform,
+    "lspc-random": generate_lspc,
+}
+PROFILES = tuple(_GENERATORS)
+
+
 def generate(profile: str, seed: int, **params):
     """Dispatch by profile name; lspc-random yields an LspcInstance, the
-    rest yield Instances."""
-    if profile == "uniform-random":
-        return generate_uniform(seed, **params)
-    if profile == "single-mountain":
-        return generate_single_mountain(seed, **params)
-    if profile == "mountain-range":
-        inst, _ = generate_mountain_range(seed, **params)
-        return inst
-    if profile == "lspc-random":
-        return generate_lspc(seed, **params)
-    raise ValueError(f"unknown profile {profile!r}; choose from {', '.join(PROFILES)}")
+    rest yield Instances. A parameter the generator lacks is a ValueError."""
+    if profile not in _GENERATORS:
+        raise ValueError(f"unknown profile {profile!r}; choose from {', '.join(PROFILES)}")
+    fn = _GENERATORS[profile]
+    unknown = sorted(set(params) - set(inspect.signature(fn).parameters))
+    if unknown:
+        raise ValueError(f"profile {profile} takes no {', '.join(unknown)}")
+    inst = fn(seed, **params)
+    return inst[0] if profile == "mountain-range" else inst

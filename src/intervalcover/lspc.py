@@ -103,8 +103,8 @@ class LspcInstance:
             if r.id != i:
                 raise ValueError(f"longs[{i}] has id {r.id}, expected dense id {i}")
         check_resources("longs", self.longs, self.T)
-        if self.k < 0:
-            raise ValueError(f"k must be >= 0, got {self.k}")
+        if not 0 <= self.k <= sum(self.d):
+            raise ValueError(f"k={self.k} not in [0, {sum(self.d)}]")
 
     @property
     def H(self) -> int:

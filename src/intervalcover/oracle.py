@@ -4,19 +4,19 @@ These exist to check the approximate solvers' bounds; they never feed
 back into the solvers themselves. Each oracle enumerates its whole
 search space (job subsets or coverage profiles) and completes every
 branch with the exact full-cover search, so its answer is the true
-optimum. Budgets are hard limits: exceeding one raises BudgetExceeded
+optimum. Caps are hard limits: exceeding one raises BudgetExceeded
 with an explicit message rather than silently truncating the search,
 because a wrong oracle would poison every ratio test built on it.
 
-The INTERVALCOVER_BUDGET environment variable overrides the defaults,
-e.g. ``INTERVALCOVER_BUDGET="partial=12,prize=14,lspc=200000"``.
+Each cap counts what its oracle enumerates: MAX_PARTIAL_JOBS and
+MAX_PRIZE_JOBS the jobs whose subsets oracle_partial and oracle_prize
+walk, MAX_LSPC_CANDIDATES the (coverage profile, short picks) pairs of
+oracle_lspc, counted as the product over t of (d_t + 1)(1 + shorts at t).
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from dataclasses import dataclass
 
 from .core import (
     INFEASIBLE,
@@ -30,45 +30,20 @@ from .core import (
 from .fullcover import CoverPlan, full_cover
 from .lspc import LspcInstance, LspcResult, LspcSolution
 
-ENV_VAR = "INTERVALCOVER_BUDGET"
+MAX_PARTIAL_JOBS = 10
+MAX_PRIZE_JOBS = 12
+MAX_LSPC_CANDIDATES = 100_000
 
 
-@dataclass(frozen=True)
-class Budget:
-    max_partial_jobs: int = 10
-    max_prize_jobs: int = 12
-    max_lspc_profiles: int = 100_000
-
-    @staticmethod
-    def from_env() -> "Budget":
-        raw = os.environ.get(ENV_VAR, "").strip()
-        if not raw:
-            return Budget()
-        values = {}
-        for item in raw.split(","):
-            key, _, val = item.partition("=")
-            key = key.strip()
-            if key not in ("partial", "prize", "lspc") or not val.strip().isdigit():
-                raise ValueError(
-                    f"{ENV_VAR} must look like 'partial=12,prize=14,lspc=200000', got {raw!r}")
-            values[key] = int(val)
-        return Budget(
-            max_partial_jobs=values.get("partial", Budget.max_partial_jobs),
-            max_prize_jobs=values.get("prize", Budget.max_prize_jobs),
-            max_lspc_profiles=values.get("lspc", Budget.max_lspc_profiles),
-        )
-
-
-def oracle_partial(inst: Instance, budget: Budget | None = None) -> SolveResult:
+def oracle_partial(inst: Instance) -> SolveResult:
     """True optimum for partial coverage: best full cover over all size-k
     job subsets."""
     if inst.k is None:
         raise ValueError("instance has no partiality parameter k")
-    budget = budget or Budget.from_env()
     n = len(inst.jobs)
-    if n > budget.max_partial_jobs:
+    if n > MAX_PARTIAL_JOBS:
         raise BudgetExceeded(
-            f"{n} jobs exceed the subset-enumeration budget of {budget.max_partial_jobs}")
+            f"{n} jobs exceed the subset-enumeration cap MAX_PARTIAL_JOBS={MAX_PARTIAL_JOBS}")
     plan = CoverPlan(inst.resources, inst.T)
     best_cost = INFEASIBLE
     best = None
@@ -112,33 +87,27 @@ def _coverage_profiles(d: tuple[int, ...], k: int):
     yield from rec(0, k)
 
 
-def oracle_lspc(inst: LspcInstance, budget: Budget | None = None) -> LspcResult:
+def oracle_lspc(inst: LspcInstance) -> LspcResult:
     """True optimum for the long/short problem: every coverage profile of
     measure k, every per-slot short choice, residual full-covered by the
     longs."""
-    budget = budget or Budget.from_env()
-    space = 1
-    for dt in inst.d:
-        space *= dt + 1
-    if space > budget.max_lspc_profiles:
-        raise BudgetExceeded(
-            f"{space} coverage profiles exceed the budget of {budget.max_lspc_profiles}")
-    if inst.k > sum(inst.d):
-        return LspcResult(INFEASIBLE, None)
-
-    shorts_at = [[] for _ in range(inst.T + 1)]
+    slot_options = [[None] for _ in range(inst.T)]  # per slot: (short or None) choices
     for s in inst.shorts:
-        shorts_at[s.t].append(s)
-    slot_options = []  # per slot: (short or None) choices
-    for t in range(1, inst.T + 1):
-        slot_options.append([None] + shorts_at[t])
+        slot_options[s.t - 1].append(s)
+    space = 1
+    for dt, options in zip(inst.d, slot_options):
+        space *= (dt + 1) * len(options)
+    if space > MAX_LSPC_CANDIDATES:
+        raise BudgetExceeded(
+            f"{space} (coverage profile, short picks) pairs exceed the enumeration cap "
+            f"MAX_LSPC_CANDIDATES={MAX_LSPC_CANDIDATES}")
 
     plan = CoverPlan(inst.longs, inst.T)
     cover_memo: dict[tuple[int, ...], object] = {}
     best_cost = INFEASIBLE
     best = None
     for coverage in _coverage_profiles(inst.d, inst.k):
-        for picks in itertools.product(*(slot_options[t] for t in range(inst.T))):
+        for picks in itertools.product(*slot_options):
             scost = sum(p.c for p in picks if p is not None)
             if scost > best_cost:
                 continue
@@ -159,16 +128,15 @@ def oracle_lspc(inst: LspcInstance, budget: Budget | None = None) -> LspcResult:
     return LspcResult(best_cost, best)
 
 
-def oracle_prize(inst: Instance, budget: Budget | None = None) -> PrizeSolveResult:
+def oracle_prize(inst: Instance) -> PrizeSolveResult:
     """True optimum for prize collecting: every job subset, full cover of
     its profile plus the penalties outside it."""
     if any(j.penalty is None for j in inst.jobs):
         raise ValueError("every job needs a penalty")
-    budget = budget or Budget.from_env()
     n = len(inst.jobs)
-    if n > budget.max_prize_jobs:
+    if n > MAX_PRIZE_JOBS:
         raise BudgetExceeded(
-            f"{n} jobs exceed the subset-enumeration budget of {budget.max_prize_jobs}")
+            f"{n} jobs exceed the subset-enumeration cap MAX_PRIZE_JOBS={MAX_PRIZE_JOBS}")
     total_penalty = sum(j.penalty for j in inst.jobs)
     plan = CoverPlan(inst.resources, inst.T)
     best_cost = INFEASIBLE

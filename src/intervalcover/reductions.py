@@ -335,7 +335,7 @@ def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
     n = len(s_types)
     if n > MAX_STYPES:
         raise BudgetExceeded(
-            f"{n} once-only resources exceed the subset-enumeration cap of {MAX_STYPES}")
+            f"{n} once-only resources exceed the subset-enumeration cap MAX_STYPES={MAX_STYPES}")
     best = SmfcResult(INFEASIBLE, frozenset(), {})
     plan = CoverPlan(smfc.m_types, smfc.T)
     cap = [0] * smfc.T  # total once-only capacity per slot

@@ -36,11 +36,9 @@ from intervalcover.mountains import (
     single_mountain_solve,
     verify_mountain_range,
 )
-from intervalcover.oracle import Budget, oracle_lspc, oracle_partial, oracle_prize
+from intervalcover.oracle import oracle_lspc, oracle_partial, oracle_prize
 from intervalcover.pipeline import _RangePipeline, solve_partial, solve_prize
 from intervalcover.reductions import lift_lspc, lift_split
-
-BUDGET = Budget()
 
 
 @contextmanager
@@ -73,7 +71,7 @@ def lspc_runs():
                              longs=rnd.randint(0, 4))
         solver = LspcSolver(inst)
         result = solver.solve()
-        exact = oracle_lspc(inst, BUDGET)
+        exact = oracle_lspc(inst)
         runs.append((inst, solver, result, exact))
     return runs, time.monotonic() - start
 
@@ -90,7 +88,7 @@ def partial_runs():
                                 resources=rnd.randint(1, 6),
                                 timeslots=rnd.randint(2, 12))
         result = solve_partial(inst)
-        exact = oracle_partial(inst, BUDGET)
+        exact = oracle_partial(inst)
         runs.append((inst, result, exact))
     return runs, time.monotonic() - start
 
@@ -169,7 +167,7 @@ def test_criterion_2_single_mountain_bound():
                                             timeslots=rnd.randint(1, 10),
                                             max_w=3, max_c=10)
             res = single_mountain_solve(inst.jobs, CoverPlan(inst.resources, inst.T), inst.k)
-            exact = oracle_partial(inst, BUDGET)
+            exact = oracle_partial(inst)
             assert (res.solution is None) == (exact.solution is None), seed
             if exact.solution is None:
                 infeasible += 1
@@ -234,7 +232,7 @@ def test_criterion_5_prize_exactness():
                                     resources=rnd.randint(0, 6),
                                     timeslots=rnd.randint(2, 12), penalties=True)
             res = solve_prize(inst)
-            exact = oracle_prize(inst, BUDGET)
+            exact = oracle_prize(inst)
             assert res.total == exact.total, (seed, res.total, exact.total)
             report = verify_prize(inst, res.solution)
             assert report.feasible and report.total == res.total, seed

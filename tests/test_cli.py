@@ -173,7 +173,13 @@ def test_penalties_rejected_outside_uniform_random(capsys):
     for profile in ("single-mountain", "mountain-range", "lspc-random"):
         code, out, err = run(capsys, "generate", "--seed", "1", "--profile", profile, "--penalties")
         assert code == 1 and out == ""
-        assert "--penalties is only supported with uniform-random" in err
+        assert "penalties" in err
+
+
+def test_generate_rejects_options_of_another_profile(capsys):
+    code, out, err = run(capsys, "generate", "--seed", "1", "--shorts", "9", "--max-demand", "7")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "shorts" in err and "max_demand" in err
 
 
 @pytest.mark.parametrize("profile, extra", [
@@ -247,7 +253,7 @@ def test_ratio_names_an_infeasible_optimum_in_its_failure_line(capsys, monkeypat
 
     monkeypatch.setattr(cli, "solve_partial",
                         lambda inst: PartialSolveResult(0, PartialSolution({}, frozenset()), 1, 384))
-    monkeypatch.setattr(cli, "oracle_partial", lambda inst, budget: SolveResult(INFEASIBLE, None))
+    monkeypatch.setattr(cli, "oracle_partial", lambda inst: SolveResult(INFEASIBLE, None))
     code, stdout, _ = run(capsys, "ratio", "--problem", "partial", "--seeds", "0..0")
     assert code == 1
     assert stdout == "0\tapprox=INFEASIBLE-OR-INVALID\texact=INFEASIBLE\nmax-ratio -\n"
@@ -262,7 +268,7 @@ def test_ratio_fails_when_the_oracle_misses_a_verified_solution(capsys, monkeypa
     costs = [line.split("\t")[1] for line in stdout.splitlines()[:-1]]
     assert all(c.startswith("approx=") and c[len("approx="):].isdigit() for c in costs)
 
-    monkeypatch.setattr(cli, "oracle_partial", lambda inst, budget: SolveResult(INFEASIBLE, None))
+    monkeypatch.setattr(cli, "oracle_partial", lambda inst: SolveResult(INFEASIBLE, None))
     code, stdout, _ = run(capsys, "ratio", "--problem", "partial", "--seeds", "0..1")
     assert code == 1
     assert stdout == "".join(f"{seed}\t{cost}\texact=INFEASIBLE-BUT-APPROX-VALID\n"
@@ -277,12 +283,26 @@ def test_ratio_fails_when_the_approximation_beats_the_optimum(capsys, monkeypatc
 
     oracle = cli.oracle_partial
     monkeypatch.setattr(cli, "oracle_partial",
-                        lambda inst, budget: replace(oracle(inst, budget),
-                                                     cost=oracle(inst, budget).cost + 1))
+                        lambda inst: replace(oracle(inst), cost=oracle(inst).cost + 1))
     code, stdout, _ = run(capsys, "ratio", "--problem", "partial", "--seeds", "1..1")
     assert code == 1
     assert stdout == ("1\tapprox=1\texact=2\tratio=1/2\t(0.500000)\tbound=1536\n"
                       "max-ratio 1/2 (0.500000)\n")
+
+
+def test_ratio_fails_above_the_certified_factor(capsys, monkeypatch):
+    # paying every penalty is a valid prize solution, but the reduction
+    # certifies factor 1, so any seed where it is dearer than the optimum fails
+    from intervalcover import cli
+    from intervalcover.core import PartialSolution, PrizeSolveResult
+
+    monkeypatch.setattr(cli, "solve_prize", lambda inst: PrizeSolveResult(
+        sum(j.penalty for j in inst.jobs), PartialSolution({}, frozenset())))
+    code, stdout, _ = run(capsys, "ratio", "--problem", "prize", "--seeds", "0..5")
+    assert code == 1
+    rows = stdout.splitlines()[:-1]
+    above = [row for row in rows if row.endswith("\tABOVE-FACTOR")]
+    assert above and all("ratio=1/1" not in row for row in above)
 
 
 def test_ratio_rejects_an_approximate_cost_its_solution_does_not_have(capsys, monkeypatch):
@@ -364,3 +384,22 @@ def test_solve_output_then_verify_round_trip(tmp_path, capsys, problem, extra):
     line = json.loads(stdout)
     assert line["problem"] == problem and line["feasible"] is True
     assert line["cost_recomputed"] == cost
+
+
+@pytest.mark.parametrize("problem, algorithm, extra, cap", [
+    ("partial", "exact", ("--jobs", "11", "--k", "3"), "MAX_PARTIAL_JOBS=10"),
+    ("prize", "exact", ("--jobs", "13", "--penalties"), "MAX_PRIZE_JOBS=12"),
+    ("lspc", "exact", None, "MAX_LSPC_CANDIDATES=100000"),
+    ("prize", "approx", ("--jobs", "17", "--penalties"), "MAX_STYPES=16"),
+])
+def test_solve_refuses_over_a_cap(tmp_path, capsys, problem, algorithm, extra, cap):
+    if extra is None:
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"version": 1, "demands": [9] * 8, "shorts": [],
+                                    "longs": [{"s": 1, "e": 8, "w": 9, "c": 1}], "k": 1}))
+    else:
+        inst = gen(tmp_path, capsys, "inst.json", *extra)
+    code, out, err = run(capsys, "solve", "--problem", problem, "--algorithm", algorithm,
+                         "--input", str(inst))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and cap in err

@@ -371,6 +371,26 @@ def test_only_cli_imports_sys():
     assert not found, found
 
 
+def test_no_module_reads_the_environment():
+    # caps and defaults are constants in the source, so a run does not
+    # depend on variables set in the shell that started it
+    src = Path(__file__).resolve().parent.parent / "src" / "intervalcover"
+    files = sorted(src.glob("*.py"))
+    assert files
+    found = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                reads = isinstance(node.value, ast.Name) and node.value.id == "os"
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads = any(alias.name in ("environ", "getenv") for alias in node.names)
+            else:
+                continue
+            if reads:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_infeasible_is_compared_by_value():
     # INFEASIBLE is a float; a copied or unpickled cost is equal to it but
     # not the same object, so an identity check would read it as feasible

@@ -130,8 +130,10 @@ def test_solve_single_full_height_long():
 
 
 def test_solve_infeasible_when_target_exceeds_demand():
-    inst = _inst([1, 1], [], [(1, 2, 5, 1)], 3)
-    assert LspcSolver(inst).solve().cost == INFEASIBLE
+    inst = _inst([1, 1], [], [(1, 2, 5, 1)], 2)
+    assert LspcSolver(inst).solve_for(3).cost == INFEASIBLE
+    with pytest.raises(ValueError, match=r"k=3 not in \[0, 2\]"):
+        _inst([1, 1], [], [(1, 2, 5, 1)], 3)
 
 
 def test_random_sandwich_and_reconstruction():

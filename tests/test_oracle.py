@@ -1,6 +1,7 @@
 """Brute-force oracle behaviour: exactness anchors and budget refusals."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,13 @@ from intervalcover.core import (
 from intervalcover.fullcover import CoverPlan, full_cover
 from intervalcover.generate import generate_lspc, generate_uniform
 from intervalcover.lspc import LspcInstance, LspcSolution, ShortResource, verify_lspc
-from intervalcover.oracle import Budget, oracle_lspc, oracle_partial, oracle_prize
+from intervalcover.oracle import (
+    MAX_LSPC_CANDIDATES,
+    MAX_PARTIAL_JOBS,
+    oracle_lspc,
+    oracle_partial,
+    oracle_prize,
+)
 
 
 def test_oracle_partial_k0():
@@ -34,10 +41,11 @@ def test_oracle_partial_k_equals_n():
 
 
 def test_oracle_partial_budget_refusal():
+    assert MAX_PARTIAL_JOBS == 10
+    oracle_partial(generate_uniform(1, jobs=10, resources=2, k=3))  # at the cap runs
     inst = generate_uniform(1, jobs=11, resources=2, k=3)
-    with pytest.raises(BudgetExceeded):
-        oracle_partial(inst, Budget(max_partial_jobs=10))
-    oracle_partial(inst, Budget(max_partial_jobs=11))  # raised budget runs
+    with pytest.raises(BudgetExceeded, match="MAX_PARTIAL_JOBS"):
+        oracle_partial(inst)
 
 
 def test_oracle_outputs_verify():
@@ -72,7 +80,24 @@ def test_oracle_lspc_k0():
 def test_oracle_lspc_budget_refusal():
     inst = LspcInstance(8, (9,) * 8, (), (Resource(0, 1, 8, 9, 1),), 1)
     with pytest.raises(BudgetExceeded):
-        oracle_lspc(inst, Budget(max_lspc_profiles=10**6))
+        oracle_lspc(inst)
+
+
+@pytest.mark.parametrize("inst, candidates", [
+    # 3 slots of demand 1 with 60 shorts each: (2 * 61)**3 = 1 815 848 pairs
+    (LspcInstance(3, (1, 1, 1), tuple(ShortResource(i, i % 3 + 1, 1, 3) for i in range(180)),
+                  (Resource(0, 1, 3, 1, 100),), 3), (2 * 61)**3),
+    # 6 slots of demand 2 with 12 shorts each: only 729 coverage profiles
+    (LspcInstance(6, (2,) * 6, tuple(ShortResource(i, i % 6 + 1, 1, 3) for i in range(72)),
+                  (Resource(0, 1, 6, 2, 100),), 6), (3 * 13)**6),
+], ids=["many-shorts", "six-slots"])
+def test_oracle_lspc_cap_counts_short_picks(inst, candidates):
+    # the cap bounds the whole loop nest, not only the coverage profiles
+    assert candidates > MAX_LSPC_CANDIDATES
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded, match=f"{candidates} .*MAX_LSPC_CANDIDATES"):
+        oracle_lspc(inst)
+    assert time.monotonic() - start < 1
 
 
 def test_oracle_prize_trivials():
@@ -95,7 +120,7 @@ def test_oracle_prize_two_branch():
 def test_oracle_prize_budget_refusal():
     inst = generate_uniform(1, jobs=13, resources=2, timeslots=10, penalties=True)
     with pytest.raises(BudgetExceeded):
-        oracle_prize(inst, Budget(max_prize_jobs=12))
+        oracle_prize(inst)
 
 
 def test_oracle_prize_outputs_verify():
@@ -104,26 +129,6 @@ def test_oracle_prize_outputs_verify():
         res = oracle_prize(inst)
         report = verify_prize(inst, res.solution)
         assert report.feasible and report.total == res.total
-
-
-def test_oracles_pick_up_env_budget(monkeypatch):
-    inst = generate_uniform(1, jobs=5, resources=2, k=2)
-    monkeypatch.setenv("INTERVALCOVER_BUDGET", "partial=4")
-    with pytest.raises(BudgetExceeded):
-        oracle_partial(inst)
-    monkeypatch.delenv("INTERVALCOVER_BUDGET")
-    oracle_partial(inst)
-
-
-def test_budget_env_parsing(monkeypatch):
-    monkeypatch.setenv("INTERVALCOVER_BUDGET", "partial=12,prize=14,lspc=200000")
-    b = Budget.from_env()
-    assert b == Budget(12, 14, 200000)
-    monkeypatch.setenv("INTERVALCOVER_BUDGET", "bogus=1")
-    with pytest.raises(ValueError):
-        Budget.from_env()
-    monkeypatch.delenv("INTERVALCOVER_BUDGET")
-    assert Budget.from_env() == Budget()
 
 
 def _golden_record(cost, sol):
