@@ -48,6 +48,22 @@ before E3, its pruning skips only candidates that cannot beat the entry,
 and an update needs a strictly lower cost, so a strip candidate never
 changes an entry or a choice.
 
+A cut t > a only needs the left entries won by a long. In row (a,b,h)
+with h < H, let M(a,t,h)[q1] have a choice other than E3; its candidate
+for q = q1+q2 is M(a,t,h)[q1] + M(t+1,b,h)[q2]. If that choice is E2 at
+t' < t with x units left of t', the cut t' offers M(a,t',h)[x] +
+M(t'+1,b,h)[q-x], and cut t of row (t'+1,b,h) makes that at most the
+candidate. If it is E1 (or BASE0, q1 = 0), the entry is A(a,t,h)[q1] =
+A(a,t-1,h)[x] + gamma_t(q1-x) for some x, and the cut t-1 offers
+M(a,t-1,h)[x] + M(t,b,h)[q-x], which is at most the candidate because
+M(a,t-1,h) <= A(a,t-1,h) and cut t of row (t,b,h) takes M(t,t,h)[y] <=
+gamma_t(y). By induction over the fill order and over t, every entry is
+at most every candidate of every cut, skipped or not: cut t' runs before
+cut t, its pruning skips only candidates that cannot beat the entry, and
+rows (t'+1,b,h) and (t,b,h) are filled first. An update needs a strictly
+lower cost, so such a candidate never changes an entry or a choice. Cut
+t = a keeps all its left entries, since no cut comes before it.
+
 Rows are filled on demand, whole rows at a time. An M row needs rows of
 strictly shorter ranges, or of its own range at a strictly larger free
 height, so the requests are acyclic. They are served from an explicit
@@ -161,6 +177,7 @@ class LspcSolver:
             self._shorts_at[s.t].append(s)
         for lst in self._shorts_at:
             lst.sort(key=lambda s: (s.c, s.id))
+        self._gamma: dict[tuple[int, int], list[Cost]] = {}  # (t, h) -> gamma costs
         self.memo_a: dict[tuple[int, int, int], tuple[list, list]] = {}
         self.memo_m: dict[tuple[int, int, int], tuple[list, list]] = {}
 
@@ -207,7 +224,10 @@ class LspcSolver:
             top -= 1
         prev = memo[(a, top, h)][0] if top >= a else _EMPTY_ROW[0]
         for t in range(top + 1, b + 1):
-            gamma = [self.gamma_choice(t, q1, h)[0] for q1 in range(self.inst.d[t - 1] + 1)]
+            gamma = self._gamma.get((t, h))
+            if gamma is None:
+                gamma = self._gamma[(t, h)] = [
+                    self.gamma_choice(t, q1, h)[0] for q1 in range(self.inst.d[t - 1] + 1)]
             costs = [INFEASIBLE] * (len(prev) + len(gamma) - 1)
             picks = [None] * len(costs)
             for q1, g in enumerate(gamma):
@@ -267,7 +287,9 @@ class LspcSolver:
         # best[q] > lv, which starts at a bisection point of best, and only
         # while v < top - lv, which ends at a bisection point of the other
         # row (lv is alpha * c in E3). Candidates left out that way could
-        # never win.
+        # never win, and neither could a cut t > a through a left entry
+        # not won by a long (module docstring). An empty window skips the
+        # second bisection.
         for t in range(a, b):
             reach = best[:]
             top = reach[-1]
@@ -276,12 +298,17 @@ class LspcSolver:
             left = memo.get((a, t, h)) or (yield (a, t, h))
             right = memo.get((t + 1, b, h)) or (yield (t + 1, b, h))
             rcosts = right[0]
+            lch = left[1]
             for q1, lv in enumerate(left[0]):
                 if lv >= top:
                     break
+                if t > a and lch[q1][0] != "E3":
+                    continue
                 lo = bisect_right(reach, lv) - q1
                 if lo < 0:
                     lo = 0
+                if lo >= len(rcosts) or rcosts[lo] >= top - lv:
+                    continue  # not break: lo may shrink as q1 grows
                 q = q1 + lo
                 for v in rcosts[lo:bisect_left(rcosts, top - lv)]:
                     if lv + v < best[q]:

@@ -315,3 +315,32 @@ def test_strip_long_candidates_never_win():
                             (seed, (a, b, h), r.id, alpha, q1, q2, q3)
                     if hc == H:
                         break
+
+
+def test_late_cut_left_entries_not_won_by_a_long_never_win():
+    # The cut lemma in the module docstring: in a row (a,b,h) with h < H, a
+    # cut t > a whose left entry M(a,t,h)[q1] was not won by a long (its
+    # choice is not E3) never offers less than the row's entry, for any q2.
+    for seed in range(61):
+        inst = generate_lspc(seed, timeslots=6, max_demand=4, shorts=8, longs=5)
+        solver = LspcSolver(inst)
+        solver.solve()
+        H = solver.H
+        memo = solver.memo_m
+        for a, b, h in list(memo):
+            if h >= H:
+                continue
+            row = memo[(a, b, h)][0]
+            for t in range(a + 1, b):
+                left = memo.get((a, t, h))
+                if left is None:
+                    # the row's own cut pass stopped at an all-zero row
+                    assert row[-1] == 0, (seed, (a, b, h), t)
+                    continue
+                right = [solver.table_m(t + 1, b, q2, h) for q2 in _units(inst, t + 1, b)]
+                for q1, lch in enumerate(left[1]):
+                    if lch is None or lch[0] == "E3":
+                        continue
+                    lv = solver.table_m(a, t, q1, h)
+                    for q2, rv in enumerate(right):
+                        assert lv + rv >= row[q1 + q2], (seed, (a, b, h), t, q1, q2)
