@@ -2,7 +2,8 @@
 
 Solvers for partial coverage (cover k of the jobs) and prize-collecting
 coverage (pay penalties for skipped jobs) over a discrete timeline, plus
-exact brute-force oracles for checking them.
+exact brute-force oracles for checking them. The pipeline's layers
+(mountains, reductions) are imported from their own modules.
 """
 
 from .core import (
@@ -14,12 +15,8 @@ from .core import (
     PrizeSolveResult,
     Resource,
     SolveResult,
-    covers,
     is_feasible,
-    job_profile,
     make_instance,
-    multiset_cost,
-    multiset_profile,
     verify_partial,
     verify_prize,
 )
@@ -32,15 +29,6 @@ from .lspc import (
     ShortResource,
     verify_lspc,
 )
-from .mountains import (
-    Decomposition,
-    Mountain,
-    MountainRange,
-    candidate_exclusions,
-    decompose,
-    single_mountain_solve,
-    verify_mountain_range,
-)
 from .oracle import oracle_lspc, oracle_partial, oracle_prize
 from .pipeline import (
     RANGE_FACTOR,
@@ -48,21 +36,11 @@ from .pipeline import (
     solve_partial,
     solve_prize,
 )
-from .reductions import (
-    build_lspc,
-    lift_lspc,
-    lift_smfc,
-    lift_split,
-    pc_to_smfc,
-    smfc_solve_exact,
-    split_narrow_wide,
-)
 
 __all__ = [
     "INFEASIBLE",
     "BudgetExceeded",
     "CoverPlan",
-    "Decomposition",
     "FullCoverResult",
     "Instance",
     "Job",
@@ -70,8 +48,6 @@ __all__ = [
     "LspcResult",
     "LspcSolution",
     "LspcSolver",
-    "Mountain",
-    "MountainRange",
     "PartialSolution",
     "PartialSolveResult",
     "PrizeSolveResult",
@@ -79,30 +55,15 @@ __all__ = [
     "Resource",
     "ShortResource",
     "SolveResult",
-    "build_lspc",
-    "candidate_exclusions",
-    "covers",
-    "decompose",
     "full_cover",
     "is_feasible",
-    "job_profile",
-    "lift_lspc",
-    "lift_smfc",
-    "lift_split",
     "make_instance",
-    "multiset_cost",
-    "multiset_profile",
     "oracle_lspc",
     "oracle_partial",
     "oracle_prize",
-    "pc_to_smfc",
-    "single_mountain_solve",
-    "smfc_solve_exact",
     "solve_partial",
     "solve_prize",
-    "split_narrow_wide",
     "verify_lspc",
-    "verify_mountain_range",
     "verify_partial",
     "verify_prize",
 ]

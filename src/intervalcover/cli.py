@@ -43,7 +43,7 @@ from .files import (
     parse_solution,
 )
 from .fullcover import CoverPlan, full_cover
-from .generate import PROFILES, generate, generate_lspc, generate_uniform
+from .generate import PROFILES, generate
 from .lspc import LspcSolver, verify_lspc
 from .oracle import oracle_lspc, oracle_partial, oracle_prize
 from .pipeline import solve_partial, solve_prize
@@ -170,9 +170,9 @@ def _parse_seed_range(text: str) -> range:
 
 def _ratio_instance(problem: str, profile: str | None, seed: int):
     if problem == "lspc":
-        return generate_lspc(seed)
+        return generate("lspc-random", seed)
     if problem == "prize":
-        return generate_uniform(seed, penalties=True)
+        return generate("uniform-random", seed, penalties=True)
     return generate(profile or "uniform-random", seed)
 
 
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     # unset options take the generator's default; one it lacks is an error
     gen.add_argument("--jobs", type=int)
     gen.add_argument("--resources", type=int)
-    gen.add_argument("--timeslots", type=int, default=10)
+    gen.add_argument("--timeslots", type=int)
     gen.add_argument("--mountains", type=int)
     gen.add_argument("--max-w", type=int)
     gen.add_argument("--max-c", type=int)

@@ -35,6 +35,29 @@ MAX_PRIZE_JOBS = 12
 MAX_LSPC_CANDIDATES = 100_000
 
 
+def _cheapest_subset(inst: Instance, subsets, penalty) -> tuple:
+    """The first strictly cheapest of ``subsets`` (job sequences), each
+    priced as the exact full cover of its profile plus ``penalty(subset)``;
+    (INFEASIBLE, None) when none is coverable."""
+    plan = CoverPlan(inst.resources, inst.T)
+    best_cost = INFEASIBLE
+    best = None
+    memo: dict[tuple[int, ...], object] = {}
+    for subset in subsets:
+        extra = penalty(subset)
+        if extra > best_cost:
+            continue
+        prof = job_profile(subset, inst.T)
+        fc = memo.get(prof)
+        if fc is None:
+            fc = memo[prof] = full_cover(prof, plan)
+        total = fc.cost + extra
+        if total < best_cost:
+            best_cost = total
+            best = PartialSolution(fc.counts, frozenset(j.id for j in subset))
+    return best_cost, best
+
+
 def oracle_partial(inst: Instance) -> SolveResult:
     """True optimum for partial coverage: best full cover over all size-k
     job subsets."""
@@ -44,20 +67,8 @@ def oracle_partial(inst: Instance) -> SolveResult:
     if n > MAX_PARTIAL_JOBS:
         raise BudgetExceeded(
             f"{n} jobs exceed the subset-enumeration cap MAX_PARTIAL_JOBS={MAX_PARTIAL_JOBS}")
-    plan = CoverPlan(inst.resources, inst.T)
-    best_cost = INFEASIBLE
-    best = None
-    memo: dict[tuple[int, ...], object] = {}
-    for subset in itertools.combinations(inst.jobs, inst.k):
-        prof = job_profile(subset, inst.T)
-        fc = memo.get(prof)
-        if fc is None:
-            fc = full_cover(prof, plan)
-            memo[prof] = fc
-        if fc.cost < best_cost:
-            best_cost = fc.cost
-            best = PartialSolution(fc.counts, frozenset(j.id for j in subset))
-    return SolveResult(best_cost, best)
+    return SolveResult(*_cheapest_subset(
+        inst, itertools.combinations(inst.jobs, inst.k), lambda subset: 0))
 
 
 def _coverage_profiles(d: tuple[int, ...], k: int):
@@ -138,24 +149,9 @@ def oracle_prize(inst: Instance) -> PrizeSolveResult:
         raise BudgetExceeded(
             f"{n} jobs exceed the subset-enumeration cap MAX_PRIZE_JOBS={MAX_PRIZE_JOBS}")
     total_penalty = sum(j.penalty for j in inst.jobs)
-    plan = CoverPlan(inst.resources, inst.T)
-    best_cost = INFEASIBLE
-    best = None
-    memo: dict[tuple[int, ...], object] = {}
-    for mask in range(1 << n):
-        covered = [inst.jobs[i] for i in range(n) if mask >> i & 1]
-        penalty = total_penalty - sum(j.penalty for j in covered)
-        if penalty > best_cost:
-            continue
-        prof = job_profile(covered, inst.T)
-        fc = memo.get(prof)
-        if fc is None:
-            fc = full_cover(prof, plan)
-            memo[prof] = fc
-        total = fc.cost + penalty
-        if total < best_cost:
-            best_cost = total
-            best = PartialSolution(fc.counts, frozenset(j.id for j in covered))
+    best_cost, best = _cheapest_subset(
+        inst, ([inst.jobs[i] for i in range(n) if mask >> i & 1] for mask in range(1 << n)),
+        lambda covered: total_penalty - sum(j.penalty for j in covered))
     if best is None:
         raise RuntimeError("the empty subset is always coverable, yet no subset was")
     return PrizeSolveResult(best_cost, best)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from intervalcover.cli import main
+from intervalcover.generate import PROFILES, generate
 from intervalcover.files import (
     ParseError,
     emit_instance,
@@ -187,6 +188,7 @@ def test_generate_rejects_options_of_another_profile(capsys):
     ("single-mountain", ("--k", "2")),
     ("mountain-range", ("--mountains", "3", "--timeslots", "12")),
     ("lspc-random", ("--timeslots", "6", "--shorts", "5")),
+    ("mountain-range", ("--mountains", "6")),
 ])
 def test_generate_every_profile_round_trips(tmp_path, capsys, profile, extra):
     path = gen(tmp_path, capsys, "inst.json", "--profile", profile, *extra)
@@ -197,6 +199,15 @@ def test_generate_every_profile_round_trips(tmp_path, capsys, profile, extra):
         assert emit_lspc(inst) == text
     else:
         assert emit_instance(parse_instance(text)) == text
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_generate_without_size_options_takes_the_generators_defaults(capsys, profile):
+    emit = emit_lspc if profile == "lspc-random" else emit_instance
+    for seed in range(5):
+        code, out, err = run(capsys, "generate", "--profile", profile, "--seed", str(seed))
+        assert code == 0, err
+        assert out == emit(generate(profile, seed))
 
 
 def test_missing_k_exit_1(tmp_path, capsys):

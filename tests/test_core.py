@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import intervalcover
 from intervalcover.core import (
     INFEASIBLE,
     Instance,
@@ -437,6 +438,25 @@ def test_every_import_is_read():
         found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
     assert not found, found
 
+
+
+ROOT_API = {
+    "INFEASIBLE", "BudgetExceeded", "Instance", "Job", "PartialSolution",
+    "PrizeSolveResult", "Resource", "SolveResult", "is_feasible", "make_instance",
+    "verify_partial", "verify_prize", "verify_lspc",
+    "CoverPlan", "FullCoverResult", "full_cover",
+    "LspcInstance", "LspcResult", "LspcSolution", "LspcSolver", "ShortResource",
+    "oracle_lspc", "oracle_partial", "oracle_prize",
+    "RANGE_FACTOR", "PartialSolveResult", "solve_partial", "solve_prize",
+}
+
+
+def test_root_exports_exactly_what_it_imports():
+    # the layers' internals (mountains, reductions) are imported from their modules
+    [tree] = [tree for path, tree in _package_modules() if path.name == "__init__.py"]
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(intervalcover.__all__) == sorted(imported) == sorted(ROOT_API)
 
 def test_package_imports_only_stdlib():
     found = []
