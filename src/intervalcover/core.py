@@ -76,6 +76,22 @@ def check_resources(name: str, resources: Sequence[Resource], T: int) -> None:
             raise ValueError(f"{name}[{i}] has negative cost {r.c}")
 
 
+def undominated(resources: Sequence[Resource]) -> list[int]:
+    """Positions of the resources no other one strictly beats.
+
+    ``o`` beats ``r`` when o.s <= r.s, r.e <= o.e and
+    ceil(r.w / o.w) * o.c < r.c: that many copies of o cover at least r's
+    capacity on all of r's interval for strictly less, so no minimum-cost
+    multiset holds a copy of r. The relation is irreflexive (the test is
+    strict) and transitive (ceil(r.w / p.w) <= ceil(r.w / o.w) *
+    ceil(o.w / p.w)), hence acyclic, so every beaten resource is beaten by
+    one that is kept.
+    """
+    return [p for p, r in enumerate(resources)
+            if not any(o.s <= r.s and r.e <= o.e and -(-r.w // o.w) * o.c < r.c
+                       for o in resources)]
+
+
 @dataclass(frozen=True)
 class Instance:
     """A problem instance over timeline 1..T.

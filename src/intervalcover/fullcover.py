@@ -6,18 +6,27 @@ cover exactly with branch and bound over copy counts.
 
 What the search needs of the resources alone is a ``CoverPlan``, built
 once per resource set and timeline and shared by every demand solved
-over them. The plan cuts the timeline 1..T before every resource start
-and after every resource end, so m resources give at most 2m + 1
-pieces, and all slots of one piece see the same active resources. The
-pieces some resource is active on are the segments the search runs
-over; the others are gaps, slots no resource reaches. Resources are
-branched on in order of cost per unit of capacity, compared exactly in
-integers (c_a * w_b against c_b * w_a, ties to input position). Walking
-that order from the back gives ``suffix_best``: per level and segment,
-the cheapest-per-unit resource still to come, or None. It drives the
-admissible bound max ceil(residual * c / w), marks segments that nothing
-left can cover, and at the root picks the resource of the greedy
-incumbent.
+over them. The plan first drops every resource that another one strictly
+beats (``core.undominated``): if o.s <= r.s, r.e <= o.e and
+ceil(r.w / o.w) * o.c < r.c, swapping one copy of r for that many copies
+of o keeps a multiset covering and makes it strictly cheaper, so no
+optimum holds r. Every optimum is then a copy vector of the kept
+resources, and the lexicographically smallest one is the same with r in
+the search or not. A dropped resource's interval lies inside a kept one
+(the relation is acyclic and transitive), so the slots some resource
+reaches are the same for the kept ones alone.
+
+The plan cuts the timeline 1..T before every kept resource's start and
+after its end, so m kept resources give at most 2m + 1 pieces, and all
+slots of one piece see the same active kept resources. The pieces some
+resource is active on are the segments the search runs over; the others
+are gaps, slots no resource reaches. Resources are branched on in order
+of cost per unit of capacity, compared exactly in integers (c_a * w_b
+against c_b * w_a, ties to input position). Walking that order from the
+back gives, per level and segment, the cheapest-per-unit resource still
+to come, or None. It drives the admissible bound max ceil(residual * c /
+w), marks segments that nothing left can cover, and at the root picks
+the resource of the greedy incumbent.
 
 A call first refuses, under any cutoff, a demand that is positive
 somewhere in a gap: no multiset covers it. It then reduces the demand
@@ -48,6 +57,15 @@ the lexicographically smallest optimal copy vector (in input order),
 which is the one returned, and hi never exceeds ceil(max demand / w).
 At the last level lo == hi.
 
+Because of ``lo``, a segment that no resource from level i on covers has
+no positive residual at level i. The children of a node differ only on
+the segments of the branched resource's span, so the bound of a child is
+the larger of the bound outside the span, taken once per node over the
+segments that a later resource covers, and the bound inside it, taken
+per child. Copies raise a child's cost and the incumbent only falls, so
+once a child's cost plus the outside bound passes the incumbent, every
+later child is pruned as well and the loop stops.
+
 A caller that only wants covers cheaper than some ``cutoff`` passes it:
 every node whose cost plus bound reaches the cutoff is pruned, and the
 search reports INFEASIBLE_COVER when no cover beats it.
@@ -59,7 +77,7 @@ from dataclasses import dataclass, field
 from functools import cmp_to_key
 from typing import Mapping, Sequence
 
-from .core import INFEASIBLE, Cost, Resource, check_resources
+from .core import INFEASIBLE, Cost, Resource, check_resources, undominated
 
 
 @dataclass(frozen=True)
@@ -86,17 +104,17 @@ INFEASIBLE_COVER = FullCoverResult({}, INFEASIBLE)
 class CoverPlan:
     """The search plan of one resource set over timeline 1..T.
 
-    Cutting the slots 0..T-1 (0-based) at every ``r.s - 1`` and ``r.e``
+    ``order`` lists the positions in ``resources`` of the resources no
+    other one strictly beats, by cost per unit of capacity. Cutting the
+    slots 0..T-1 (0-based) at every ``r.s - 1`` and ``r.e`` of those
     gives half-open ranges (start, stop) whose slots all have the same
-    active resources. Those some resource is active on are ``segments``,
-    the others ``gaps``. ``spans[p]`` is the half-open range of segments
-    that ``resources[p]`` is active on.
-    ``order`` lists positions in ``resources`` by cost per unit of
-    capacity; ``suffix_best[i][j]`` is the cheapest-per-unit resource
-    among ``order[i:]`` active on segment j (earliest in order on ties),
-    or None. Everything is a tuple, so one plan serves any number of
-    ``full_cover`` calls. Raises ValueError for a resource outside [1, T],
-    with capacity below 1 or with a negative cost.
+    active kept resources. Those some resource is active on are
+    ``segments``, the others ``gaps``. ``cheapest[j]`` is the cheapest-per-unit resource active on
+    segment j (earliest in order on ties). ``levels[i]`` holds what the
+    search needs to branch on ``order[i]``. Everything is a tuple, so one
+    plan serves any number of ``full_cover`` calls. Raises ValueError for
+    a resource outside [1, T], with capacity below 1 or with a negative
+    cost.
     """
 
     resources: tuple[Resource, ...]
@@ -104,52 +122,51 @@ class CoverPlan:
     order: tuple[int, ...] = field(init=False, repr=False)
     segments: tuple[tuple[int, int], ...] = field(init=False, repr=False)
     gaps: tuple[tuple[int, int], ...] = field(init=False, repr=False)
-    spans: tuple[tuple[int, int], ...] = field(init=False, repr=False)
-    suffix_best: tuple[tuple[Resource | None, ...], ...] = field(init=False, repr=False)
+    cheapest: tuple[Resource, ...] = field(init=False, repr=False)
+    levels: tuple[tuple, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         resources = tuple(self.resources)
         check_resources("resources", resources, self.T)
-        cuts = sorted({0, self.T, *(r.s - 1 for r in resources), *(r.e for r in resources)})
+        kept = undominated(resources)
+        live = [resources[p] for p in kept]
+        cuts = sorted({0, self.T, *(r.s - 1 for r in live), *(r.e for r in live)})
         pieces = tuple(zip(cuts, cuts[1:]))
-        segments = tuple(p for p in pieces if any(r.s <= p[1] and p[0] < r.e for r in resources))
+        segments = tuple(p for p in pieces if any(r.s <= p[1] and p[0] < r.e for r in live))
         first = {a: j for j, (a, _) in enumerate(segments)}
         stop = {b: j + 1 for j, (_, b) in enumerate(segments)}
-        spans = tuple((first[r.s - 1], stop[r.e]) for r in resources)
         # Branch on cheap capacity first: the incumbent drops fast and the
         # bound bites early.
-        order = tuple(sorted(range(len(resources)), key=cmp_to_key(
+        order = tuple(sorted(kept, key=cmp_to_key(
             lambda a, b: resources[a].c * resources[b].w - resources[b].c * resources[a].w
             or a - b)))
-        rows = [[None] * len(segments)]
+        # Walk the order from the back: `later` is the cheapest-per-unit
+        # resource still to come on each segment, or None. A level holds
+        # the resource's position, w and c, the half-open range (a, b) of
+        # the segments it is active on, those of them no later resource
+        # covers, and (segment, c, w) of the cheapest later resource on
+        # every other segment, inside (a, b) and outside it.
+        later = [None] * len(segments)
+        levels = []
         for pos in reversed(order):
             r = resources[pos]
-            cur = rows[-1][:]
-            for j in range(*spans[pos]):
-                prev = cur[j]
+            a, b = first[r.s - 1], stop[r.e]
+            priced = [(j, br.c, br.w) for j, br in enumerate(later) if br is not None]
+            levels.append((
+                pos, r.w, r.c, a, b,
+                tuple(j for j in range(a, b) if later[j] is None),
+                tuple(x for x in priced if a <= x[0] < b),
+                tuple(x for x in priced if not a <= x[0] < b)))
+            for j in range(a, b):
+                prev = later[j]
                 if prev is None or r.c * prev.w <= prev.c * r.w:
-                    cur[j] = r
-            rows.append(cur)
+                    later[j] = r
         object.__setattr__(self, "resources", resources)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "gaps", tuple(p for p in pieces if p not in segments))
-        object.__setattr__(self, "spans", spans)
-        object.__setattr__(self, "suffix_best", tuple(tuple(row) for row in reversed(rows)))
-
-
-def _bound(residual: Sequence[int], row: Sequence[Resource | None]) -> Cost:
-    """max_j ceil(residual_j * c / w) with the resource of ``row`` at each
-    segment; INFEASIBLE if a segment with positive residual has none."""
-    lb = 0
-    for rt, br in zip(residual, row):
-        if rt > 0:
-            if br is None:
-                return INFEASIBLE
-            est = -(-rt * br.c // br.w)
-            if est > lb:
-                lb = est
-    return lb
+        object.__setattr__(self, "cheapest", tuple(later))
+        object.__setattr__(self, "levels", tuple(reversed(levels)))
 
 
 def full_cover(demand: Sequence[int], plan: CoverPlan,
@@ -173,7 +190,7 @@ def full_cover(demand: Sequence[int], plan: CoverPlan,
         if max(demand[a:b]) > 0:
             return INFEASIBLE_COVER
     segments = plan.segments
-    root = plan.suffix_best[0]
+    root = plan.cheapest
     peaks = []
     for (a, b), r in zip(segments, root):
         peak = max(demand[a:b])
@@ -183,8 +200,8 @@ def full_cover(demand: Sequence[int], plan: CoverPlan,
     if all(d <= 0 for d in peaks):
         return FullCoverResult({}, 0)
 
-    resources, order, spans, suffix_best = plan.resources, plan.order, plan.spans, plan.suffix_best
-    m = len(resources)
+    resources, levels = plan.resources, plan.levels
+    depth = len(levels)
 
     # Greedy incumbent: a feasible cost cap, not a candidate vector. Only
     # segments not yet visited need their residual lowered.
@@ -202,45 +219,61 @@ def full_cover(demand: Sequence[int], plan: CoverPlan,
                 u += 1
 
     residual = peaks
-    counts = [0] * m  # indexed by position in `resources`
+    counts = [0] * len(resources)  # indexed by position in `resources`
     # Costs are integers, so "below cutoff" is "at most cutoff - 1".
     best_cost = greedy_cost if greedy_cost < cutoff else cutoff - 1
     best_vec = None
 
     def dfs(i: int, cost: int) -> None:
         nonlocal best_cost, best_vec
-        if i == m:
+        if i == depth:
             vec = tuple(counts)
             if cost < best_cost or best_vec is None or vec < best_vec:
                 best_cost = cost
                 best_vec = vec
             return
-        pos = order[i]
-        r = resources[pos]
-        w = r.w
-        a, b = spans[pos]
-        later = suffix_best[i + 1]
-        lo = hi = 0
-        for j in range(a, b):
+        pos, w, c, a, b, last, inside, outside = levels[i]
+        lo = 0
+        for j in last:
             need = -(-residual[j] // w)
-            if need > hi:
-                hi = need
-            if need > lo and later[j] is None:
+            if need > lo:
                 lo = need
-        take = lo * w
-        for n in range(lo, hi + 1):
+        hi = max(lo, -(-max(residual[a:b]) // w))
+        out = 0
+        for j, bc, bw in outside:
+            rt = residual[j]
+            if rt > 0:
+                est = -(-rt * bc // bw)
+                if est > out:
+                    out = est
+        n = lo
+        if n:
+            take = n * w
+            for j in range(a, b):
+                residual[j] -= take
+        child = cost + n * c
+        while child + out <= best_cost:
             counts[pos] = n
-            if take:
-                for j in range(a, b):
-                    residual[j] -= take
-            child = cost + n * r.c
-            if child + _bound(residual, later) <= best_cost:
+            lb = out
+            for j, bc, bw in inside:
+                rt = residual[j]
+                if rt > 0:
+                    est = -(-rt * bc // bw)
+                    if est > lb:
+                        lb = est
+            if child + lb <= best_cost:
                 dfs(i + 1, child)
-            take = w
+            if n == hi:
+                break
+            n += 1
+            child += c
+            for j in range(a, b):
+                residual[j] -= w
         counts[pos] = 0
-        back = hi * w
-        for j in range(a, b):
-            residual[j] += back
+        if n:
+            back = n * w
+            for j in range(a, b):
+                residual[j] += back
 
     dfs(0, 0)
     if best_vec is None:

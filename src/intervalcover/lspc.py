@@ -64,6 +64,36 @@ rows (t'+1,b,h) and (t,b,h) are filled first. An update needs a strictly
 lower cost, so such a candidate never changes an entry or a choice. Cut
 t = a keeps all its left entries, since no cut comes before it.
 
+So a cut t > a walks only the left row's E3 entries, which each M row
+lists in ascending q. When there are none, or the first already costs
+at least the row's current top entry, the cut tries no candidate and is
+skipped before its right row is requested. A row is a function of its
+key alone, so a row left unrequested changes no other row.
+
+With the pruning above, an entry is the least of all its candidates,
+tried or not, and its choice is the first candidate in order that
+reaches it: every pruning skips only candidates that cannot strictly
+beat the entry at that point. Rows do not increase with h. gamma does
+not, so neither do A rows; E2 candidates do not, by induction over the
+range length; and an E3 candidate of row (a,b,h1) is one of row
+(a,b,h2), h2 > h1, too, unless alpha*w <= h2, and then it is at least
+M(a,b,min(H,alpha*w))[q] >= M(a,b,h2)[q], by induction over h1 downward
+from H, where rows are all zero.
+
+A long that another long beats never wins an entry. Let o beat r:
+o.s <= r.s, r.e <= o.e and ceil(r.w/o.w)*o.c < r.c (``core.undominated``).
+In row (a,b,h), o spans [a,b] whenever r does. For r's candidate at
+alpha, let alpha' = ceil(alpha*r.w/o.w). Then alpha'*o.w >= alpha*r.w > h,
+so alpha' lies in o's alpha range; alpha'*o.c <= alpha*ceil(r.w/o.w)*o.c
+< alpha*r.c; and o's free height min(H,alpha'*o.w) is at least r's, so
+at every q o's candidate at alpha' costs strictly less than r's. o's
+alpha loop either reaches alpha', after which every entry is at most
+o's candidate, or breaks at some alpha'' < alpha', on alpha''*o.c >= top
+or on the all-zero row of free height H; either way every entry is then
+at most alpha''*o.c, which is below r's candidate. So no candidate of r
+is ever the least of its entry, and the solver leaves out every long
+that another long beats, which requests fewer rows.
+
 Rows are filled on demand, whole rows at a time. An M row needs rows of
 strictly shorter ranges, or of its own range at a strictly larger free
 height, so the requests are acyclic. They are served from an explicit
@@ -82,7 +112,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import INFEASIBLE, Cost, Resource, check_resources, is_feasible
+from .core import INFEASIBLE, Cost, Resource, check_resources, is_feasible, undominated
 
 
 @dataclass(frozen=True)
@@ -160,7 +190,8 @@ class LspcSolver:
     are ("BASE0",) for q = 0, ("BASEH",) when h >= H (slots filled left
     to right), ("E1",), ("E2", t, q1) for a cut after slot t with q1
     units in [a,t], and ("E3", long id, alpha), which goes on in row
-    M(a,b,min(H,alpha*w)). One solver may answer root queries for several
+    M(a,b,min(H,alpha*w)). An M row carries a third list: the q whose
+    choice is E3, ascending. One solver may answer root queries for several
     coverage targets; the tables only depend on the demands and
     resources. Not thread-safe: each solve owns its rows.
     """
@@ -177,9 +208,11 @@ class LspcSolver:
             self._shorts_at[s.t].append(s)
         for lst in self._shorts_at:
             lst.sort(key=lambda s: (s.c, s.id))
+        # A long another one beats never wins an entry (module docstring).
+        self._longs = [inst.longs[p] for p in undominated(inst.longs)]
         self._gamma: dict[tuple[int, int], list[Cost]] = {}  # (t, h) -> gamma costs
         self.memo_a: dict[tuple[int, int, int], tuple[list, list]] = {}
-        self.memo_m: dict[tuple[int, int, int], tuple[list, list]] = {}
+        self.memo_m: dict[tuple[int, int, int], tuple[list, list, list]] = {}
 
     def _dsum(self, a: int, b: int) -> int:
         if a > b:
@@ -274,7 +307,7 @@ class LspcSolver:
         row back; it returns its own row."""
         size = self._dsum(a, b) + 1
         if h >= self.H:
-            return [0] * size, [("BASE0",)] + [("BASEH",)] * (size - 1)
+            return [0] * size, [("BASE0",)] + [("BASEH",)] * (size - 1), []
         memo = self.memo_m
         best = list(self._row_a(a, b, h)[0])
         choice = [None if v == INFEASIBLE else ("E1",) for v in best]
@@ -288,22 +321,28 @@ class LspcSolver:
         # while v < top - lv, which ends at a bisection point of the other
         # row (lv is alpha * c in E3). Candidates left out that way could
         # never win, and neither could a cut t > a through a left entry
-        # not won by a long (module docstring). An empty window skips the
-        # second bisection.
+        # not won by a long (module docstring): such a cut walks only the
+        # left row's E3 entries, and is skipped when none is below top. An
+        # empty window skips the second bisection.
         for t in range(a, b):
-            reach = best[:]
-            top = reach[-1]
+            top = best[-1]
             if top == 0:
                 break  # costs are non-negative, so no cut can improve
             left = memo.get((a, t, h)) or (yield (a, t, h))
+            lcosts = left[0]
+            if t == a:
+                q1s = range(len(lcosts))
+            else:
+                q1s = left[2]
+                if not q1s or lcosts[q1s[0]] >= top:
+                    continue
+            reach = best[:]
             right = memo.get((t + 1, b, h)) or (yield (t + 1, b, h))
             rcosts = right[0]
-            lch = left[1]
-            for q1, lv in enumerate(left[0]):
+            for q1 in q1s:
+                lv = lcosts[q1]
                 if lv >= top:
                     break
-                if t > a and lch[q1][0] != "E3":
-                    continue
                 lo = bisect_right(reach, lv) - q1
                 if lo < 0:
                     lo = 0
@@ -317,7 +356,8 @@ class LspcSolver:
                     q += 1
 
         H = self.H
-        for r in self.inst.longs:
+        won = set()
+        for r in self._longs:
             if r.s > a or r.e < b:
                 continue  # a strip long never wins (module docstring)
             for alpha in range(h // r.w + 1, H + 1):
@@ -333,10 +373,11 @@ class LspcSolver:
                     if base + v < best[q]:
                         best[q] = base + v
                         choice[q] = ("E3", r.id, alpha)
+                        won.add(q)
                     q += 1
                 if hc == H:
                     break
-        return best, choice
+        return best, choice, sorted(won)
 
     def solve_for(self, k: int) -> LspcResult:
         inst = self.inst

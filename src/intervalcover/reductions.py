@@ -328,6 +328,12 @@ def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
     above it could not give a strictly smaller total, so any cover that
     comes back is a new best.
 
+    Each size is walked depth first, which is the same lexicographic
+    order, carrying the cost and the residual demand of the chosen prefix.
+    Once-only costs are at least 0 and the best only falls, so a prefix
+    whose cost reaches the best total is dropped with every subset it
+    starts: each of them would have been skipped for its cost.
+
     Refuses instances with more than ``MAX_STYPES`` once-only resources
     rather than approximating silently.
     """
@@ -348,30 +354,43 @@ def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
     forced = [i for i, r in enumerate(s_types)
               if any(r.s - 1 <= t < r.e and cap[t] - r.w < demand[t] for t in dead)]
     free = [i for i in range(n) if i not in forced]
-    base = list(demand)
+    residual = list(demand)  # the demand left by the forced and chosen resources
     for i in forced:
         r = s_types[i]
         for t in range(r.s - 1, r.e):
-            base[t] -= r.w
+            residual[t] -= r.w
     floor = list(itertools.accumulate(sorted(s_types[i].c for i in free),
                                       initial=sum(s_types[i].c for i in forced)))
     forced_cost = floor[0]
 
+    chosen: list[int] = []
+
+    def walk(start: int, left: int, scost: int) -> None:
+        """Cover every ``chosen`` + ``left`` more of ``free[start:]``."""
+        nonlocal best
+        if not left:
+            fc = full_cover(residual, plan, best.cost - scost)
+            if fc.feasible:
+                best = SmfcResult(scost + fc.cost, frozenset(forced).union(chosen), fc.counts)
+            return
+        for idx in range(start, len(free) - left + 1):
+            i = free[idx]
+            r = s_types[i]
+            cost = scost + r.c
+            if cost >= best.cost:
+                continue  # neither this subset nor one it starts can win
+            for t in range(r.s - 1, r.e):
+                residual[t] -= r.w
+            chosen.append(i)
+            walk(idx + 1, left - 1, cost)
+            chosen.pop()
+            for t in range(r.s - 1, r.e):
+                residual[t] += r.w
+
     for size in range(len(free) + 1):
         if floor[size] >= best.cost:
             break
-        for extra in itertools.combinations(free, size):
-            scost = forced_cost + sum(s_types[i].c for i in extra)
-            if scost >= best.cost:
-                continue
-            residual = base[:]
-            for i in extra:
-                r = s_types[i]
-                for t in range(r.s - 1, r.e):
-                    residual[t] -= r.w
-            fc = full_cover(residual, plan, best.cost - scost)
-            if fc.feasible:
-                best = SmfcResult(scost + fc.cost, frozenset(forced).union(extra), fc.counts)
+        walk(0, size, forced_cost)
     return best
 
 

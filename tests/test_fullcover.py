@@ -328,6 +328,45 @@ def test_shared_plan_matches_reference():
     assert all(count >= 20 for count in seen.values()), seen
 
 
+def test_adding_a_beaten_resource_changes_no_cover():
+    # A resource r with o.s <= r.s, r.e <= o.e and ceil(r.w / o.w) * o.c <
+    # r.c for some o is in no optimum, so adding it anywhere in the input
+    # leaves the result the same under every cutoff, and the plan never
+    # branches on it. The reference search keeps r, so it checks that
+    # dropping r loses nothing.
+    rnd = random.Random("fullcover-beaten")
+    seen = dict.fromkeys(("feasible", "before_beater", "beater_beaten"), 0)
+    for _ in range(60):
+        T, resources = _plan_case(rnd)
+        if not resources:
+            continue
+        o = rnd.choice(resources)
+        s = rnd.randint(o.s, o.e)
+        w = rnd.randint(1, 4)
+        r = Resource(len(resources), s, rnd.randint(s, o.e), w,
+                     -(-w // o.w) * o.c + rnd.randint(1, 3))
+        at = rnd.randint(0, len(resources))
+        grown = resources[:at] + (r,) + resources[at:]
+        plan, grown_plan = CoverPlan(resources, T), CoverPlan(grown, T)
+        assert at not in grown_plan.order
+        covered = [any(x.s <= t <= x.e for x in resources) for t in range(1, T + 1)]
+        for j in range(10):
+            demand = tuple(rnd.randint(0, 4) if covered[t] or j % 3 == 0 else 0
+                           for t in range(T))
+            opt = full_cover(demand, plan).cost
+            spread = 2 * opt + 2 if opt != INFEASIBLE else 40
+            for cutoff in (INFEASIBLE, 0, 1, opt, opt + 1, rnd.randint(0, spread)):
+                want = full_cover(demand, plan, cutoff)
+                for got in (full_cover(demand, grown_plan, cutoff),
+                            reference_full_cover(demand, grown, cutoff)):
+                    assert (dict(got.counts), got.cost) == (dict(want.counts), want.cost), \
+                        (demand, grown, cutoff)
+            seen["feasible"] += opt not in (0, INFEASIBLE)
+        seen["before_beater"] += at <= resources.index(o)
+        seen["beater_beaten"] += resources.index(o) not in plan.order
+    assert all(count >= 10 for count in seen.values()), seen
+
+
 def test_wrong_length_demand_raises():
     plan = CoverPlan((Resource(0, 1, 2, 1, 1),), 2)
     for demand in ((1,), (1, 1, 1)):
@@ -342,23 +381,41 @@ def test_plan_rejects_bad_resources():
             CoverPlan((r,), 2)
 
 
+def _beats(o, r):
+    """ceil(r.w / o.w) copies of o replace a copy of r for strictly less."""
+    return o.s <= r.s and r.e <= o.e and -(-r.w // o.w) * o.c < r.c
+
+
 def test_plan_segments_partition_the_timeline():
+    # The plan keeps the resources no other one beats, and the partition
+    # is over those: a dropped resource lies inside a kept one, so it
+    # cuts nothing and reaches no slot the kept ones miss.
     rnd = random.Random("fullcover-segments")
+    dropped_cases = 0
     for _ in range(300):
         T, resources = _plan_case(rnd)
         plan = CoverPlan(resources, T)
+        kept = [p for p, r in enumerate(resources) if not any(_beats(o, r) for o in resources)]
+        assert sorted(plan.order) == kept
+        for p, r in enumerate(resources):
+            if p not in kept:
+                assert any(_beats(resources[o], r) for o in kept)
+        dropped_cases += len(kept) < len(resources)
         pieces = sorted(plan.segments + plan.gaps)
-        assert len(pieces) <= 2 * len(resources) + 1
+        assert len(pieces) <= 2 * len(kept) + 1
         assert [a for a, _ in pieces] + [T] == [0] + [b for _, b in pieces]
         for a, b in pieces:
             assert a < b
-            active = {frozenset(i for i, r in enumerate(resources) if r.s <= t + 1 <= r.e)
+            active = {frozenset(p for p in kept if resources[p].s <= t + 1 <= resources[p].e)
                       for t in range(a, b)}
             assert len(active) == 1
             assert (active.pop() != frozenset()) == ((a, b) in plan.segments)
-        for r, (x, y) in zip(resources, plan.spans):
+        for p, _, _, x, y, *_ in plan.levels:
             assert [t for a, b in plan.segments[x:y] for t in range(a, b)] == \
-                list(range(r.s - 1, r.e))
+                list(range(resources[p].s - 1, resources[p].e))
+        assert {t for a, b in plan.segments for t in range(a, b)} == \
+            {t for r in resources for t in range(r.s - 1, r.e)}
+    assert dropped_cases >= 100, dropped_cases
 
 
 def test_demand_in_a_gap_is_refused_under_any_cutoff():

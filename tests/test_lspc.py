@@ -3,6 +3,7 @@
 import inspect
 import itertools
 import json
+import random
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -344,3 +345,60 @@ def test_late_cut_left_entries_not_won_by_a_long_never_win():
                     lv = solver.table_m(a, t, q1, h)
                     for q2, rv in enumerate(right):
                         assert lv + rv >= row[q1 + q2], (seed, (a, b, h), t, q1, q2)
+
+
+def _canonical(res, rename=lambda rid: rid):
+    """(cost, solution) of a result, with long ids passed through ``rename``."""
+    sol = res.solution
+    if sol is None:
+        return res.cost, None
+    return res.cost, (sorted((rename(rid), n) for rid, n in sol.long_counts.items()),
+                      sorted(sol.short_picks), sol.coverage)
+
+
+def test_adding_a_beaten_long_changes_no_solution():
+    # A long r with o.s <= r.s, r.e <= o.e and ceil(r.w / o.w) * o.c < r.c
+    # for some long o never wins an entry (module docstring). Adding one
+    # anywhere among the longs leaves solve_for(k) the same for every k,
+    # and so does a solver that still tries every long as an E3 candidate;
+    # the rows both solvers fill agree.
+    rnd = random.Random("lspc-beaten")
+    seen = dict.fromkeys(("before_beater", "long_used", "fewer_rows"), 0)
+    for seed in range(40):
+        inst = generate_lspc(seed, timeslots=6, max_demand=4, shorts=8, longs=5)
+        o = rnd.choice(inst.longs)
+        s = rnd.randint(o.s, o.e)
+        w = rnd.randint(1, 4)
+        r = Resource(-1, s, rnd.randint(s, o.e), w, -(-w // o.w) * o.c + rnd.randint(1, 3))
+        at = rnd.randint(0, len(inst.longs))
+        longs = inst.longs[:at] + (r,) + inst.longs[at:]
+        grown = replace(inst, longs=tuple(replace(x, id=i) for i, x in enumerate(longs)))
+        solver, grown_solver, every_long = LspcSolver(inst), LspcSolver(grown), LspcSolver(grown)
+        every_long._longs = list(grown.longs)
+        for k in range(sum(inst.d) + 1):
+            want = _canonical(solver.solve_for(k))
+            got = grown_solver.solve_for(k)
+            if got.solution:
+                assert at not in got.solution.long_counts
+            assert _canonical(got, lambda rid: rid - (rid > at)) == want, (seed, k)
+            assert _canonical(every_long.solve_for(k)) == _canonical(got), (seed, k)
+            seen["long_used"] += bool(got.solution and got.solution.long_counts)
+        for key in grown_solver.memo_m.keys() & every_long.memo_m.keys():
+            assert grown_solver.memo_m[key][:2] == every_long.memo_m[key][:2], (seed, key)
+        seen["before_beater"] += at <= o.id
+        seen["fewer_rows"] += len(grown_solver.memo_m) < len(every_long.memo_m)
+    assert all(count >= 5 for count in seen.values()), seen
+
+
+def test_m_rows_list_their_e3_entries():
+    # The third list of an M row is what a cut t > a walks, so it must be
+    # exactly the q whose choice is E3, ascending.
+    listed = 0
+    for seed in range(40):
+        inst = generate_lspc(seed, timeslots=8, max_demand=4, shorts=8, longs=6)
+        solver = LspcSolver(inst)
+        solver.solve()
+        for key, (_, choices, e3) in solver.memo_m.items():
+            assert e3 == [q for q, ch in enumerate(choices) if ch and ch[0] == "E3"], (seed, key)
+            listed += len(e3)
+    assert listed >= 100, listed
