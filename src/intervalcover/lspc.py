@@ -14,8 +14,8 @@ solution exactly; SLRA solutions are within a constant factor of the
 unrestricted optimum, which is what the callers rely on.
 
 Two tables drive the solver. Both are stored as rows: one list over the
-residual coverage q = 0..d_a+...+d_b per key (range [a,b], free height
-h). Slots whose residual is at most h are already absorbed by a long
+residual coverage q = 0..min(k, d_a+...+d_b) per key (range [a,b], free
+height h). Slots whose residual is at most h are already absorbed by a long
 resource chosen at an enclosing level, so they cost nothing here:
 
   A: cheapest way to reach measure q over [a,b] with shorts alone. Row
@@ -93,6 +93,23 @@ or on the all-zero row of free height H; either way every entry is then
 at most alpha''*o.c, which is below r's candidate. So no candidate of r
 is ever the least of its entry, and the solver leaves out every long
 that another long beats, which requests fewer rows.
+
+Rows end at the target: a solver for target Q = k fills only q = 0..Q
+of a row. These entries are those of the row over the whole demand,
+with the same choices, and an M row lists the same E3 entries up to Q. A candidate for q reads only
+entries at or below q: A(a,b-1,h)[q-q1], a cut's entries q1 and q-q1,
+and M(a,b,hc)[q] in E3. So, by induction over the fill order, each
+candidate for q <= Q has the same cost in both rows. Both rows try the
+candidates in the same order and update only on a strictly lower cost,
+and where one row skips a candidate, that candidate cannot strictly
+lower the entry at that point. So, by induction over the candidates, the
+entry and its choice agree after each one. The ended row skips more only
+through top, which is now best[Q]. At the start of a pass top is at
+least best[q] for every q <= Q, since best is non-decreasing between
+passes, and within a pass best only falls. So the breaks on top == 0 and
+on alpha*c >= top, and the windows ended at top, skip only candidates
+that cannot win an entry at q <= Q. A cut t > a walks the left row's E3
+entries, which agree up to Q; one above Q offers only q > Q.
 
 Rows are filled on demand, whole rows at a time. An M row needs rows of
 strictly shorter ranges, or of its own range at a strictly larger free
@@ -191,9 +208,10 @@ class LspcSolver:
     to right), ("E1",), ("E2", t, q1) for a cut after slot t with q1
     units in [a,t], and ("E3", long id, alpha), which goes on in row
     M(a,b,min(H,alpha*w)). An M row carries a third list: the q whose
-    choice is E3, ascending. One solver may answer root queries for several
-    coverage targets; the tables only depend on the demands and
-    resources. Not thread-safe: each solve owns its rows.
+    choice is E3, ascending. Rows end at q = ``inst.k``, so one solver
+    answers every target 0..``inst.k``; a target above that but within
+    the demand is a ValueError, and one above the demand is infeasible.
+    Not thread-safe: each solve owns its rows.
     """
 
     def __init__(self, inst: LspcInstance):
@@ -232,16 +250,28 @@ class LspcSolver:
                 return s.c, s.id
         return INFEASIBLE, None
 
-    def table_a(self, a: int, b: int, q: int, h: int) -> Cost:
+    def _has_entry(self, a: int, b: int, q: int) -> bool:
+        """Whether rows of range [a,b] hold an entry for q. A q above the
+        range's demand has none and is infeasible; a negative q, or one
+        within the demand but above the target ``inst.k`` where rows end,
+        is a ValueError."""
         if q > self._dsum(a, b):
+            return False
+        if not 0 <= q <= self.inst.k:
+            raise ValueError(f"coverage {q} not in [0, {self.inst.k}]: a solver answers "
+                             f"targets up to its instance's k")
+        return True
+
+    def table_a(self, a: int, b: int, q: int, h: int) -> Cost:
+        if not self._has_entry(a, b, q):
             return INFEASIBLE
         return self._row_a(a, b, h)[0][q]
 
     def table_m(self, a: int, b: int, q: int, h: int) -> Cost:
+        if not self._has_entry(a, b, q):
+            return INFEASIBLE
         if q == 0:
             return 0
-        if q > self._dsum(a, b):
-            return INFEASIBLE
         return self._row_m(a, b, h)[0][q]
 
     def _row_a(self, a: int, b: int, h: int) -> tuple[list, list]:
@@ -256,18 +286,23 @@ class LspcSolver:
         while top >= a and (a, top, h) not in memo:
             top -= 1
         prev = memo[(a, top, h)][0] if top >= a else _EMPTY_ROW[0]
+        cap = self.inst.k
         for t in range(top + 1, b + 1):
             gamma = self._gamma.get((t, h))
             if gamma is None:
                 gamma = self._gamma[(t, h)] = [
                     self.gamma_choice(t, q1, h)[0] for q1 in range(self.inst.d[t - 1] + 1)]
-            costs = [INFEASIBLE] * (len(prev) + len(gamma) - 1)
-            picks = [None] * len(costs)
-            for q1, g in enumerate(gamma):
+            n = len(prev) + len(gamma) - 1
+            clip = n > cap + 1  # the row ends at the target (module docstring)
+            if clip:
+                n = cap + 1
+            costs = [INFEASIBLE] * n
+            picks = [None] * n
+            for q1, g in enumerate(gamma[:n] if clip else gamma):
                 if g == INFEASIBLE:
                     continue
                 q = q1
-                for v in prev:
+                for v in prev[:n - q1] if clip else prev:
                     if v + g < costs[q]:
                         costs[q] = v + g
                         picks[q] = q1
@@ -305,7 +340,7 @@ class LspcSolver:
         """Generator computing row M(a,b,h) for a <= b. It yields the key
         of each M row it needs that is not stored yet and is sent that
         row back; it returns its own row."""
-        size = self._dsum(a, b) + 1
+        size = min(self._dsum(a, b), self.inst.k) + 1
         if h >= self.H:
             return [0] * size, [("BASE0",)] + [("BASEH",)] * (size - 1), []
         memo = self.memo_m
@@ -349,7 +384,7 @@ class LspcSolver:
                 if lo >= len(rcosts) or rcosts[lo] >= top - lv:
                     continue  # not break: lo may shrink as q1 grows
                 q = q1 + lo
-                for v in rcosts[lo:bisect_left(rcosts, top - lv)]:
+                for v in rcosts[lo:min(bisect_left(rcosts, top - lv), size - q1)]:
                     if lv + v < best[q]:
                         best[q] = lv + v
                         choice[q] = ("E2", t, q1)

@@ -140,8 +140,9 @@ def build_lspc(rng: MountainRange, jobs: Sequence[Job],
     Wide parts become longs over the block of mountains they span. For
     every mountain and every kappa up to its size, the single-mountain
     solver over the mountain's narrow parts prices a short of capacity
-    kappa; infeasible pairs emit nothing. The instance's target k is 0:
-    callers ask ``LspcSolver.solve_for`` for each target they need.
+    kappa; infeasible pairs emit nothing. The instance's target k is
+    sum(d), the largest target a caller may ask: callers ask
+    ``LspcSolver.solve_for`` for each target they need.
 
     Each mountain's narrow parts get one ``CoverPlan``, and kappa is
     priced from the mountain's size down to 1, each call cut off at the
@@ -208,7 +209,7 @@ def build_lspc(rng: MountainRange, jobs: Sequence[Job],
             shorts.append(ShortResource(sid, idx + 1, kappa, res.cost))
             associations[sid] = assoc
 
-    inst = LspcInstance(r, d, tuple(shorts), tuple(longs), 0)
+    inst = LspcInstance(r, d, tuple(shorts), tuple(longs), sum(d))
     return LspcBuild(inst, associations, long_origin)
 
 

@@ -15,6 +15,7 @@ from intervalcover.generate import generate_lspc
 from intervalcover.lspc import (
     LspcInstance,
     LspcReport,
+    LspcResult,
     LspcSolution,
     LspcSolver,
     ShortResource,
@@ -53,7 +54,7 @@ def test_table_a_zero_coverage():
 
 
 def test_table_a_free_height_covers():
-    inst = _inst([1], [], [], 0)
+    inst = _inst([1], [], [], 1)
     assert LspcSolver(inst).table_a(1, 1, 1, 1) == 0
 
 
@@ -88,6 +89,7 @@ def test_table_a_two_slots():
 def test_table_a_matches_enumeration():
     for seed in range(40):
         inst = generate_lspc(seed, timeslots=4, max_demand=2, shorts=3, longs=0)
+        inst = replace(inst, k=sum(inst.d))
         solver = LspcSolver(inst)
         for q in range(sum(inst.d) + 2):
             for h in range(inst.H + 1):
@@ -157,8 +159,8 @@ def test_random_sandwich_and_reconstruction():
 def test_dp_monotonicity_and_domination():
     for seed in range(40):
         inst = generate_lspc(seed, timeslots=5, max_demand=3)
-        solver = LspcSolver(inst)
-        solver.solve()
+        solver = LspcSolver(replace(inst, k=sum(inst.d)))
+        solver.solve_for(inst.k)
         for a, b, h in list(solver.memo_m):
             for q in range(len(solver.memo_m[(a, b, h)][0])):
                 cost = solver.table_m(a, b, q, h)
@@ -223,7 +225,7 @@ def test_instance_validation():
 
 def test_solver_reusable_across_targets():
     inst = generate_lspc(7, timeslots=5, max_demand=3)
-    solver = LspcSolver(inst)
+    solver = LspcSolver(replace(inst, k=sum(inst.d)))
     for k in range(sum(inst.d) + 1):
         res = solver.solve_for(k)
         fresh = LspcSolver(LspcInstance(inst.T, inst.d, inst.shorts, inst.longs, k)).solve()
@@ -231,6 +233,70 @@ def test_solver_reusable_across_targets():
         if res.solution is not None:
             moved = LspcInstance(inst.T, inst.d, inst.shorts, inst.longs, k)
             assert verify_lspc(moved, res.solution).feasible
+
+
+def test_targets_above_k_within_the_demand_are_refused():
+    inst = generate_lspc(7, timeslots=5, max_demand=3, k=2)
+    solver = LspcSolver(inst)
+    D = sum(inst.d)
+    assert D > 3
+    for k in range(3, D + 1):
+        with pytest.raises(ValueError, match=rf"coverage {k} not in \[0, 2\]"):
+            solver.solve_for(k)
+    for k in (D + 1, D + 5):
+        assert solver.solve_for(k) == LspcResult(INFEASIBLE, None)
+    assert solver.table_m(1, 1, D + 1, 0) == solver.table_a(1, 1, D + 1, 0) == INFEASIBLE
+    with pytest.raises(ValueError, match=r"coverage 3 not in \[0, 2\]"):
+        solver.table_m(1, inst.T, 3, 0)
+    with pytest.raises(ValueError, match=r"coverage 3 not in \[0, 2\]"):
+        solver.table_a(1, inst.T, 3, 0)
+
+
+def test_negative_targets_are_refused():
+    # Unchecked, a negative q indexes a row from its end: table_m(1, T, -1,
+    # 0) would return the full-coverage entry.
+    inst = _inst([1, 2], [(1, 1, 1), (2, 2, 3)], [], 3)
+    solver = LspcSolver(inst)
+    assert solver.solve().cost == 4
+    for probe in (lambda: solver.table_m(1, 2, -1, 0), lambda: solver.table_a(1, 2, -1, 0),
+                  lambda: solver.table_m(2, 1, -1, 0), lambda: solver.solve_for(-1)):
+        with pytest.raises(ValueError, match=r"coverage -1 not in \[0, 3\]"):
+            probe()
+
+
+_ROW_CONFIGS = (
+    dict(timeslots=5, max_demand=3),
+    dict(timeslots=6, max_demand=4, shorts=8, longs=5),
+    dict(timeslots=8, max_demand=4, shorts=8, longs=6),
+    dict(timeslots=12, max_demand=6, shorts=30, longs=10, max_c=50),
+)
+
+
+def test_rows_end_at_the_target_as_prefixes_of_full_rows():
+    # Rows of a solver for target k hold q = 0..k only. Each such row is the
+    # prefix of the row a solver for the full demand fills: costs, choices
+    # and the E3 entries it lists (module docstring). So solve() is the full
+    # solver's solve_for(k), cost and solution alike.
+    cases = clipped = 0
+    for config in _ROW_CONFIGS:
+        for seed in range(60):
+            inst = generate_lspc(seed, **config)
+            D = sum(inst.d)
+            full = LspcSolver(replace(inst, k=D))
+            for k in sorted({0, min(1, D), D // 3, D // 2, D}):
+                capped = LspcSolver(replace(inst, k=k))
+                assert _canonical(capped.solve()) == _canonical(full.solve_for(k)), (config, seed, k)
+                for key, (costs, choices, e3) in capped.memo_m.items():
+                    n = min(sum(inst.d[key[0] - 1:key[1]]), k) + 1
+                    want = full._row_m(*key)
+                    assert (costs, choices) == (want[0][:n], want[1][:n]), (config, seed, k, key)
+                    assert e3 == [q for q in want[2] if q < n], (config, seed, k, key)
+                    clipped += len(want[0]) > n
+                for key, (costs, picks) in capped.memo_a.items():
+                    want = full._row_a(*key)
+                    assert (costs, picks) == (want[0][:len(costs)], want[1][:len(costs)])
+                cases += 1
+    assert cases >= 1100 and clipped >= 10000, (cases, clipped)
 
 
 def test_replay_of_a_corrupt_table_raises():
@@ -263,7 +329,7 @@ def test_outputs_match_recorded_golden():
         assert _golden_record(LspcSolver(inst).solve()) == expected, seed
     for seed, expected in _GOLDEN["sweep"].items():
         inst = generate_lspc(int(seed), **_BENCH_SIZES)
-        solver = LspcSolver(inst)
+        solver = LspcSolver(replace(inst, k=sum(inst.d)))
         assert len(expected) == sum(inst.d) + 1
         for k, record in enumerate(expected):
             assert _golden_record(solver.solve_for(k)) == record, (seed, k)
@@ -294,8 +360,8 @@ def test_strip_long_candidates_never_win():
     # up to the first with alpha*w >= H.
     for seed in range(61):
         inst = generate_lspc(seed, timeslots=6, max_demand=4, shorts=8, longs=5)
-        solver = LspcSolver(inst)
-        solver.solve()
+        solver = LspcSolver(replace(inst, k=sum(inst.d)))
+        solver.solve_for(inst.k)
         H = solver.H
         for a, b, h in list(solver.memo_m):
             if h >= H:
@@ -324,8 +390,8 @@ def test_late_cut_left_entries_not_won_by_a_long_never_win():
     # choice is not E3) never offers less than the row's entry, for any q2.
     for seed in range(61):
         inst = generate_lspc(seed, timeslots=6, max_demand=4, shorts=8, longs=5)
-        solver = LspcSolver(inst)
-        solver.solve()
+        solver = LspcSolver(replace(inst, k=sum(inst.d)))
+        solver.solve_for(inst.k)
         H = solver.H
         memo = solver.memo_m
         for a, b, h in list(memo):
@@ -372,6 +438,7 @@ def test_adding_a_beaten_long_changes_no_solution():
         r = Resource(-1, s, rnd.randint(s, o.e), w, -(-w // o.w) * o.c + rnd.randint(1, 3))
         at = rnd.randint(0, len(inst.longs))
         longs = inst.longs[:at] + (r,) + inst.longs[at:]
+        inst = replace(inst, k=sum(inst.d))
         grown = replace(inst, longs=tuple(replace(x, id=i) for i, x in enumerate(longs)))
         solver, grown_solver, every_long = LspcSolver(inst), LspcSolver(grown), LspcSolver(grown)
         every_long._longs = list(grown.longs)
