@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence, Union
 
 MAX_TIMESLOTS = 100_000
@@ -87,9 +88,14 @@ def undominated(resources: Sequence[Resource]) -> list[int]:
     ceil(o.w / p.w)), hence acyclic, so every beaten resource is beaten by
     one that is kept.
     """
-    return [p for p, r in enumerate(resources)
-            if not any(o.s <= r.s and r.e <= o.e and -(-r.w // o.w) * o.c < r.c
-                       for o in resources)]
+    kept = []
+    for p, r in enumerate(resources):
+        for o in resources:
+            if o.s <= r.s and r.e <= o.e and -(-r.w // o.w) * o.c < r.c:
+                break  # beaten: the first beater settles it
+        else:
+            kept.append(p)
+    return kept
 
 
 @dataclass(frozen=True)
@@ -169,12 +175,7 @@ def job_profile(jobs: Iterable[Job], T: int) -> tuple[int, ...]:
     for j in jobs:
         diff[j.s - 1] += 1
         diff[j.e] -= 1
-    prof = []
-    run = 0
-    for t in range(T):
-        run += diff[t]
-        prof.append(run)
-    return tuple(prof)
+    return tuple(accumulate(diff[:T]))
 
 
 def _resource_index(resources: Sequence[Resource]) -> dict[int, Resource]:
@@ -197,12 +198,7 @@ def multiset_profile(counts: Mapping[int, int], resources: Sequence[Resource], T
         r = by_id[rid]
         diff[r.s - 1] += count * r.w
         diff[r.e] -= count * r.w
-    prof = []
-    run = 0
-    for t in range(T):
-        run += diff[t]
-        prof.append(run)
-    return tuple(prof)
+    return tuple(accumulate(diff[:T]))
 
 
 def multiset_cost(counts: Mapping[int, int], resources: Sequence[Resource]) -> int:

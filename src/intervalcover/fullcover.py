@@ -20,13 +20,19 @@ The plan cuts the timeline 1..T before every kept resource's start and
 after its end, so m kept resources give at most 2m + 1 pieces, and all
 slots of one piece see the same active kept resources. The pieces some
 resource is active on are the segments the search runs over; the others
-are gaps, slots no resource reaches. Resources are branched on in order
+are gaps, slots no resource reaches. One sweep over the sorted cut
+points tells them apart: a running count adds the kept resources that
+start at a cut and drops those that end there, so it holds the number
+active on the piece that starts at the cut, and that piece is a segment
+exactly when the count is positive. Resources are branched on in order
 of cost per unit of capacity, compared exactly in integers (c_a * w_b
 against c_b * w_a, ties to input position). Walking that order from the
 back gives, per level and segment, the cheapest-per-unit resource still
 to come, or None. It drives the admissible bound max ceil(residual * c /
 w), marks segments that nothing left can cover, and at the root picks
-the resource of the greedy incumbent.
+the resource of the greedy incumbent. Each level's tuples of segments
+come from one pass over that list, so a plan of m kept resources costs
+O(m) passes over at most 2m + 1 pieces.
 
 A call first refuses, under any cutoff, a demand that is positive
 somewhere in a gap: no multiset covers it. It then reduces the demand
@@ -109,12 +115,14 @@ class CoverPlan:
     slots 0..T-1 (0-based) at every ``r.s - 1`` and ``r.e`` of those
     gives half-open ranges (start, stop) whose slots all have the same
     active kept resources. Those some resource is active on are
-    ``segments``, the others ``gaps``. ``cheapest[j]`` is the cheapest-per-unit resource active on
-    segment j (earliest in order on ties). ``levels[i]`` holds what the
-    search needs to branch on ``order[i]``. Everything is a tuple, so one
-    plan serves any number of ``full_cover`` calls. Raises ValueError for
-    a resource outside [1, T], with capacity below 1 or with a negative
-    cost.
+    ``segments``, the others ``gaps``; one sweep over the cuts with a
+    running count of the active kept resources tells them apart.
+    ``cheapest[j]`` is the cheapest-per-unit resource active on segment
+    j (earliest in order on ties). ``levels[i]`` holds what the search
+    needs to branch on ``order[i]``, taken in one pass over the cheapest
+    resources still to come. Everything is a tuple, so one plan serves
+    any number of ``full_cover`` calls. Raises ValueError for a resource
+    outside [1, T], with capacity below 1 or with a negative cost.
     """
 
     resources: tuple[Resource, ...]
@@ -129,12 +137,27 @@ class CoverPlan:
         resources = tuple(self.resources)
         check_resources("resources", resources, self.T)
         kept = undominated(resources)
-        live = [resources[p] for p in kept]
-        cuts = sorted({0, self.T, *(r.s - 1 for r in live), *(r.e for r in live)})
-        pieces = tuple(zip(cuts, cuts[1:]))
-        segments = tuple(p for p in pieces if any(r.s <= p[1] and p[0] < r.e for r in live))
-        first = {a: j for j, (a, _) in enumerate(segments)}
-        stop = {b: j + 1 for j, (_, b) in enumerate(segments)}
+        # One sweep over the cut points: `delta[x]` counts the kept
+        # resources starting at 0-based slot x less those ending before
+        # it, so the running sum at a piece's start is the number active
+        # on every slot of that piece.
+        delta = {0: 0, self.T: 0}
+        for p in kept:
+            r = resources[p]
+            delta[r.s - 1] = delta.get(r.s - 1, 0) + 1
+            delta[r.e] = delta.get(r.e, 0) - 1
+        cuts = sorted(delta)
+        segments, gaps = [], []
+        first, stop = {}, {}
+        active = 0
+        for a, b in zip(cuts, cuts[1:]):
+            active += delta[a]
+            if active:
+                first[a] = len(segments)
+                segments.append((a, b))
+                stop[b] = len(segments)
+            else:
+                gaps.append((a, b))
         # Branch on cheap capacity first: the incumbent drops fast and the
         # bound bites early.
         order = tuple(sorted(kept, key=cmp_to_key(
@@ -151,20 +174,24 @@ class CoverPlan:
         for pos in reversed(order):
             r = resources[pos]
             a, b = first[r.s - 1], stop[r.e]
-            priced = [(j, br.c, br.w) for j, br in enumerate(later) if br is not None]
-            levels.append((
-                pos, r.w, r.c, a, b,
-                tuple(j for j in range(a, b) if later[j] is None),
-                tuple(x for x in priced if a <= x[0] < b),
-                tuple(x for x in priced if not a <= x[0] < b)))
+            last, inside, outside = [], [], []
+            for j, br in enumerate(later):
+                if br is None:
+                    if a <= j < b:
+                        last.append(j)
+                elif a <= j < b:
+                    inside.append((j, br.c, br.w))
+                else:
+                    outside.append((j, br.c, br.w))
+            levels.append((pos, r.w, r.c, a, b, tuple(last), tuple(inside), tuple(outside)))
             for j in range(a, b):
                 prev = later[j]
                 if prev is None or r.c * prev.w <= prev.c * r.w:
                     later[j] = r
         object.__setattr__(self, "resources", resources)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "segments", segments)
-        object.__setattr__(self, "gaps", tuple(p for p in pieces if p not in segments))
+        object.__setattr__(self, "segments", tuple(segments))
+        object.__setattr__(self, "gaps", tuple(gaps))
         object.__setattr__(self, "cheapest", tuple(later))
         object.__setattr__(self, "levels", tuple(reversed(levels)))
 

@@ -106,9 +106,13 @@ def lift_split(sol: PartialSolution, parts: SplitParts) -> PartialSolution:
     """Map a solution over derived parts back to the original resources:
     each original gets the maximum of its parts' counts. Never costs more
     than the part solution and stays feasible."""
+    picked = sol.counts
     counts: dict[int, int] = {}
     for origin, ids in parts.items():
-        f = max((sol.counts.get(d, 0) for d in ids if d is not None), default=0)
+        f = 0
+        for d in ids:
+            if d is not None and picked.get(d, 0) > f:
+                f = picked[d]
         if f > 0:
             counts[origin] = f
     return PartialSolution(counts, sol.covered)
@@ -155,6 +159,12 @@ def build_lspc(rng: MountainRange, jobs: Sequence[Job],
     cut call therefore returns the uncut winner, and a kappa that comes
     back infeasible under a seeded cutoff raises RuntimeError. Shorts are
     still emitted in ascending kappa.
+
+    A mountain without narrow parts gets neither a plan nor a pricing
+    call, and emits no short. Every candidate of a kappa >= 1 keeps a job,
+    so its demand is positive on a slot of the mountain's span; with no
+    narrow part every slot is a gap of the empty plan, and ``full_cover``
+    refuses every candidate there. Its jobs are left to the longs.
     """
     by_id = {j.id: j for j in jobs}
     spans = [m.span for m in rng.mountains]
@@ -163,8 +173,10 @@ def build_lspc(rng: MountainRange, jobs: Sequence[Job],
 
     longs: list[Resource] = []
     long_origin: dict[int, int] = {}
+    narrows_of: list[list[Resource]] = [[] for _ in spans]  # in derived order
     for rec in derived:
         if rec.role != "wide":
+            narrows_of[rec.mountain].append(rec.resource)
             continue
         covered_idx = [i for i, (s, e) in enumerate(spans)
                        if rec.resource.s <= s and e <= rec.resource.e]
@@ -180,8 +192,10 @@ def build_lspc(rng: MountainRange, jobs: Sequence[Job],
     shorts: list[ShortResource] = []
     associations: dict[int, ShortAssociation] = {}
     for idx, m in enumerate(rng.mountains):
+        narrows = narrows_of[idx]
+        if not narrows:
+            continue
         mjobs = [by_id[i] for i in sorted(m.job_ids)]
-        narrows = [rec.resource for rec in derived if rec.role == "narrow" and rec.mountain == idx]
         plan = CoverPlan(narrows, T)
         priced: list[SolveResult | None] = [None] * (d[idx] + 1)
         cutoff = INFEASIBLE
@@ -221,6 +235,8 @@ def lift_lspc(sol: LspcSolution, build: LspcBuild, rng: MountainRange,
     picked longs map back to their wide parts. Where the coverage profile
     asks for more jobs at a mountain than its short supplied, the wide
     capacity active there absorbs the smallest-id uncovered jobs.
+    Derived ids are positions in ``derived``, as ``split_narrow_wide``
+    assigns them.
     """
     counts: dict[int, int] = {}
     covered: set[int] = set()
@@ -235,13 +251,15 @@ def lift_lspc(sol: LspcSolution, build: LspcBuild, rng: MountainRange,
         did = build.long_origin[lid]
         counts[did] = counts.get(did, 0) + n
 
-    by_id = {rec.resource.id: rec.resource for rec in derived}
     for idx, m in enumerate(rng.mountains):
         extra = sol.coverage[idx] - short_kappa.get(idx, 0)
         if extra <= 0:
             continue
-        wide_cap = sum(n * by_id[did].w for did, n in counts.items()
-                       if by_id[did].s <= m.span[0] and m.span[1] <= by_id[did].e)
+        wide_cap = 0
+        for did, n in counts.items():
+            r = derived[did].resource
+            if r.s <= m.span[0] and m.span[1] <= r.e:
+                wide_cap += n * r.w
         if wide_cap < extra:
             raise RuntimeError(f"mountain {idx}: picked wide capacity {wide_cap} "
                                f"cannot absorb {extra} extra jobs")

@@ -3,6 +3,7 @@ the one-shot search it replaced."""
 
 import itertools
 import random
+from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
@@ -416,6 +417,94 @@ def test_plan_segments_partition_the_timeline():
         assert {t for a, b in plan.segments for t in range(a, b)} == \
             {t for r in resources for t in range(r.s - 1, r.e)}
     assert dropped_cases >= 100, dropped_cases
+
+
+def _plan_fields_case(rnd):
+    """(T, resources) built to hold zero-cost resources, resources with the
+    cost per unit of another, resources nested inside another and
+    resources over another's exact interval."""
+    T = rnd.randint(1, 12)
+    resources = []
+    for i in range(rnd.randint(0, 7)):
+        kind = rnd.choice(("fresh", "zero", "ratio", "nested", "duplicate")) if resources \
+            else "fresh"
+        o = rnd.choice(resources) if resources else None
+        s = rnd.randint(1, T)
+        e = rnd.randint(s, min(T, s + rnd.randint(0, 5)))
+        w, c = rnd.randint(1, 4), rnd.choice((1, 2, 3, 5, 8))
+        if kind == "zero":
+            c = 0
+        elif kind == "ratio":
+            g = rnd.randint(1, 3)
+            w, c = o.w * g, o.c * g
+        elif kind == "nested":
+            s = rnd.randint(o.s, o.e)
+            e = rnd.randint(s, o.e)
+        elif kind == "duplicate":
+            s, e = o.s, o.e
+        resources.append(Resource(i, s, e, w, c))
+    return T, tuple(resources)
+
+
+def test_plan_fields_match_a_slot_by_slot_reference():
+    # Every field the search reads, rebuilt slot by slot from the kept
+    # resources with exact ratios: the pieces are the maximal runs of
+    # slots with one active kept set, and the cheapest resource of a set
+    # is its smallest (cost per unit, position) pair.
+    rnd = random.Random("fullcover-plan-fields")
+    seen = dict.fromkeys(("zero_cost", "equal_ratio", "nested", "duplicate", "gap"), 0)
+    for _ in range(400):
+        T, resources = _plan_fields_case(rnd)
+        plan = CoverPlan(resources, T)
+        kept = [p for p, r in enumerate(resources) if not any(_beats(o, r) for o in resources)]
+
+        def rank(p):
+            return Fraction(resources[p].c, resources[p].w), p
+
+        order = sorted(kept, key=rank)
+        assert plan.order == tuple(order)
+        active = [frozenset(p for p in kept if resources[p].s <= t + 1 <= resources[p].e)
+                  for t in range(T)]
+        pieces = []
+        for t in range(T):
+            if t and active[t] == active[t - 1]:
+                pieces[-1] = (pieces[-1][0], t + 1)
+            else:
+                pieces.append((t, t + 1))
+        assert plan.segments == tuple(p for p in pieces if active[p[0]])
+        assert plan.gaps == tuple(p for p in pieces if not active[p[0]])
+        assert plan.cheapest == tuple(resources[min(active[a], key=rank)]
+                                      for a, _ in plan.segments)
+        assert len(plan.levels) == len(order)
+        for i, (pos, *fields) in enumerate(plan.levels):
+            r = resources[pos]
+            assert pos == order[i]
+            span = [j for j, (a, b) in enumerate(plan.segments) if r.s - 1 <= a and b <= r.e]
+            # slot by slot: the cheapest of the resources after level i,
+            # the same on every slot of a segment
+            after = set(order[i + 1:])
+            per_slot = [min(active[t] & after, key=rank, default=None) for t in range(T)]
+            later = []
+            for a, b in plan.segments:
+                assert len(set(per_slot[a:b])) == 1
+                later.append(per_slot[a])
+            priced = [(j, resources[q].c, resources[q].w) for j, q in enumerate(later)
+                      if q is not None]
+            assert fields == [
+                r.w, r.c, span[0], span[-1] + 1,
+                tuple(j for j in span if later[j] is None),
+                tuple(x for x in priced if x[0] in span),
+                tuple(x for x in priced if x[0] not in span)]
+        live = [resources[p] for p in kept]
+        seen["zero_cost"] += any(r.c == 0 for r in live)
+        seen["equal_ratio"] += any(x is not y and x.c and x.c * y.w == y.c * x.w
+                                   for x in live for y in live)
+        seen["nested"] += any(x is not y and y.s <= x.s and x.e <= y.e and (x.s, x.e) != (y.s, y.e)
+                              for x in live for y in live)
+        seen["duplicate"] += any(x is not y and (x.s, x.e) == (y.s, y.e)
+                                 for x in live for y in live)
+        seen["gap"] += bool(plan.gaps) and bool(plan.segments)
+    assert all(count >= 60 for count in seen.values()), seen
 
 
 def test_demand_in_a_gap_is_refused_under_any_cutoff():

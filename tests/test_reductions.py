@@ -209,6 +209,45 @@ def test_build_lspc_matches_per_kappa_reference(monkeypatch):
     assert sum(seeded) >= 200, sum(seeded)  # calls that ran under a seeded cutoff
 
 
+def test_build_lspc_skips_mountains_without_narrow_parts(monkeypatch):
+    # Such a mountain is never planned or priced, and its range's shorts
+    # and associations are still those of pricing every mountain.
+    planned, priced = [], []
+
+    def counting_plan(resources, T):
+        planned.append(tuple(resources))
+        return CoverPlan(resources, T)
+
+    def counting_solve(jobs, plan, k, cutoff=INFEASIBLE):
+        priced.append(frozenset(j.id for j in jobs))
+        return single_mountain_solve(jobs, plan, k, cutoff)
+
+    monkeypatch.setattr(reductions, "CoverPlan", counting_plan)
+    monkeypatch.setattr(reductions, "single_mountain_solve", counting_solve)
+    bare = with_narrows = 0
+    for seed in range(60):
+        cases = [generate_mountain_range(seed, mountains=3, jobs=9, resources=6, timeslots=18)]
+        inst = generate_uniform(seed, jobs=12, resources=6, timeslots=20, k=0)
+        cases += [(inst, rng) for rng in decompose(inst.jobs).ranges]
+        for inst, rng in cases:
+            derived, _ = split_narrow_wide(rng, inst.resources)
+            planned.clear()
+            priced.clear()
+            build = build_lspc(rng, inst.jobs, derived, inst.T)
+            narrows = [[rec.resource for rec in derived
+                        if rec.role == "narrow" and rec.mountain == idx]
+                       for idx in range(len(rng.mountains))]
+            assert planned == [tuple(n) for n in narrows if n]
+            assert set(priced) == {m.job_ids for m, n in zip(rng.mountains, narrows) if n}
+            shorts, assocs, _ = per_kappa_reference(rng, inst.jobs, derived, inst.T)
+            assert [(s.t, s.w, s.c) for s in build.instance.shorts] == shorts
+            assert [(a.mountain, a.kappa, dict(a.counts), a.covered)
+                    for _, a in sorted(build.associations.items())] == assocs
+            bare += sum(not n for n in narrows)
+            with_narrows += sum(bool(n) for n in narrows)
+    assert bare >= 50 and with_narrows >= 50, (bare, with_narrows)
+
+
 def test_build_lspc_raises_when_a_seeded_kappa_fails(monkeypatch):
     jobs = [Job(0, 2, 3), Job(1, 2, 4)]
     rng = MountainRange((Mountain(3, frozenset({0, 1}), (2, 4)),))
