@@ -13,8 +13,10 @@ Prize collecting: reduce to the once-only/unlimited full cover, solve
 that exactly, and lift back; the reduction preserves costs in both
 directions, so the result is exactly optimal. The exact search skips
 the sets of uncovered jobs that cannot be feasible: a job touching a
-slot that no resource covers is always left uncovered. Each cover of
-the remaining jobs is pruned against the best total found so far.
+slot that no resource covers is always left uncovered. A prefix of the
+walk over the sets of uncovered jobs is dropped once a lower bound on
+every set it starts reaches the best total found so far, and each cover
+of the remaining jobs is pruned against that total.
 """
 
 from __future__ import annotations

@@ -20,16 +20,21 @@ penalty, and the real resources stay available in unlimited copies.
 Costs transfer exactly in both directions, so solving the covering
 problem exactly solves the prize-collecting problem exactly. The exact
 search over once-only subsets skips every subset that leaves demand at
-a slot no real resource covers, prunes each subset's cover against the
-best total found so far, and stops at the first subset size whose
-cheapest subset cannot beat that total.
+a slot no real resource covers and walks each subset size depth first.
+It drops a prefix, with every subset it starts, once a lower bound on
+its completions (the cheapest costs still to pick plus full cover's root
+bound on the demand that the largest capacities still to pick could
+leave) reaches the best total found so far, prunes each remaining
+subset's cover against that total, and stops at the first subset size
+whose cheapest subset cannot beat it.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .core import (
     INFEASIBLE,
@@ -313,6 +318,54 @@ def pc_to_smfc(inst: Instance) -> SmfcInstance:
     return SmfcInstance(inst.T, demand, s_types, inst.resources)
 
 
+def _completion_floor(s_types: Sequence[Resource], free: Sequence[int], plan: CoverPlan,
+                      base: Sequence[int],
+                      ) -> tuple[list[list[int]], Callable[[Sequence[int], int, int, Cost], Cost]]:
+    """Cost floors for the prefixes of ``smfc_solve_exact``'s walk.
+
+    Built once per instance over the free positions ``free`` and the
+    residual demand ``base`` that the forced resources leave. Returns
+    ``(cheap, floor)``. ``cheap[i][m]`` is the sum of the m smallest costs
+    in ``free[i:]``, and ``drop[i][m]`` the sum of the m largest
+    capacities there; one backward pass over ``free`` builds both.
+    ``floor(residual, start, left, stop)`` is at most c(E) plus the
+    optimal cover cost of the residual that E leaves, for every E of
+    ``left`` positions from ``free[start:]`` (the argument is in
+    ``smfc_solve_exact``). It takes the segments' estimates one by one,
+    each a floor on its own, and returns as soon as one reaches ``stop``.
+    Picks only lower the residual, so only the segments of ``plan`` that
+    ``base`` leaves positive count, and one whose cheapest resource costs
+    nothing never does.
+    """
+    k = len(free)
+    cheap: list[list[int]] = [[0]] * (k + 1)
+    drop: list[list[int]] = [[0]] * (k + 1)
+    costs: list[int] = []
+    caps: list[int] = []
+    for idx in range(k - 1, -1, -1):
+        r = s_types[free[idx]]
+        bisect.insort(costs, r.c)
+        bisect.insort(caps, r.w)
+        cheap[idx] = list(itertools.accumulate(costs, initial=0))
+        drop[idx] = list(itertools.accumulate(reversed(caps), initial=0))
+    segments = [(a, b, r.c, r.w) for (a, b), r in zip(plan.segments, plan.cheapest)
+                if r.c and max(base[a:b]) > 0]
+
+    def floor(residual: Sequence[int], start: int, left: int, stop: Cost) -> Cost:
+        d = drop[start][left]
+        low = cheap[start][left]
+        est = low
+        for a, b, c, w in segments:
+            p = max(residual[a:b]) - d
+            if p > 0 and low - (-p * c // w) > est:
+                est = low - (-p * c // w)
+                if est >= stop:
+                    break
+        return est
+
+    return cheap, floor
+
+
 def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
     """Exact minimum over once-only subsets, each completed by an exact
     full cover of the residual demand with the unlimited class.
@@ -335,23 +388,48 @@ def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
     reduction the forced set is every job touching a slot no real
     resource covers.
 
-    Once-only costs are at least 0, so no subset of ``size`` extras costs
-    less than the forced cost plus the ``size`` cheapest free costs, a
-    floor that grows with ``size``. Once the floor of a size reaches the
-    best total, the enumeration stops: every subset it leaves out, of
-    this size or larger, would have been skipped for its cost before any
-    cover was asked for, so the subsets that are covered, their order and
-    the winner stay the same.
-
-    Each cover runs under the cutoff ``best - subset cost``: a cover at or
-    above it could not give a strictly smaller total, so any cover that
-    comes back is a new best.
-
     Each size is walked depth first, which is the same lexicographic
-    order, carrying the cost and the residual demand of the chosen prefix.
-    Once-only costs are at least 0 and the best only falls, so a prefix
-    whose cost reaches the best total is dropped with every subset it
-    starts: each of them would have been skipped for its cost.
+    order, carrying the cost ``scost`` and the residual demand of the
+    chosen prefix, and each cover runs under the cutoff ``best - scost``:
+    a cover at or above it could not give a strictly smaller total, so
+    any cover that comes back is a new best.
+
+    A prefix is dropped, with every subset it starts, when its completions
+    provably cannot beat the best total. Say the prefix leaves ``left``
+    more picks from ``free[start:]`` (the root of a size is the forced set
+    with ``left = size``). Let ``cheap`` be the sum of the ``left``
+    smallest costs there and ``drop`` the sum of the ``left`` largest
+    capacities. For every completion E:
+
+    - c(E) >= cheap, since once-only costs are at least 0;
+    - each slot of the final residual is at least ``residual - drop``,
+      since E adds at most ``drop`` capacity to any slot;
+    - ``full_cover``'s root bound, the largest ceil(peak * c / w) over
+      the segments of the plan with the cheapest-per-unit resource (c, w)
+      of each, is admissible: a cover puts at least the peak of capacity
+      on the segment's slots, and each unit there costs at least c / w.
+      It does not grow when the demand falls, and any one segment's
+      estimate is a floor as well.
+
+    So every total is at least ``scost + cheap`` plus that root bound
+    taken over ``residual - drop``, and the prefix is dropped when this
+    floor reaches the best total. A dropped subset's total would reach
+    the best as well, and only a strictly smaller total replaces the
+    best, so every subset that is dropped would have been refused or
+    lost; the best only falls, so this holds for every later subset too.
+    The subsets that survive keep their order and their cutoff
+    ``best - scost``, so the covers asked for, their results and the
+    winner are the same as without the drop. At a leaf (``left = 0``)
+    ``cheap`` and ``drop`` are 0 and the floor is ``full_cover``'s root
+    bound under the same cutoff, so a subset that call would refuse at
+    its root bound costs no call. (A prize-collecting reduction leaves no
+    demand in a gap: the forced jobs take all of it.) Lowering the peaks
+    by ``left`` alone, one unit per pick, would not be a floor once a
+    once-only capacity exceeds 1.
+
+    The costs give a floor for a whole size: ``forced cost + cheap``
+    over all of ``free`` grows with the size, so once it reaches the best
+    total the enumeration stops.
 
     Refuses instances with more than ``MAX_STYPES`` once-only resources
     rather than approximating silently.
@@ -363,10 +441,11 @@ def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
             f"{n} once-only resources exceed the subset-enumeration cap MAX_STYPES={MAX_STYPES}")
     best = SmfcResult(INFEASIBLE, frozenset(), {})
     plan = CoverPlan(smfc.m_types, smfc.T)
-    cap = [0] * smfc.T  # total once-only capacity per slot
+    diff = [0] * (smfc.T + 1)
     for r in s_types:
-        for t in range(r.s - 1, r.e):
-            cap[t] += r.w
+        diff[r.s - 1] += r.w
+        diff[r.e] -= r.w
+    cap = list(itertools.accumulate(diff[:-1]))  # total once-only capacity per slot
     dead = [t for a, b in plan.gaps for t in range(a, b) if demand[t] > 0]
     if any(cap[t] < demand[t] for t in dead):
         return best
@@ -378,9 +457,8 @@ def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
         r = s_types[i]
         for t in range(r.s - 1, r.e):
             residual[t] -= r.w
-    floor = list(itertools.accumulate(sorted(s_types[i].c for i in free),
-                                      initial=sum(s_types[i].c for i in forced)))
-    forced_cost = floor[0]
+    forced_cost = sum(s_types[i].c for i in forced)
+    cheap, floor = _completion_floor(s_types, free, plan, residual)
 
     chosen: list[int] = []
 
@@ -392,24 +470,29 @@ def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
             if fc.feasible:
                 best = SmfcResult(scost + fc.cost, frozenset(forced).union(chosen), fc.counts)
             return
-        for idx in range(start, len(free) - left + 1):
+        rest = left - 1
+        for idx in range(start, len(free) - rest):
             i = free[idx]
             r = s_types[i]
             cost = scost + r.c
-            if cost >= best.cost:
-                continue  # neither this subset nor one it starts can win
+            room = best.cost - cost
+            if cheap[idx + 1][rest] >= room:
+                continue  # no subset this prefix starts can win on cost alone
             for t in range(r.s - 1, r.e):
                 residual[t] -= r.w
-            chosen.append(i)
-            walk(idx + 1, left - 1, cost)
-            chosen.pop()
+            if floor(residual, idx + 1, rest, room) < room:
+                chosen.append(i)
+                walk(idx + 1, rest, cost)
+                chosen.pop()
             for t in range(r.s - 1, r.e):
                 residual[t] += r.w
 
     for size in range(len(free) + 1):
-        if floor[size] >= best.cost:
+        room = best.cost - forced_cost
+        if cheap[0][size] >= room:
             break
-        walk(0, size, forced_cost)
+        if floor(residual, 0, size, room) < room:
+            walk(0, size, forced_cost)
     return best
 
 

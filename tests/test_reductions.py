@@ -463,7 +463,7 @@ def test_smfc_tie_break_matches_plain_enumeration(monkeypatch):
     rnd = random.Random("smfc-tie-break")
     seen = dict.fromkeys(
         ("wide", "dead", "dead_infeasible", "ties", "asked_again", "size_stop"), 0)
-    for _ in range(3000):
+    for _ in range(4000):
         smfc = _random_smfc(rnd)
         calls.clear()
         got = smfc_solve_exact(smfc)
@@ -497,14 +497,63 @@ def test_smfc_tie_break_matches_plain_enumeration(monkeypatch):
 
 
 def test_solve_prize_matches_plain_enumeration():
-    for seed in range(40):
-        inst = generate_uniform(seed, jobs=10, resources=4, timeslots=24, penalties=True)
+    # 12 jobs is the largest size the prize oracle takes, and the walk
+    # drops the most prefixes there
+    for jobs, seed in [(10, seed) for seed in range(40)] + [(12, seed) for seed in range(10)]:
+        inst = generate_uniform(seed, jobs=jobs, resources=4, timeslots=24, penalties=True)
         smfc = pc_to_smfc(inst)
         want = plain_smfc(smfc)[0]
         got = solve_prize(inst)
         lifted = lift_smfc(want, smfc)
         assert (got.total, got.solution.counts, got.solution.covered) == \
                (want.cost, lifted.counts, lifted.covered)
+
+
+def test_completion_floor_is_sound(monkeypatch):
+    # at every prefix the walk bounds, the floor is at most the best
+    # extra cost over all of that prefix's completions
+    nodes = []
+
+    def recording_floor(s_types, free, plan, base):
+        cheap, floor = completion_floor(s_types, free, plan, base)
+
+        def record(residual, start, left, stop):
+            value = floor(residual, start, left, stop)
+            nodes.append((tuple(residual), start, left, stop, value, s_types, tuple(free), plan))
+            return value
+
+        return cheap, record
+
+    completion_floor = reductions._completion_floor
+    monkeypatch.setattr(reductions, "_completion_floor", recording_floor)
+    rnd = random.Random("smfc-completion-floor")
+    seen = dict.fromkeys(("wide", "zero_cost", "dead", "negative", "pruned", "tight"), 0)
+    for _ in range(1000):
+        smfc = _random_smfc(rnd)
+        nodes.clear()
+        smfc_solve_exact(smfc)
+        cover = {}
+        for residual, start, left, stop, value, s_types, free, plan in nodes:
+            best = INFEASIBLE
+            for extra in itertools.combinations(free[start:], left):
+                rest = list(residual)
+                for i in extra:
+                    r = s_types[i]
+                    for t in range(r.s - 1, r.e):
+                        rest[t] -= r.w
+                key = tuple(max(0, x) for x in rest)
+                if key not in cover:
+                    cover[key] = full_cover(key, plan).cost
+                best = min(best, sum(s_types[i].c for i in extra) + cover[key])
+            assert value <= best, (smfc, residual, start, left)
+            pool = [s_types[i] for i in free[start:]]
+            seen["wide"] += left > 0 and any(r.w > 1 for r in pool)
+            seen["zero_cost"] += left > 0 and any(r.c == 0 for r in pool)
+            seen["dead"] += any(residual[t] > 0 for a, b in plan.gaps for t in range(a, b))
+            seen["negative"] += min(residual) < 0
+            seen["pruned"] += value >= stop
+            seen["tight"] += left > 0 and value == best != INFEASIBLE
+    assert all(count >= 50 for count in seen.values()), seen
 
 
 def test_smfc_instance_validation():
