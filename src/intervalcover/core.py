@@ -12,7 +12,8 @@ unattainable solution is ``INFEASIBLE``, which is ``math.inf``: it
 absorbs addition and compares above every finite cost by value, so
 ``min`` and sums need no special case and a copied or unpickled result
 still reads infeasible. It is never a large finite number.
-Every type is immutable after construction and every operation is pure.
+Every type is a frozen, slotted dataclass: immutable after construction,
+with no per-instance ``__dict__``. Every operation is pure.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def is_feasible(cost: Cost) -> bool:
     return cost != INFEASIBLE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Job:
     id: int
     s: int
@@ -53,7 +54,7 @@ class Job:
         return self.s <= t <= self.e
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Resource:
     id: int
     s: int
@@ -98,7 +99,7 @@ def undominated(resources: Sequence[Resource]) -> list[int]:
     return kept
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     """A problem instance over timeline 1..T.
 
@@ -146,7 +147,7 @@ def make_instance(T, jobs, resources, k=None) -> Instance:
     return Instance(T, tuple(built_jobs), built_res, k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartialSolution:
     """A resource multiset (id -> copies, all counts >= 1) plus the covered job ids."""
 
@@ -157,13 +158,13 @@ class PartialSolution:
 EMPTY_SOLUTION = PartialSolution({}, frozenset())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveResult:
     cost: Cost
     solution: PartialSolution | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrizeSolveResult:
     total: Cost
     solution: PartialSolution | None
@@ -226,7 +227,7 @@ def first_uncovered_slot(p1: Sequence[int], p2: Sequence[int]) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Report:
     feasible: bool
     cost: Cost
@@ -234,7 +235,7 @@ class Report:
     violated_slot: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrizeReport:
     feasible: bool
     resource_cost: Cost

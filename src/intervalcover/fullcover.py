@@ -24,9 +24,10 @@ are gaps, slots no resource reaches. One sweep over the sorted cut
 points tells them apart: a running count adds the kept resources that
 start at a cut and drops those that end there, so it holds the number
 active on the piece that starts at the cut, and that piece is a segment
-exactly when the count is positive. Resources are branched on in order
-of cost per unit of capacity, compared exactly in integers (c_a * w_b
-against c_b * w_a, ties to input position). Walking that order from the
+exactly when the count is positive. Priced resources are branched on in
+order of cost per unit of capacity, compared exactly in integers (c_a *
+w_b against c_b * w_a, ties to input position); the free ones (c = 0)
+come after all of them, in input order. Walking that order from the
 back gives, per level and segment, the cheapest-per-unit resource still
 to come, or None. It drives the admissible bound max ceil(residual * c /
 w), marks segments that nothing left can cover, and at the root picks
@@ -63,6 +64,23 @@ the lexicographically smallest optimal copy vector (in input order),
 which is the one returned, and hi never exceeds ceil(max demand / w).
 At the last level lo == hi.
 
+A free level is decided, not branched: it takes ``lo`` copies only.
+Copies of a free resource cost nothing, so no bound could prune its
+other counts. Let x* be the lexicographically smallest optimal copy
+vector, in input order. No resource beats a free one (that needs a cost
+below 0), so every free resource is kept. The priced levels come first;
+x* lies in each one's [lo, hi], and the incumbent never drops below the
+optimum, so the search reaches x*'s priced prefix. At a free level f
+every priced count is fixed and every later level is free. Fewer than
+lo_f copies leave short a segment no later resource covers. If x*_f >
+lo_f, lowering it to lo_f and giving the later free resources whatever
+copies they then need keeps the cover at the same cost. Every changed
+coordinate other than f's belongs to a free resource later in input
+order, so the new vector is lexicographically smaller than x*, which
+contradicts its choice. So x* takes ``lo`` at every free level and
+the search reaches it; the leaves it no longer visits below the same
+priced prefix cost the same and are lexicographically larger.
+
 Because of ``lo``, a segment that no resource from level i on covers has
 no positive residual at level i. The children of a node differ only on
 the segments of the branched resource's span, so the bound of a child is
@@ -86,7 +104,7 @@ from typing import Mapping, Sequence
 from .core import INFEASIBLE, Cost, Resource, check_resources, undominated
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FullCoverResult:
     """Optimal multiset (resource id -> copies) with its cost.
 
@@ -106,12 +124,18 @@ class FullCoverResult:
 INFEASIBLE_COVER = FullCoverResult({}, INFEASIBLE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverPlan:
     """The search plan of one resource set over timeline 1..T.
 
     ``order`` lists the positions in ``resources`` of the resources no
-    other one strictly beats, by cost per unit of capacity. Cutting the
+    other one strictly beats: the priced ones by cost per unit of
+    capacity, then the free ones (c = 0) in input order. No resource
+    beats a free one, and once every priced count is fixed, the
+    lexicographically smallest optimum gives each free resource the
+    fewest copies that cover what no later one does (see the module
+    docstring), so ``full_cover`` decides the free levels instead of
+    branching on them. Cutting the
     slots 0..T-1 (0-based) at every ``r.s - 1`` and ``r.e`` of those
     gives half-open ranges (start, stop) whose slots all have the same
     active kept resources. Those some resource is active on are
@@ -159,9 +183,11 @@ class CoverPlan:
             else:
                 gaps.append((a, b))
         # Branch on cheap capacity first: the incumbent drops fast and the
-        # bound bites early.
+        # bound bites early. Free resources go last, where each is decided
+        # at its fewest copies instead of branched on.
         order = tuple(sorted(kept, key=cmp_to_key(
-            lambda a, b: resources[a].c * resources[b].w - resources[b].c * resources[a].w
+            lambda a, b: (resources[a].c == 0) - (resources[b].c == 0)
+            or resources[a].c * resources[b].w - resources[b].c * resources[a].w
             or a - b)))
         # Walk the order from the back: `later` is the cheapest-per-unit
         # resource still to come on each segment, or None. A level holds
@@ -265,7 +291,7 @@ def full_cover(demand: Sequence[int], plan: CoverPlan,
             need = -(-residual[j] // w)
             if need > lo:
                 lo = need
-        hi = max(lo, -(-max(residual[a:b]) // w))
+        hi = max(lo, -(-max(residual[a:b]) // w)) if c else lo
         out = 0
         for j, bc, bw in outside:
             rt = residual[j]

@@ -132,7 +132,7 @@ from typing import Mapping
 from .core import INFEASIBLE, Cost, Resource, check_resources, is_feasible, undominated
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShortResource:
     id: int
     t: int
@@ -140,7 +140,7 @@ class ShortResource:
     c: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LspcInstance:
     T: int
     d: tuple[int, ...]
@@ -174,20 +174,20 @@ class LspcInstance:
         return max(self.d, default=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LspcSolution:
     long_counts: Mapping[int, int]
     short_picks: frozenset[int]
     coverage: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LspcResult:
     cost: Cost
     solution: LspcSolution | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LspcReport:
     feasible: bool
     cost: Cost

@@ -32,14 +32,14 @@ from .core import INFEASIBLE, Cost, Job, PartialSolution, SolveResult, job_profi
 from .fullcover import CoverPlan, full_cover
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mountain:
     peak: int
     job_ids: frozenset[int]
     span: tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MountainRange:
     mountains: tuple[Mountain, ...]
 
@@ -50,7 +50,7 @@ class MountainRange:
         return frozenset(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decomposition:
     ranges: tuple[MountainRange, ...]
 

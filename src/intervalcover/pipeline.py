@@ -72,7 +72,7 @@ class _RangePipeline:
         return SolveResult(multiset_cost(lifted_o.counts, self.inst.resources), lifted_o)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartialSolveResult:
     cost: Cost
     solution: PartialSolution | None

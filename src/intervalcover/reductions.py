@@ -57,7 +57,7 @@ from .mountains import MountainRange, single_mountain_solve
 MAX_STYPES = 16  # cap on once-only resources for smfc_solve_exact's subset enumeration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DerivedResource:
     resource: Resource
     origin: int
@@ -123,7 +123,7 @@ def lift_split(sol: PartialSolution, parts: SplitParts) -> PartialSolution:
     return PartialSolution(counts, sol.covered)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShortAssociation:
     """Why a synthetic short is priced the way it is: the narrow multiset
     that covers exactly ``kappa`` jobs of mountain ``mountain``."""
@@ -134,7 +134,7 @@ class ShortAssociation:
     covered: frozenset[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LspcBuild:
     instance: LspcInstance
     associations: Mapping[int, ShortAssociation]  # short id -> association
@@ -273,7 +273,7 @@ def lift_lspc(sol: LspcSolution, build: LspcBuild, rng: MountainRange,
     return PartialSolution(counts, frozenset(covered))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SmfcInstance:
     """Full cover with two resource classes: once-only and unlimited-copy.
 
@@ -296,7 +296,7 @@ class SmfcInstance:
         check_resources("m_types", self.m_types, self.T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SmfcResult:
     cost: Cost
     s_selected: frozenset[int]  # positions in s_types

@@ -449,8 +449,9 @@ def _plan_fields_case(rnd):
 def test_plan_fields_match_a_slot_by_slot_reference():
     # Every field the search reads, rebuilt slot by slot from the kept
     # resources with exact ratios: the pieces are the maximal runs of
-    # slots with one active kept set, and the cheapest resource of a set
-    # is its smallest (cost per unit, position) pair.
+    # slots with one active kept set, the cheapest resource of a set is
+    # its smallest (cost per unit, position) pair, and the branching order
+    # puts the free resources after the priced ones.
     rnd = random.Random("fullcover-plan-fields")
     seen = dict.fromkeys(("zero_cost", "equal_ratio", "nested", "duplicate", "gap"), 0)
     for _ in range(400):
@@ -461,7 +462,7 @@ def test_plan_fields_match_a_slot_by_slot_reference():
         def rank(p):
             return Fraction(resources[p].c, resources[p].w), p
 
-        order = sorted(kept, key=rank)
+        order = sorted(kept, key=lambda p: (resources[p].c == 0, *rank(p)))
         assert plan.order == tuple(order)
         active = [frozenset(p for p in kept if resources[p].s <= t + 1 <= resources[p].e)
                   for t in range(T)]
@@ -540,4 +541,101 @@ def test_demand_at_or_below_zero_needs_no_capacity():
         seen["negative_feasible"] += opt not in (0, INFEASIBLE) and min(demand) < 0
         seen["negative_in_gap"] += any(demand[t] < 0 for t in gap_slots)
         seen["all_negative"] += max(demand) < 0
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+def _free_case(rnd):
+    """(demand, resources) with 2-4 free resources placed among 1-3 priced
+    ones in input order, at least one free resource before a priced one,
+    and the free intervals drawn near each other so that their copies can
+    trade places."""
+    T = rnd.randint(2, 7)
+    demand = tuple(rnd.randint(0, 3) for _ in range(T))
+    free = rnd.randint(2, 4)
+    kinds = [True] * free + [False] * rnd.randint(1, min(3, 6 - free))
+    rnd.shuffle(kinds)
+    while kinds.index(True) > kinds.index(False) and all(kinds[kinds.index(True):]):
+        rnd.shuffle(kinds)
+    centre = rnd.randint(1, T)
+    resources = []
+    for i, is_free in enumerate(kinds):
+        if is_free:
+            s = max(1, centre - rnd.randint(0, 2))
+            e = min(T, centre + rnd.randint(0, 2))
+        else:
+            s = rnd.randint(1, T)
+            e = rnd.randint(s, T)
+        resources.append(Resource(i, s, e, rnd.randint(1, 3), 0 if is_free else rnd.randint(1, 6)))
+    return demand, tuple(resources)
+
+
+def test_free_resources_keep_the_tie_break():
+    # Free resources are decided at their fewest copies after every priced
+    # one; the optimum must still be the lexicographically smallest copy
+    # vector in input order, with and without a cutoff.
+    rnd = random.Random("fullcover-free")
+    seen = dict.fromkeys(("feasible", "free_used", "free_overlap", "cut"), 0)
+    for _ in range(300):
+        demand, resources = _free_case(rnd)
+        want_cost, want_vec = brute_force_cover(demand, resources)
+        cutoffs = [INFEASIBLE, 0, 1, rnd.randint(0, 12)]
+        if want_vec is not None:
+            cutoffs += [want_cost, want_cost + 1]
+        for cutoff in cutoffs:
+            got = cover(demand, resources, cutoff)
+            if want_cost < cutoff:
+                assert got.cost == want_cost, (demand, resources, cutoff)
+                assert tuple(got.counts.get(r.id, 0) for r in resources) == want_vec, \
+                    (demand, resources, cutoff)
+            else:
+                assert got == INFEASIBLE_COVER, (demand, resources, cutoff)
+                seen["cut"] += want_vec is not None
+        if want_vec is not None and any(demand):
+            seen["feasible"] += 1
+            used = [r for n, r in zip(want_vec, resources) if n and r.c == 0]
+            seen["free_used"] += bool(used)
+            # a free resource whose copies another free one could take
+            seen["free_overlap"] += any(x is not y and x.s <= y.e and y.s <= x.e
+                                    for x in used for y in resources if y.c == 0)
+    assert all(count >= 100 for count in seen.values()), seen
+
+
+def test_appending_a_free_resource_frees_its_span():
+    # A free resource f appended to the input serves every slot of its
+    # span at no cost, and it is last in input order, so the optimum keeps
+    # the old resources' lexicographically smallest optimum on the demand
+    # zeroed over f's span and adds the fewest copies of f that cover
+    # what those counts leave, under every cutoff.
+    rnd = random.Random("fullcover-append-free")
+    seen = dict.fromkeys(("feasible", "f_used", "f_unused", "had_free", "cut"), 0)
+    for _ in range(300):
+        T, resources = _plan_case(rnd)
+        s = rnd.randint(1, T)
+        f = Resource(len(resources), s, rnd.randint(s, T), rnd.randint(1, 3), 0)
+        plan, grown_plan = CoverPlan(resources, T), CoverPlan(resources + (f,), T)
+        covered = [any(r.s <= t <= r.e for r in resources + (f,)) for t in range(1, T + 1)]
+        demand = tuple(rnd.randint(0, 4) if covered[t] or rnd.random() < 0.2 else 0
+                       for t in range(T))
+        zeroed = tuple(0 if f.s <= t + 1 <= f.e else d for t, d in enumerate(demand))
+        opt = full_cover(zeroed, plan).cost
+        spread = 2 * opt + 2 if opt != INFEASIBLE else 40
+        for cutoff in (INFEASIBLE, 0, 1, opt, opt + 1, rnd.randint(0, spread)):
+            got = full_cover(demand, grown_plan, cutoff)
+            want = full_cover(zeroed, plan, cutoff)
+            if not want.feasible:
+                assert got == INFEASIBLE_COVER, (demand, resources, f, cutoff)
+                seen["cut"] += opt != INFEASIBLE
+                continue
+            old = {rid: n for rid, n in got.counts.items() if rid != f.id}
+            assert (old, got.cost) == (dict(want.counts), want.cost), (demand, resources, f, cutoff)
+            short = max(demand[t - 1] - sum(old.get(r.id, 0) * r.w for r in resources
+                                            if r.s <= t <= r.e)
+                        for t in range(f.s, f.e + 1))
+            assert got.counts.get(f.id, 0) == max(0, -(-short // f.w)), (demand, resources, f)
+        if opt != INFEASIBLE and any(demand):
+            seen["feasible"] += 1
+            used = f.id in full_cover(demand, grown_plan).counts
+            seen["f_used"] += used
+            seen["f_unused"] += not used
+        seen["had_free"] += any(r.c == 0 for r in resources)
     assert all(count >= 20 for count in seen.values()), seen
