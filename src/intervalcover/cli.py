@@ -1,7 +1,8 @@
 """Command line interface: generate, solve, verify, ratio.
 
-Exit codes: 0 feasible / success, 2 INFEASIBLE, 1 error (bad input,
-budget refusal, or a failed seed in ``ratio``). ``solve`` prints one
+Exit codes: 0 feasible / success, 2 INFEASIBLE from ``solve`` or a
+rejected solution from ``verify``, 1 error (bad input, budget refusal,
+or a failed seed in ``ratio``). ``solve`` prints one
 machine-readable JSON line with the cost and, when the answer is
 certified optimal (exact mode, prize, fullcover), an optimality tag.
 Costs are exact integers; ratios print as exact fractions plus a
@@ -34,6 +35,7 @@ from .core import (
     verify_prize,
 )
 from .files import (
+    PROBLEMS,
     ParseError,
     emit_instance,
     emit_lspc,
@@ -253,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="attach penalties instead of k (uniform-random only)")
 
     sol = sub.add_parser("solve", help="solve an instance file")
-    sol.add_argument("--problem", choices=("partial", "prize", "lspc", "fullcover"),
-                     required=True)
+    sol.add_argument("--problem", choices=PROBLEMS, required=True)
     sol.add_argument("--algorithm", choices=("approx", "exact"), default="approx")
     sol.add_argument("--input", required=True)
     sol.add_argument("--output", help="solution file to write")

@@ -66,6 +66,16 @@ class Resource:
         return self.s <= t <= self.e
 
 
+def check_jobs(name: str, jobs: Sequence[Job], T: int) -> None:
+    """Raise ValueError unless every job lies within [1, T] and has no
+    negative penalty; ``name`` labels the sequence in messages."""
+    for i, j in enumerate(jobs):
+        if not 1 <= j.s <= j.e <= T:
+            raise ValueError(f"{name}[{i}] interval [{j.s},{j.e}] not within [1,{T}]")
+        if j.penalty is not None and j.penalty < 0:
+            raise ValueError(f"{name}[{i}] has negative penalty {j.penalty}")
+
+
 def check_resources(name: str, resources: Sequence[Resource], T: int) -> None:
     """Raise ValueError unless every resource lies within [1, T] and has
     capacity >= 1 and cost >= 0; ``name`` labels the sequence in messages."""
@@ -120,10 +130,7 @@ class Instance:
         for i, j in enumerate(self.jobs):
             if j.id != i:
                 raise ValueError(f"jobs[{i}] has id {j.id}, expected dense id {i}")
-            if not 1 <= j.s <= j.e <= self.T:
-                raise ValueError(f"jobs[{i}] interval [{j.s},{j.e}] not within [1,{self.T}]")
-            if j.penalty is not None and j.penalty < 0:
-                raise ValueError(f"jobs[{i}] has negative penalty {j.penalty}")
+        check_jobs("jobs", self.jobs, self.T)
         for i, r in enumerate(self.resources):
             if r.id != i:
                 raise ValueError(f"resources[{i}] has id {r.id}, expected dense id {i}")

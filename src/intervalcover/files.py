@@ -94,6 +94,14 @@ def _as_interval(item: dict, path: str, T: int) -> tuple[int, int]:
     return s, e
 
 
+def _parse_resource(item: dict, path: str, i: int, T: int) -> Resource:
+    _require_keys(item, path, {"s": 1, "e": 1, "w": 1, "c": 1})
+    s, e = _as_interval(item, path, T)
+    w = _as_int(item["w"], f"{path}.w", minimum=1)
+    c = _as_int(item["c"], f"{path}.c", minimum=0)
+    return Resource(i, s, e, w, c)
+
+
 def _check_version(obj: dict, path: str = "") -> None:
     if obj.get("version") != FORMAT_VERSION:
         raise ParseError(path or "version", f"expected version {FORMAT_VERSION}")
@@ -126,14 +134,8 @@ def parse_instance(text: str) -> Instance:
         if "penalty" in item:
             penalty = _as_int(item["penalty"], f"{path}.penalty", minimum=0)
         jobs.append(Job(i, s, e, penalty))
-    resources = []
-    for i, item in enumerate(_as_list(doc["resources"], "resources")):
-        path = f"resources[{i}]"
-        _require_keys(item, path, {"s": 1, "e": 1, "w": 1, "c": 1})
-        s, e = _as_interval(item, path, T)
-        w = _as_int(item["w"], f"{path}.w", minimum=1)
-        c = _as_int(item["c"], f"{path}.c", minimum=0)
-        resources.append(Resource(i, s, e, w, c))
+    resources = [_parse_resource(item, f"resources[{i}]", i, T)
+                 for i, item in enumerate(_as_list(doc["resources"], "resources"))]
     k = None
     if "k" in doc:
         k = _as_int(doc["k"], "k", minimum=0)
@@ -180,13 +182,8 @@ def parse_lspc(text: str) -> LspcInstance:
             raise ParseError(f"{path}.t", f"slot {t} beyond T={T}")
         shorts.append(ShortResource(i, t, _as_int(item["w"], f"{path}.w", minimum=1),
                                     _as_int(item["c"], f"{path}.c", minimum=0)))
-    longs = []
-    for i, item in enumerate(_as_list(doc["longs"], "longs")):
-        path = f"longs[{i}]"
-        _require_keys(item, path, {"s": 1, "e": 1, "w": 1, "c": 1})
-        s, e = _as_interval(item, path, T)
-        longs.append(Resource(i, s, e, _as_int(item["w"], f"{path}.w", minimum=1),
-                              _as_int(item["c"], f"{path}.c", minimum=0)))
+    longs = [_parse_resource(item, f"longs[{i}]", i, T)
+             for i, item in enumerate(_as_list(doc["longs"], "longs"))]
     k = _as_int(doc["k"], "k", minimum=0)
     try:
         return LspcInstance(T, demands, tuple(shorts), tuple(longs), k)

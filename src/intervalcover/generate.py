@@ -14,6 +14,16 @@ from .core import Instance, Job, Resource
 from .lspc import LspcInstance, ShortResource
 from .mountains import Mountain, MountainRange
 
+_LEAST = {"timeslots": 1, "max_w": 1, "mountains": 1}  # every other size may be 0
+
+
+def _check_sizes(**sizes: int) -> None:
+    """Raise ValueError naming the first size below its least value."""
+    for name, value in sizes.items():
+        least = _LEAST.get(name, 0)
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+
 
 def _random_resources(rnd: random.Random, m: int, T: int, max_w: int, max_c: int) -> tuple[Resource, ...]:
     out = []
@@ -31,6 +41,7 @@ def _with_k(rnd: random.Random, n: int, k: int | None) -> int:
 def generate_uniform(seed: int, *, jobs: int = 6, resources: int = 5, timeslots: int = 10,
                      max_w: int = 3, max_c: int = 10, k: int | None = None,
                      penalties: bool = False) -> Instance:
+    _check_sizes(jobs=jobs, resources=resources, timeslots=timeslots, max_w=max_w, max_c=max_c)
     rnd = random.Random(f"uniform:{seed}")
     built = []
     for i in range(jobs):
@@ -47,6 +58,7 @@ def generate_single_mountain(seed: int, *, jobs: int = 6, resources: int = 5,
                              timeslots: int = 10, max_w: int = 3, max_c: int = 10,
                              k: int | None = None) -> Instance:
     """All jobs span one random peak timeslot."""
+    _check_sizes(jobs=jobs, resources=resources, timeslots=timeslots, max_w=max_w, max_c=max_c)
     rnd = random.Random(f"mountain:{seed}")
     peak = rnd.randint(1, timeslots)
     built = []
@@ -65,6 +77,8 @@ def generate_mountain_range(seed: int, *, mountains: int = 2, jobs: int = 6,
     """Jobs grouped into up to ``mountains`` disjoint windows, each group
     sharing the window's peak. Returns the instance and the range built
     from the groups (windows that received no job are dropped)."""
+    _check_sizes(mountains=mountains, jobs=jobs, resources=resources, timeslots=timeslots,
+                 max_w=max_w, max_c=max_c)
     if timeslots < 2 * mountains:
         raise ValueError("need at least two timeslots per mountain")
     rnd = random.Random(f"range:{seed}")
@@ -98,6 +112,8 @@ def generate_mountain_range(seed: int, *, mountains: int = 2, jobs: int = 6,
 def generate_lspc(seed: int, *, timeslots: int = 5, max_demand: int = 3,
                   shorts: int = 4, longs: int = 4, max_c: int = 10,
                   k: int | None = None) -> LspcInstance:
+    _check_sizes(timeslots=timeslots, max_demand=max_demand, shorts=shorts, longs=longs,
+                 max_c=max_c)
     rnd = random.Random(f"lspc:{seed}")
     d = tuple(rnd.randint(0, max_demand) for _ in range(timeslots))
     built_shorts = []

@@ -9,11 +9,13 @@ times 8 for pricing shorts via extremal exclusion times 16 for the
 SLRA restriction), so the stitched solution is within 384 * L of the
 overall optimum for L ranges.
 
-Prize collecting: reduce to the once-only/unlimited full cover, solve
-that exactly, and lift back; the reduction preserves costs in both
-directions, so the result is exactly optimal. The exact search skips
-the sets of uncovered jobs that cannot be feasible: a job touching a
-slot that no resource covers is always left uncovered. A prefix of the
+Prize collecting: reduce to a full cover of every job in which each job
+may also be picked once, as one unit of capacity priced at its penalty,
+beside the resources in unlimited copies; solve that exactly and lift
+back, leaving the picked jobs uncovered. The reduction preserves costs
+in both directions, so the result is exactly optimal. The exact search
+skips the sets of uncovered jobs that cannot be feasible: a job touching
+a slot that no resource covers is always left uncovered. A prefix of the
 walk over the sets of uncovered jobs is dropped once a lower bound on
 every set it starts reaches the best total found so far, and each cover
 of the remaining jobs is pruned against that total.

@@ -14,19 +14,19 @@ kappa. Each short remembers the narrow multiset and the kappa jobs that
 justify its price, so picked shorts expand back into real coverage.
 
 Prize-collecting side: covering all jobs with an escape hatch per job.
-The demand is the full job profile; every job contributes a once-only
-resource over its own interval with unit capacity and cost equal to its
+The demand is the full job profile; every job may be picked at most
+once, as one unit of capacity over its own interval at the cost of its
 penalty, and the real resources stay available in unlimited copies.
 Costs transfer exactly in both directions, so solving the covering
 problem exactly solves the prize-collecting problem exactly. The exact
-search over once-only subsets skips every subset that leaves demand at
-a slot no real resource covers and walks each subset size depth first.
-It drops a prefix, with every subset it starts, once a lower bound on
-its completions (the cheapest costs still to pick plus full cover's root
-bound on the demand that the largest capacities still to pick could
-leave) reaches the best total found so far, prunes each remaining
-subset's cover against that total, and stops at the first subset size
-whose cheapest subset cannot beat it.
+search over sets of picked jobs skips every set that leaves demand at a
+slot no real resource covers and walks each set size depth first. It
+drops a prefix, with every set it starts, once a lower bound on its
+completions (the cheapest penalties still to pick plus full cover's
+root bound on the demand left after one unit per job still to pick)
+reaches the best total found so far, prunes each remaining set's cover
+against that total, and stops at the first set size whose cheapest set
+cannot beat it.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .core import (
     PartialSolution,
     Resource,
     SolveResult,
+    check_jobs,
     check_resources,
     covers,
     job_profile,
@@ -54,7 +55,7 @@ from .fullcover import CoverPlan, full_cover
 from .lspc import LspcInstance, LspcSolution, ShortResource
 from .mountains import MountainRange, single_mountain_solve
 
-MAX_STYPES = 16  # cap on once-only resources for smfc_solve_exact's subset enumeration
+MAX_STYPES = 16  # cap on jobs for smfc_solve_exact's subset enumeration
 
 
 @dataclass(frozen=True, slots=True)
@@ -275,15 +276,18 @@ def lift_lspc(sol: LspcSolution, build: LspcBuild, rng: MountainRange,
 
 @dataclass(frozen=True, slots=True)
 class SmfcInstance:
-    """Full cover with two resource classes: once-only and unlimited-copy.
+    """Full cover by jobs picked at most once and resources in unlimited
+    copies. A picked job adds one unit of capacity over its interval and
+    costs its penalty.
 
-    Raises ValueError for a demand of the wrong length or below 0, and for
-    a resource outside [1, T], with capacity below 1 or a negative cost.
+    Raises ValueError for a demand of the wrong length or below 0, for a
+    job without a penalty, and where ``core.check_jobs`` or
+    ``core.check_resources`` does.
     """
 
     T: int
     demand: tuple[int, ...]
-    s_types: tuple[Resource, ...]  # at most one copy each
+    jobs: tuple[Job, ...]  # at most once each
     m_types: tuple[Resource, ...]  # unlimited copies
 
     def __post_init__(self):
@@ -292,42 +296,38 @@ class SmfcInstance:
         for t, d in enumerate(self.demand):
             if d < 0:
                 raise ValueError(f"demand[{t}] is negative: {d}")
-        check_resources("s_types", self.s_types, self.T)
+        if any(j.penalty is None for j in self.jobs):
+            raise ValueError("every job needs a penalty")
+        check_jobs("jobs", self.jobs, self.T)
         check_resources("m_types", self.m_types, self.T)
 
 
 @dataclass(frozen=True, slots=True)
 class SmfcResult:
     cost: Cost
-    s_selected: frozenset[int]  # positions in s_types
+    s_selected: frozenset[int]  # positions in jobs of the picked, uncovered jobs
     m_counts: Mapping[int, int]
 
 
 def pc_to_smfc(inst: Instance) -> SmfcInstance:
-    """Prize-collecting instance -> once-only/unlimited full cover.
+    """Prize-collecting instance -> full cover by once-only jobs and
+    unlimited resources.
 
-    The demand is the profile of all jobs; every job becomes a once-only
-    unit-capacity resource over its interval priced at its penalty, and
-    the original resources carry over as the unlimited class. Once-only
-    resource i stands for job i: same id, same position in ``s_types``.
+    The demand is the profile of all jobs; the jobs carry over as the
+    once-only class and the original resources as the unlimited class.
     """
-    if any(j.penalty is None for j in inst.jobs):
-        raise ValueError("every job needs a penalty")
-    demand = job_profile(inst.jobs, inst.T)
-    s_types = tuple(Resource(j.id, j.s, j.e, 1, j.penalty) for j in inst.jobs)
-    return SmfcInstance(inst.T, demand, s_types, inst.resources)
+    return SmfcInstance(inst.T, job_profile(inst.jobs, inst.T), inst.jobs, inst.resources)
 
 
-def _completion_floor(s_types: Sequence[Resource], free: Sequence[int], plan: CoverPlan,
+def _completion_floor(jobs: Sequence[Job], free: Sequence[int], plan: CoverPlan,
                       base: Sequence[int],
                       ) -> tuple[list[list[int]], Callable[[Sequence[int], int, int, Cost], Cost]]:
     """Cost floors for the prefixes of ``smfc_solve_exact``'s walk.
 
     Built once per instance over the free positions ``free`` and the
-    residual demand ``base`` that the forced resources leave. Returns
-    ``(cheap, floor)``. ``cheap[i][m]`` is the sum of the m smallest costs
-    in ``free[i:]``, and ``drop[i][m]`` the sum of the m largest
-    capacities there; one backward pass over ``free`` builds both.
+    residual demand ``base`` that the forced jobs leave. Returns
+    ``(cheap, floor)``. ``cheap[i][m]`` is the sum of the m smallest
+    penalties in ``free[i:]``, built in one backward pass over ``free``.
     ``floor(residual, start, left, stop)`` is at most c(E) plus the
     optimal cover cost of the residual that E leaves, for every E of
     ``left`` positions from ``free[start:]`` (the argument is in
@@ -339,24 +339,18 @@ def _completion_floor(s_types: Sequence[Resource], free: Sequence[int], plan: Co
     """
     k = len(free)
     cheap: list[list[int]] = [[0]] * (k + 1)
-    drop: list[list[int]] = [[0]] * (k + 1)
     costs: list[int] = []
-    caps: list[int] = []
     for idx in range(k - 1, -1, -1):
-        r = s_types[free[idx]]
-        bisect.insort(costs, r.c)
-        bisect.insort(caps, r.w)
+        bisect.insort(costs, jobs[free[idx]].penalty)
         cheap[idx] = list(itertools.accumulate(costs, initial=0))
-        drop[idx] = list(itertools.accumulate(reversed(caps), initial=0))
     segments = [(a, b, r.c, r.w) for (a, b), r in zip(plan.segments, plan.cheapest)
                 if r.c and max(base[a:b]) > 0]
 
     def floor(residual: Sequence[int], start: int, left: int, stop: Cost) -> Cost:
-        d = drop[start][left]
         low = cheap[start][left]
         est = low
         for a, b, c, w in segments:
-            p = max(residual[a:b]) - d
+            p = max(residual[a:b]) - left
             if p > 0 and low - (-p * c // w) > est:
                 est = low - (-p * c // w)
                 if est >= stop:
@@ -367,26 +361,25 @@ def _completion_floor(s_types: Sequence[Resource], free: Sequence[int], plan: Co
 
 
 def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
-    """Exact minimum over once-only subsets, each completed by an exact
+    """Exact minimum over sets of picked jobs, each completed by an exact
     full cover of the residual demand with the unlimited class.
 
-    Subsets are visited by size, then lexicographically, and only a
-    strictly smaller total replaces the best, so the first subset to
-    reach the minimum wins, with the lexicographically smallest copy
-    vector of its cover.
+    Sets are visited by size, then lexicographically, and only a strictly
+    smaller total replaces the best, so the first set to reach the
+    minimum wins, with the lexicographically smallest copy vector of its
+    cover.
 
-    Subsets that cannot be feasible are never visited. At a dead slot,
-    one with positive demand that no unlimited resource covers, only
-    once-only capacity counts. A once-only resource without which the
-    others fall short at some dead slot is forced: every feasible subset
-    contains it. So the search runs over ``forced + extra``, with
-    ``extra`` a subset of the free positions, by growing size. This keeps
-    the visiting order of the feasible subsets: for equal-size A and B
-    disjoint from the forced set F, sorted(A + F) < sorted(B + F) exactly
-    when sorted(A) < sorted(B), since both pairs differ first at the
-    smallest element of their symmetric difference. For a prize-collecting
-    reduction the forced set is every job touching a slot no real
-    resource covers.
+    Sets that cannot be feasible are never visited. At a dead slot, one
+    with positive demand that no unlimited resource covers, only the jobs
+    there count, one unit each. A job without which the others fall short
+    at some dead slot is forced: every feasible set contains it. So the
+    search runs over ``forced + extra``, with ``extra`` a subset of the
+    free positions, by growing size. This keeps the visiting order of the
+    feasible sets: for equal-size A and B disjoint from the forced set F,
+    sorted(A + F) < sorted(B + F) exactly when sorted(A) < sorted(B),
+    since both pairs differ first at the smallest element of their
+    symmetric difference. For a prize-collecting reduction the forced set
+    is every job touching a slot no real resource covers.
 
     Each size is walked depth first, which is the same lexicographic
     order, carrying the cost ``scost`` and the residual demand of the
@@ -394,16 +387,15 @@ def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
     a cover at or above it could not give a strictly smaller total, so
     any cover that comes back is a new best.
 
-    A prefix is dropped, with every subset it starts, when its completions
+    A prefix is dropped, with every set it starts, when its completions
     provably cannot beat the best total. Say the prefix leaves ``left``
     more picks from ``free[start:]`` (the root of a size is the forced set
     with ``left = size``). Let ``cheap`` be the sum of the ``left``
-    smallest costs there and ``drop`` the sum of the ``left`` largest
-    capacities. For every completion E:
+    smallest penalties there. For every completion E:
 
-    - c(E) >= cheap, since once-only costs are at least 0;
-    - each slot of the final residual is at least ``residual - drop``,
-      since E adds at most ``drop`` capacity to any slot;
+    - c(E) >= cheap, since penalties are at least 0;
+    - each slot of the final residual is at least ``residual - left``,
+      since each job of E adds one unit to a slot at most;
     - ``full_cover``'s root bound, the largest ceil(peak * c / w) over
       the segments of the plan with the cheapest-per-unit resource (c, w)
       of each, is admissible: a cover puts at least the peak of capacity
@@ -412,53 +404,47 @@ def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
       estimate is a floor as well.
 
     So every total is at least ``scost + cheap`` plus that root bound
-    taken over ``residual - drop``, and the prefix is dropped when this
-    floor reaches the best total. A dropped subset's total would reach
-    the best as well, and only a strictly smaller total replaces the
-    best, so every subset that is dropped would have been refused or
-    lost; the best only falls, so this holds for every later subset too.
-    The subsets that survive keep their order and their cutoff
-    ``best - scost``, so the covers asked for, their results and the
-    winner are the same as without the drop. At a leaf (``left = 0``)
-    ``cheap`` and ``drop`` are 0 and the floor is ``full_cover``'s root
-    bound under the same cutoff, so a subset that call would refuse at
-    its root bound costs no call. (A prize-collecting reduction leaves no
-    demand in a gap: the forced jobs take all of it.) Lowering the peaks
-    by ``left`` alone, one unit per pick, would not be a floor once a
-    once-only capacity exceeds 1.
+    taken over ``residual - left``, and the prefix is dropped when this
+    floor reaches the best total. A dropped set's total would reach the
+    best as well, and only a strictly smaller total replaces the best, so
+    every set that is dropped would have been refused or lost; the best
+    only falls, so this holds for every later set too. The sets that
+    survive keep their order and their cutoff ``best - scost``, so the
+    covers asked for, their results and the winner are the same as
+    without the drop. At a leaf (``left = 0``) ``cheap`` is 0 and the
+    floor is ``full_cover``'s root bound under the same cutoff, so a set
+    that call would refuse at its root bound costs no call. (A
+    prize-collecting reduction leaves no demand in a gap: the forced jobs
+    take all of it.)
 
-    The costs give a floor for a whole size: ``forced cost + cheap``
+    The penalties give a floor for a whole size: ``forced cost + cheap``
     over all of ``free`` grows with the size, so once it reaches the best
     total the enumeration stops.
 
-    Refuses instances with more than ``MAX_STYPES`` once-only resources
-    rather than approximating silently.
+    Refuses instances with more than ``MAX_STYPES`` jobs rather than
+    approximating silently.
     """
-    s_types, demand = smfc.s_types, smfc.demand
-    n = len(s_types)
+    jobs, demand = smfc.jobs, smfc.demand
+    n = len(jobs)
     if n > MAX_STYPES:
         raise BudgetExceeded(
-            f"{n} once-only resources exceed the subset-enumeration cap MAX_STYPES={MAX_STYPES}")
+            f"{n} jobs exceed the subset-enumeration cap MAX_STYPES={MAX_STYPES}")
     best = SmfcResult(INFEASIBLE, frozenset(), {})
     plan = CoverPlan(smfc.m_types, smfc.T)
-    diff = [0] * (smfc.T + 1)
-    for r in s_types:
-        diff[r.s - 1] += r.w
-        diff[r.e] -= r.w
-    cap = list(itertools.accumulate(diff[:-1]))  # total once-only capacity per slot
+    cap = job_profile(jobs, smfc.T)  # the jobs' capacity per slot
     dead = [t for a, b in plan.gaps for t in range(a, b) if demand[t] > 0]
     if any(cap[t] < demand[t] for t in dead):
         return best
-    forced = [i for i, r in enumerate(s_types)
-              if any(r.s - 1 <= t < r.e and cap[t] - r.w < demand[t] for t in dead)]
+    forced = [i for i, j in enumerate(jobs)
+              if any(j.s - 1 <= t < j.e and cap[t] - 1 < demand[t] for t in dead)]
     free = [i for i in range(n) if i not in forced]
-    residual = list(demand)  # the demand left by the forced and chosen resources
+    residual = list(demand)  # the demand left by the forced and chosen jobs
     for i in forced:
-        r = s_types[i]
-        for t in range(r.s - 1, r.e):
-            residual[t] -= r.w
-    forced_cost = sum(s_types[i].c for i in forced)
-    cheap, floor = _completion_floor(s_types, free, plan, residual)
+        j = jobs[i]
+        for t in range(j.s - 1, j.e):
+            residual[t] -= 1
+    forced_cost = sum(jobs[i].penalty for i in forced)
+    cheap, floor = _completion_floor(jobs, free, plan, residual)
 
     chosen: list[int] = []
 
@@ -473,19 +459,19 @@ def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
         rest = left - 1
         for idx in range(start, len(free) - rest):
             i = free[idx]
-            r = s_types[i]
-            cost = scost + r.c
+            j = jobs[i]
+            cost = scost + j.penalty
             room = best.cost - cost
             if cheap[idx + 1][rest] >= room:
-                continue  # no subset this prefix starts can win on cost alone
-            for t in range(r.s - 1, r.e):
-                residual[t] -= r.w
+                continue  # no set this prefix starts can win on cost alone
+            for t in range(j.s - 1, j.e):
+                residual[t] -= 1
             if floor(residual, idx + 1, rest, room) < room:
                 chosen.append(i)
                 walk(idx + 1, rest, cost)
                 chosen.pop()
-            for t in range(r.s - 1, r.e):
-                residual[t] += r.w
+            for t in range(j.s - 1, j.e):
+                residual[t] += 1
 
     for size in range(len(free) + 1):
         room = best.cost - forced_cost
@@ -497,9 +483,9 @@ def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
 
 
 def lift_smfc(result: SmfcResult, smfc: SmfcInstance) -> PartialSolution:
-    """Back to prize-collecting: a selected once-only resource means its
-    job goes uncovered and pays its penalty; everything else is covered by
-    the unlimited-class picks. The totals match exactly."""
-    uncovered = {smfc.s_types[i].id for i in result.s_selected}
-    covered = frozenset(r.id for r in smfc.s_types) - uncovered
+    """Back to prize-collecting: a picked job goes uncovered and pays its
+    penalty; every other job is covered by the unlimited-class picks. The
+    totals match exactly."""
+    uncovered = {smfc.jobs[i].id for i in result.s_selected}
+    covered = frozenset(j.id for j in smfc.jobs) - uncovered
     return PartialSolution(dict(result.m_counts), covered)

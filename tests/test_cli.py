@@ -201,6 +201,23 @@ def test_generate_every_profile_round_trips(tmp_path, capsys, profile, extra):
         assert emit_instance(parse_instance(text)) == text
 
 
+@pytest.mark.parametrize("extra, name", [
+    (("--profile", "mountain-range", "--mountains", "0"), "mountains"),
+    (("--profile", "mountain-range", "--mountains", "-1"), "mountains"),
+    (("--resources", "-2"), "resources"),
+    (("--profile", "lspc-random", "--shorts", "-1"), "shorts"),
+    (("--timeslots", "0"), "timeslots"),
+    (("--jobs", "-1"), "jobs"),
+    (("--max-w", "0"), "max_w"),
+    (("--max-c", "-1"), "max_c"),
+    (("--profile", "lspc-random", "--max-demand", "-1"), "max_demand"),
+])
+def test_generate_rejects_a_size_below_its_least_value(capsys, extra, name):
+    code, out, err = run(capsys, "generate", "--seed", "1", *extra)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {name} must be >= ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("profile", PROFILES)
 def test_generate_without_size_options_takes_the_generators_defaults(capsys, profile):
     emit = emit_lspc if profile == "lspc-random" else emit_instance

@@ -521,8 +521,8 @@ def test_demand_in_a_gap_is_refused_under_any_cutoff():
 
 
 def test_demand_at_or_below_zero_needs_no_capacity():
-    # smfc_solve_exact passes residuals that go negative where once-only
-    # capacity exceeds the demand; they must cover like their clamped copies
+    # smfc_solve_exact passes residuals that go negative where the picked
+    # jobs exceed the demand; they must cover like their clamped copies
     rnd = random.Random("fullcover-negative")
     seen = dict.fromkeys(("negative_feasible", "negative_in_gap", "all_negative"), 0)
     for _ in range(400):

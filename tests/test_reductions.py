@@ -329,8 +329,7 @@ def test_pc_to_smfc_construction():
     inst = Instance(2, (Job(0, 1, 2, 5),), (Resource(0, 1, 2, 1, 3),))
     smfc = pc_to_smfc(inst)
     assert smfc.demand == (1, 1)
-    assert len(smfc.s_types) == 1
-    assert smfc.s_types[0].w == 1 and smfc.s_types[0].c == 5
+    assert smfc.jobs is inst.jobs
     assert smfc.m_types == inst.resources
 
 
@@ -338,7 +337,7 @@ def test_pc_to_smfc_empty_jobs():
     inst = Instance(2, (), (Resource(0, 1, 2, 1, 3),))
     smfc = pc_to_smfc(inst)
     assert smfc.demand == (0, 0)
-    assert not smfc.s_types
+    assert not smfc.jobs
 
 
 def test_pc_to_smfc_demand_matches_profile():
@@ -351,13 +350,13 @@ def brute_force_smfc(smfc, max_copies=6):
     """Flat enumeration over (once-only subset) x (bounded copy vectors)."""
     best = INFEASIBLE
     mbounds = [max_copies] * len(smfc.m_types)
-    for bits in range(1 << len(smfc.s_types)):
-        chosen = [r for i, r in enumerate(smfc.s_types) if bits >> i & 1]
-        scost = sum(r.c for r in chosen)
+    for bits in range(1 << len(smfc.jobs)):
+        chosen = [j for i, j in enumerate(smfc.jobs) if bits >> i & 1]
+        scost = sum(j.penalty for j in chosen)
         for vec in itertools.product(*(range(b + 1) for b in mbounds)):
             ok = True
             for t in range(1, smfc.T + 1):
-                cap = sum(r.w for r in chosen if r.s <= t <= r.e)
+                cap = sum(1 for j in chosen if j.s <= t <= j.e)
                 cap += sum(n * r.w for n, r in zip(vec, smfc.m_types) if r.s <= t <= r.e)
                 if cap < smfc.demand[t - 1]:
                     ok = False
@@ -376,7 +375,7 @@ def test_smfc_zero_demand():
 
 def test_smfc_two_branch_minimum():
     smfc = SmfcInstance(2, (1, 1),
-                        (Resource(0, 1, 2, 1, 5),),
+                        (Job(0, 1, 2, 5),),
                         (Resource(0, 1, 2, 1, 3),))
     res = smfc_solve_exact(smfc)
     assert res.cost == 3
@@ -388,40 +387,40 @@ def test_smfc_matches_flat_enumeration():
     for _ in range(40):
         T = rnd.randint(1, 5)
         demand = tuple(rnd.randint(0, 3) for _ in range(T))
-        s_types = []
+        jobs = []
         for i in range(rnd.randint(0, 3)):
             s = rnd.randint(1, T)
             e = rnd.randint(s, T)
-            s_types.append(Resource(i, s, e, 1, rnd.randint(0, 8)))
+            jobs.append(Job(i, s, e, rnd.randint(0, 8)))
         m_types = []
         for i in range(rnd.randint(0, 3)):
             s = rnd.randint(1, T)
             e = rnd.randint(s, T)
             m_types.append(Resource(i, s, e, rnd.randint(1, 3), rnd.randint(0, 8)))
-        smfc = SmfcInstance(T, demand, tuple(s_types), tuple(m_types))
+        smfc = SmfcInstance(T, demand, tuple(jobs), tuple(m_types))
         assert smfc_solve_exact(smfc).cost == brute_force_smfc(smfc)
 
 
 def plain_smfc(smfc):
-    """Reference for smfc_solve_exact: every once-only subset in (size,
+    """Reference for smfc_solve_exact: every set of picked jobs in (size,
     lexicographic) order, each completed by an uncut full cover; only a
     strictly smaller total replaces the best. Also counts the subsets
     whose total tied the best at the time."""
     best = SmfcResult(INFEASIBLE, frozenset(), {})
     ties = 0
     memo = {}
-    n = len(smfc.s_types)
+    n = len(smfc.jobs)
     plan = CoverPlan(smfc.m_types, smfc.T)
     for size in range(n + 1):
         for subset in itertools.combinations(range(n), size):
-            scost = sum(smfc.s_types[i].c for i in subset)
+            scost = sum(smfc.jobs[i].penalty for i in subset)
             if scost > best.cost:
                 continue
             residual = list(smfc.demand)
             for i in subset:
-                r = smfc.s_types[i]
-                for t in range(r.s - 1, r.e):
-                    residual[t] -= r.w
+                j = smfc.jobs[i]
+                for t in range(j.s - 1, j.e):
+                    residual[t] -= 1
             key = tuple(max(0, x) for x in residual)
             if key not in memo:
                 memo[key] = full_cover(key, plan)
@@ -443,11 +442,11 @@ def _random_smfc(rnd):
         s = rnd.randint(1, T)
         spans.append((s, rnd.randint(s, T)))
     cut = rnd.randint(0, len(spans))
-    s_types = tuple(Resource(i, s, e, rnd.choice((1, 1, 2, 3)), rnd.choice((0, 0, 1, 2, 3, 5)))
-                    for i, (s, e) in enumerate(spans[:cut]))
+    jobs = tuple(Job(i, s, e, rnd.choice((0, 0, 1, 2, 3, 5)))
+                 for i, (s, e) in enumerate(spans[:cut]))
     m_types = tuple(Resource(i, s, e, rnd.randint(1, 3), rnd.choice((0, 1, 2, 3, 5)))
                     for i, (s, e) in enumerate(spans[cut:]))
-    return SmfcInstance(T, demand, s_types, m_types)
+    return SmfcInstance(T, demand, jobs, m_types)
 
 
 def test_smfc_tie_break_matches_plain_enumeration(monkeypatch):
@@ -462,7 +461,7 @@ def test_smfc_tie_break_matches_plain_enumeration(monkeypatch):
     monkeypatch.setattr(reductions, "full_cover", recording_full_cover)
     rnd = random.Random("smfc-tie-break")
     seen = dict.fromkeys(
-        ("wide", "dead", "dead_infeasible", "ties", "asked_again", "size_stop"), 0)
+        ("dead", "dead_infeasible", "ties", "asked_again", "size_stop"), 0)
     for _ in range(4000):
         smfc = _random_smfc(rnd)
         calls.clear()
@@ -473,18 +472,17 @@ def test_smfc_tie_break_matches_plain_enumeration(monkeypatch):
 
         live = [any(r.s <= t <= r.e for r in smfc.m_types) for t in range(1, smfc.T + 1)]
         dead = [t for t in range(smfc.T) if smfc.demand[t] > 0 and not live[t]]
-        cap = [sum(r.w for r in smfc.s_types if r.s <= t + 1 <= r.e) for t in range(smfc.T)]
-        seen["wide"] += got.cost != INFEASIBLE and any(r.w > 1 for r in smfc.s_types)
+        cap = [sum(1 for j in smfc.jobs if j.s <= t + 1 <= j.e) for t in range(smfc.T)]
         seen["dead"] += got.cost != INFEASIBLE and bool(dead)
         seen["dead_infeasible"] += any(cap[t] < smfc.demand[t] for t in dead)
         seen["ties"] += ties > 0
         # the forced cost plus the cheapest free costs of some size reaches
         # the optimum, so smfc_solve_exact stops before the sizes run out
-        forced = [i for i, r in enumerate(smfc.s_types)
-                  if any(r.s <= t + 1 <= r.e and cap[t] - r.w < smfc.demand[t] for t in dead)]
+        forced = [i for i, j in enumerate(smfc.jobs)
+                  if any(j.s <= t + 1 <= j.e and cap[t] - 1 < smfc.demand[t] for t in dead)]
         floor = itertools.accumulate(
-            sorted(r.c for i, r in enumerate(smfc.s_types) if i not in forced),
-            initial=sum(smfc.s_types[i].c for i in forced))
+            sorted(j.penalty for i, j in enumerate(smfc.jobs) if i not in forced),
+            initial=sum(smfc.jobs[i].penalty for i in forced))
         seen["size_stop"] += any(f >= got.cost for f in floor)
         refused = {}
         for demand, cutoff, feasible in calls:
@@ -514,12 +512,12 @@ def test_completion_floor_is_sound(monkeypatch):
     # extra cost over all of that prefix's completions
     nodes = []
 
-    def recording_floor(s_types, free, plan, base):
-        cheap, floor = completion_floor(s_types, free, plan, base)
+    def recording_floor(jobs, free, plan, base):
+        cheap, floor = completion_floor(jobs, free, plan, base)
 
         def record(residual, start, left, stop):
             value = floor(residual, start, left, stop)
-            nodes.append((tuple(residual), start, left, stop, value, s_types, tuple(free), plan))
+            nodes.append((tuple(residual), start, left, stop, value, jobs, tuple(free), plan))
             return value
 
         return cheap, record
@@ -527,28 +525,26 @@ def test_completion_floor_is_sound(monkeypatch):
     completion_floor = reductions._completion_floor
     monkeypatch.setattr(reductions, "_completion_floor", recording_floor)
     rnd = random.Random("smfc-completion-floor")
-    seen = dict.fromkeys(("wide", "zero_cost", "dead", "negative", "pruned", "tight"), 0)
+    seen = dict.fromkeys(("zero_cost", "dead", "negative", "pruned", "tight"), 0)
     for _ in range(1000):
         smfc = _random_smfc(rnd)
         nodes.clear()
         smfc_solve_exact(smfc)
         cover = {}
-        for residual, start, left, stop, value, s_types, free, plan in nodes:
+        for residual, start, left, stop, value, jobs, free, plan in nodes:
             best = INFEASIBLE
             for extra in itertools.combinations(free[start:], left):
                 rest = list(residual)
                 for i in extra:
-                    r = s_types[i]
-                    for t in range(r.s - 1, r.e):
-                        rest[t] -= r.w
+                    j = jobs[i]
+                    for t in range(j.s - 1, j.e):
+                        rest[t] -= 1
                 key = tuple(max(0, x) for x in rest)
                 if key not in cover:
                     cover[key] = full_cover(key, plan).cost
-                best = min(best, sum(s_types[i].c for i in extra) + cover[key])
+                best = min(best, sum(jobs[i].penalty for i in extra) + cover[key])
             assert value <= best, (smfc, residual, start, left)
-            pool = [s_types[i] for i in free[start:]]
-            seen["wide"] += left > 0 and any(r.w > 1 for r in pool)
-            seen["zero_cost"] += left > 0 and any(r.c == 0 for r in pool)
+            seen["zero_cost"] += left > 0 and any(jobs[i].penalty == 0 for i in free[start:])
             seen["dead"] += any(residual[t] > 0 for a, b in plan.gaps for t in range(a, b))
             seen["negative"] += min(residual) < 0
             seen["pruned"] += value >= stop
@@ -558,23 +554,25 @@ def test_completion_floor_is_sound(monkeypatch):
 
 def test_smfc_instance_validation():
     # capacity 0 used to divide by zero in full_cover, a span past T to
-    # index out of range, and a negative once-only cost would break the
-    # cost floor smfc_solve_exact stops at
+    # index out of range, and a missing or negative penalty would break
+    # the cost floor smfc_solve_exact stops at
     bad = [
         (1, (1,), (), (Resource(0, 1, 1, 0, 1),)),
-        (2, (1, 1), (Resource(0, 1, 3, 1, 1),), ()),
-        (2, (1, 1), (Resource(0, 1, 2, 1, -1),), ()),
+        (2, (1, 1), (), (Resource(0, 1, 3, 1, 1),)),
         (2, (1, 1), (), (Resource(0, 0, 2, 1, 1),)),
+        (2, (1, 1), (Job(0, 1, 3, 1),), ()),
+        (2, (1, 1), (Job(0, 1, 2, -1),), ()),
+        (2, (1, 1), (Job(0, 1, 2),), ()),
         (2, (1, -1), (), ()),
     ]
-    for T, demand, s_types, m_types in bad:
+    for T, demand, jobs, m_types in bad:
         with pytest.raises(ValueError):
-            SmfcInstance(T, demand, s_types, m_types)
+            SmfcInstance(T, demand, jobs, m_types)
 
 
 def test_smfc_budget_refusal():
-    s_types = tuple(Resource(i, 1, 1, 1, 1) for i in range(20))
-    smfc = SmfcInstance(1, (1,), s_types, ())
+    jobs = tuple(Job(i, 1, 1, 1) for i in range(20))
+    smfc = SmfcInstance(1, (1,), jobs, ())
     with pytest.raises(BudgetExceeded):
         smfc_solve_exact(smfc)
 
