@@ -76,6 +76,13 @@ def check_jobs(name: str, jobs: Sequence[Job], T: int) -> None:
             raise ValueError(f"{name}[{i}] has negative penalty {j.penalty}")
 
 
+def check_penalties(jobs: Sequence[Job]) -> None:
+    """Raise ValueError unless every job has a penalty, as prize
+    collecting needs."""
+    if any(j.penalty is None for j in jobs):
+        raise ValueError("every job needs a penalty for prize collecting")
+
+
 def check_resources(name: str, resources: Sequence[Resource], T: int) -> None:
     """Raise ValueError unless every resource lies within [1, T] and has
     capacity >= 1 and cost >= 0; ``name`` labels the sequence in messages."""
@@ -294,8 +301,7 @@ def verify_partial(inst: Instance, sol: PartialSolution) -> Report:
 def verify_prize(inst: Instance, sol: PartialSolution) -> PrizeReport:
     """Check a prize-collecting solution and total its cost: resource cost
     plus the penalties of every job left uncovered."""
-    if any(j.penalty is None for j in inst.jobs):
-        raise ValueError("every job needs a penalty for prize-collecting verification")
+    check_penalties(inst.jobs)
     err = _solution_structure_error(inst, sol)
     if err is not None:
         return PrizeReport(False, INFEASIBLE, 0, INFEASIBLE, reason=err)

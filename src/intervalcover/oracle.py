@@ -25,6 +25,7 @@ from .core import (
     PartialSolution,
     PrizeSolveResult,
     SolveResult,
+    check_penalties,
     job_profile,
 )
 from .fullcover import CoverPlan, full_cover
@@ -142,8 +143,7 @@ def oracle_lspc(inst: LspcInstance) -> LspcResult:
 def oracle_prize(inst: Instance) -> PrizeSolveResult:
     """True optimum for prize collecting: every job subset, full cover of
     its profile plus the penalties outside it."""
-    if any(j.penalty is None for j in inst.jobs):
-        raise ValueError("every job needs a penalty")
+    check_penalties(inst.jobs)
     n = len(inst.jobs)
     if n > MAX_PRIZE_JOBS:
         raise BudgetExceeded(

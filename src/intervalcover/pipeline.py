@@ -1,13 +1,16 @@
 """Top-level solvers for the partial and prize-collecting problems.
 
 Partial coverage: decompose the jobs into mountain ranges, solve every
-(range, kappa) subproblem through the split -> collapse -> long/short
-pipeline, then stitch ranges together with a table over "cover kappa
-jobs using the first q ranges". Each range solve is certified within a
-factor of 384 of that range's optimum (3 for the narrow/wide split
-times 8 for pricing shorts via extremal exclusion times 16 for the
-SLRA restriction), so the stitched solution is within 384 * L of the
-overall optimum for L ranges.
+(range, kappa) subproblem, then stitch ranges together with a table over
+"cover kappa jobs using the first q ranges". A range of one mountain is
+priced directly by the single-mountain solver over its resources clipped
+to the mountain's span, within 2 of that range's optimum and never above
+what the longer path below would give (the proof is at
+``_RangePipeline``). Any other range goes through the split -> collapse
+-> long/short pipeline, certified within a factor of 384 of its optimum
+(3 for the narrow/wide split times 8 for pricing shorts via extremal
+exclusion times 16 for the SLRA restriction). Since 2 <= 384, the
+stitched solution is within 384 * L of the overall optimum for L ranges.
 
 Prize collecting: reduce to a full cover of every job in which each job
 may also be picked once, as one unit of capacity priced at its penalty,
@@ -32,10 +35,12 @@ from .core import (
     Instance,
     PartialSolution,
     PrizeSolveResult,
+    Resource,
     SolveResult,
     is_feasible,
     multiset_cost,
 )
+from .fullcover import CoverPlan
 from .lspc import LspcSolver
 from .mountains import MountainRange, decompose
 from .reductions import (
@@ -44,28 +49,77 @@ from .reductions import (
     lift_smfc,
     lift_split,
     pc_to_smfc,
+    price_mountain,
     smfc_solve_exact,
     split_narrow_wide,
 )
 
-RANGE_FACTOR = 384  # certified per-range approximation factor (3 * 8 * 16)
+# certified per-range approximation factor: 3 * 8 * 16 for a range of
+# several mountains; a one-mountain range is priced directly, within 2
+RANGE_FACTOR = 384
 
 
 class _RangePipeline:
-    """Split and collapse once per range; solve per kappa on shared tables."""
+    """Price one range for every kappa.
+
+    A range of one mountain is priced directly: every resource touching
+    the mountain's span is clipped to that span, keeping its id, capacity
+    and cost, and ``price_mountain`` solves every kappa over one
+    ``CoverPlan`` of the clipped resources. Capacity outside the span
+    meets no demand of the range, so clipping keeps the cost of every
+    cover, and the rows come back keyed by the original resource ids.
+    Each row is within 2 of the range's optimum for its kappa.
+
+    A direct row never costs more than the row of the split -> collapse
+    -> lift path. On one mountain the split leaves every touching resource
+    one part, narrow or wide, equal to its clipped copy, so both paths
+    price over the same intervals, costs and unlimited copies. That
+    path's row for kappa is the narrow multiset of one short's kept set
+    K', which covers K', plus wide capacity W >= kappa - |K'| over the
+    whole span. K' keeps what dropping a start prefix of q1 jobs and then
+    jobs of the falling end order leaves. If |K'| > kappa, the kappa
+    candidate with the same start prefix keeps a subset of K'. Otherwise
+    some kappa candidate C contains K': the one with the same start
+    prefix if q1 <= n - kappa, since it stops earlier in the end order,
+    and the one dropping the start prefix n - kappa if not. Either way
+    that multiset covers a kappa candidate, and ``single_mountain_solve``
+    covers the cheapest candidate exactly, so the direct row is feasible
+    whenever that row is and costs no more.
+
+    Any other range is split and collapsed once, and each kappa is solved
+    on the shared long/short tables and lifted back.
+    """
 
     def __init__(self, inst: Instance, rng: MountainRange):
         self.inst = inst
         self.rng = rng
+        if len(rng.mountains) == 1:
+            (m,) = rng.mountains
+            s, e = m.span
+            clipped = [Resource(r.id, max(r.s, s), min(r.e, e), r.w, r.c)
+                       for r in inst.resources if r.s <= e and s <= r.e]
+            mjobs = [inst.jobs[i] for i in sorted(m.job_ids)]
+            self.rows = price_mountain(mjobs, CoverPlan(clipped, inst.T))
+            return
+        self.rows = None
         self.derived, self.split_map = split_narrow_wide(rng, inst.resources)
         self.build = build_lspc(rng, inst.jobs, self.derived, inst.T)
         self.solver = LspcSolver(self.build.instance)
 
     def solve(self, kappa: int) -> SolveResult:
         """Cover at least kappa jobs of the range, within RANGE_FACTOR of
-        that subproblem's optimum."""
+        that subproblem's optimum (within 2 for a one-mountain range).
+
+        INFEASIBLE for a kappa above the range's size; ValueError for a
+        kappa below 0.
+        """
+        if kappa < 0:
+            raise ValueError(f"kappa={kappa} is negative")
         if kappa == 0:
             return SolveResult(0, EMPTY_SOLUTION)
+        if self.rows is not None:
+            row = self.rows[kappa] if kappa < len(self.rows) else None
+            return row if row is not None else SolveResult(INFEASIBLE, None)
         lres = self.solver.solve_for(kappa)
         if lres.solution is None:
             return SolveResult(INFEASIBLE, None)

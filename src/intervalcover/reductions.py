@@ -12,6 +12,9 @@ become longs, and for every (mountain, kappa) the single-mountain solver
 over the mountain's narrow parts prices a synthetic short of capacity
 kappa. Each short remembers the narrow multiset and the kappa jobs that
 justify its price, so picked shorts expand back into real coverage.
+``price_mountain`` prices every kappa of one mountain; the partial
+pipeline also calls it on a one-mountain range directly, without the
+split and the collapse.
 
 Prize-collecting side: covering all jobs with an escape hatch per job.
 The demand is the full job profile; every job may be picked at most
@@ -46,6 +49,7 @@ from .core import (
     Resource,
     SolveResult,
     check_jobs,
+    check_penalties,
     check_resources,
     covers,
     job_profile,
@@ -142,6 +146,33 @@ class LspcBuild:
     long_origin: Mapping[int, int]  # long id -> derived wide resource id
 
 
+def price_mountain(jobs: Sequence[Job], plan: CoverPlan) -> list[SolveResult | None]:
+    """``single_mountain_solve`` of the mountain ``jobs`` over ``plan`` for
+    every kappa, indexed by kappa; None where kappa is 0 or infeasible.
+
+    kappa is priced from the mountain's size down to 1, each call cut off
+    at the cost of the winner for kappa + 1, plus 1. The cutoff loses
+    nothing: the (kappa + 1) winner keeps the jobs left after dropping a
+    prefix of the start order and a prefix of the falling end order;
+    growing the start prefix up to the first job it keeps gives a kappa
+    candidate whose demand profile the winner's profile dominates, so the
+    winner's multiset covers it and opt(kappa) <= opt(kappa + 1) < cutoff.
+    The cut call therefore returns the uncut winner, and a kappa that
+    comes back infeasible under a seeded cutoff raises RuntimeError.
+    """
+    priced: list[SolveResult | None] = [None] * (len(jobs) + 1)
+    cutoff = INFEASIBLE
+    for kappa in range(len(jobs), 0, -1):
+        res = single_mountain_solve(jobs, plan, kappa, cutoff)
+        if res.solution is not None:
+            priced[kappa] = res
+            cutoff = res.cost + 1
+        elif cutoff != INFEASIBLE:
+            raise RuntimeError(f"kappa={kappa} found no cover below {cutoff}, "
+                               f"the cost of kappa={kappa + 1} plus 1")
+    return priced
+
+
 def build_lspc(rng: MountainRange, jobs: Sequence[Job],
                derived: Sequence[DerivedResource], T: int) -> LspcBuild:
     """Collapse a split mountain range into a long/short instance.
@@ -154,17 +185,9 @@ def build_lspc(rng: MountainRange, jobs: Sequence[Job],
     sum(d), the largest target a caller may ask: callers ask
     ``LspcSolver.solve_for`` for each target they need.
 
-    Each mountain's narrow parts get one ``CoverPlan``, and kappa is
-    priced from the mountain's size down to 1, each call cut off at the
-    cost of the winner for kappa + 1, plus 1. The cutoff loses nothing:
-    the (kappa + 1) winner keeps the jobs left after dropping a prefix of
-    the start order and a prefix of the falling end order; growing the
-    start prefix up to the first job it keeps gives a kappa candidate
-    whose demand profile the winner's profile dominates, so the winner's
-    multiset covers it and opt(kappa) <= opt(kappa + 1) < cutoff. The
-    cut call therefore returns the uncut winner, and a kappa that comes
-    back infeasible under a seeded cutoff raises RuntimeError. Shorts are
-    still emitted in ascending kappa.
+    Each mountain's narrow parts get one ``CoverPlan``, over which
+    ``price_mountain`` prices every kappa in one downward walk. Shorts are
+    emitted in ascending kappa.
 
     A mountain without narrow parts gets neither a plan nor a pricing
     call, and emits no short. Every candidate of a kappa >= 1 keeps a job,
@@ -201,18 +224,7 @@ def build_lspc(rng: MountainRange, jobs: Sequence[Job],
         narrows = narrows_of[idx]
         if not narrows:
             continue
-        mjobs = [by_id[i] for i in sorted(m.job_ids)]
-        plan = CoverPlan(narrows, T)
-        priced: list[SolveResult | None] = [None] * (d[idx] + 1)
-        cutoff = INFEASIBLE
-        for kappa in range(d[idx], 0, -1):
-            res = single_mountain_solve(mjobs, plan, kappa, cutoff)
-            if res.solution is not None:
-                priced[kappa] = res
-                cutoff = res.cost + 1
-            elif cutoff != INFEASIBLE:
-                raise RuntimeError(f"mountain {idx}: kappa={kappa} found no cover below "
-                                   f"{cutoff}, the cost of kappa={kappa + 1} plus 1")
+        priced = price_mountain([by_id[i] for i in sorted(m.job_ids)], CoverPlan(narrows, T))
         for kappa in range(1, d[idx] + 1):
             res = priced[kappa]
             if res is None:
@@ -280,8 +292,8 @@ class SmfcInstance:
     copies. A picked job adds one unit of capacity over its interval and
     costs its penalty.
 
-    Raises ValueError for a demand of the wrong length or below 0, for a
-    job without a penalty, and where ``core.check_jobs`` or
+    Raises ValueError for a demand of the wrong length or below 0, and
+    where ``core.check_penalties``, ``core.check_jobs`` or
     ``core.check_resources`` does.
     """
 
@@ -296,8 +308,7 @@ class SmfcInstance:
         for t, d in enumerate(self.demand):
             if d < 0:
                 raise ValueError(f"demand[{t}] is negative: {d}")
-        if any(j.penalty is None for j in self.jobs):
-            raise ValueError("every job needs a penalty")
+        check_penalties(self.jobs)
         check_jobs("jobs", self.jobs, self.T)
         check_resources("m_types", self.m_types, self.T)
 

@@ -431,3 +431,21 @@ def test_solve_refuses_over_a_cap(tmp_path, capsys, problem, algorithm, extra, c
                          "--input", str(inst))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and cap in err
+
+
+def test_prize_without_penalties_has_one_rule(tmp_path, capsys):
+    # the solvers, the oracle, the verifier and the CLI refuse a job
+    # without a penalty with the same words; the CLI as a parse error
+    from intervalcover.core import PartialSolution, verify_prize
+    from intervalcover.oracle import oracle_prize
+    from intervalcover.pipeline import solve_prize
+
+    rule = "every job needs a penalty for prize collecting"
+    path = gen(tmp_path, capsys, "inst.json", "--profile", "uniform-random", "--k", "2")
+    inst = parse_instance(path.read_text())
+    for call in (solve_prize, oracle_prize,
+                 lambda inst: verify_prize(inst, PartialSolution({}, frozenset()))):
+        with pytest.raises(ValueError, match=rule):
+            call(inst)
+    code, _, err = run(capsys, "solve", "--problem", "prize", "--input", str(path))
+    assert code == 1 and f"jobs: {rule}" in err

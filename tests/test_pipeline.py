@@ -5,11 +5,24 @@ import json
 import random
 from pathlib import Path
 
-from intervalcover.core import INFEASIBLE, Instance, is_feasible, multiset_cost, verify_partial, verify_prize
+import pytest
+
+from intervalcover.core import (
+    EMPTY_SOLUTION,
+    INFEASIBLE,
+    Instance,
+    SolveResult,
+    is_feasible,
+    multiset_cost,
+    verify_partial,
+    verify_prize,
+)
 from intervalcover.generate import generate_mountain_range, generate_uniform
+from intervalcover.lspc import LspcSolver
 from intervalcover.mountains import decompose
 from intervalcover.oracle import oracle_partial, oracle_prize
 from intervalcover.pipeline import RANGE_FACTOR, _RangePipeline, solve_partial, solve_prize
+from intervalcover.reductions import build_lspc, lift_lspc, lift_split, split_narrow_wide
 
 
 def test_range_solve_kappa_zero():
@@ -19,7 +32,8 @@ def test_range_solve_kappa_zero():
 
 
 def test_range_solve_single_mountain_bound():
-    # a one-mountain range is still certified only through the pipeline bound
+    # a one-mountain range is priced directly by the single-mountain solver,
+    # so each row is within 2 of that range's optimum
     for seed in range(40):
         inst, rng = generate_mountain_range(seed, mountains=1, jobs=5, resources=4,
                                             timeslots=8)
@@ -30,7 +44,7 @@ def test_range_solve_single_mountain_bound():
         assert (res.solution is None) == (ora.solution is None)
         if ora.solution is None:
             continue
-        assert ora.cost <= res.cost <= RANGE_FACTOR * ora.cost
+        assert ora.cost <= res.cost <= 2 * ora.cost
         report = verify_partial(sub, res.solution)
         assert report.feasible and report.cost == res.cost
 
@@ -40,8 +54,7 @@ def test_range_solve_two_mountains():
         inst, rng = generate_mountain_range(seed, mountains=2, jobs=6, resources=5,
                                             timeslots=12)
         kappa = random.Random(f"rs2{seed}").randint(0, len(inst.jobs))
-        pipe = _RangePipeline(inst, rng)
-        res = pipe.solve(kappa)
+        res = _RangePipeline(inst, rng).solve(kappa)
         sub = Instance(inst.T, inst.jobs, inst.resources, kappa)
         ora = oracle_partial(sub)
         assert (res.solution is None) == (ora.solution is None)
@@ -49,7 +62,57 @@ def test_range_solve_two_mountains():
             continue
         assert ora.cost <= res.cost <= RANGE_FACTOR * ora.cost
         assert len(res.solution.covered) >= kappa
-        assert pipe.solver.solve_for(kappa).cost >= res.cost  # lifting never raises the cost
+        derived, _ = split_narrow_wide(rng, inst.resources)
+        solver = LspcSolver(build_lspc(rng, inst.jobs, derived, inst.T).instance)
+        assert solver.solve_for(kappa).cost >= res.cost  # lifting never raises the cost
+
+
+def _lifted_row(inst, rng, derived, split_map, build, solver, kappa):
+    """The split -> long/short -> lift row of one (range, kappa)."""
+    if kappa == 0:
+        return SolveResult(0, EMPTY_SOLUTION)
+    lres = solver.solve_for(kappa)
+    if lres.solution is None:
+        return SolveResult(INFEASIBLE, None)
+    sol = lift_split(lift_lspc(lres.solution, build, rng, derived), split_map)
+    return SolveResult(multiset_cost(sol.counts, inst.resources), sol)
+
+
+def test_one_mountain_range_is_priced_directly_at_no_more():
+    rnd = random.Random("direct")
+    cheaper = rows = 0
+    for seed in range(150):
+        inst, rng = generate_mountain_range(seed, mountains=1, jobs=rnd.randint(1, 8),
+                                            resources=rnd.randint(1, 6),
+                                            timeslots=rnd.randint(4, 14), max_w=3)
+        (m,) = rng.mountains
+        derived, split_map = split_narrow_wide(rng, inst.resources)
+        build = build_lspc(rng, inst.jobs, derived, inst.T)
+        solver = LspcSolver(build.instance)
+        pipe = _RangePipeline(inst, rng)
+        size = len(m.job_ids)
+        for kappa in range(size + 1):
+            res = pipe.solve(kappa)
+            old = _lifted_row(inst, rng, derived, split_map, build, solver, kappa)
+            assert res.cost <= old.cost, (seed, kappa)
+            assert (res.solution is None) <= (old.solution is None), (seed, kappa)
+            rows += 1
+            cheaper += res.cost < old.cost
+            if res.solution is None:
+                continue
+            assert len(res.solution.covered) >= kappa
+            assert res.solution.covered <= m.job_ids
+            report = verify_partial(Instance(inst.T, inst.jobs, inst.resources, kappa),
+                                    res.solution)
+            assert report.feasible and report.cost == res.cost, (seed, kappa)
+        # the range limits answer as the long/short path does
+        assert pipe.solve(size + 1) == SolveResult(INFEASIBLE, None)
+        assert solver.solve_for(size + 1).solution is None
+        with pytest.raises(ValueError):
+            pipe.solve(-1)
+        with pytest.raises(ValueError):
+            solver.solve_for(-1)
+    assert rows > 500 and cheaper > 0, (rows, cheaper)
 
 
 def test_solve_partial_k0():
@@ -73,7 +136,6 @@ def test_solve_partial_single_range_equals_range_solve():
         inst, rng = generate_mountain_range(seed, mountains=1, jobs=5, resources=4,
                                             timeslots=8)
         res = solve_partial(inst)
-        _RangePipeline(inst, rng).solve(inst.k)
         # the decomposition may carve the same jobs into a different range,
         # so compare against the solver's own decomposition instead
         decomp = decompose(inst.jobs)
@@ -170,8 +232,10 @@ def test_solve_prize_matches_oracle():
 
 
 def test_outputs_match_recorded_golden():
-    # (cost, sorted counts, sorted covered) per seed, recorded from the
-    # solvers before the full-cover search gained its cutoff and copy ranges
+    # (cost, sorted counts, sorted covered) per seed. The prize records date
+    # from before the full-cover search gained its cutoff and copy ranges;
+    # the partial ones were recorded again when one-mountain ranges came to
+    # be priced directly, which changed 20 of them and made none dearer
     golden = json.loads((Path(__file__).parent / "data" / "pipeline_golden.json").read_text())
 
     def record(cost, sol):
