@@ -29,7 +29,6 @@ from fractions import Fraction
 from .core import (
     BudgetExceeded,
     PartialSolution,
-    check_penalties,
     is_feasible,
     job_profile,
     verify_partial,
@@ -90,10 +89,6 @@ def _solve_dispatch(problem: str, algorithm: str, inst) -> tuple:
         res = solve_partial(inst)
         return res.cost, res.solution, res.bound_factor
     if problem == "prize":
-        try:
-            check_penalties(inst.jobs)
-        except ValueError as exc:
-            raise ParseError("jobs", str(exc)) from None
         res = oracle_prize(inst) if algorithm == "exact" else solve_prize(inst)
         return res.total, res.solution, 1  # the reduction is cost-exact
     if problem == "lspc":

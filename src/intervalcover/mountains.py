@@ -20,10 +20,7 @@ subroutine the winner costs at most twice the optimum. The caller passes
 the ``CoverPlan`` of the mountain's resources, so one plan serves every
 k of the same mountain, and may pass a ``cutoff`` to ask only for
 winners cheaper than a cost it already knows; ``reductions.price_mountain``
-walks k downward and seeds each cutoff from the winner for k + 1. The
-partial pipeline prices a one-mountain range that way directly, over
-the range's resources clipped to the mountain's span, and each
-multi-mountain range's shorts over its narrow parts.
+walks k downward and seeds each cutoff from the winner for k + 1.
 """
 
 from __future__ import annotations

@@ -3,10 +3,8 @@
 Partial coverage: decompose the jobs into mountain ranges, solve every
 (range, kappa) subproblem, then stitch ranges together with a table over
 "cover kappa jobs using the first q ranges". A range of one mountain is
-priced directly by the single-mountain solver over its resources clipped
-to the mountain's span, within 2 of that range's optimum and never above
-what the longer path below would give (the proof is at
-``_RangePipeline``). Any other range goes through the split -> collapse
+priced directly by the single-mountain solver, within 2 of its optimum
+(see ``_RangePipeline``); any other range goes through the split -> collapse
 -> long/short pipeline, certified within a factor of 384 of its optimum
 (3 for the narrow/wide split times 8 for pricing shorts via extremal
 exclusion times 16 for the SLRA restriction). Since 2 <= 384, the

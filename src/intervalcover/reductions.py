@@ -12,9 +12,7 @@ become longs, and for every (mountain, kappa) the single-mountain solver
 over the mountain's narrow parts prices a synthetic short of capacity
 kappa. Each short remembers the narrow multiset and the kappa jobs that
 justify its price, so picked shorts expand back into real coverage.
-``price_mountain`` prices every kappa of one mountain; the partial
-pipeline also calls it on a one-mountain range directly, without the
-split and the collapse.
+``price_mountain`` prices every kappa of one mountain.
 
 Prize-collecting side: covering all jobs with an escape hatch per job.
 The demand is the full job profile; every job may be picked at most

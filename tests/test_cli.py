@@ -435,7 +435,7 @@ def test_solve_refuses_over_a_cap(tmp_path, capsys, problem, algorithm, extra, c
 
 def test_prize_without_penalties_has_one_rule(tmp_path, capsys):
     # the solvers, the oracle, the verifier and the CLI refuse a job
-    # without a penalty with the same words; the CLI as a parse error
+    # without a penalty with the same words; the CLI reports the solver's
     from intervalcover.core import PartialSolution, verify_prize
     from intervalcover.oracle import oracle_prize
     from intervalcover.pipeline import solve_prize
@@ -448,4 +448,4 @@ def test_prize_without_penalties_has_one_rule(tmp_path, capsys):
         with pytest.raises(ValueError, match=rule):
             call(inst)
     code, _, err = run(capsys, "solve", "--problem", "prize", "--input", str(path))
-    assert code == 1 and f"jobs: {rule}" in err
+    assert code == 1 and err == f"error: {rule}\n"
