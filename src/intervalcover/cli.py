@@ -95,8 +95,8 @@ def _solve_dispatch(problem: str, algorithm: str, inst) -> tuple:
         res = oracle_lspc(inst) if algorithm == "exact" else LspcSolver(inst).solve()
         return res.cost, res.solution, 1 if algorithm == "exact" else None
     # fullcover: exact either way (beta = 1)
-    demand = job_profile(inst.jobs, inst.T)
-    res = full_cover(demand, CoverPlan(inst.resources, inst.T))
+    plan = CoverPlan(inst.resources, inst.T)
+    res = full_cover(plan.segment_demand(job_profile(inst.jobs, inst.T)), plan)
     sol = PartialSolution(res.counts, frozenset(j.id for j in inst.jobs)) if res.feasible else None
     return res.cost, sol, 1
 

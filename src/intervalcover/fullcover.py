@@ -35,19 +35,22 @@ the resource of the greedy incumbent. Each level's tuples of segments
 come from one pass over that list, so a plan of m kept resources costs
 O(m) passes over at most 2m + 1 pieces.
 
-A call first refuses, under any cutoff, a demand that is positive
-somewhere in a gap: no multiset covers it. It then reduces the demand
-to the largest demand of each segment. Capacity is constant on a
-segment, so a multiset covers the demand exactly when it covers these
-peaks, and every quantity the search takes from the residual (the bound,
-the copy range below, the greedy cap) is a maximum of a non-decreasing
-function over the segment's slots, which the peak attains. The search
-over segments therefore visits the same nodes as one over slots and
-returns the same cover.
+The search takes its demand per segment, not per slot. A demand that
+is positive somewhere in a gap has no cover; any other reduces to the
+largest demand of each segment. Capacity is constant on a segment, so a
+multiset covers the demand exactly when it covers these peaks, and every
+quantity the search takes from the residual (the bound, the copy range
+below, the greedy cap) is a maximum of a non-decreasing function over
+the segment's slots, which the peak attains. The search over segments
+therefore visits the same nodes as one over slots and returns the same
+cover. A caller holding a per-slot profile reduces it with
+``CoverPlan.segment_demand``, which returns None for demand in a gap,
+and ``full_cover`` refuses None under any cutoff. Mountain pricing
+computes the peaks of its candidates directly (``mountains.py``).
 
 The root bound is the largest of 0 and the segments' estimates
 ceil(peak * c / w) with the cheapest-per-unit resource of each, so a
-cutoff of at most 0 is refused at once and the reduction refuses as
+cutoff of at most 0 is refused at once and the call refuses as
 soon as one estimate reaches the cutoff, before the greedy incumbent or
 the search is set up. A call that gets past it has a root bound below
 the cutoff and at most the greedy cap, which is the cost of a feasible
@@ -221,36 +224,43 @@ class CoverPlan:
         object.__setattr__(self, "cheapest", tuple(later))
         object.__setattr__(self, "levels", tuple(reversed(levels)))
 
+    def segment_demand(self, demand: Sequence[int]) -> tuple[int, ...] | None:
+        """The largest entry of a per-slot ``demand`` on each segment, the
+        demand ``full_cover`` takes; None when ``demand`` is positive in a
+        gap. Raises ValueError unless ``demand`` has T slots."""
+        if len(demand) != self.T:
+            raise ValueError(f"demand has {len(demand)} slots, the plan has T={self.T}")
+        if any(max(demand[a:b]) > 0 for a, b in self.gaps):
+            return None
+        return tuple(max(demand[a:b]) for a, b in self.segments)
 
-def full_cover(demand: Sequence[int], plan: CoverPlan,
+
+def full_cover(demand: Sequence[int] | None, plan: CoverPlan,
                cutoff: Cost = INFEASIBLE) -> FullCoverResult:
-    """Minimum-cost multiset of ``plan.resources`` whose capacity profile
-    dominates ``demand``. An entry at or below 0 needs no capacity, so a
-    demand gives the same result as its copy clamped at 0.
+    """Minimum-cost multiset of ``plan.resources`` whose capacity covers
+    ``demand``, one entry per segment of ``plan`` (the largest demand
+    there); None stands for demand in a gap and is never covered. An
+    entry at or below 0 needs no capacity, so a demand gives the same
+    result as its copy clamped at 0.
 
     Only covers costing strictly less than ``cutoff`` count; with none,
     the result is INFEASIBLE_COVER. Equal-cost optima break to the
     lexicographically smallest copy vector in the order the resources
-    were given. Without a cutoff, INFEASIBLE iff some slot has positive
-    demand and no active resource. Raises ValueError unless ``demand``
-    has ``plan.T`` slots.
+    were given. Without a cutoff, INFEASIBLE iff ``demand`` is None.
+    Raises ValueError unless ``demand`` has one entry per segment.
     """
-    if len(demand) != plan.T:
-        raise ValueError(f"demand has {len(demand)} slots, the plan has T={plan.T}")
+    if demand is None:
+        return INFEASIBLE_COVER  # positive in a gap: nothing covers it
+    segments = plan.segments
+    if len(demand) != len(segments):
+        raise ValueError(f"demand has {len(demand)} entries for {len(segments)} segments")
     if cutoff <= 0:
         return INFEASIBLE_COVER  # costs are never negative
-    for a, b in plan.gaps:
-        if max(demand[a:b]) > 0:
-            return INFEASIBLE_COVER
-    segments = plan.segments
     root = plan.cheapest
-    peaks = []
-    for (a, b), r in zip(segments, root):
-        peak = max(demand[a:b])
+    for peak, r in zip(demand, root):
         if peak > 0 and -(-peak * r.c // r.w) >= cutoff:
             return INFEASIBLE_COVER
-        peaks.append(peak)
-    if all(d <= 0 for d in peaks):
+    if all(d <= 0 for d in demand):
         return FullCoverResult({}, 0)
 
     resources, levels = plan.resources, plan.levels
@@ -258,7 +268,7 @@ def full_cover(demand: Sequence[int], plan: CoverPlan,
 
     # Greedy incumbent: a feasible cost cap, not a candidate vector. Only
     # segments not yet visited need their residual lowered.
-    residual = peaks[:]
+    residual = list(demand)
     greedy_cost = 0
     for j in range(len(segments)):
         if residual[j] > 0:
@@ -271,7 +281,7 @@ def full_cover(demand: Sequence[int], plan: CoverPlan,
                 residual[u] -= add
                 u += 1
 
-    residual = peaks
+    residual = list(demand)
     counts = [0] * len(resources)  # indexed by position in `resources`
     # Costs are integers, so "below cutoff" is "at most cutoff - 1".
     best_cost = greedy_cost if greedy_cost < cutoff else cutoff - 1

@@ -21,14 +21,30 @@ the ``CoverPlan`` of the mountain's resources, so one plan serves every
 k of the same mountain, and may pass a ``cutoff`` to ask only for
 winners cheaper than a cost it already knows; ``reductions.price_mountain``
 walks k downward and seeds each cutoff from the winner for k + 1.
+
+``candidate_exclusions`` does the per-mountain work once, for every k:
+it sorts the jobs by start and by falling end, and reduces each job to
+a 0/1 row over the plan's segments, plus whether it touches a gap. The
+row reads the job at one slot per segment: the segment's last slot if
+the segment lies left of the common slot p = max s, its first slot if
+it lies right of p, and p itself if it holds p. The sum of the rows of
+any jobs of the mountain is then the largest demand of those jobs on
+each segment, the peaks ``full_cover`` takes. Proof: every job spans p,
+so at a slot t <= p a job is active iff it starts at or before t, and at
+t >= p iff it ends at or after t. The demand of any of the jobs thus
+rises up to p and falls after it, and on a segment reaches its largest
+value at the slot nearest p, which is the slot read. A set of jobs has
+demand in a gap iff one of them touches that gap, so the flags tell the
+candidates ``full_cover`` would refuse without building any profile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from operator import add, sub
+from typing import Iterable, Sequence
 
-from .core import INFEASIBLE, Cost, Job, PartialSolution, SolveResult, job_profile
+from .core import INFEASIBLE, Cost, Job, PartialSolution, SolveResult
 from .fullcover import CoverPlan, full_cover
 
 
@@ -126,40 +142,52 @@ def verify_mountain_range(rng: MountainRange, jobs: Sequence[Job]) -> bool:
     return True
 
 
-def candidate_exclusions(jobs: Sequence[Job], k: int) -> list[frozenset[int]]:
-    """All ways to keep k jobs of a mountain after dropping a prefix of the
-    start-time order and a prefix of the falling end-time order.
+def candidate_exclusions(jobs: Sequence[Job], plan: CoverPlan,
+                         ) -> list[list[tuple[frozenset[int], tuple[int, ...] | None]]]:
+    """The extremal-exclusion candidates of the mountain ``jobs`` over
+    ``plan`` for every k, indexed by k, prepared in one pass.
 
-    For each start prefix of q1 <= n - k jobs, the end order then drops
-    jobs not yet dropped until n - k are gone. Returns the kept sets
-    (deduplicated, by growing q1); there are at most n - k + 1 of them.
+    For each start prefix of q1 <= n - k jobs, the falling end order then
+    drops jobs not yet dropped until n - k are gone; one walk down that
+    order per q1 gives the candidates of every k. Each kept set comes
+    with its segment peaks (see the module docstring), or None when it
+    keeps a job that touches a gap. Deduplicated, by growing q1; there
+    are at most n - k + 1 for each k. Raises ValueError when the jobs
+    share no slot.
     """
-    n = len(jobs)
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} not in [0, {n}]")
+    p = max([j.s for j in jobs]) - 1  # the common slot, 0-based
+    if p >= min([j.e for j in jobs]):
+        raise ValueError("a mountain's jobs must share a slot: max s > min e")
+    reads = [b - 1 if b <= p else a if a > p else p for a, b in plan.segments]
+    rows = {j.id: tuple([j.s - 1 <= t < j.e for t in reads]) for j in jobs}
+    in_gap = {j.id for j in jobs if any(a < j.e and j.s - 1 < b for a, b in plan.gaps)}
     left = [j.id for j in sorted(jobs, key=lambda j: (j.s, j.id))]
     right = [j.id for j in sorted(jobs, key=lambda j: (-j.e, j.id))]
-    all_ids = frozenset(j.id for j in jobs)
-    out: list[frozenset[int]] = []
-    for q1 in range(n - k + 1):
-        dropped = set(left[:q1])
-        for i in right:
-            if len(dropped) == n - k:
-                break
-            dropped.add(i)
-        kept = all_ids - dropped
-        if kept not in out:
-            out.append(kept)
-    return out
+    suffix = [(0,) * len(reads)]  # peaks of left[q1:], for q1 = n down to 0
+    for i in reversed(left):
+        suffix.append(tuple(map(add, suffix[-1], rows[i])))
+    # The walks skip the last job of the falling end order: dropping it
+    # can only leave the empty set, preset as the one k = 0 candidate.
+    by_k = [{frozenset(): suffix[0]}] + [{} for _ in jobs]
+    for q1 in range(len(jobs)):
+        kept, peaks = frozenset(left[q1:]), suffix[len(jobs) - q1]
+        by_k[len(kept)].setdefault(kept, peaks)
+        for i in right[:-1]:
+            if i in kept:
+                kept, peaks = kept - {i}, tuple(map(sub, peaks, rows[i]))
+                by_k[len(kept)].setdefault(kept, peaks)
+    return [[(kept, peaks if in_gap.isdisjoint(kept) else None) for kept, peaks in sets.items()]
+            for sets in by_k]
 
 
-def single_mountain_solve(jobs: Sequence[Job], plan: CoverPlan, k: int,
-                          cutoff: Cost = INFEASIBLE) -> SolveResult:
-    """Cover k jobs of a single mountain at cost at most twice the optimum.
+def single_mountain_solve(candidates: Iterable[tuple[frozenset[int], tuple[int, ...] | None]],
+                          plan: CoverPlan, cutoff: Cost = INFEASIBLE) -> SolveResult:
+    """Cover k jobs of a single mountain at cost at most twice the optimum,
+    given its ``candidate_exclusions(jobs, plan)[k]``.
 
-    Full-covers every extremal-exclusion candidate over ``plan`` (the
-    cover plan of the mountain's resources) and keeps the cheapest; ties
-    go to the earliest candidate. Only winners costing strictly less than
+    Full-covers every candidate's peaks over ``plan`` (the cover plan of
+    the mountain's resources) and keeps the cheapest; ties go to the
+    earliest candidate. Only winners costing strictly less than
     ``cutoff`` count, mirroring ``full_cover``: each cover is asked to
     beat the best cost so far, starting from ``cutoff``, so a candidate
     that cannot win is abandoned early and comes back infeasible. When
@@ -170,12 +198,10 @@ def single_mountain_solve(jobs: Sequence[Job], plan: CoverPlan, k: int,
     INFEASIBLE iff no candidate is coverable below ``cutoff``; without a
     cutoff, iff no k jobs are coverable at all.
     """
-    by_id = {j.id: j for j in jobs}
     best_cost = cutoff
     best = None
-    for kept in candidate_exclusions(jobs, k):
-        prof = job_profile((by_id[i] for i in kept), plan.T)
-        res = full_cover(prof, plan, best_cost)
+    for kept, peaks in candidates:
+        res = full_cover(peaks, plan, best_cost)
         if res.feasible:
             best_cost = res.cost
             best = PartialSolution(res.counts, kept)

@@ -51,7 +51,7 @@ def _cheapest_subset(inst: Instance, subsets, penalty) -> tuple:
         prof = job_profile(subset, inst.T)
         fc = memo.get(prof)
         if fc is None:
-            fc = memo[prof] = full_cover(prof, plan)
+            fc = memo[prof] = full_cover(plan.segment_demand(prof), plan)
         total = fc.cost + extra
         if total < best_cost:
             best_cost = total
@@ -128,7 +128,7 @@ def oracle_lspc(inst: LspcInstance) -> LspcResult:
                 for t in range(inst.T))
             fc = cover_memo.get(residual)
             if fc is None:
-                fc = full_cover(residual, plan)
+                fc = full_cover(plan.segment_demand(residual), plan)
                 cover_memo[residual] = fc
             total = scost + fc.cost
             if total < best_cost:

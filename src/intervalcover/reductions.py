@@ -12,7 +12,9 @@ become longs, and for every (mountain, kappa) the single-mountain solver
 over the mountain's narrow parts prices a synthetic short of capacity
 kappa. Each short remembers the narrow multiset and the kappa jobs that
 justify its price, so picked shorts expand back into real coverage.
-``price_mountain`` prices every kappa of one mountain.
+``price_mountain`` prices every kappa of one mountain over candidates
+prepared once for all of them by ``mountains.candidate_exclusions``: one
+sort by start, one by falling end, each job's segment row and gap flag.
 
 Prize-collecting side: covering all jobs with an escape hatch per job.
 The demand is the full job profile; every job may be picked at most
@@ -55,7 +57,7 @@ from .core import (
 )
 from .fullcover import CoverPlan, full_cover
 from .lspc import LspcInstance, LspcSolution, ShortResource
-from .mountains import MountainRange, single_mountain_solve
+from .mountains import MountainRange, candidate_exclusions, single_mountain_solve
 
 MAX_STYPES = 16  # cap on jobs for smfc_solve_exact's subset enumeration
 
@@ -157,11 +159,13 @@ def price_mountain(jobs: Sequence[Job], plan: CoverPlan) -> list[SolveResult | N
     winner's multiset covers it and opt(kappa) <= opt(kappa + 1) < cutoff.
     The cut call therefore returns the uncut winner, and a kappa that
     comes back infeasible under a seeded cutoff raises RuntimeError.
+    Raises ValueError when the jobs share no slot.
     """
     priced: list[SolveResult | None] = [None] * (len(jobs) + 1)
+    candidates = candidate_exclusions(jobs, plan)
     cutoff = INFEASIBLE
     for kappa in range(len(jobs), 0, -1):
-        res = single_mountain_solve(jobs, plan, kappa, cutoff)
+        res = single_mountain_solve(candidates[kappa], plan, cutoff)
         if res.solution is not None:
             priced[kappa] = res
             cutoff = res.cost + 1
@@ -461,7 +465,7 @@ def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
         """Cover every ``chosen`` + ``left`` more of ``free[start:]``."""
         nonlocal best
         if not left:
-            fc = full_cover(residual, plan, best.cost - scost)
+            fc = full_cover(plan.segment_demand(residual), plan, best.cost - scost)
             if fc.feasible:
                 best = SmfcResult(scost + fc.cost, frozenset(forced).union(chosen), fc.counts)
             return

@@ -32,6 +32,7 @@ from intervalcover.generate import (
 )
 from intervalcover.lspc import LspcSolver, verify_lspc
 from intervalcover.mountains import (
+    candidate_exclusions,
     decompose,
     range_count_bound,
     single_mountain_solve,
@@ -116,7 +117,8 @@ def test_criterion_1_feasibility_suite():
             inst = generate_single_mountain(seed, jobs=rnd.randint(1, 7),
                                             resources=rnd.randint(1, 5),
                                             timeslots=rnd.randint(1, 10))
-            res = single_mountain_solve(inst.jobs, CoverPlan(inst.resources, inst.T), inst.k)
+            plan = CoverPlan(inst.resources, inst.T)
+            res = single_mountain_solve(candidate_exclusions(inst.jobs, plan)[inst.k], plan)
             if res.solution is not None:
                 report = verify_partial(inst, res.solution)
                 assert report.feasible and report.cost == res.cost, seed
@@ -167,7 +169,8 @@ def test_criterion_2_single_mountain_bound():
                                             resources=rnd.randint(1, 5),
                                             timeslots=rnd.randint(1, 10),
                                             max_w=3, max_c=10)
-            res = single_mountain_solve(inst.jobs, CoverPlan(inst.resources, inst.T), inst.k)
+            plan = CoverPlan(inst.resources, inst.T)
+            res = single_mountain_solve(candidate_exclusions(inst.jobs, plan)[inst.k], plan)
             exact = oracle_partial(inst)
             assert (res.solution is None) == (exact.solution is None), seed
             if exact.solution is None:

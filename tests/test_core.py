@@ -31,7 +31,7 @@ from intervalcover.core import (
 )
 from intervalcover.fullcover import CoverPlan, full_cover
 from intervalcover.lspc import LspcInstance, LspcSolver
-from intervalcover.mountains import single_mountain_solve
+from intervalcover.mountains import candidate_exclusions, single_mountain_solve
 from intervalcover.oracle import oracle_partial
 from intervalcover.pipeline import solve_partial
 
@@ -63,14 +63,16 @@ def test_infeasible_sentinel_arithmetic():
 @pytest.mark.parametrize("clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy],
                          ids=["pickle", "deepcopy"])
 def test_copied_infeasible_results_stay_infeasible(clone):
-    # slot 2 has a job and no resource, so no solver can cover both jobs
-    inst = make_instance(2, [(1, 1), (2, 2)], [(1, 1, 1, 1)], k=2)
+    # both jobs span slot 2, a gap with no resource, so no solver can
+    # cover them; they form a mountain, as single_mountain_solve needs
+    inst = make_instance(2, [(1, 2), (2, 2)], [(1, 1, 1, 1)], k=2)
     plan = CoverPlan(inst.resources, inst.T)
     results = {
         "solve_partial": solve_partial(inst),
-        "full_cover": full_cover(job_profile(inst.jobs, inst.T), plan),
+        "full_cover": full_cover(plan.segment_demand(job_profile(inst.jobs, inst.T)), plan),
         "LspcSolver": LspcSolver(LspcInstance(1, (2,), (), (), 1)).solve(),
-        "single_mountain_solve": single_mountain_solve(inst.jobs, plan, 2),
+        "single_mountain_solve": single_mountain_solve(candidate_exclusions(inst.jobs, plan)[2],
+                                                       plan),
         "oracle_partial": oracle_partial(inst),
     }
     for name, res in results.items():

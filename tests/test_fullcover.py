@@ -13,9 +13,14 @@ from intervalcover.fullcover import INFEASIBLE_COVER, FullCoverResult
 from intervalcover.fullcover import CoverPlan, full_cover
 
 
+def cover_over(demand, plan, cutoff=INFEASIBLE):
+    """One full cover of a per-slot demand, reduced through the plan."""
+    return full_cover(plan.segment_demand(demand), plan, cutoff)
+
+
 def cover(demand, resources, cutoff=INFEASIBLE):
     """One full cover through a plan built for it alone."""
-    return full_cover(demand, CoverPlan(resources, len(demand)), cutoff)
+    return cover_over(demand, CoverPlan(resources, len(demand)), cutoff)
 
 
 def brute_force_cover(demand, resources):
@@ -313,7 +318,7 @@ def test_shared_plan_matches_reference():
             opt = reference_full_cover(demand, resources).cost
             spread = 2 * opt + 2 if opt != INFEASIBLE else 40
             for cutoff in (INFEASIBLE, 0, 1, opt, opt + 1, rnd.randint(0, spread)):
-                got = full_cover(demand, plan, cutoff)
+                got = cover_over(demand, plan, cutoff)
                 want = reference_full_cover(demand, resources, cutoff)
                 assert (dict(got.counts), got.cost) == (dict(want.counts), want.cost), \
                     (demand, resources, cutoff)
@@ -354,11 +359,11 @@ def test_adding_a_beaten_resource_changes_no_cover():
         for j in range(10):
             demand = tuple(rnd.randint(0, 4) if covered[t] or j % 3 == 0 else 0
                            for t in range(T))
-            opt = full_cover(demand, plan).cost
+            opt = cover_over(demand, plan).cost
             spread = 2 * opt + 2 if opt != INFEASIBLE else 40
             for cutoff in (INFEASIBLE, 0, 1, opt, opt + 1, rnd.randint(0, spread)):
-                want = full_cover(demand, plan, cutoff)
-                for got in (full_cover(demand, grown_plan, cutoff),
+                want = cover_over(demand, plan, cutoff)
+                for got in (cover_over(demand, grown_plan, cutoff),
                             reference_full_cover(demand, grown, cutoff)):
                     assert (dict(got.counts), got.cost) == (dict(want.counts), want.cost), \
                         (demand, grown, cutoff)
@@ -369,9 +374,14 @@ def test_adding_a_beaten_resource_changes_no_cover():
 
 
 def test_wrong_length_demand_raises():
-    plan = CoverPlan((Resource(0, 1, 2, 1, 1),), 2)
-    for demand in ((1,), (1, 1, 1)):
-        with pytest.raises(ValueError):
+    # a per-slot demand needs T slots, a segment demand one entry per segment
+    plan = CoverPlan((Resource(0, 1, 2, 1, 1),), 3)
+    assert plan.segment_demand((1, 1, 0)) == (1,)
+    for demand in ((1, 1), (1, 1, 1, 1)):
+        with pytest.raises(ValueError, match="slots"):
+            plan.segment_demand(demand)
+    for demand in ((), (1, 1)):
+        with pytest.raises(ValueError, match="segments"):
             full_cover(demand, plan)
 
 
@@ -516,8 +526,9 @@ def test_demand_in_a_gap_is_refused_under_any_cutoff():
         for slot in (2, 3, 6, 7):  # between the two resources and after the last
             demand = base[:]
             demand[slot] = 1
+            assert plan.segment_demand(demand) is None
             for cutoff in (INFEASIBLE, 0, 1, 2, 10**6):
-                assert full_cover(demand, plan, cutoff) == INFEASIBLE_COVER
+                assert full_cover(None, plan, cutoff) == INFEASIBLE_COVER
 
 
 def test_demand_at_or_below_zero_needs_no_capacity():
@@ -532,10 +543,10 @@ def test_demand_at_or_below_zero_needs_no_capacity():
         if rnd.random() < 0.1:
             demand = [-rnd.randint(1, 3) for _ in range(T)]
         clamped = [max(d, 0) for d in demand]
-        opt = full_cover(clamped, plan).cost
+        opt = cover_over(clamped, plan).cost
         cutoffs = [INFEASIBLE, 0, 1] + ([opt, opt + 1] if opt != INFEASIBLE else [])
         for cutoff in cutoffs:
-            got, want = full_cover(demand, plan, cutoff), full_cover(clamped, plan, cutoff)
+            got, want = cover_over(demand, plan, cutoff), cover_over(clamped, plan, cutoff)
             assert (got.counts, got.cost) == (want.counts, want.cost)
         gap_slots = [t for a, b in plan.gaps for t in range(a, b)]
         seen["negative_feasible"] += opt not in (0, INFEASIBLE) and min(demand) < 0
@@ -617,11 +628,11 @@ def test_appending_a_free_resource_frees_its_span():
         demand = tuple(rnd.randint(0, 4) if covered[t] or rnd.random() < 0.2 else 0
                        for t in range(T))
         zeroed = tuple(0 if f.s <= t + 1 <= f.e else d for t, d in enumerate(demand))
-        opt = full_cover(zeroed, plan).cost
+        opt = cover_over(zeroed, plan).cost
         spread = 2 * opt + 2 if opt != INFEASIBLE else 40
         for cutoff in (INFEASIBLE, 0, 1, opt, opt + 1, rnd.randint(0, spread)):
-            got = full_cover(demand, grown_plan, cutoff)
-            want = full_cover(zeroed, plan, cutoff)
+            got = cover_over(demand, grown_plan, cutoff)
+            want = cover_over(zeroed, plan, cutoff)
             if not want.feasible:
                 assert got == INFEASIBLE_COVER, (demand, resources, f, cutoff)
                 seen["cut"] += opt != INFEASIBLE
@@ -634,7 +645,7 @@ def test_appending_a_free_resource_frees_its_span():
             assert got.counts.get(f.id, 0) == max(0, -(-short // f.w)), (demand, resources, f)
         if opt != INFEASIBLE and any(demand):
             seen["feasible"] += 1
-            used = f.id in full_cover(demand, grown_plan).counts
+            used = f.id in cover_over(demand, grown_plan).counts
             seen["f_used"] += used
             seen["f_unused"] += not used
         seen["had_free"] += any(r.c == 0 for r in resources)

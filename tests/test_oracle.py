@@ -36,7 +36,8 @@ def test_oracle_partial_k0():
 def test_oracle_partial_k_equals_n():
     inst = generate_uniform(5, jobs=4, resources=4, k=4)
     res = oracle_partial(inst)
-    fc = full_cover(job_profile(inst.jobs, inst.T), CoverPlan(inst.resources, inst.T))
+    plan = CoverPlan(inst.resources, inst.T)
+    fc = full_cover(plan.segment_demand(job_profile(inst.jobs, inst.T)), plan)
     assert res.cost == fc.cost
 
 
@@ -109,7 +110,8 @@ def test_oracle_prize_trivials():
     res_list = (Resource(0, 1, 2, 3, 7),)
     inst = Instance(2, jobs, res_list)
     res = oracle_prize(inst)
-    assert res.total == full_cover(job_profile(jobs, 2), CoverPlan(res_list, 2)).cost == 7
+    plan = CoverPlan(res_list, 2)
+    assert res.total == full_cover(plan.segment_demand(job_profile(jobs, 2)), plan).cost == 7
 
 
 def test_oracle_prize_two_branch():

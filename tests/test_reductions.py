@@ -23,7 +23,13 @@ from intervalcover import reductions
 from intervalcover.fullcover import CoverPlan, full_cover
 from intervalcover.generate import generate_mountain_range, generate_uniform
 from intervalcover.lspc import LspcSolution, LspcSolver
-from intervalcover.mountains import Mountain, MountainRange, decompose, single_mountain_solve
+from intervalcover.mountains import (
+    Mountain,
+    MountainRange,
+    candidate_exclusions,
+    decompose,
+    single_mountain_solve,
+)
 from intervalcover.oracle import oracle_prize
 from intervalcover.pipeline import solve_prize
 from intervalcover.reductions import (
@@ -176,7 +182,8 @@ def per_kappa_reference(rng, jobs, derived, T):
         mjobs = [by_id[i] for i in sorted(m.job_ids)]
         narrows = [rec.resource for rec in derived if rec.role == "narrow" and rec.mountain == idx]
         for kappa in range(1, len(m.job_ids) + 1):
-            res = single_mountain_solve(mjobs, CoverPlan(narrows, T), kappa)
+            plan = CoverPlan(narrows, T)
+            res = single_mountain_solve(candidate_exclusions(mjobs, plan)[kappa], plan)
             if res.solution is not None:
                 shorts.append((idx + 1, kappa, res.cost))
                 assocs.append((idx, kappa, dict(res.solution.counts), res.solution.covered))
@@ -186,9 +193,9 @@ def per_kappa_reference(rng, jobs, derived, T):
 def test_build_lspc_matches_per_kappa_reference(monkeypatch):
     seeded = []
 
-    def recording_solve(jobs, plan, k, cutoff=INFEASIBLE):
+    def recording_solve(candidates, plan, cutoff=INFEASIBLE):
         seeded.append(cutoff != INFEASIBLE)
-        return single_mountain_solve(jobs, plan, k, cutoff)
+        return single_mountain_solve(candidates, plan, cutoff)
 
     monkeypatch.setattr(reductions, "single_mountain_solve", recording_solve)
     ranges = 0
@@ -218,12 +225,12 @@ def test_build_lspc_skips_mountains_without_narrow_parts(monkeypatch):
         planned.append(tuple(resources))
         return CoverPlan(resources, T)
 
-    def counting_solve(jobs, plan, k, cutoff=INFEASIBLE):
+    def counting_candidates(jobs, plan):
         priced.append(frozenset(j.id for j in jobs))
-        return single_mountain_solve(jobs, plan, k, cutoff)
+        return candidate_exclusions(jobs, plan)
 
     monkeypatch.setattr(reductions, "CoverPlan", counting_plan)
-    monkeypatch.setattr(reductions, "single_mountain_solve", counting_solve)
+    monkeypatch.setattr(reductions, "candidate_exclusions", counting_candidates)
     bare = with_narrows = 0
     for seed in range(60):
         cases = [generate_mountain_range(seed, mountains=3, jobs=9, resources=6, timeslots=18)]
@@ -254,10 +261,10 @@ def test_build_lspc_raises_when_a_seeded_kappa_fails(monkeypatch):
     derived, _ = split_narrow_wide(rng, (Resource(0, 2, 3, 1, 6), Resource(1, 3, 4, 1, 2)))
     assert len(build_lspc(rng, jobs, derived, 5).instance.shorts) == 2
 
-    def failing_when_cut(jobs, plan, k, cutoff=INFEASIBLE):
+    def failing_when_cut(candidates, plan, cutoff=INFEASIBLE):
         if cutoff != INFEASIBLE:
             return SolveResult(INFEASIBLE, None)
-        return single_mountain_solve(jobs, plan, k, cutoff)
+        return single_mountain_solve(candidates, plan, cutoff)
 
     monkeypatch.setattr(reductions, "single_mountain_solve", failing_when_cut)
     with pytest.raises(RuntimeError, match="kappa=1 found no cover below 15"):
@@ -423,7 +430,7 @@ def plain_smfc(smfc):
                     residual[t] -= 1
             key = tuple(max(0, x) for x in residual)
             if key not in memo:
-                memo[key] = full_cover(key, plan)
+                memo[key] = full_cover(plan.segment_demand(key), plan)
             fc = memo[key]
             if not fc.feasible:
                 continue
@@ -455,7 +462,7 @@ def test_smfc_tie_break_matches_plain_enumeration(monkeypatch):
 
     def recording_full_cover(demand, plan, cutoff=INFEASIBLE):
         res = full_cover(demand, plan, cutoff)
-        calls.append((tuple(demand), cutoff, res.feasible))
+        calls.append((demand if demand is None else tuple(demand), cutoff, res.feasible))
         return res
 
     monkeypatch.setattr(reductions, "full_cover", recording_full_cover)
@@ -541,7 +548,7 @@ def test_completion_floor_is_sound(monkeypatch):
                         rest[t] -= 1
                 key = tuple(max(0, x) for x in rest)
                 if key not in cover:
-                    cover[key] = full_cover(key, plan).cost
+                    cover[key] = full_cover(plan.segment_demand(key), plan).cost
                 best = min(best, sum(jobs[i].penalty for i in extra) + cover[key])
             assert value <= best, (smfc, residual, start, left)
             seen["zero_cost"] += left > 0 and any(jobs[i].penalty == 0 for i in free[start:])
