@@ -104,7 +104,12 @@ from dataclasses import dataclass, field
 from functools import cmp_to_key
 from typing import Mapping, Sequence
 
-from .core import INFEASIBLE, Cost, Resource, check_resources, undominated
+from .core import INFEASIBLE, BudgetExceeded, Cost, Resource, check_resources, undominated
+
+# The search recurses once per level (kept resource), on top of its
+# callers' frames, so a plan with more levels would hit Python's default
+# recursion limit of 1000 mid-search; such a search is refused instead.
+MAX_LEVELS = 500
 
 
 @dataclass(frozen=True, slots=True)
@@ -265,6 +270,9 @@ def full_cover(demand: Sequence[int] | None, plan: CoverPlan,
 
     resources, levels = plan.resources, plan.levels
     depth = len(levels)
+    if depth > MAX_LEVELS:
+        raise BudgetExceeded(f"{depth} kept resources exceed the search depth cap "
+                             f"MAX_LEVELS={MAX_LEVELS}")
 
     # Greedy incumbent: a feasible cost cap, not a candidate vector. Only
     # segments not yet visited need their residual lowered.

@@ -43,15 +43,15 @@ def _cheapest_subset(inst: Instance, subsets, penalty) -> tuple:
     plan = CoverPlan(inst.resources, inst.T)
     best_cost = INFEASIBLE
     best = None
-    memo: dict[tuple[int, ...], object] = {}
+    memo: dict[tuple[int, ...] | None, object] = {}  # keyed by segment demand
     for subset in subsets:
         extra = penalty(subset)
         if extra > best_cost:
             continue
-        prof = job_profile(subset, inst.T)
-        fc = memo.get(prof)
+        demand = plan.segment_demand(job_profile(subset, inst.T))
+        fc = memo.get(demand)
         if fc is None:
-            fc = memo[prof] = full_cover(plan.segment_demand(prof), plan)
+            fc = memo[demand] = full_cover(demand, plan)
         total = fc.cost + extra
         if total < best_cost:
             best_cost = total
@@ -82,21 +82,32 @@ def _coverage_profiles(d: tuple[int, ...], k: int):
     suffix = [0] * (T + 1)
     for t in range(T - 1, -1, -1):
         suffix[t] = suffix[t + 1] + d[t]
+    if not 0 <= k <= suffix[0]:
+        return
     prof = [0] * T
+    rem = [k] * (T + 1)  # rem[t]: the measure slots t.. still take
 
-    def rec(t: int, rem: int):
-        if t == T:
-            if rem == 0:
-                yield tuple(prof)
+    def fill(t: int) -> None:
+        """The lex-smallest completion of slots t..: each slot takes only
+        what the slots after it cannot."""
+        for u in range(t, T):
+            prof[u] = max(0, rem[u] - suffix[u + 1])
+            rem[u + 1] = rem[u] - prof[u]
+
+    # Walked as a loop, not a recursion over slots, so any T is fine: the
+    # next profile raises the last slot before T - 1 that can take one
+    # more and refills the slots after it.
+    fill(0)
+    while True:
+        yield tuple(prof)
+        t = T - 2
+        while t >= 0 and prof[t] >= min(d[t], rem[t]):
+            t -= 1
+        if t < 0:
             return
-        lo = max(0, rem - suffix[t + 1])
-        hi = min(d[t], rem)
-        for v in range(lo, hi + 1):
-            prof[t] = v
-            yield from rec(t + 1, rem - v)
-        prof[t] = 0
-
-    yield from rec(0, k)
+        prof[t] += 1
+        rem[t + 1] -= 1
+        fill(t + 1)
 
 
 def oracle_lspc(inst: LspcInstance) -> LspcResult:
@@ -115,7 +126,7 @@ def oracle_lspc(inst: LspcInstance) -> LspcResult:
             f"MAX_LSPC_CANDIDATES={MAX_LSPC_CANDIDATES}")
 
     plan = CoverPlan(inst.longs, inst.T)
-    cover_memo: dict[tuple[int, ...], object] = {}
+    cover_memo: dict[tuple[int, ...] | None, object] = {}  # keyed by segment demand
     best_cost = INFEASIBLE
     best = None
     for coverage in _coverage_profiles(inst.d, inst.k):
@@ -126,10 +137,10 @@ def oracle_lspc(inst: LspcInstance) -> LspcResult:
             residual = tuple(
                 max(0, coverage[t] - (picks[t].w if picks[t] is not None else 0))
                 for t in range(inst.T))
-            fc = cover_memo.get(residual)
+            demand = plan.segment_demand(residual)
+            fc = cover_memo.get(demand)
             if fc is None:
-                fc = full_cover(plan.segment_demand(residual), plan)
-                cover_memo[residual] = fc
+                fc = cover_memo[demand] = full_cover(demand, plan)
             total = scost + fc.cost
             if total < best_cost:
                 best_cost = total

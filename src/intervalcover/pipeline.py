@@ -33,7 +33,6 @@ from .core import (
     Instance,
     PartialSolution,
     PrizeSolveResult,
-    Resource,
     SolveResult,
     is_feasible,
     multiset_cost,
@@ -43,6 +42,7 @@ from .lspc import LspcSolver
 from .mountains import MountainRange, decompose
 from .reductions import (
     build_lspc,
+    clip_resources,
     lift_lspc,
     lift_smfc,
     lift_split,
@@ -60,13 +60,16 @@ RANGE_FACTOR = 384
 class _RangePipeline:
     """Price one range for every kappa.
 
-    A range of one mountain is priced directly: every resource touching
-    the mountain's span is clipped to that span, keeping its id, capacity
-    and cost, and ``price_mountain`` solves every kappa over one
-    ``CoverPlan`` of the clipped resources. Capacity outside the span
-    meets no demand of the range, so clipping keeps the cost of every
-    cover, and the rows come back keyed by the original resource ids.
-    Each row is within 2 of the range's optimum for its kappa.
+    Both paths cut resources by one rule, ``clip_resources``: a resource
+    touching a span is clipped to it and keeps its id, capacity and cost.
+    Capacity outside the span meets no demand there, so clipping keeps
+    the cost of every cover, and every row comes back keyed by the
+    original resource ids.
+
+    A range of one mountain is priced directly: ``price_mountain`` solves
+    every kappa over one ``CoverPlan`` of the resources clipped to the
+    mountain's span. Each row is within 2 of the range's optimum for its
+    kappa.
 
     A direct row never costs more than the row of the split -> collapse
     -> lift path. On one mountain the split leaves every touching resource
@@ -84,7 +87,8 @@ class _RangePipeline:
     covers the cheapest candidate exactly, so the direct row is feasible
     whenever that row is and costs no more.
 
-    Any other range is split and collapsed once, and each kappa is solved
+    Any other range is split, its parts clipped to mountain spans and to
+    blocks of spanned mountains, and collapsed once; each kappa is solved
     on the shared long/short tables and lifted back.
     """
 
@@ -93,15 +97,13 @@ class _RangePipeline:
         self.rng = rng
         if len(rng.mountains) == 1:
             (m,) = rng.mountains
-            s, e = m.span
-            clipped = [Resource(r.id, max(r.s, s), min(r.e, e), r.w, r.c)
-                       for r in inst.resources if r.s <= e and s <= r.e]
             mjobs = [inst.jobs[i] for i in sorted(m.job_ids)]
+            clipped = clip_resources(inst.resources, *m.span)
             self.rows = price_mountain(mjobs, CoverPlan(clipped, inst.T))
             return
         self.rows = None
-        self.derived, self.split_map = split_narrow_wide(rng, inst.resources)
-        self.build = build_lspc(rng, inst.jobs, self.derived, inst.T)
+        narrows, wides = split_narrow_wide(rng, inst.resources)
+        self.build = build_lspc(rng, inst.jobs, narrows, wides, inst.T)
         self.solver = LspcSolver(self.build.instance)
 
     def solve(self, kappa: int) -> SolveResult:
@@ -121,9 +123,10 @@ class _RangePipeline:
         lres = self.solver.solve_for(kappa)
         if lres.solution is None:
             return SolveResult(INFEASIBLE, None)
-        lifted_d = lift_lspc(lres.solution, self.build, self.rng, self.derived)
-        lifted_o = lift_split(lifted_d, self.split_map)
-        return SolveResult(multiset_cost(lifted_o.counts, self.inst.resources), lifted_o)
+        picks, covered = lift_lspc(lres.solution, self.build, self.rng)
+        counts = lift_split(picks)
+        return SolveResult(multiset_cost(counts, self.inst.resources),
+                           PartialSolution(counts, covered))
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,13 +1,17 @@
 """Reductions between the problem variants and their lifting maps.
 
-Mountain-range side: resources are first split so that every derived
-part is either narrow (contained in one mountain's span) or wide (fully
-spanning every mountain it touches); a part whose interval equals a full
-mountain span counts as wide. Each original resource yields at most
-three parts, so the split costs at most a factor 3, and a solution over
-parts lifts back by taking, per original resource, the largest part
-count. The split range then collapses into a long/short instance: one
-timeslot per mountain, demands equal to mountain sizes, wide resources
+Mountain-range side: resources are first split so that every part is
+either narrow (touching one mountain's span without spanning it) or wide
+(the block of mountains a resource spans, clipped to their spans). Parts
+are clipped copies of their resource and keep its id, capacity and cost,
+so no second id space arises and nothing is renumbered. Each resource
+yields at most three parts: narrow ones in the first and last mountain
+it touches and a wide one between. They lie on disjoint slots, so a
+solution over parts lifts back by giving each resource the most copies
+any of its parts uses: every part keeps at least its copies on its own
+slots, and the cost is at most the parts' total. The split costs at most
+a factor 3. The split range then collapses into a long/short instance:
+one timeslot per mountain, demands equal to mountain sizes, wide parts
 become longs, and for every (mountain, kappa) the single-mountain solver
 over the mountain's narrow parts prices a synthetic short of capacity
 kappa. Each short remembers the narrow multiset and the kappa jobs that
@@ -37,7 +41,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
     INFEASIBLE,
@@ -62,70 +66,45 @@ from .mountains import MountainRange, candidate_exclusions, single_mountain_solv
 MAX_STYPES = 16  # cap on jobs for smfc_solve_exact's subset enumeration
 
 
-@dataclass(frozen=True, slots=True)
-class DerivedResource:
-    resource: Resource
-    origin: int
-    role: str  # "narrow" | "wide"
-    mountain: int | None  # owning mountain index for narrow parts
-
-
-# origin resource id -> (left-narrow, wide, right-narrow) derived ids, None where absent
-SplitParts = Mapping[int, tuple[int | None, int | None, int | None]]
+def clip_resources(resources: Sequence[Resource], s: int, e: int) -> list[Resource]:
+    """The resources that touch slots s..e, in input order, each clipped to
+    s..e and keeping its id, capacity and cost."""
+    return [Resource(r.id, max(r.s, s), min(r.e, e), r.w, r.c)
+            for r in resources if r.s <= e and s <= r.e]
 
 
 def split_narrow_wide(rng: MountainRange, resources: Sequence[Resource],
-                      ) -> tuple[tuple[DerivedResource, ...], SplitParts]:
+                      ) -> tuple[tuple[tuple[Resource, ...], ...],
+                                 tuple[tuple[Resource, int, int], ...]]:
     """Split every resource into narrow and wide parts over the range.
 
-    Parts keep the original capacity and cost. Resources that touch no
-    mountain span are dropped; a strictly partial overlap with the first
-    or last touched mountain becomes a narrow part and the fully spanned
-    block in between (if any) becomes the wide part.
+    Returns ``(narrows, wides)``. ``narrows[i]`` holds the resources that
+    touch mountain i's span without spanning it, clipped to the span, in
+    input order. ``wides`` holds, in input order, each resource that spans
+    a mountain, clipped to the block of mountains it spans, with the first
+    and last mountain of that block. Parts keep their resource's id,
+    capacity and cost.
     """
     spans = [m.span for m in rng.mountains]
-    derived: list[DerivedResource] = []
-    parts: dict[int, tuple[int | None, int | None, int | None]] = {}
-
-    def add(origin: int, s: int, e: int, w: int, c: int, role: str, mountain: int | None) -> int:
-        did = len(derived)
-        derived.append(DerivedResource(Resource(did, s, e, w, c), origin, role, mountain))
-        return did
-
+    narrows = tuple(tuple(r for r in clip_resources(resources, s, e) if (r.s, r.e) != (s, e))
+                    for s, e in spans)
+    wides = []
     for r in resources:
-        touched = [i for i, (s, e) in enumerate(spans) if r.s <= e and s <= r.e]
-        if not touched:
-            parts[r.id] = (None, None, None)
-            continue
-        p, q = touched[0], touched[-1]
-        full = [r.s <= spans[i][0] and spans[i][1] <= r.e for i in (p, q)]
-        left = wide = right = None
-        if not full[0]:
-            left = add(r.id, max(r.s, spans[p][0]), min(r.e, spans[p][1]), r.w, r.c, "narrow", p)
-        if q != p and not full[1]:
-            right = add(r.id, max(r.s, spans[q][0]), min(r.e, spans[q][1]), r.w, r.c, "narrow", q)
-        p2 = p if full[0] else p + 1
-        q2 = q if full[1] or q == p else q - 1
-        if p2 <= q2 and (q != p or full[0]):
-            wide = add(r.id, spans[p2][0], spans[q2][1], r.w, r.c, "wide", None)
-        parts[r.id] = (left, wide, right)
-    return tuple(derived), parts
+        block = [i for i, (s, e) in enumerate(spans) if r.s <= s and e <= r.e]
+        if block:
+            p, q = block[0], block[-1]
+            wides.append((Resource(r.id, spans[p][0], spans[q][1], r.w, r.c), p, q))
+    return narrows, tuple(wides)
 
 
-def lift_split(sol: PartialSolution, parts: SplitParts) -> PartialSolution:
-    """Map a solution over derived parts back to the original resources:
-    each original gets the maximum of its parts' counts. Never costs more
-    than the part solution and stays feasible."""
-    picked = sol.counts
+def lift_split(picks: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Map picked parts, as (resource id, copies) pairs, back to the
+    resources: each resource takes the most copies any of its parts uses."""
     counts: dict[int, int] = {}
-    for origin, ids in parts.items():
-        f = 0
-        for d in ids:
-            if d is not None and picked.get(d, 0) > f:
-                f = picked[d]
-        if f > 0:
-            counts[origin] = f
-    return PartialSolution(counts, sol.covered)
+    for rid, n in picks:
+        if n > counts.get(rid, 0):
+            counts[rid] = n
+    return counts
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,7 +122,7 @@ class ShortAssociation:
 class LspcBuild:
     instance: LspcInstance
     associations: Mapping[int, ShortAssociation]  # short id -> association
-    long_origin: Mapping[int, int]  # long id -> derived wide resource id
+    long_origin: Mapping[int, int]  # long id -> its wide part's resource id
 
 
 def price_mountain(jobs: Sequence[Job], plan: CoverPlan) -> list[SolveResult | None]:
@@ -176,16 +155,17 @@ def price_mountain(jobs: Sequence[Job], plan: CoverPlan) -> list[SolveResult | N
 
 
 def build_lspc(rng: MountainRange, jobs: Sequence[Job],
-               derived: Sequence[DerivedResource], T: int) -> LspcBuild:
+               narrows: Sequence[Sequence[Resource]],
+               wides: Sequence[tuple[Resource, int, int]], T: int) -> LspcBuild:
     """Collapse a split mountain range into a long/short instance.
 
     One timeslot per mountain; the demand is the mountain's job count.
-    Wide parts become longs over the block of mountains they span. For
-    every mountain and every kappa up to its size, the single-mountain
-    solver over the mountain's narrow parts prices a short of capacity
-    kappa; infeasible pairs emit nothing. The instance's target k is
-    sum(d), the largest target a caller may ask: callers ask
-    ``LspcSolver.solve_for`` for each target they need.
+    Each wide part becomes a long over its block of mountains. For every
+    mountain and every kappa up to its size, the single-mountain solver
+    over the mountain's narrow parts prices a short of capacity kappa;
+    infeasible pairs emit nothing. The instance's target k is sum(d), the
+    largest target a caller may ask: callers ask ``LspcSolver.solve_for``
+    for each target they need.
 
     Each mountain's narrow parts get one ``CoverPlan``, over which
     ``price_mountain`` prices every kappa in one downward walk. Shorts are
@@ -198,35 +178,16 @@ def build_lspc(rng: MountainRange, jobs: Sequence[Job],
     refuses every candidate there. Its jobs are left to the longs.
     """
     by_id = {j.id: j for j in jobs}
-    spans = [m.span for m in rng.mountains]
-    r = len(spans)
     d = tuple(len(m.job_ids) for m in rng.mountains)
-
-    longs: list[Resource] = []
-    long_origin: dict[int, int] = {}
-    narrows_of: list[list[Resource]] = [[] for _ in spans]  # in derived order
-    for rec in derived:
-        if rec.role != "wide":
-            narrows_of[rec.mountain].append(rec.resource)
-            continue
-        covered_idx = [i for i, (s, e) in enumerate(spans)
-                       if rec.resource.s <= s and e <= rec.resource.e]
-        if not covered_idx:
-            raise RuntimeError(f"wide part {rec.resource.id} spans no mountain")
-        p, q = covered_idx[0], covered_idx[-1]
-        if covered_idx != list(range(p, q + 1)):
-            raise RuntimeError(f"wide part {rec.resource.id} spans non-contiguous mountains")
-        lid = len(longs)
-        longs.append(Resource(lid, p + 1, q + 1, rec.resource.w, rec.resource.c))
-        long_origin[lid] = rec.resource.id
+    longs = tuple(Resource(lid, p + 1, q + 1, r.w, r.c) for lid, (r, p, q) in enumerate(wides))
+    long_origin = {lid: r.id for lid, (r, _, _) in enumerate(wides)}
 
     shorts: list[ShortResource] = []
     associations: dict[int, ShortAssociation] = {}
     for idx, m in enumerate(rng.mountains):
-        narrows = narrows_of[idx]
-        if not narrows:
+        if not narrows[idx]:
             continue
-        priced = price_mountain([by_id[i] for i in sorted(m.job_ids)], CoverPlan(narrows, T))
+        priced = price_mountain([by_id[i] for i in sorted(m.job_ids)], CoverPlan(narrows[idx], T))
         for kappa in range(1, d[idx] + 1):
             res = priced[kappa]
             if res is None:
@@ -235,7 +196,7 @@ def build_lspc(rng: MountainRange, jobs: Sequence[Job],
             if len(assoc.covered) != kappa:
                 raise RuntimeError(f"short for mountain {idx} covers "
                                    f"{len(assoc.covered)} jobs, not kappa={kappa}")
-            narrow_prof = multiset_profile(assoc.counts, narrows, T)
+            narrow_prof = multiset_profile(assoc.counts, narrows[idx], T)
             if not covers(narrow_prof, job_profile((by_id[i] for i in assoc.covered), T)):
                 raise RuntimeError(f"narrow multiset of mountain {idx} does not cover "
                                    f"its kappa={kappa} jobs")
@@ -243,49 +204,46 @@ def build_lspc(rng: MountainRange, jobs: Sequence[Job],
             shorts.append(ShortResource(sid, idx + 1, kappa, res.cost))
             associations[sid] = assoc
 
-    inst = LspcInstance(r, d, tuple(shorts), tuple(longs), sum(d))
+    inst = LspcInstance(len(d), d, tuple(shorts), longs, sum(d))
     return LspcBuild(inst, associations, long_origin)
 
 
 def lift_lspc(sol: LspcSolution, build: LspcBuild, rng: MountainRange,
-              derived: Sequence[DerivedResource]) -> PartialSolution:
-    """Expand a long/short solution back over the derived resources.
+              ) -> tuple[list[tuple[int, int]], frozenset[int]]:
+    """Expand a long/short solution back over the split's parts.
 
-    Picked shorts contribute their associated narrow multiset and jobs;
-    picked longs map back to their wide parts. Where the coverage profile
-    asks for more jobs at a mountain than its short supplied, the wide
-    capacity active there absorbs the smallest-id uncovered jobs.
-    Derived ids are positions in ``derived``, as ``split_narrow_wide``
-    assigns them.
+    Returns the picked parts as (resource id, copies) pairs, one per part,
+    and the covered jobs. Picked shorts contribute their associated narrow
+    multiset and jobs; picked longs map back to their wide parts. Where
+    the coverage profile asks for more jobs at a mountain than its short
+    supplied, the capacity of the picked longs over the mountain's slot
+    absorbs the smallest-id uncovered jobs.
     """
-    counts: dict[int, int] = {}
+    picks: list[tuple[int, int]] = []
     covered: set[int] = set()
     short_kappa: dict[int, int] = {}
     for sid in sol.short_picks:
         assoc = build.associations[sid]
-        for did, n in assoc.counts.items():
-            counts[did] = counts.get(did, 0) + n
+        picks.extend(assoc.counts.items())
         covered |= assoc.covered
         short_kappa[assoc.mountain] = assoc.kappa
+    wide_cap = [0] * len(rng.mountains)
     for lid, n in sol.long_counts.items():
-        did = build.long_origin[lid]
-        counts[did] = counts.get(did, 0) + n
+        long = build.instance.longs[lid]
+        picks.append((build.long_origin[lid], n))
+        for t in range(long.s - 1, long.e):
+            wide_cap[t] += n * long.w
 
     for idx, m in enumerate(rng.mountains):
         extra = sol.coverage[idx] - short_kappa.get(idx, 0)
         if extra <= 0:
             continue
-        wide_cap = 0
-        for did, n in counts.items():
-            r = derived[did].resource
-            if r.s <= m.span[0] and m.span[1] <= r.e:
-                wide_cap += n * r.w
-        if wide_cap < extra:
-            raise RuntimeError(f"mountain {idx}: picked wide capacity {wide_cap} "
+        if wide_cap[idx] < extra:
+            raise RuntimeError(f"mountain {idx}: picked wide capacity {wide_cap[idx]} "
                                f"cannot absorb {extra} extra jobs")
         remaining = sorted(m.job_ids - covered)
         covered.update(remaining[:extra])
-    return PartialSolution(counts, frozenset(covered))
+    return picks, frozenset(covered)
 
 
 @dataclass(frozen=True, slots=True)

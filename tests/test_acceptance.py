@@ -16,6 +16,7 @@ import pytest
 
 from intervalcover.core import (
     Job,
+    PartialSolution,
     covers,
     job_profile,
     multiset_cost,
@@ -303,16 +304,14 @@ def test_criterion_8_reduction_roundtrips(partial_runs):
             for rng in decompose(inst.jobs).ranges:
                 # the reductions are built here for every range, also for
                 # the one-mountain ranges that _RangePipeline prices directly
-                derived, split_map = split_narrow_wide(rng, inst.resources)
-                build = build_lspc(rng, inst.jobs, derived, inst.T)
+                narrows, wides = split_narrow_wide(rng, inst.resources)
+                build = build_lspc(rng, inst.jobs, narrows, wides, inst.T)
                 solver = LspcSolver(build.instance)
                 pipe = _RangePipeline(inst, rng)
-                derived_res = [p.resource for p in derived]
-                narrow_res = [p.resource for p in derived if p.role == "narrow"]
                 for sid, assoc in build.associations.items():
                     short = build.instance.shorts[sid]
                     assert short.w == assoc.kappa == len(assoc.covered), (idx, sid)
-                    have = multiset_profile(assoc.counts, narrow_res, inst.T)
+                    have = multiset_profile(assoc.counts, narrows[assoc.mountain], inst.T)
                     need = job_profile((inst.jobs[j] for j in assoc.covered), inst.T)
                     assert covers(have, need), (idx, sid)
                     associations += 1
@@ -320,18 +319,11 @@ def test_criterion_8_reduction_roundtrips(partial_runs):
                     lres = solver.solve_for(kappa)
                     if lres.solution is None:
                         continue
-                    dsol = lift_lspc(lres.solution, build, rng, derived)
-                    dcost = multiset_cost(dsol.counts, derived_res)
-                    assert dcost <= lres.cost, (idx, kappa)
-                    have = multiset_profile(dsol.counts, derived_res, inst.T) \
-                        if dsol.counts else (0,) * inst.T
-                    need = job_profile((inst.jobs[j] for j in dsol.covered), inst.T)
-                    assert covers(have, need), (idx, kappa)
-                    assert len(dsol.covered) >= kappa
-
-                    osol = lift_split(dsol, split_map)
+                    picks, covered = lift_lspc(lres.solution, build, rng)
+                    osol = PartialSolution(lift_split(picks), covered)
+                    assert len(osol.covered) >= kappa
                     ocost = multiset_cost(osol.counts, inst.resources)
-                    assert ocost <= dcost, (idx, kappa)
+                    assert ocost <= lres.cost, (idx, kappa)
                     ohave = multiset_profile(osol.counts, inst.resources, inst.T) \
                         if osol.counts else (0,) * inst.T
                     oneed = job_profile((inst.jobs[j] for j in osol.covered), inst.T)

@@ -1,11 +1,14 @@
 """CLI contract: exit codes, machine-readable lines, verify/ratio flows."""
 
 import json
+import time
 
 import pytest
 
 from intervalcover.cli import main
+from intervalcover.core import Instance, Job, Resource
 from intervalcover.generate import PROFILES, generate
+from intervalcover.lspc import LspcInstance
 from intervalcover.files import (
     ParseError,
     emit_instance,
@@ -431,6 +434,30 @@ def test_solve_refuses_over_a_cap(tmp_path, capsys, problem, algorithm, extra, c
                          "--input", str(inst))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and cap in err
+
+
+def test_solve_refuses_a_full_cover_deeper_than_its_cap(tmp_path, capsys):
+    # 1200 one-slot jobs over 1200 one-slot resources: a search one level
+    # per resource would pass Python's default recursion limit
+    T = 1200
+    inst = tmp_path / "inst.json"
+    inst.write_text(emit_instance(Instance(T, tuple(Job(i, i + 1, i + 1) for i in range(T)),
+                                           tuple(Resource(i, i + 1, i + 1, 1, 1)
+                                                 for i in range(T)))))
+    code, out, err = run(capsys, "solve", "--problem", "fullcover", "--input", str(inst))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "MAX_LEVELS=500" in err
+
+
+def test_exact_lspc_walks_a_long_timeline(tmp_path, capsys):
+    # one coverage profile over 2000 slots, enumerated without a frame per slot
+    inst = tmp_path / "inst.json"
+    inst.write_text(emit_lspc(LspcInstance(2000, (0,) * 2000, (), (), 0)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "solve", "--problem", "lspc", "--algorithm", "exact",
+                         "--input", str(inst))
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out)["cost"] == 0, err
 
 
 def test_prize_without_penalties_has_one_rule(tmp_path, capsys):

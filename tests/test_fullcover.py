@@ -8,8 +8,8 @@ from functools import cmp_to_key
 
 import pytest
 
-from intervalcover.core import INFEASIBLE, Resource
-from intervalcover.fullcover import INFEASIBLE_COVER, FullCoverResult
+from intervalcover.core import INFEASIBLE, BudgetExceeded, Resource
+from intervalcover.fullcover import INFEASIBLE_COVER, MAX_LEVELS, FullCoverResult
 from intervalcover.fullcover import CoverPlan, full_cover
 
 
@@ -383,6 +383,20 @@ def test_wrong_length_demand_raises():
     for demand in ((), (1, 1)):
         with pytest.raises(ValueError, match="segments"):
             full_cover(demand, plan)
+
+
+def test_search_deeper_than_the_level_cap_is_refused():
+    # one-slot resources beat none of each other, so each is a level of
+    # the search; a plan at the cap is still searched, one above refused
+    for n in (MAX_LEVELS, MAX_LEVELS + 1):
+        plan = CoverPlan(tuple(Resource(i, i + 1, i + 1, 1, 1) for i in range(n)), n)
+        assert len(plan.levels) == n
+        if n == MAX_LEVELS:
+            assert full_cover((1,) * n, plan).cost == n
+            continue
+        assert full_cover((0,) * n, plan) == FullCoverResult({}, 0)  # no search needed
+        with pytest.raises(BudgetExceeded, match=f"MAX_LEVELS={MAX_LEVELS}"):
+            full_cover((1,) * n, plan)
 
 
 def test_plan_rejects_bad_resources():

@@ -1,6 +1,8 @@
 """Brute-force oracle behaviour: exactness anchors and budget refusals."""
 
+import itertools
 import json
+import random
 import time
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from intervalcover.lspc import LspcInstance, LspcSolution, ShortResource, verify
 from intervalcover.oracle import (
     MAX_LSPC_CANDIDATES,
     MAX_PARTIAL_JOBS,
+    _coverage_profiles,
     oracle_lspc,
     oracle_partial,
     oracle_prize,
@@ -155,3 +158,12 @@ def test_oracle_outputs_match_recorded_golden():
         assert _golden_record(pz.total, pz.solution) == golden["prize"][seed], seed
         ls = oracle_lspc(generate_lspc(seed))
         assert _golden_record(ls.cost, ls.solution) == golden["lspc"][seed], seed
+
+
+def test_coverage_profiles_are_every_profile_of_measure_k_in_lex_order():
+    rnd = random.Random("coverage-profiles")
+    for _ in range(300):
+        d = tuple(rnd.randint(0, 3) for _ in range(rnd.randint(1, 5)))
+        k = rnd.randint(-1, sum(d) + 1)
+        expect = [p for p in itertools.product(*(range(x + 1) for x in d)) if sum(p) == k]
+        assert list(_coverage_profiles(d, k)) == expect, (d, k)

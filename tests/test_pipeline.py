@@ -11,6 +11,7 @@ from intervalcover.core import (
     EMPTY_SOLUTION,
     INFEASIBLE,
     Instance,
+    PartialSolution,
     SolveResult,
     is_feasible,
     multiset_cost,
@@ -62,20 +63,21 @@ def test_range_solve_two_mountains():
             continue
         assert ora.cost <= res.cost <= RANGE_FACTOR * ora.cost
         assert len(res.solution.covered) >= kappa
-        derived, _ = split_narrow_wide(rng, inst.resources)
-        solver = LspcSolver(build_lspc(rng, inst.jobs, derived, inst.T).instance)
+        build = build_lspc(rng, inst.jobs, *split_narrow_wide(rng, inst.resources), inst.T)
+        solver = LspcSolver(build.instance)
         assert solver.solve_for(kappa).cost >= res.cost  # lifting never raises the cost
 
 
-def _lifted_row(inst, rng, derived, split_map, build, solver, kappa):
+def _lifted_row(inst, rng, build, solver, kappa):
     """The split -> long/short -> lift row of one (range, kappa)."""
     if kappa == 0:
         return SolveResult(0, EMPTY_SOLUTION)
     lres = solver.solve_for(kappa)
     if lres.solution is None:
         return SolveResult(INFEASIBLE, None)
-    sol = lift_split(lift_lspc(lres.solution, build, rng, derived), split_map)
-    return SolveResult(multiset_cost(sol.counts, inst.resources), sol)
+    picks, covered = lift_lspc(lres.solution, build, rng)
+    counts = lift_split(picks)
+    return SolveResult(multiset_cost(counts, inst.resources), PartialSolution(counts, covered))
 
 
 def test_one_mountain_range_is_priced_directly_at_no_more():
@@ -86,14 +88,13 @@ def test_one_mountain_range_is_priced_directly_at_no_more():
                                             resources=rnd.randint(1, 6),
                                             timeslots=rnd.randint(4, 14), max_w=3)
         (m,) = rng.mountains
-        derived, split_map = split_narrow_wide(rng, inst.resources)
-        build = build_lspc(rng, inst.jobs, derived, inst.T)
+        build = build_lspc(rng, inst.jobs, *split_narrow_wide(rng, inst.resources), inst.T)
         solver = LspcSolver(build.instance)
         pipe = _RangePipeline(inst, rng)
         size = len(m.job_ids)
         for kappa in range(size + 1):
             res = pipe.solve(kappa)
-            old = _lifted_row(inst, rng, derived, split_map, build, solver, kappa)
+            old = _lifted_row(inst, rng, build, solver, kappa)
             assert res.cost <= old.cost, (seed, kappa)
             assert (res.solution is None) <= (old.solution is None), (seed, kappa)
             rows += 1

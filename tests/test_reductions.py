@@ -72,20 +72,26 @@ def _three_mountain_range():
 
 def test_split_inside_one_span():
     jobs, rng = _three_mountain_range()
-    derived, smap = split_narrow_wide(rng, (Resource(0, 5, 6, 2, 3),))
-    assert len(derived) == 1
-    part = derived[0]
-    assert part.role == "narrow" and part.mountain == 1
-    assert (part.resource.s, part.resource.e) == (5, 6)
-    assert (part.resource.w, part.resource.c) == (2, 3)
+    narrows, wides = split_narrow_wide(rng, (Resource(0, 5, 6, 2, 3),))
+    assert narrows == ((), (Resource(0, 5, 6, 2, 3),), ())
+    assert wides == ()
 
 
 def test_split_exactly_covering_all_spans():
     jobs, rng = _three_mountain_range()
-    derived, smap = split_narrow_wide(rng, (Resource(0, 1, 11, 1, 2),))
-    assert len(derived) == 1
-    assert derived[0].role == "wide"
-    assert (derived[0].resource.s, derived[0].resource.e) == (1, 11)
+    narrows, wides = split_narrow_wide(rng, (Resource(0, 1, 11, 1, 2),))
+    assert narrows == ((), (), ())
+    assert wides == ((Resource(0, 1, 11, 1, 2), 0, 2),)
+
+
+def test_split_keeps_ids_and_input_order():
+    jobs, rng = _three_mountain_range()
+    res = (Resource(7, 2, 6, 2, 3), Resource(3, 1, 2, 1, 5), Resource(9, 6, 12, 3, 1))
+    narrows, wides = split_narrow_wide(rng, res)
+    assert narrows == ((Resource(7, 2, 3, 2, 3), Resource(3, 1, 2, 1, 5)),
+                       (Resource(7, 5, 6, 2, 3), Resource(9, 6, 7, 3, 1)),
+                       ())
+    assert wides == ((Resource(9, 9, 11, 3, 1), 2, 2),)
 
 
 def test_split_random_classification():
@@ -95,54 +101,93 @@ def test_split_random_classification():
     for _ in range(120):
         s = rnd.randint(1, 11)
         e = rnd.randint(s, 11)
-        res = (Resource(0, s, e, rnd.randint(1, 3), rnd.randint(0, 9)),)
-        derived, smap = split_narrow_wide(rng, res)
-        assert len(derived) <= 3
-        for part in derived:
-            label = classify_part((part.resource.s, part.resource.e), spans)
-            assert label == part.role
-        # one copy per part keeps coverage inside the spans
-        if derived:
-            counts = {p.resource.id: 1 for p in derived}
-            prof = multiset_profile(counts, [p.resource for p in derived], 11)
-            for sp in spans:
-                for t in range(sp[0], sp[1] + 1):
-                    if res[0].s <= t <= res[0].e:
-                        assert prof[t - 1] >= res[0].w
+        r = Resource(0, s, e, rnd.randint(1, 3), rnd.randint(0, 9))
+        narrows, wides = split_narrow_wide(rng, (r,))
+        assert sum(map(len, narrows)) + len(wides) <= 3
+        for idx, parts in enumerate(narrows):
+            for part in parts:
+                assert classify_part((part.s, part.e), spans) == "narrow"
+                assert spans[idx][0] <= part.s and part.e <= spans[idx][1]
+        for part, p, q in wides:
+            assert classify_part((part.s, part.e), spans) == "wide"
+            assert (part.s, part.e) == (spans[p][0], spans[q][1])
+        for part in [p for parts in narrows for p in parts] + [w for w, _, _ in wides]:
+            assert (part.id, part.w, part.c) == (r.id, r.w, r.c)
+
+
+def _split_cases(seeds):
+    """Mountain-range-profile ranges and the ranges of decomposed uniform
+    instances, as (instance, range) pairs."""
+    for seed in seeds:
+        yield generate_mountain_range(seed, mountains=3, jobs=9, resources=6, timeslots=18)
+        inst = generate_uniform(seed, jobs=12, resources=6, timeslots=20, k=0)
+        for rng in decompose(inst.jobs).ranges:
+            yield inst, rng
+
+
+def test_split_parts_tile_each_resource_inside_the_spans():
+    multi = 0
+    for inst, rng in _split_cases(range(60)):
+        spans = [m.span for m in rng.mountains]
+        in_spans = {t for s, e in spans for t in range(s, e + 1)}
+        narrows, wides = split_narrow_wide(rng, inst.resources)
+        slots_of = {r.id: [] for r in inst.resources}
+        for idx, parts in enumerate(narrows):
+            s, e = spans[idx]
+            for part in parts:
+                assert s <= part.s <= part.e <= e and (part.s, part.e) != (s, e)
+                slots_of[part.id].append(set(range(part.s, part.e + 1)))
+        for part, p, q in wides:
+            r = inst.resources[part.id]
+            spanned = [i for i, (s, e) in enumerate(spans) if r.s <= s and e <= r.e]
+            assert spanned == list(range(p, q + 1))
+            assert (part.s, part.e) == (spans[p][0], spans[q][1])
+            slots_of[part.id].append(set(range(part.s, part.e + 1)) & in_spans)
+        for r in inst.resources:
+            parts = slots_of[r.id]
+            assert all(not a & b for a, b in itertools.combinations(parts, 2)), r
+            assert set().union(*parts) == set(range(r.s, r.e + 1)) & in_spans, r
+        multi += len(spans) > 1
+    assert multi >= 60, multi
 
 
 def test_lift_split_takes_max():
-    smap_parts = {4: (0, 1, 2)}
-    derived_sol = PartialSolution({0: 2, 2: 1}, frozenset({9}))
-    lifted = lift_split(derived_sol, smap_parts)
-    assert lifted.counts == {4: 2}
-    assert lifted.covered == {9}
+    assert lift_split([(4, 2), (5, 1), (4, 1), (4, 3), (5, 1)]) == {4: 3, 5: 1}
 
 
 def test_lift_split_empty():
-    lifted = lift_split(PartialSolution({}, frozenset()), {})
-    assert lifted.counts == {} and lifted.covered == frozenset()
+    assert lift_split([]) == {}
 
 
 def test_build_lspc_single_mountain_no_narrows():
     jobs = [Job(0, 2, 4), Job(1, 3, 5)]
     rng = MountainRange((Mountain(3, frozenset({0, 1}), (2, 5)),))
-    derived, smap = split_narrow_wide(rng, (Resource(0, 1, 6, 2, 4),))
-    build = build_lspc(rng, jobs, derived, 6)
+    narrows, wides = split_narrow_wide(rng, (Resource(0, 1, 6, 2, 4),))
+    build = build_lspc(rng, jobs, narrows, wides, 6)
     assert build.instance.T == 1
     assert build.instance.d == (2,)
     assert not build.instance.shorts
-    assert len(build.instance.longs) == 1
-    assert build.instance.longs[0].w == 2 and build.instance.longs[0].c == 4
+    assert build.instance.longs == (Resource(0, 1, 1, 2, 4),)
+    assert build.long_origin == {0: 0}
+
+
+def test_build_lspc_longs_keep_their_resource_id():
+    jobs, rng = _three_mountain_range()
+    res = (Resource(4, 1, 12, 1, 2), Resource(8, 4, 8, 2, 3), Resource(6, 2, 10, 3, 5))
+    narrows, wides = split_narrow_wide(rng, res)
+    build = build_lspc(rng, jobs, narrows, wides, 12)
+    assert build.instance.longs == (Resource(0, 1, 3, 1, 2), Resource(1, 2, 2, 2, 3),
+                                    Resource(2, 2, 2, 3, 5))
+    assert build.long_origin == {0: 4, 1: 8, 2: 6}
 
 
 def test_build_lspc_prices_single_job_short():
     jobs = [Job(0, 2, 3), Job(1, 2, 4)]
     rng = MountainRange((Mountain(3, frozenset({0, 1}), (2, 4)),))
     narrow = Resource(0, 2, 3, 1, 6)  # strictly inside the span
-    derived, smap = split_narrow_wide(rng, (narrow,))
-    assert derived[0].role == "narrow"
-    build = build_lspc(rng, jobs, derived, 5)
+    narrows, wides = split_narrow_wide(rng, (narrow,))
+    assert narrows == ((narrow,),) and wides == ()
+    build = build_lspc(rng, jobs, narrows, wides, 5)
     kappa_one = [s for s in build.instance.shorts if s.w == 1]
     assert len(kappa_one) == 1
     assert kappa_one[0].c == 6
@@ -151,38 +196,36 @@ def test_build_lspc_prices_single_job_short():
 
 
 def test_build_lspc_associations_verify():
-    rnd = random.Random("reductions-build")
     for seed in range(60):
         inst, rng = generate_mountain_range(seed, mountains=2, jobs=6, resources=5,
                                             timeslots=12)
-        derived, smap = split_narrow_wide(rng, inst.resources)
-        build = build_lspc(rng, inst.jobs, derived, inst.T)
+        narrows, wides = split_narrow_wide(rng, inst.resources)
+        build = build_lspc(rng, inst.jobs, narrows, wides, inst.T)
         assert sum(build.instance.d) == len(rng.job_ids())
-        narrow_res = [p.resource for p in derived if p.role == "narrow"]
         for sid, assoc in build.associations.items():
             short = build.instance.shorts[sid]
             assert short.w == assoc.kappa == len(assoc.covered)
-            prof = multiset_profile(assoc.counts, narrow_res, inst.T)
+            prof = multiset_profile(assoc.counts, narrows[assoc.mountain], inst.T)
             need = job_profile((inst.jobs[j] for j in assoc.covered), inst.T)
             assert covers(prof, need)
 
 
-def per_kappa_reference(rng, jobs, derived, T):
+def per_kappa_reference(rng, jobs, narrows, wides, T):
     """``build_lspc`` without the shared plan or the seeded cutoffs: every
-    (mountain, kappa) gets a fresh plan and an uncut single-mountain solve.
-    Returns the shorts as (t, w, c), the associations and the longs."""
+    (mountain, kappa) gets a fresh plan and an uncut single-mountain solve,
+    and every long's block of mountains is read off the spans. Returns the
+    shorts as (t, w, c), the associations and the longs."""
     by_id = {j.id: j for j in jobs}
     spans = [m.span for m in rng.mountains]
     longs = []
-    for r in (rec.resource for rec in derived if rec.role == "wide"):
+    for r, _, _ in wides:
         idx = [i for i, (s, e) in enumerate(spans) if r.s <= s and e <= r.e]
         longs.append(Resource(len(longs), idx[0] + 1, idx[-1] + 1, r.w, r.c))
     shorts, assocs = [], []
     for idx, m in enumerate(rng.mountains):
         mjobs = [by_id[i] for i in sorted(m.job_ids)]
-        narrows = [rec.resource for rec in derived if rec.role == "narrow" and rec.mountain == idx]
         for kappa in range(1, len(m.job_ids) + 1):
-            plan = CoverPlan(narrows, T)
+            plan = CoverPlan(narrows[idx], T)
             res = single_mountain_solve(candidate_exclusions(mjobs, plan)[kappa], plan)
             if res.solution is not None:
                 shorts.append((idx + 1, kappa, res.cost))
@@ -199,19 +242,15 @@ def test_build_lspc_matches_per_kappa_reference(monkeypatch):
 
     monkeypatch.setattr(reductions, "single_mountain_solve", recording_solve)
     ranges = 0
-    for seed in range(60):
-        cases = [generate_mountain_range(seed, mountains=3, jobs=9, resources=6, timeslots=18)]
-        inst = generate_uniform(seed, jobs=12, resources=6, timeslots=20, k=0)
-        cases += [(inst, rng) for rng in decompose(inst.jobs).ranges]
-        for inst, rng in cases:
-            derived, _ = split_narrow_wide(rng, inst.resources)
-            build = build_lspc(rng, inst.jobs, derived, inst.T)
-            shorts, assocs, longs = per_kappa_reference(rng, inst.jobs, derived, inst.T)
-            assert [(s.t, s.w, s.c) for s in build.instance.shorts] == shorts
-            assert [(a.mountain, a.kappa, dict(a.counts), a.covered)
-                    for _, a in sorted(build.associations.items())] == assocs
-            assert build.instance.longs == tuple(longs)
-            ranges += 1
+    for inst, rng in _split_cases(range(60)):
+        narrows, wides = split_narrow_wide(rng, inst.resources)
+        build = build_lspc(rng, inst.jobs, narrows, wides, inst.T)
+        shorts, assocs, longs = per_kappa_reference(rng, inst.jobs, narrows, wides, inst.T)
+        assert [(s.t, s.w, s.c) for s in build.instance.shorts] == shorts
+        assert [(a.mountain, a.kappa, dict(a.counts), a.covered)
+                for _, a in sorted(build.associations.items())] == assocs
+        assert build.instance.longs == tuple(longs)
+        ranges += 1
     assert ranges >= 200, ranges
     assert sum(seeded) >= 200, sum(seeded)  # calls that ran under a seeded cutoff
 
@@ -232,34 +271,27 @@ def test_build_lspc_skips_mountains_without_narrow_parts(monkeypatch):
     monkeypatch.setattr(reductions, "CoverPlan", counting_plan)
     monkeypatch.setattr(reductions, "candidate_exclusions", counting_candidates)
     bare = with_narrows = 0
-    for seed in range(60):
-        cases = [generate_mountain_range(seed, mountains=3, jobs=9, resources=6, timeslots=18)]
-        inst = generate_uniform(seed, jobs=12, resources=6, timeslots=20, k=0)
-        cases += [(inst, rng) for rng in decompose(inst.jobs).ranges]
-        for inst, rng in cases:
-            derived, _ = split_narrow_wide(rng, inst.resources)
-            planned.clear()
-            priced.clear()
-            build = build_lspc(rng, inst.jobs, derived, inst.T)
-            narrows = [[rec.resource for rec in derived
-                        if rec.role == "narrow" and rec.mountain == idx]
-                       for idx in range(len(rng.mountains))]
-            assert planned == [tuple(n) for n in narrows if n]
-            assert set(priced) == {m.job_ids for m, n in zip(rng.mountains, narrows) if n}
-            shorts, assocs, _ = per_kappa_reference(rng, inst.jobs, derived, inst.T)
-            assert [(s.t, s.w, s.c) for s in build.instance.shorts] == shorts
-            assert [(a.mountain, a.kappa, dict(a.counts), a.covered)
-                    for _, a in sorted(build.associations.items())] == assocs
-            bare += sum(not n for n in narrows)
-            with_narrows += sum(bool(n) for n in narrows)
+    for inst, rng in _split_cases(range(60)):
+        narrows, wides = split_narrow_wide(rng, inst.resources)
+        planned.clear()
+        priced.clear()
+        build = build_lspc(rng, inst.jobs, narrows, wides, inst.T)
+        assert planned == [tuple(n) for n in narrows if n]
+        assert set(priced) == {m.job_ids for m, n in zip(rng.mountains, narrows) if n}
+        shorts, assocs, _ = per_kappa_reference(rng, inst.jobs, narrows, wides, inst.T)
+        assert [(s.t, s.w, s.c) for s in build.instance.shorts] == shorts
+        assert [(a.mountain, a.kappa, dict(a.counts), a.covered)
+                for _, a in sorted(build.associations.items())] == assocs
+        bare += sum(not n for n in narrows)
+        with_narrows += sum(bool(n) for n in narrows)
     assert bare >= 50 and with_narrows >= 50, (bare, with_narrows)
 
 
 def test_build_lspc_raises_when_a_seeded_kappa_fails(monkeypatch):
     jobs = [Job(0, 2, 3), Job(1, 2, 4)]
     rng = MountainRange((Mountain(3, frozenset({0, 1}), (2, 4)),))
-    derived, _ = split_narrow_wide(rng, (Resource(0, 2, 3, 1, 6), Resource(1, 3, 4, 1, 2)))
-    assert len(build_lspc(rng, jobs, derived, 5).instance.shorts) == 2
+    split = split_narrow_wide(rng, (Resource(0, 2, 3, 1, 6), Resource(1, 3, 4, 1, 2)))
+    assert len(build_lspc(rng, jobs, *split, 5).instance.shorts) == 2
 
     def failing_when_cut(candidates, plan, cutoff=INFEASIBLE):
         if cutoff != INFEASIBLE:
@@ -268,68 +300,60 @@ def test_build_lspc_raises_when_a_seeded_kappa_fails(monkeypatch):
 
     monkeypatch.setattr(reductions, "single_mountain_solve", failing_when_cut)
     with pytest.raises(RuntimeError, match="kappa=1 found no cover below 15"):
-        build_lspc(rng, jobs, derived, 5)
+        build_lspc(rng, jobs, *split, 5)
 
 
 def test_lift_lspc_trivials():
     jobs = [Job(0, 2, 4), Job(1, 3, 5)]
     rng = MountainRange((Mountain(3, frozenset({0, 1}), (2, 5)),))
-    derived, smap = split_narrow_wide(rng, (Resource(0, 2, 5, 1, 4),))
-    build = build_lspc(rng, jobs, derived, 6)
+    build = build_lspc(rng, jobs, *split_narrow_wide(rng, (Resource(0, 2, 5, 1, 4),)), 6)
     solver = LspcSolver(build.instance)
 
     empty = solver.solve_for(0)
-    lifted = lift_lspc(empty.solution, build, rng, derived)
-    assert lifted.counts == {} and lifted.covered == frozenset()
+    assert lift_lspc(empty.solution, build, rng) == ([], frozenset())
 
     one = solver.solve_for(1)  # no shorts exist: one wide copy, one chosen job
     assert one.cost == 4 and one.solution.long_counts == {0: 1}
-    lifted = lift_lspc(one.solution, build, rng, derived)
-    assert lifted.counts == {0: 1}
-    assert len(lifted.covered) == 1
+    picks, covered = lift_lspc(one.solution, build, rng)
+    assert picks == [(0, 1)]
+    assert len(covered) == 1
 
 
 def test_lift_lspc_rejects_coverage_beyond_short_and_wide():
     jobs = [Job(0, 2, 3), Job(1, 2, 4), Job(2, 3, 4)]
     rng = MountainRange((Mountain(3, frozenset({0, 1, 2}), (2, 4)),))
     # a narrow part pricing the kappa=1 short, and a unit-capacity wide part
-    derived, smap = split_narrow_wide(rng, (Resource(0, 2, 3, 1, 6), Resource(1, 1, 5, 1, 4)))
-    build = build_lspc(rng, jobs, derived, 5)
+    split = split_narrow_wide(rng, (Resource(0, 2, 3, 1, 6), Resource(1, 1, 5, 1, 4)))
+    build = build_lspc(rng, jobs, *split, 5)
     (short,) = build.instance.shorts
     assert short.w == 1 and build.instance.longs[0].w == 1
     # three jobs claimed: one from the short, two more than one wide copy holds
     sol = LspcSolution({0: 1}, frozenset({short.id}), (3,))
     with pytest.raises(RuntimeError, match="wide capacity"):
-        lift_lspc(sol, build, rng, derived)
+        lift_lspc(sol, build, rng)
 
 
 def test_lift_lspc_roundtrip_random():
     for seed in range(60):
         inst, rng = generate_mountain_range(seed, mountains=2, jobs=6, resources=5,
                                             timeslots=12)
-        derived, smap = split_narrow_wide(rng, inst.resources)
-        build = build_lspc(rng, inst.jobs, derived, inst.T)
+        build = build_lspc(rng, inst.jobs, *split_narrow_wide(rng, inst.resources), inst.T)
         solver = LspcSolver(build.instance)
         size = len(rng.job_ids())
         for kappa in range(size + 1):
             res = solver.solve_for(kappa)
             if res.solution is None:
                 continue
-            lifted = lift_lspc(res.solution, build, rng, derived)
-            assert len(lifted.covered) >= kappa
-            dres = [p.resource for p in derived]
-            assert multiset_cost(lifted.counts, dres) == res.cost
-            have = multiset_profile(lifted.counts, dres, inst.T) if lifted.counts \
+            picks, covered = lift_lspc(res.solution, build, rng)
+            assert len(covered) >= kappa
+            # the picked parts cost what the long/short solution costs
+            assert sum(n * inst.resources[rid].c for rid, n in picks) == res.cost
+            # lifting to the resources stays feasible and never costs more
+            counts = lift_split(picks)
+            assert multiset_cost(counts, inst.resources) <= res.cost
+            have = multiset_profile(counts, inst.resources, inst.T) if counts \
                 else (0,) * inst.T
-            need = job_profile((inst.jobs[j] for j in lifted.covered), inst.T)
-            assert covers(have, need)
-            # lifting to the original resources stays feasible and never costs more
-            original = lift_split(lifted, smap)
-            ocost = multiset_cost(original.counts, inst.resources)
-            assert ocost <= res.cost
-            ohave = multiset_profile(original.counts, inst.resources, inst.T) \
-                if original.counts else (0,) * inst.T
-            assert covers(ohave, need)
+            assert covers(have, job_profile((inst.jobs[j] for j in covered), inst.T))
 
 
 def test_pc_to_smfc_construction():
