@@ -62,9 +62,6 @@ class Resource:
     w: int
     c: int
 
-    def active_at(self, t: int) -> bool:
-        return self.s <= t <= self.e
-
 
 def check_jobs(name: str, jobs: Sequence[Job], T: int) -> None:
     """Raise ValueError unless every job lies within [1, T] and has no

@@ -42,6 +42,8 @@ def generate_uniform(seed: int, *, jobs: int = 6, resources: int = 5, timeslots:
                      max_w: int = 3, max_c: int = 10, k: int | None = None,
                      penalties: bool = False) -> Instance:
     _check_sizes(jobs=jobs, resources=resources, timeslots=timeslots, max_w=max_w, max_c=max_c)
+    if penalties and k is not None:
+        raise ValueError("k and penalties exclude each other: a prize instance has no k")
     rnd = random.Random(f"uniform:{seed}")
     built = []
     for i in range(jobs):

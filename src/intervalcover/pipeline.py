@@ -201,9 +201,8 @@ def solve_partial(inst: Instance) -> PartialSolveResult:
 
 def solve_prize(inst: Instance) -> PrizeSolveResult:
     """Exactly optimal prize-collecting solution: resource cost plus the
-    penalties of the uncovered jobs is minimized."""
+    penalties of the uncovered jobs is minimized. Leaving every job
+    uncovered is feasible, so there is always a solution."""
     smfc = pc_to_smfc(inst)
     res = smfc_solve_exact(smfc)
-    if not is_feasible(res.cost):
-        return PrizeSolveResult(INFEASIBLE, None)
     return PrizeSolveResult(res.cost, lift_smfc(res, smfc))

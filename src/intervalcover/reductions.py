@@ -14,26 +14,29 @@ a factor 3. The split range then collapses into a long/short instance:
 one timeslot per mountain, demands equal to mountain sizes, wide parts
 become longs, and for every (mountain, kappa) the single-mountain solver
 over the mountain's narrow parts prices a synthetic short of capacity
-kappa. Each short remembers the narrow multiset and the kappa jobs that
-justify its price, so picked shorts expand back into real coverage.
+kappa. The build keeps each short's priced solution, the narrow multiset
+and the kappa jobs that justify its price, so picked shorts expand back
+into real coverage; the short itself holds its mountain and kappa.
 ``price_mountain`` prices every kappa of one mountain over candidates
 prepared once for all of them by ``mountains.candidate_exclusions``: one
 sort by start, one by falling end, each job's segment row and gap flag.
 
 Prize-collecting side: covering all jobs with an escape hatch per job.
-The demand is the full job profile; every job may be picked at most
-once, as one unit of capacity over its own interval at the cost of its
-penalty, and the real resources stay available in unlimited copies.
-Costs transfer exactly in both directions, so solving the covering
-problem exactly solves the prize-collecting problem exactly. The exact
-search over sets of picked jobs skips every set that leaves demand at a
-slot no real resource covers and walks each set size depth first. It
-drops a prefix, with every set it starts, once a lower bound on its
-completions (the cheapest penalties still to pick plus full cover's
-root bound on the demand left after one unit per job still to pick)
-reaches the best total found so far, prunes each remaining set's cover
-against that total, and stops at the first set size whose cheapest set
-cannot beat it.
+The demand is the jobs' own profile, so ``SmfcInstance`` holds only the
+jobs and the resources: every job may be picked at most once, as one
+unit of capacity over its own interval at the cost of its penalty, and
+the real resources stay available in unlimited copies. Costs transfer
+exactly in both directions, so solving the covering problem exactly
+solves the prize-collecting problem exactly. Picking every job covers
+the demand, so every instance has an answer. The exact search always
+picks the jobs touching a slot no real resource covers, enumerates sets
+of the other jobs and walks each set size depth first. It drops a
+prefix, with every set it starts, once a lower bound on its completions
+(the cheapest penalties still to pick plus full cover's root bound on
+the demand left after one unit per job still to pick) reaches the best
+total found so far, prunes each remaining set's cover against that
+total, and stops at the first set size whose cheapest set cannot beat
+it.
 """
 
 from __future__ import annotations
@@ -52,9 +55,7 @@ from .core import (
     PartialSolution,
     Resource,
     SolveResult,
-    check_jobs,
     check_penalties,
-    check_resources,
     covers,
     job_profile,
     multiset_profile,
@@ -63,7 +64,7 @@ from .fullcover import CoverPlan, full_cover
 from .lspc import LspcInstance, LspcSolution, ShortResource
 from .mountains import MountainRange, candidate_exclusions, single_mountain_solve
 
-MAX_STYPES = 16  # cap on jobs for smfc_solve_exact's subset enumeration
+MAX_STYPES = 16  # cap on the free jobs whose subsets smfc_solve_exact enumerates
 
 
 def clip_resources(resources: Sequence[Resource], s: int, e: int) -> list[Resource]:
@@ -108,20 +109,10 @@ def lift_split(picks: Iterable[tuple[int, int]]) -> dict[int, int]:
 
 
 @dataclass(frozen=True, slots=True)
-class ShortAssociation:
-    """Why a synthetic short is priced the way it is: the narrow multiset
-    that covers exactly ``kappa`` jobs of mountain ``mountain``."""
-
-    mountain: int
-    kappa: int
-    counts: Mapping[int, int]
-    covered: frozenset[int]
-
-
-@dataclass(frozen=True, slots=True)
 class LspcBuild:
     instance: LspcInstance
-    associations: Mapping[int, ShortAssociation]  # short id -> association
+    # short id -> the narrow multiset and the kappa jobs that price it
+    short_solutions: tuple[PartialSolution, ...]
     long_origin: Mapping[int, int]  # long id -> its wide part's resource id
 
 
@@ -183,7 +174,7 @@ def build_lspc(rng: MountainRange, jobs: Sequence[Job],
     long_origin = {lid: r.id for lid, (r, _, _) in enumerate(wides)}
 
     shorts: list[ShortResource] = []
-    associations: dict[int, ShortAssociation] = {}
+    solutions: list[PartialSolution] = []
     for idx, m in enumerate(rng.mountains):
         if not narrows[idx]:
             continue
@@ -192,20 +183,19 @@ def build_lspc(rng: MountainRange, jobs: Sequence[Job],
             res = priced[kappa]
             if res is None:
                 continue
-            assoc = ShortAssociation(idx, kappa, res.solution.counts, res.solution.covered)
-            if len(assoc.covered) != kappa:
+            sol = res.solution
+            if len(sol.covered) != kappa:
                 raise RuntimeError(f"short for mountain {idx} covers "
-                                   f"{len(assoc.covered)} jobs, not kappa={kappa}")
-            narrow_prof = multiset_profile(assoc.counts, narrows[idx], T)
-            if not covers(narrow_prof, job_profile((by_id[i] for i in assoc.covered), T)):
+                                   f"{len(sol.covered)} jobs, not kappa={kappa}")
+            narrow_prof = multiset_profile(sol.counts, narrows[idx], T)
+            if not covers(narrow_prof, job_profile((by_id[i] for i in sol.covered), T)):
                 raise RuntimeError(f"narrow multiset of mountain {idx} does not cover "
                                    f"its kappa={kappa} jobs")
-            sid = len(shorts)
-            shorts.append(ShortResource(sid, idx + 1, kappa, res.cost))
-            associations[sid] = assoc
+            shorts.append(ShortResource(len(shorts), idx + 1, kappa, res.cost))
+            solutions.append(sol)
 
     inst = LspcInstance(len(d), d, tuple(shorts), longs, sum(d))
-    return LspcBuild(inst, associations, long_origin)
+    return LspcBuild(inst, tuple(solutions), long_origin)
 
 
 def lift_lspc(sol: LspcSolution, build: LspcBuild, rng: MountainRange,
@@ -213,7 +203,7 @@ def lift_lspc(sol: LspcSolution, build: LspcBuild, rng: MountainRange,
     """Expand a long/short solution back over the split's parts.
 
     Returns the picked parts as (resource id, copies) pairs, one per part,
-    and the covered jobs. Picked shorts contribute their associated narrow
+    and the covered jobs. Picked shorts contribute their priced narrow
     multiset and jobs; picked longs map back to their wide parts. Where
     the coverage profile asks for more jobs at a mountain than its short
     supplied, the capacity of the picked longs over the mountain's slot
@@ -223,10 +213,11 @@ def lift_lspc(sol: LspcSolution, build: LspcBuild, rng: MountainRange,
     covered: set[int] = set()
     short_kappa: dict[int, int] = {}
     for sid in sol.short_picks:
-        assoc = build.associations[sid]
-        picks.extend(assoc.counts.items())
-        covered |= assoc.covered
-        short_kappa[assoc.mountain] = assoc.kappa
+        priced = build.short_solutions[sid]
+        picks.extend(priced.counts.items())
+        covered |= priced.covered
+        short = build.instance.shorts[sid]
+        short_kappa[short.t - 1] = short.w
     wide_cap = [0] * len(rng.mountains)
     for lid, n in sol.long_counts.items():
         long = build.instance.longs[lid]
@@ -248,29 +239,15 @@ def lift_lspc(sol: LspcSolution, build: LspcBuild, rng: MountainRange,
 
 @dataclass(frozen=True, slots=True)
 class SmfcInstance:
-    """Full cover by jobs picked at most once and resources in unlimited
-    copies. A picked job adds one unit of capacity over its interval and
-    costs its penalty.
-
-    Raises ValueError for a demand of the wrong length or below 0, and
-    where ``core.check_penalties``, ``core.check_jobs`` or
-    ``core.check_resources`` does.
+    """Full cover of the jobs' own profile by the jobs, each picked at
+    most once, and resources in unlimited copies. A picked job adds one
+    unit of capacity over its interval and costs its penalty. Built by
+    ``pc_to_smfc`` from a checked ``Instance``; nothing is checked again.
     """
 
     T: int
-    demand: tuple[int, ...]
     jobs: tuple[Job, ...]  # at most once each
     m_types: tuple[Resource, ...]  # unlimited copies
-
-    def __post_init__(self):
-        if len(self.demand) != self.T:
-            raise ValueError("demand length must equal T")
-        for t, d in enumerate(self.demand):
-            if d < 0:
-                raise ValueError(f"demand[{t}] is negative: {d}")
-        check_penalties(self.jobs)
-        check_jobs("jobs", self.jobs, self.T)
-        check_resources("m_types", self.m_types, self.T)
 
 
 @dataclass(frozen=True, slots=True)
@@ -284,10 +261,13 @@ def pc_to_smfc(inst: Instance) -> SmfcInstance:
     """Prize-collecting instance -> full cover by once-only jobs and
     unlimited resources.
 
-    The demand is the profile of all jobs; the jobs carry over as the
-    once-only class and the original resources as the unlimited class.
+    The jobs carry over as the once-only class and the original resources
+    as the unlimited class. ``Instance`` has checked the timeline, the
+    jobs and the resources, so only the penalties, which prize collecting
+    alone needs, are checked here: raises ValueError for a job without one.
     """
-    return SmfcInstance(inst.T, job_profile(inst.jobs, inst.T), inst.jobs, inst.resources)
+    check_penalties(inst.jobs)
+    return SmfcInstance(inst.T, inst.jobs, inst.resources)
 
 
 def _completion_floor(jobs: Sequence[Job], free: Sequence[int], plan: CoverPlan,
@@ -340,17 +320,15 @@ def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
     minimum wins, with the lexicographically smallest copy vector of its
     cover.
 
-    Sets that cannot be feasible are never visited. At a dead slot, one
-    with positive demand that no unlimited resource covers, only the jobs
-    there count, one unit each. A job without which the others fall short
-    at some dead slot is forced: every feasible set contains it. So the
-    search runs over ``forced + extra``, with ``extra`` a subset of the
-    free positions, by growing size. This keeps the visiting order of the
-    feasible sets: for equal-size A and B disjoint from the forced set F,
-    sorted(A + F) < sorted(B + F) exactly when sorted(A) < sorted(B),
-    since both pairs differ first at the smallest element of their
-    symmetric difference. For a prize-collecting reduction the forced set
-    is every job touching a slot no real resource covers.
+    Sets that cannot be feasible are never visited: forced = the jobs
+    touching a gap. The search runs over ``forced + extra``, with
+    ``extra`` a subset of the free positions, by growing size, and the
+    free jobs' profile is the starting residual. This keeps the visiting
+    order of the feasible sets: for equal-size A and B disjoint from the
+    forced set F, sorted(A + F) < sorted(B + F) exactly when sorted(A) <
+    sorted(B), since both pairs differ first at the smallest element of
+    their symmetric difference. Picking every job leaves no demand, so
+    some set is always feasible.
 
     Each size is walked depth first, which is the same lexicographic
     order, carrying the cost ``scost`` and the residual demand of the
@@ -384,37 +362,29 @@ def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
     covers asked for, their results and the winner are the same as
     without the drop. At a leaf (``left = 0``) ``cheap`` is 0 and the
     floor is ``full_cover``'s root bound under the same cutoff, so a set
-    that call would refuse at its root bound costs no call. (A
-    prize-collecting reduction leaves no demand in a gap: the forced jobs
-    take all of it.)
+    that call would refuse at its root bound costs no call. (No demand
+    is left in a gap: the forced jobs take all of it.)
 
     The penalties give a floor for a whole size: ``forced cost + cheap``
     over all of ``free`` grows with the size, so once it reaches the best
     total the enumeration stops.
 
-    Refuses instances with more than ``MAX_STYPES`` jobs rather than
+    Refuses instances with more than ``MAX_STYPES`` free jobs rather than
     approximating silently.
     """
-    jobs, demand = smfc.jobs, smfc.demand
-    n = len(jobs)
-    if n > MAX_STYPES:
-        raise BudgetExceeded(
-            f"{n} jobs exceed the subset-enumeration cap MAX_STYPES={MAX_STYPES}")
-    best = SmfcResult(INFEASIBLE, frozenset(), {})
+    jobs = smfc.jobs
     plan = CoverPlan(smfc.m_types, smfc.T)
-    cap = job_profile(jobs, smfc.T)  # the jobs' capacity per slot
-    dead = [t for a, b in plan.gaps for t in range(a, b) if demand[t] > 0]
-    if any(cap[t] < demand[t] for t in dead):
-        return best
-    forced = [i for i, j in enumerate(jobs)
-              if any(j.s - 1 <= t < j.e and cap[t] - 1 < demand[t] for t in dead)]
-    free = [i for i in range(n) if i not in forced]
-    residual = list(demand)  # the demand left by the forced and chosen jobs
-    for i in forced:
-        j = jobs[i]
-        for t in range(j.s - 1, j.e):
-            residual[t] -= 1
+    forced: list[int] = []
+    free: list[int] = []
+    for i, j in enumerate(jobs):
+        (forced if any(j.s <= b and a < j.e for a, b in plan.gaps) else free).append(i)
+    if len(free) > MAX_STYPES:
+        raise BudgetExceeded(f"{len(free)} free jobs exceed the subset-enumeration "
+                             f"cap MAX_STYPES={MAX_STYPES}")
+    # the demand left by the forced and chosen jobs
+    residual = list(job_profile((jobs[i] for i in free), smfc.T))
     forced_cost = sum(jobs[i].penalty for i in forced)
+    best = SmfcResult(INFEASIBLE, frozenset(), {})
     cheap, floor = _completion_floor(jobs, free, plan, residual)
 
     chosen: list[int] = []

@@ -297,7 +297,7 @@ def test_criterion_7_dp_invariants(lspc_runs):
 def test_criterion_8_reduction_roundtrips(partial_runs):
     runs, _ = partial_runs
     with criterion(8, "lift feasibility and cost monotonicity") as c:
-        lifts = associations = direct = 0
+        lifts = priced_shorts = direct = 0
         for idx, (inst, result, exact) in enumerate(runs):
             if not 0 < inst.k <= len(inst.jobs):
                 continue  # solve_partial returns before decomposing
@@ -308,13 +308,13 @@ def test_criterion_8_reduction_roundtrips(partial_runs):
                 build = build_lspc(rng, inst.jobs, narrows, wides, inst.T)
                 solver = LspcSolver(build.instance)
                 pipe = _RangePipeline(inst, rng)
-                for sid, assoc in build.associations.items():
-                    short = build.instance.shorts[sid]
-                    assert short.w == assoc.kappa == len(assoc.covered), (idx, sid)
-                    have = multiset_profile(assoc.counts, narrows[assoc.mountain], inst.T)
-                    need = job_profile((inst.jobs[j] for j in assoc.covered), inst.T)
-                    assert covers(have, need), (idx, sid)
-                    associations += 1
+                for short, priced in zip(build.instance.shorts, build.short_solutions,
+                                         strict=True):
+                    assert short.w == len(priced.covered), (idx, short.id)
+                    have = multiset_profile(priced.counts, narrows[short.t - 1], inst.T)
+                    need = job_profile((inst.jobs[j] for j in priced.covered), inst.T)
+                    assert covers(have, need), (idx, short.id)
+                    priced_shorts += 1
                 for kappa in range(1, min(inst.k, len(rng.job_ids())) + 1):
                     lres = solver.solve_for(kappa)
                     if lres.solution is None:
@@ -334,6 +334,6 @@ def test_criterion_8_reduction_roundtrips(partial_runs):
                         assert pipe.solve(kappa).cost <= ocost, (idx, kappa)
                         direct += 1
                     lifts += 1
-        assert lifts > direct > 0 and associations > 0
+        assert lifts > direct > 0 and priced_shorts > 0
         c["info"] = (f"{lifts} lift pairs ({direct} on one mountain, priced directly "
-                     f"at no more), {associations} short associations")
+                     f"at no more), {priced_shorts} priced shorts")

@@ -180,6 +180,14 @@ def test_penalties_rejected_outside_uniform_random(capsys):
         assert "penalties" in err
 
 
+def test_generate_refuses_k_beside_penalties(capsys):
+    # a prize instance has no k, so asking for both is an error, not a dropped k
+    code, out, err = run(capsys, "generate", "--seed", "1", "--penalties", "--k", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "k" in err.split() and "penalties" in err
+
+
 def test_generate_rejects_options_of_another_profile(capsys):
     code, out, err = run(capsys, "generate", "--seed", "1", "--shorts", "9", "--max-demand", "7")
     assert code == 1 and out == ""

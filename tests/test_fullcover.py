@@ -546,8 +546,8 @@ def test_demand_in_a_gap_is_refused_under_any_cutoff():
 
 
 def test_demand_at_or_below_zero_needs_no_capacity():
-    # smfc_solve_exact passes residuals that go negative where the picked
-    # jobs exceed the demand; they must cover like their clamped copies
+    # full_cover takes a demand at or below 0 as needing no capacity, so a
+    # demand must cover like its copy clamped at 0
     rnd = random.Random("fullcover-negative")
     seen = dict.fromkeys(("negative_feasible", "negative_in_gap", "all_negative"), 0)
     for _ in range(400):

@@ -6,6 +6,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from intervalcover.core import (
     EMPTY_SOLUTION,
@@ -230,6 +231,21 @@ def test_solve_prize_matches_oracle():
         assert res.total == ora.total
         report = verify_prize(inst, res.solution)
         assert report.feasible and report.total == res.total
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 12), st.integers(0, 6), st.integers(1, 40))
+@example(seed=0, jobs=12, resources=0, timeslots=20)  # every job touches a gap
+@example(seed=43, jobs=12, resources=6, timeslots=40)  # three gaps touching 8 of 12 jobs
+def test_solve_prize_always_answers_within_the_penalties(seed, jobs, resources, timeslots):
+    # leaving every job uncovered is feasible, so solve_prize answers and
+    # never pays more than every penalty
+    inst = generate_uniform(seed, jobs=jobs, resources=resources, timeslots=timeslots,
+                            penalties=True)
+    res = solve_prize(inst)
+    report = verify_prize(inst, res.solution)
+    assert report.feasible and report.total == res.total
+    assert res.total <= sum(j.penalty for j in inst.jobs)
 
 
 def test_outputs_match_recorded_golden():

@@ -33,6 +33,7 @@ from intervalcover.mountains import (
 from intervalcover.oracle import oracle_prize
 from intervalcover.pipeline import solve_prize
 from intervalcover.reductions import (
+    MAX_STYPES,
     SmfcInstance,
     SmfcResult,
     build_lspc,
@@ -191,8 +192,7 @@ def test_build_lspc_prices_single_job_short():
     kappa_one = [s for s in build.instance.shorts if s.w == 1]
     assert len(kappa_one) == 1
     assert kappa_one[0].c == 6
-    assoc = build.associations[kappa_one[0].id]
-    assert assoc.covered == {0} and assoc.kappa == 1
+    assert build.short_solutions[kappa_one[0].id].covered == {0}
 
 
 def test_build_lspc_associations_verify():
@@ -202,11 +202,10 @@ def test_build_lspc_associations_verify():
         narrows, wides = split_narrow_wide(rng, inst.resources)
         build = build_lspc(rng, inst.jobs, narrows, wides, inst.T)
         assert sum(build.instance.d) == len(rng.job_ids())
-        for sid, assoc in build.associations.items():
-            short = build.instance.shorts[sid]
-            assert short.w == assoc.kappa == len(assoc.covered)
-            prof = multiset_profile(assoc.counts, narrows[assoc.mountain], inst.T)
-            need = job_profile((inst.jobs[j] for j in assoc.covered), inst.T)
+        for short, priced in zip(build.instance.shorts, build.short_solutions, strict=True):
+            assert short.w == len(priced.covered)
+            prof = multiset_profile(priced.counts, narrows[short.t - 1], inst.T)
+            need = job_profile((inst.jobs[j] for j in priced.covered), inst.T)
             assert covers(prof, need)
 
 
@@ -214,7 +213,8 @@ def per_kappa_reference(rng, jobs, narrows, wides, T):
     """``build_lspc`` without the shared plan or the seeded cutoffs: every
     (mountain, kappa) gets a fresh plan and an uncut single-mountain solve,
     and every long's block of mountains is read off the spans. Returns the
-    shorts as (t, w, c), the associations and the longs."""
+    shorts as (t, w, c), their priced solutions as (mountain, kappa,
+    counts, covered) and the longs."""
     by_id = {j.id: j for j in jobs}
     spans = [m.span for m in rng.mountains]
     longs = []
@@ -233,6 +233,13 @@ def per_kappa_reference(rng, jobs, narrows, wides, T):
     return shorts, assocs, longs
 
 
+def _priced_shorts(build):
+    """``build``'s shorts with their priced solutions, in the shape of
+    ``per_kappa_reference``'s second list."""
+    return [(short.t - 1, short.w, dict(priced.counts), priced.covered)
+            for short, priced in zip(build.instance.shorts, build.short_solutions, strict=True)]
+
+
 def test_build_lspc_matches_per_kappa_reference(monkeypatch):
     seeded = []
 
@@ -247,8 +254,7 @@ def test_build_lspc_matches_per_kappa_reference(monkeypatch):
         build = build_lspc(rng, inst.jobs, narrows, wides, inst.T)
         shorts, assocs, longs = per_kappa_reference(rng, inst.jobs, narrows, wides, inst.T)
         assert [(s.t, s.w, s.c) for s in build.instance.shorts] == shorts
-        assert [(a.mountain, a.kappa, dict(a.counts), a.covered)
-                for _, a in sorted(build.associations.items())] == assocs
+        assert _priced_shorts(build) == assocs
         assert build.instance.longs == tuple(longs)
         ranges += 1
     assert ranges >= 200, ranges
@@ -257,7 +263,7 @@ def test_build_lspc_matches_per_kappa_reference(monkeypatch):
 
 def test_build_lspc_skips_mountains_without_narrow_parts(monkeypatch):
     # Such a mountain is never planned or priced, and its range's shorts
-    # and associations are still those of pricing every mountain.
+    # and their priced solutions are still those of pricing every mountain.
     planned, priced = [], []
 
     def counting_plan(resources, T):
@@ -280,8 +286,7 @@ def test_build_lspc_skips_mountains_without_narrow_parts(monkeypatch):
         assert set(priced) == {m.job_ids for m, n in zip(rng.mountains, narrows) if n}
         shorts, assocs, _ = per_kappa_reference(rng, inst.jobs, narrows, wides, inst.T)
         assert [(s.t, s.w, s.c) for s in build.instance.shorts] == shorts
-        assert [(a.mountain, a.kappa, dict(a.counts), a.covered)
-                for _, a in sorted(build.associations.items())] == assocs
+        assert _priced_shorts(build) == assocs
         bare += sum(not n for n in narrows)
         with_narrows += sum(bool(n) for n in narrows)
     assert bare >= 50 and with_narrows >= 50, (bare, with_narrows)
@@ -359,7 +364,7 @@ def test_lift_lspc_roundtrip_random():
 def test_pc_to_smfc_construction():
     inst = Instance(2, (Job(0, 1, 2, 5),), (Resource(0, 1, 2, 1, 3),))
     smfc = pc_to_smfc(inst)
-    assert smfc.demand == (1, 1)
+    assert smfc.T == 2
     assert smfc.jobs is inst.jobs
     assert smfc.m_types == inst.resources
 
@@ -367,20 +372,29 @@ def test_pc_to_smfc_construction():
 def test_pc_to_smfc_empty_jobs():
     inst = Instance(2, (), (Resource(0, 1, 2, 1, 3),))
     smfc = pc_to_smfc(inst)
-    assert smfc.demand == (0, 0)
     assert not smfc.jobs
+    res = smfc_solve_exact(smfc)
+    assert res.cost == 0 and not res.s_selected and not res.m_counts
 
 
 def test_pc_to_smfc_demand_matches_profile():
+    # the demand smfc_solve_exact covers is the jobs' own profile: the
+    # picked jobs, one unit each, and the resource copies cover it
     for seed in range(30):
         inst = generate_uniform(seed, jobs=6, resources=4, timeslots=9, penalties=True)
-        assert pc_to_smfc(inst).demand == job_profile(inst.jobs, inst.T)
+        smfc = pc_to_smfc(inst)
+        assert smfc == SmfcInstance(inst.T, inst.jobs, inst.resources)
+        res = smfc_solve_exact(smfc)
+        have = multiset_profile(res.m_counts, inst.resources, inst.T)
+        picked = job_profile((inst.jobs[i] for i in res.s_selected), inst.T)
+        assert covers(tuple(map(sum, zip(have, picked))), job_profile(inst.jobs, inst.T))
 
 
 def brute_force_smfc(smfc, max_copies=6):
     """Flat enumeration over (once-only subset) x (bounded copy vectors)."""
     best = INFEASIBLE
     mbounds = [max_copies] * len(smfc.m_types)
+    demand = job_profile(smfc.jobs, smfc.T)
     for bits in range(1 << len(smfc.jobs)):
         chosen = [j for i, j in enumerate(smfc.jobs) if bits >> i & 1]
         scost = sum(j.penalty for j in chosen)
@@ -389,7 +403,7 @@ def brute_force_smfc(smfc, max_copies=6):
             for t in range(1, smfc.T + 1):
                 cap = sum(1 for j in chosen if j.s <= t <= j.e)
                 cap += sum(n * r.w for n, r in zip(vec, smfc.m_types) if r.s <= t <= r.e)
-                if cap < smfc.demand[t - 1]:
+                if cap < demand[t - 1]:
                     ok = False
                     break
             if ok:
@@ -399,15 +413,13 @@ def brute_force_smfc(smfc, max_copies=6):
 
 
 def test_smfc_zero_demand():
-    smfc = SmfcInstance(2, (0, 0), (), ())
+    smfc = SmfcInstance(2, (), ())
     res = smfc_solve_exact(smfc)
     assert res.cost == 0 and not res.s_selected and not res.m_counts
 
 
 def test_smfc_two_branch_minimum():
-    smfc = SmfcInstance(2, (1, 1),
-                        (Job(0, 1, 2, 5),),
-                        (Resource(0, 1, 2, 1, 3),))
+    smfc = SmfcInstance(2, (Job(0, 1, 2, 5),), (Resource(0, 1, 2, 1, 3),))
     res = smfc_solve_exact(smfc)
     assert res.cost == 3
     assert not res.s_selected and res.m_counts == {0: 1}
@@ -417,7 +429,6 @@ def test_smfc_matches_flat_enumeration():
     rnd = random.Random("reductions-smfc")
     for _ in range(40):
         T = rnd.randint(1, 5)
-        demand = tuple(rnd.randint(0, 3) for _ in range(T))
         jobs = []
         for i in range(rnd.randint(0, 3)):
             s = rnd.randint(1, T)
@@ -428,7 +439,7 @@ def test_smfc_matches_flat_enumeration():
             s = rnd.randint(1, T)
             e = rnd.randint(s, T)
             m_types.append(Resource(i, s, e, rnd.randint(1, 3), rnd.randint(0, 8)))
-        smfc = SmfcInstance(T, demand, tuple(jobs), tuple(m_types))
+        smfc = SmfcInstance(T, tuple(jobs), tuple(m_types))
         assert smfc_solve_exact(smfc).cost == brute_force_smfc(smfc)
 
 
@@ -447,7 +458,7 @@ def plain_smfc(smfc):
             scost = sum(smfc.jobs[i].penalty for i in subset)
             if scost > best.cost:
                 continue
-            residual = list(smfc.demand)
+            residual = list(job_profile(smfc.jobs, smfc.T))
             for i in subset:
                 j = smfc.jobs[i]
                 for t in range(j.s - 1, j.e):
@@ -467,7 +478,6 @@ def plain_smfc(smfc):
 
 def _random_smfc(rnd):
     T = rnd.randint(1, 7)
-    demand = tuple(rnd.randint(0, 4) for _ in range(T))
     spans = []
     for _ in range(rnd.randint(0, 8) + rnd.randint(0, 3)):
         s = rnd.randint(1, T)
@@ -477,7 +487,7 @@ def _random_smfc(rnd):
                  for i, (s, e) in enumerate(spans[:cut]))
     m_types = tuple(Resource(i, s, e, rnd.randint(1, 3), rnd.choice((0, 1, 2, 3, 5)))
                     for i, (s, e) in enumerate(spans[cut:]))
-    return SmfcInstance(T, demand, jobs, m_types)
+    return SmfcInstance(T, jobs, m_types)
 
 
 def test_smfc_tie_break_matches_plain_enumeration(monkeypatch):
@@ -491,8 +501,7 @@ def test_smfc_tie_break_matches_plain_enumeration(monkeypatch):
 
     monkeypatch.setattr(reductions, "full_cover", recording_full_cover)
     rnd = random.Random("smfc-tie-break")
-    seen = dict.fromkeys(
-        ("dead", "dead_infeasible", "ties", "asked_again", "size_stop"), 0)
+    seen = dict.fromkeys(("dead", "ties", "asked_again", "size_stop"), 0)
     for _ in range(4000):
         smfc = _random_smfc(rnd)
         calls.clear()
@@ -502,19 +511,20 @@ def test_smfc_tie_break_matches_plain_enumeration(monkeypatch):
                (want.cost, want.s_selected, dict(want.m_counts)), smfc
 
         live = [any(r.s <= t <= r.e for r in smfc.m_types) for t in range(1, smfc.T + 1)]
-        dead = [t for t in range(smfc.T) if smfc.demand[t] > 0 and not live[t]]
-        cap = [sum(1 for j in smfc.jobs if j.s <= t + 1 <= j.e) for t in range(smfc.T)]
-        seen["dead"] += got.cost != INFEASIBLE and bool(dead)
-        seen["dead_infeasible"] += any(cap[t] < smfc.demand[t] for t in dead)
-        seen["ties"] += ties > 0
-        # the forced cost plus the cheapest free costs of some size reaches
-        # the optimum, so smfc_solve_exact stops before the sizes run out
         forced = [i for i, j in enumerate(smfc.jobs)
-                  if any(j.s <= t + 1 <= j.e and cap[t] - 1 < smfc.demand[t] for t in dead)]
+                  if not all(live[t - 1] for t in range(j.s, j.e + 1))]
+        seen["dead"] += bool(forced)
+        seen["ties"] += ties > 0
+        # the forced cost plus the cheapest free costs of some size below
+        # the number of free jobs reaches the optimum, so smfc_solve_exact
+        # stops before the sizes run out (at that number the floor is every
+        # penalty, which no optimum exceeds)
+        free_penalties = [j.penalty for i, j in enumerate(smfc.jobs) if i not in forced]
         floor = itertools.accumulate(
-            sorted(j.penalty for i, j in enumerate(smfc.jobs) if i not in forced),
+            sorted(free_penalties),
             initial=sum(smfc.jobs[i].penalty for i in forced))
-        seen["size_stop"] += any(f >= got.cost for f in floor)
+        below_all = itertools.islice(floor, len(free_penalties))
+        seen["size_stop"] += any(f >= got.cost for f in below_all)
         refused = {}
         for demand, cutoff, feasible in calls:
             if demand in refused and cutoff > refused[demand]:
@@ -556,7 +566,7 @@ def test_completion_floor_is_sound(monkeypatch):
     completion_floor = reductions._completion_floor
     monkeypatch.setattr(reductions, "_completion_floor", recording_floor)
     rnd = random.Random("smfc-completion-floor")
-    seen = dict.fromkeys(("zero_cost", "dead", "negative", "pruned", "tight"), 0)
+    seen = dict.fromkeys(("zero_cost", "forced", "pruned", "tight"), 0)
     for _ in range(1000):
         smfc = _random_smfc(rnd)
         nodes.clear()
@@ -575,37 +585,55 @@ def test_completion_floor_is_sound(monkeypatch):
                     cover[key] = full_cover(plan.segment_demand(key), plan).cost
                 best = min(best, sum(jobs[i].penalty for i in extra) + cover[key])
             assert value <= best, (smfc, residual, start, left)
+            # the residual is the profile of the free jobs not yet chosen:
+            # never below 0, and 0 in every gap
+            assert min(residual) >= 0 and plan.segment_demand(residual) is not None
             seen["zero_cost"] += left > 0 and any(jobs[i].penalty == 0 for i in free[start:])
-            seen["dead"] += any(residual[t] > 0 for a, b in plan.gaps for t in range(a, b))
-            seen["negative"] += min(residual) < 0
+            seen["forced"] += len(free) < len(jobs)
             seen["pruned"] += value >= stop
             seen["tight"] += left > 0 and value == best != INFEASIBLE
     assert all(count >= 50 for count in seen.values()), seen
 
 
 def test_smfc_instance_validation():
-    # capacity 0 used to divide by zero in full_cover, a span past T to
-    # index out of range, and a missing or negative penalty would break
-    # the cost floor smfc_solve_exact stops at
+    # capacity 0 would divide by zero in full_cover, a span past T index
+    # out of range, and a missing or negative penalty break the cost floor
+    # smfc_solve_exact stops at. SmfcInstance checks nothing itself:
+    # Instance refuses each of these, and pc_to_smfc a missing penalty.
     bad = [
-        (1, (1,), (), (Resource(0, 1, 1, 0, 1),)),
-        (2, (1, 1), (), (Resource(0, 1, 3, 1, 1),)),
-        (2, (1, 1), (), (Resource(0, 0, 2, 1, 1),)),
-        (2, (1, 1), (Job(0, 1, 3, 1),), ()),
-        (2, (1, 1), (Job(0, 1, 2, -1),), ()),
-        (2, (1, 1), (Job(0, 1, 2),), ()),
-        (2, (1, -1), (), ()),
+        (1, (), (Resource(0, 1, 1, 0, 1),)),
+        (2, (), (Resource(0, 1, 3, 1, 1),)),
+        (2, (), (Resource(0, 0, 2, 1, 1),)),
+        (2, (Job(0, 1, 3, 1),), ()),
+        (2, (Job(0, 1, 2, -1),), ()),
+        (2, (Job(0, 1, 2),), ()),
     ]
-    for T, demand, jobs, m_types in bad:
+    for T, jobs, resources in bad:
         with pytest.raises(ValueError):
-            SmfcInstance(T, demand, jobs, m_types)
+            pc_to_smfc(Instance(T, jobs, resources))
 
 
 def test_smfc_budget_refusal():
+    # 20 jobs a resource can cover: every one of them is free
     jobs = tuple(Job(i, 1, 1, 1) for i in range(20))
-    smfc = SmfcInstance(1, (1,), jobs, ())
-    with pytest.raises(BudgetExceeded):
+    smfc = pc_to_smfc(Instance(1, jobs, (Resource(0, 1, 1, 1, 1),)))
+    with pytest.raises(BudgetExceeded, match="20 free jobs"):
         smfc_solve_exact(smfc)
+
+
+def test_prize_cap_counts_only_free_jobs():
+    # jobs touching a gap are always paid for and never enumerated, so
+    # only the free jobs count against MAX_STYPES
+    gap_only = tuple(Job(i, 1, 1, i + 1) for i in range(20))
+    res = solve_prize(Instance(1, gap_only, ()))
+    assert res.total == sum(range(1, 21)) and res.solution == PartialSolution({}, frozenset())
+    mixed = tuple(Job(i, 1 + i % 2, 1 + i % 2, 1) for i in range(33))  # 17 in the gap, 16 free
+    res = solve_prize(Instance(2, mixed, (Resource(0, 2, 2, 16, 5),)))
+    assert res.total == 17 + 5 and res.solution.covered == {j.id for j in mixed if j.s == 2}
+    free = tuple(Job(i, 1, 1, 1) for i in range(MAX_STYPES + 1))
+    in_gap = tuple(Job(i, 2, 2, 1) for i in range(MAX_STYPES + 1, MAX_STYPES + 4))
+    with pytest.raises(BudgetExceeded, match="17 free jobs .* MAX_STYPES=16"):
+        solve_prize(Instance(2, free + in_gap, (Resource(0, 1, 1, 1, 1),)))
 
 
 def test_lift_smfc_extremes():
