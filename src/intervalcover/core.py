@@ -178,7 +178,7 @@ class SolveResult:
 @dataclass(frozen=True, slots=True)
 class PrizeSolveResult:
     total: Cost
-    solution: PartialSolution | None
+    solution: PartialSolution
 
 
 def job_profile(jobs: Iterable[Job], T: int) -> tuple[int, ...]:

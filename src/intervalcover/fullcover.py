@@ -114,15 +114,10 @@ MAX_LEVELS = 500
 
 @dataclass(frozen=True, slots=True)
 class FullCoverResult:
-    """Optimal multiset (resource id -> copies) with its cost.
-
-    ``beta`` is the guarantee factor of the solver that produced the
-    result; the exact search always reports 1.
-    """
+    """Optimal multiset (resource id -> copies) with its cost."""
 
     counts: Mapping[int, int]
     cost: Cost
-    beta: int = 1
 
     @property
     def feasible(self) -> bool:
@@ -228,6 +223,12 @@ class CoverPlan:
         object.__setattr__(self, "gaps", tuple(gaps))
         object.__setattr__(self, "cheapest", tuple(later))
         object.__setattr__(self, "levels", tuple(reversed(levels)))
+
+    def touches_gap(self, s: int, e: int) -> bool:
+        """True iff slots s..e (1-based, inclusive) meet a gap: a job over
+        them has demand that no multiset of the plan covers, so it can
+        only go uncovered."""
+        return any(a < e and s <= b for a, b in self.gaps)
 
     def segment_demand(self, demand: Sequence[int]) -> tuple[int, ...] | None:
         """The largest entry of a per-slot ``demand`` on each segment, the

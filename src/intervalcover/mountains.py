@@ -160,7 +160,7 @@ def candidate_exclusions(jobs: Sequence[Job], plan: CoverPlan,
         raise ValueError("a mountain's jobs must share a slot: max s > min e")
     reads = [b - 1 if b <= p else a if a > p else p for a, b in plan.segments]
     rows = {j.id: tuple([j.s - 1 <= t < j.e for t in reads]) for j in jobs}
-    in_gap = {j.id for j in jobs if any(a < j.e and j.s - 1 < b for a, b in plan.gaps)}
+    in_gap = {j.id for j in jobs if plan.touches_gap(j.s, j.e)}
     left = [j.id for j in sorted(jobs, key=lambda j: (j.s, j.id))]
     right = [j.id for j in sorted(jobs, key=lambda j: (-j.e, j.id))]
     suffix = [(0,) * len(reads)]  # peaks of left[q1:], for q1 = n down to 0

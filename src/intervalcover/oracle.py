@@ -10,8 +10,10 @@ because a wrong oracle would poison every ratio test built on it.
 
 Each cap counts what its oracle enumerates: MAX_PARTIAL_JOBS and
 MAX_PRIZE_JOBS the jobs whose subsets oracle_partial and oracle_prize
-walk, MAX_LSPC_CANDIDATES the (coverage profile, short picks) pairs of
-oracle_lspc, counted as the product over t of (d_t + 1)(1 + shorts at t).
+walk (for oracle_prize, the jobs touching no gap of the resources),
+MAX_LSPC_CANDIDATES the (coverage profile, short picks) pairs of
+oracle_lspc, counted as the product over t of (d_t + 1)(1 + shorts at t),
+which bounds the profiles it tries as well.
 """
 
 from __future__ import annotations
@@ -36,11 +38,10 @@ MAX_PRIZE_JOBS = 12
 MAX_LSPC_CANDIDATES = 100_000
 
 
-def _cheapest_subset(inst: Instance, subsets, penalty) -> tuple:
+def _cheapest_subset(plan: CoverPlan, subsets, penalty) -> tuple:
     """The first strictly cheapest of ``subsets`` (job sequences), each
-    priced as the exact full cover of its profile plus ``penalty(subset)``;
-    (INFEASIBLE, None) when none is coverable."""
-    plan = CoverPlan(inst.resources, inst.T)
+    priced as the exact full cover of its profile over ``plan`` plus
+    ``penalty(subset)``; (INFEASIBLE, None) when none is coverable."""
     best_cost = INFEASIBLE
     best = None
     memo: dict[tuple[int, ...] | None, object] = {}  # keyed by segment demand
@@ -48,7 +49,7 @@ def _cheapest_subset(inst: Instance, subsets, penalty) -> tuple:
         extra = penalty(subset)
         if extra > best_cost:
             continue
-        demand = plan.segment_demand(job_profile(subset, inst.T))
+        demand = plan.segment_demand(job_profile(subset, plan.T))
         fc = memo.get(demand)
         if fc is None:
             fc = memo[demand] = full_cover(demand, plan)
@@ -68,8 +69,9 @@ def oracle_partial(inst: Instance) -> SolveResult:
     if n > MAX_PARTIAL_JOBS:
         raise BudgetExceeded(
             f"{n} jobs exceed the subset-enumeration cap MAX_PARTIAL_JOBS={MAX_PARTIAL_JOBS}")
-    return SolveResult(*_cheapest_subset(
-        inst, itertools.combinations(inst.jobs, inst.k), lambda subset: 0))
+    return SolveResult(*_cheapest_subset(CoverPlan(inst.resources, inst.T),
+                                         itertools.combinations(inst.jobs, inst.k),
+                                         lambda subset: 0))
 
 
 def _coverage_profiles(d: tuple[int, ...], k: int):
@@ -77,37 +79,10 @@ def _coverage_profiles(d: tuple[int, ...], k: int):
 
     Covering more than asked never gets cheaper, so an optimum with
     measure exactly k always exists and enumerating only those suffices.
+    The product runs over all prod(d_t + 1) profiles, which the caller's
+    cap bounds.
     """
-    T = len(d)
-    suffix = [0] * (T + 1)
-    for t in range(T - 1, -1, -1):
-        suffix[t] = suffix[t + 1] + d[t]
-    if not 0 <= k <= suffix[0]:
-        return
-    prof = [0] * T
-    rem = [k] * (T + 1)  # rem[t]: the measure slots t.. still take
-
-    def fill(t: int) -> None:
-        """The lex-smallest completion of slots t..: each slot takes only
-        what the slots after it cannot."""
-        for u in range(t, T):
-            prof[u] = max(0, rem[u] - suffix[u + 1])
-            rem[u + 1] = rem[u] - prof[u]
-
-    # Walked as a loop, not a recursion over slots, so any T is fine: the
-    # next profile raises the last slot before T - 1 that can take one
-    # more and refills the slots after it.
-    fill(0)
-    while True:
-        yield tuple(prof)
-        t = T - 2
-        while t >= 0 and prof[t] >= min(d[t], rem[t]):
-            t -= 1
-        if t < 0:
-            return
-        prof[t] += 1
-        rem[t + 1] -= 1
-        fill(t + 1)
+    return (p for p in itertools.product(*(range(x + 1) for x in d)) if sum(p) == k)
 
 
 def oracle_lspc(inst: LspcInstance) -> LspcResult:
@@ -152,16 +127,20 @@ def oracle_lspc(inst: LspcInstance) -> LspcResult:
 
 
 def oracle_prize(inst: Instance) -> PrizeSolveResult:
-    """True optimum for prize collecting: every job subset, full cover of
-    its profile plus the penalties outside it."""
+    """True optimum for prize collecting: every set of the jobs touching
+    no gap of the resources, full cover of its profile plus the penalties
+    outside it. A job touching a gap has no cover, so it always goes
+    uncovered; the sets are walked in the mask order over the other jobs."""
     check_penalties(inst.jobs)
-    n = len(inst.jobs)
+    plan = CoverPlan(inst.resources, inst.T)
+    jobs = [j for j in inst.jobs if not plan.touches_gap(j.s, j.e)]
+    n = len(jobs)
     if n > MAX_PRIZE_JOBS:
-        raise BudgetExceeded(
-            f"{n} jobs exceed the subset-enumeration cap MAX_PRIZE_JOBS={MAX_PRIZE_JOBS}")
+        raise BudgetExceeded(f"{n} jobs touching no gap exceed the subset-enumeration "
+                             f"cap MAX_PRIZE_JOBS={MAX_PRIZE_JOBS}")
     total_penalty = sum(j.penalty for j in inst.jobs)
     best_cost, best = _cheapest_subset(
-        inst, ([inst.jobs[i] for i in range(n) if mask >> i & 1] for mask in range(1 << n)),
+        plan, ([jobs[i] for i in range(n) if mask >> i & 1] for mask in range(1 << n)),
         lambda covered: total_penalty - sum(j.penalty for j in covered))
     if best is None:
         raise RuntimeError("the empty subset is always coverable, yet no subset was")

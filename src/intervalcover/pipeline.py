@@ -10,11 +10,12 @@ priced directly by the single-mountain solver, within 2 of its optimum
 exclusion times 16 for the SLRA restriction). Since 2 <= 384, the
 stitched solution is within 384 * L of the overall optimum for L ranges.
 
-Prize collecting: reduce to a full cover of every job in which each job
-may also be picked once, as one unit of capacity priced at its penalty,
-beside the resources in unlimited copies; solve that exactly and lift
-back, leaving the picked jobs uncovered. The reduction preserves costs
-in both directions, so the result is exactly optimal. The exact search
+Prize collecting: each job may be picked once, as one unit of capacity
+over its interval priced at its penalty, beside the resources in
+unlimited copies, and the instance is solved exactly as a full cover of
+every job. A picked job is a job left uncovered, so the answer is the
+covered set (every job not picked) with the cover of the rest; costs
+match in both directions, so it is exactly optimal. The exact search
 skips the sets of uncovered jobs that cannot be feasible: a job touching
 a slot that no resource covers is always left uncovered. A prefix of the
 walk over the sets of uncovered jobs is dropped once a lower bound on
@@ -44,7 +45,6 @@ from .reductions import (
     build_lspc,
     clip_resources,
     lift_lspc,
-    lift_smfc,
     lift_split,
     pc_to_smfc,
     price_mountain,
@@ -203,6 +203,4 @@ def solve_prize(inst: Instance) -> PrizeSolveResult:
     """Exactly optimal prize-collecting solution: resource cost plus the
     penalties of the uncovered jobs is minimized. Leaving every job
     uncovered is feasible, so there is always a solution."""
-    smfc = pc_to_smfc(inst)
-    res = smfc_solve_exact(smfc)
-    return PrizeSolveResult(res.cost, lift_smfc(res, smfc))
+    return smfc_solve_exact(pc_to_smfc(inst))

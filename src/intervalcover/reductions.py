@@ -22,21 +22,22 @@ prepared once for all of them by ``mountains.candidate_exclusions``: one
 sort by start, one by falling end, each job's segment row and gap flag.
 
 Prize-collecting side: covering all jobs with an escape hatch per job.
-The demand is the jobs' own profile, so ``SmfcInstance`` holds only the
-jobs and the resources: every job may be picked at most once, as one
-unit of capacity over its own interval at the cost of its penalty, and
-the real resources stay available in unlimited copies. Costs transfer
-exactly in both directions, so solving the covering problem exactly
-solves the prize-collecting problem exactly. Picking every job covers
-the demand, so every instance has an answer. The exact search always
-picks the jobs touching a slot no real resource covers, enumerates sets
-of the other jobs and walks each set size depth first. It drops a
-prefix, with every set it starts, once a lower bound on its completions
-(the cheapest penalties still to pick plus full cover's root bound on
-the demand left after one unit per job still to pick) reaches the best
-total found so far, prunes each remaining set's cover against that
-total, and stops at the first set size whose cheapest set cannot beat
-it.
+The reduction leaves the instance as it is. The demand is the jobs' own
+profile; every job may be picked at most once, as one unit of capacity
+over its own interval at the cost of its penalty, and the resources
+stay available in unlimited copies. A picked job is a job left
+uncovered, so costs transfer exactly in both directions and the exact
+search answers the prize-collecting problem directly: the covered set
+is every job it did not pick. Picking every job covers the demand, so
+every instance has an answer. The exact search always picks the jobs
+touching a slot no resource covers (``CoverPlan.touches_gap``),
+enumerates sets of the other jobs and walks each set size depth first.
+It drops a prefix, with every set it starts, once a lower bound on its
+completions (the cheapest penalties still to pick plus full cover's
+root bound on the demand left after one unit per job still to pick)
+reaches the best total found so far, prunes each remaining set's cover
+against that total, and stops at the first set size whose cheapest set
+cannot beat it.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .core import (
     Instance,
     Job,
     PartialSolution,
+    PrizeSolveResult,
     Resource,
     SolveResult,
     check_penalties,
@@ -237,37 +239,17 @@ def lift_lspc(sol: LspcSolution, build: LspcBuild, rng: MountainRange,
     return picks, frozenset(covered)
 
 
-@dataclass(frozen=True, slots=True)
-class SmfcInstance:
-    """Full cover of the jobs' own profile by the jobs, each picked at
-    most once, and resources in unlimited copies. A picked job adds one
-    unit of capacity over its interval and costs its penalty. Built by
-    ``pc_to_smfc`` from a checked ``Instance``; nothing is checked again.
-    """
-
-    T: int
-    jobs: tuple[Job, ...]  # at most once each
-    m_types: tuple[Resource, ...]  # unlimited copies
-
-
-@dataclass(frozen=True, slots=True)
-class SmfcResult:
-    cost: Cost
-    s_selected: frozenset[int]  # positions in jobs of the picked, uncovered jobs
-    m_counts: Mapping[int, int]
-
-
-def pc_to_smfc(inst: Instance) -> SmfcInstance:
+def pc_to_smfc(inst: Instance) -> Instance:
     """Prize-collecting instance -> full cover by once-only jobs and
-    unlimited resources.
+    unlimited resources, which is the instance itself: its jobs are the
+    once-only class and its resources the unlimited class.
 
-    The jobs carry over as the once-only class and the original resources
-    as the unlimited class. ``Instance`` has checked the timeline, the
-    jobs and the resources, so only the penalties, which prize collecting
-    alone needs, are checked here: raises ValueError for a job without one.
+    ``Instance`` has checked the timeline, the jobs and the resources, so
+    only the penalties, which prize collecting alone needs, are checked
+    here: raises ValueError for a job without one.
     """
     check_penalties(inst.jobs)
-    return SmfcInstance(inst.T, inst.jobs, inst.resources)
+    return inst
 
 
 def _completion_floor(jobs: Sequence[Job], free: Sequence[int], plan: CoverPlan,
@@ -311,9 +293,10 @@ def _completion_floor(jobs: Sequence[Job], free: Sequence[int], plan: CoverPlan,
     return cheap, floor
 
 
-def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
+def smfc_solve_exact(inst: Instance) -> PrizeSolveResult:
     """Exact minimum over sets of picked jobs, each completed by an exact
-    full cover of the residual demand with the unlimited class.
+    full cover of the residual demand with the unlimited class. The
+    answer covers every job outside the winning set with that cover.
 
     Sets are visited by size, then lexicographically, and only a strictly
     smaller total replaces the best, so the first set to reach the
@@ -321,14 +304,14 @@ def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
     cover.
 
     Sets that cannot be feasible are never visited: forced = the jobs
-    touching a gap. The search runs over ``forced + extra``, with
-    ``extra`` a subset of the free positions, by growing size, and the
-    free jobs' profile is the starting residual. This keeps the visiting
-    order of the feasible sets: for equal-size A and B disjoint from the
-    forced set F, sorted(A + F) < sorted(B + F) exactly when sorted(A) <
-    sorted(B), since both pairs differ first at the smallest element of
-    their symmetric difference. Picking every job leaves no demand, so
-    some set is always feasible.
+    touching a gap (``CoverPlan.touches_gap``). The search runs over
+    ``forced + extra``, with ``extra`` a subset of the free positions,
+    by growing size, and the free jobs' profile is the starting
+    residual. This keeps the visiting order of the feasible sets: for
+    equal-size A and B disjoint from the forced set F, sorted(A + F) <
+    sorted(B + F) exactly when sorted(A) < sorted(B), since both pairs
+    differ first at the smallest element of their symmetric difference.
+    Picking every job leaves no demand, so some set is always feasible.
 
     Each size is walked depth first, which is the same lexicographic
     order, carrying the cost ``scost`` and the residual demand of the
@@ -372,37 +355,40 @@ def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
     Refuses instances with more than ``MAX_STYPES`` free jobs rather than
     approximating silently.
     """
-    jobs = smfc.jobs
-    plan = CoverPlan(smfc.m_types, smfc.T)
+    jobs = inst.jobs
+    plan = CoverPlan(inst.resources, inst.T)
     forced: list[int] = []
     free: list[int] = []
     for i, j in enumerate(jobs):
-        (forced if any(j.s <= b and a < j.e for a, b in plan.gaps) else free).append(i)
+        (forced if plan.touches_gap(j.s, j.e) else free).append(i)
     if len(free) > MAX_STYPES:
         raise BudgetExceeded(f"{len(free)} free jobs exceed the subset-enumeration "
                              f"cap MAX_STYPES={MAX_STYPES}")
     # the demand left by the forced and chosen jobs
-    residual = list(job_profile((jobs[i] for i in free), smfc.T))
+    residual = list(job_profile((jobs[i] for i in free), inst.T))
     forced_cost = sum(jobs[i].penalty for i in forced)
-    best = SmfcResult(INFEASIBLE, frozenset(), {})
+    # the best total, the free jobs it picked and its cover's counts
+    best: Cost = INFEASIBLE
+    best_picked: frozenset[int] = frozenset()
+    best_counts: Mapping[int, int] = {}
     cheap, floor = _completion_floor(jobs, free, plan, residual)
 
     chosen: list[int] = []
 
     def walk(start: int, left: int, scost: int) -> None:
         """Cover every ``chosen`` + ``left`` more of ``free[start:]``."""
-        nonlocal best
+        nonlocal best, best_picked, best_counts
         if not left:
-            fc = full_cover(plan.segment_demand(residual), plan, best.cost - scost)
+            fc = full_cover(plan.segment_demand(residual), plan, best - scost)
             if fc.feasible:
-                best = SmfcResult(scost + fc.cost, frozenset(forced).union(chosen), fc.counts)
+                best, best_picked, best_counts = scost + fc.cost, frozenset(chosen), fc.counts
             return
         rest = left - 1
         for idx in range(start, len(free) - rest):
             i = free[idx]
             j = jobs[i]
             cost = scost + j.penalty
-            room = best.cost - cost
+            room = best - cost
             if cheap[idx + 1][rest] >= room:
                 continue  # no set this prefix starts can win on cost alone
             for t in range(j.s - 1, j.e):
@@ -415,18 +401,11 @@ def smfc_solve_exact(smfc: SmfcInstance) -> SmfcResult:
                 residual[t] += 1
 
     for size in range(len(free) + 1):
-        room = best.cost - forced_cost
+        room = best - forced_cost
         if cheap[0][size] >= room:
             break
         if floor(residual, 0, size, room) < room:
             walk(0, size, forced_cost)
-    return best
-
-
-def lift_smfc(result: SmfcResult, smfc: SmfcInstance) -> PartialSolution:
-    """Back to prize-collecting: a picked job goes uncovered and pays its
-    penalty; every other job is covered by the unlimited-class picks. The
-    totals match exactly."""
-    uncovered = {smfc.jobs[i].id for i in result.s_selected}
-    covered = frozenset(j.id for j in smfc.jobs) - uncovered
-    return PartialSolution(dict(result.m_counts), covered)
+    # job ids are their positions; the forced and picked jobs go uncovered
+    covered = frozenset(range(len(jobs))).difference(forced, best_picked)
+    return PrizeSolveResult(best, PartialSolution(best_counts, covered))

@@ -8,7 +8,7 @@ from functools import cmp_to_key
 
 import pytest
 
-from intervalcover.core import INFEASIBLE, BudgetExceeded, Resource
+from intervalcover.core import INFEASIBLE, BudgetExceeded, Job, Resource, job_profile
 from intervalcover.fullcover import INFEASIBLE_COVER, MAX_LEVELS, FullCoverResult
 from intervalcover.fullcover import CoverPlan, full_cover
 
@@ -64,7 +64,7 @@ def _random_case(rnd, max_resources=6, max_demand=4, max_T=10):
 
 def test_zero_demand():
     res = cover((0, 0, 0), (Resource(0, 1, 3, 1, 5),))
-    assert res.cost == 0 and res.counts == {} and res.beta == 1
+    assert res.cost == 0 and res.counts == {}
 
 
 def test_single_candidate():
@@ -543,6 +543,23 @@ def test_demand_in_a_gap_is_refused_under_any_cutoff():
             assert plan.segment_demand(demand) is None
             for cutoff in (INFEASIBLE, 0, 1, 2, 10**6):
                 assert full_cover(None, plan, cutoff) == INFEASIBLE_COVER
+
+
+def test_touches_gap_is_a_refused_job_profile():
+    # a job touches a gap exactly when its own demand has no cover
+    rnd = random.Random("fullcover-touches-gap")
+    seen = dict.fromkeys(("touches", "clear", "inner_gap"), 0)
+    for _ in range(300):
+        T, resources = _plan_case(rnd)
+        plan = CoverPlan(resources, T)
+        for s in range(1, T + 1):
+            for e in range(s, T + 1):
+                want = plan.segment_demand(job_profile([Job(0, s, e)], T)) is None
+                assert plan.touches_gap(s, e) == want, (resources, T, s, e)
+                seen["touches"] += want
+                seen["clear"] += not want
+        seen["inner_gap"] += _has_gap(resources, T)
+    assert all(count >= 50 for count in seen.values()), seen
 
 
 def test_demand_at_or_below_zero_needs_no_capacity():

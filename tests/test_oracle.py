@@ -28,6 +28,7 @@ from intervalcover.oracle import (
     oracle_partial,
     oracle_prize,
 )
+from intervalcover.pipeline import solve_prize
 
 
 def test_oracle_partial_k0():
@@ -123,9 +124,23 @@ def test_oracle_prize_two_branch():
 
 
 def test_oracle_prize_budget_refusal():
-    inst = generate_uniform(1, jobs=13, resources=2, timeslots=10, penalties=True)
-    with pytest.raises(BudgetExceeded):
+    # 13 jobs one resource can cover: every one of them touches no gap
+    jobs = tuple(Job(i, 1, 1, 1) for i in range(13))
+    inst = Instance(1, jobs, (Resource(0, 1, 1, 1, 1),))
+    with pytest.raises(BudgetExceeded, match="13 jobs touching no gap .* MAX_PRIZE_JOBS=12"):
         oracle_prize(inst)
+    # 13 jobs, of which only 8 touch no gap of the two resources: it answers
+    inst = generate_uniform(1, jobs=13, resources=2, timeslots=10, penalties=True)
+    plan = CoverPlan(inst.resources, inst.T)
+    assert sum(not plan.touches_gap(j.s, j.e) for j in inst.jobs) == 8
+    assert oracle_prize(inst).total == solve_prize(inst).total
+
+
+def test_oracle_prize_leaves_jobs_touching_a_gap_uncovered():
+    # no resources: all 13 jobs touch a gap, and only their penalties count
+    inst = Instance(1, tuple(Job(i, 1, 1, 1) for i in range(13)), ())
+    res = oracle_prize(inst)
+    assert res.total == 13 and res.solution.covered == frozenset()
 
 
 def test_oracle_prize_outputs_verify():

@@ -34,11 +34,8 @@ from intervalcover.oracle import oracle_prize
 from intervalcover.pipeline import solve_prize
 from intervalcover.reductions import (
     MAX_STYPES,
-    SmfcInstance,
-    SmfcResult,
     build_lspc,
     lift_lspc,
-    lift_smfc,
     lift_split,
     pc_to_smfc,
     smfc_solve_exact,
@@ -361,20 +358,22 @@ def test_lift_lspc_roundtrip_random():
             assert covers(have, job_profile((inst.jobs[j] for j in covered), inst.T))
 
 
+def uncovered(inst, res):
+    """The jobs a prize answer leaves uncovered, the set its search picked."""
+    return frozenset(j.id for j in inst.jobs) - res.solution.covered
+
+
 def test_pc_to_smfc_construction():
+    # the reduction is the instance: its jobs are the once-only class and
+    # its resources the unlimited class
     inst = Instance(2, (Job(0, 1, 2, 5),), (Resource(0, 1, 2, 1, 3),))
-    smfc = pc_to_smfc(inst)
-    assert smfc.T == 2
-    assert smfc.jobs is inst.jobs
-    assert smfc.m_types == inst.resources
+    assert pc_to_smfc(inst) is inst
 
 
 def test_pc_to_smfc_empty_jobs():
     inst = Instance(2, (), (Resource(0, 1, 2, 1, 3),))
-    smfc = pc_to_smfc(inst)
-    assert not smfc.jobs
-    res = smfc_solve_exact(smfc)
-    assert res.cost == 0 and not res.s_selected and not res.m_counts
+    res = smfc_solve_exact(pc_to_smfc(inst))
+    assert res.total == 0 and res.solution == PartialSolution({}, frozenset())
 
 
 def test_pc_to_smfc_demand_matches_profile():
@@ -382,47 +381,43 @@ def test_pc_to_smfc_demand_matches_profile():
     # picked jobs, one unit each, and the resource copies cover it
     for seed in range(30):
         inst = generate_uniform(seed, jobs=6, resources=4, timeslots=9, penalties=True)
-        smfc = pc_to_smfc(inst)
-        assert smfc == SmfcInstance(inst.T, inst.jobs, inst.resources)
-        res = smfc_solve_exact(smfc)
-        have = multiset_profile(res.m_counts, inst.resources, inst.T)
-        picked = job_profile((inst.jobs[i] for i in res.s_selected), inst.T)
+        res = smfc_solve_exact(pc_to_smfc(inst))
+        have = multiset_profile(res.solution.counts, inst.resources, inst.T)
+        picked = job_profile((inst.jobs[i] for i in uncovered(inst, res)), inst.T)
         assert covers(tuple(map(sum, zip(have, picked))), job_profile(inst.jobs, inst.T))
 
 
-def brute_force_smfc(smfc, max_copies=6):
+def brute_force_smfc(inst, max_copies=6):
     """Flat enumeration over (once-only subset) x (bounded copy vectors)."""
     best = INFEASIBLE
-    mbounds = [max_copies] * len(smfc.m_types)
-    demand = job_profile(smfc.jobs, smfc.T)
-    for bits in range(1 << len(smfc.jobs)):
-        chosen = [j for i, j in enumerate(smfc.jobs) if bits >> i & 1]
+    mbounds = [max_copies] * len(inst.resources)
+    demand = job_profile(inst.jobs, inst.T)
+    for bits in range(1 << len(inst.jobs)):
+        chosen = [j for i, j in enumerate(inst.jobs) if bits >> i & 1]
         scost = sum(j.penalty for j in chosen)
         for vec in itertools.product(*(range(b + 1) for b in mbounds)):
             ok = True
-            for t in range(1, smfc.T + 1):
+            for t in range(1, inst.T + 1):
                 cap = sum(1 for j in chosen if j.s <= t <= j.e)
-                cap += sum(n * r.w for n, r in zip(vec, smfc.m_types) if r.s <= t <= r.e)
+                cap += sum(n * r.w for n, r in zip(vec, inst.resources) if r.s <= t <= r.e)
                 if cap < demand[t - 1]:
                     ok = False
                     break
             if ok:
-                cost = scost + sum(n * r.c for n, r in zip(vec, smfc.m_types))
+                cost = scost + sum(n * r.c for n, r in zip(vec, inst.resources))
                 best = min(best, cost)
     return best
 
 
 def test_smfc_zero_demand():
-    smfc = SmfcInstance(2, (), ())
-    res = smfc_solve_exact(smfc)
-    assert res.cost == 0 and not res.s_selected and not res.m_counts
+    res = smfc_solve_exact(Instance(2, (), ()))
+    assert res.total == 0 and res.solution == PartialSolution({}, frozenset())
 
 
 def test_smfc_two_branch_minimum():
-    smfc = SmfcInstance(2, (Job(0, 1, 2, 5),), (Resource(0, 1, 2, 1, 3),))
-    res = smfc_solve_exact(smfc)
-    assert res.cost == 3
-    assert not res.s_selected and res.m_counts == {0: 1}
+    res = smfc_solve_exact(Instance(2, (Job(0, 1, 2, 5),), (Resource(0, 1, 2, 1, 3),)))
+    assert res.total == 3
+    assert res.solution == PartialSolution({0: 1}, frozenset({0}))
 
 
 def test_smfc_matches_flat_enumeration():
@@ -434,33 +429,34 @@ def test_smfc_matches_flat_enumeration():
             s = rnd.randint(1, T)
             e = rnd.randint(s, T)
             jobs.append(Job(i, s, e, rnd.randint(0, 8)))
-        m_types = []
+        resources = []
         for i in range(rnd.randint(0, 3)):
             s = rnd.randint(1, T)
             e = rnd.randint(s, T)
-            m_types.append(Resource(i, s, e, rnd.randint(1, 3), rnd.randint(0, 8)))
-        smfc = SmfcInstance(T, tuple(jobs), tuple(m_types))
-        assert smfc_solve_exact(smfc).cost == brute_force_smfc(smfc)
+            resources.append(Resource(i, s, e, rnd.randint(1, 3), rnd.randint(0, 8)))
+        inst = Instance(T, tuple(jobs), tuple(resources))
+        assert smfc_solve_exact(inst).total == brute_force_smfc(inst)
 
 
-def plain_smfc(smfc):
+def plain_smfc(inst):
     """Reference for smfc_solve_exact: every set of picked jobs in (size,
     lexicographic) order, each completed by an uncut full cover; only a
-    strictly smaller total replaces the best. Also counts the subsets
-    whose total tied the best at the time."""
-    best = SmfcResult(INFEASIBLE, frozenset(), {})
+    strictly smaller total replaces the best. Returns the best (total,
+    picked job ids, cover counts) and the number of subsets whose total
+    tied the best at the time."""
+    best = (INFEASIBLE, frozenset(), {})
     ties = 0
     memo = {}
-    n = len(smfc.jobs)
-    plan = CoverPlan(smfc.m_types, smfc.T)
+    n = len(inst.jobs)
+    plan = CoverPlan(inst.resources, inst.T)
     for size in range(n + 1):
         for subset in itertools.combinations(range(n), size):
-            scost = sum(smfc.jobs[i].penalty for i in subset)
-            if scost > best.cost:
+            scost = sum(inst.jobs[i].penalty for i in subset)
+            if scost > best[0]:
                 continue
-            residual = list(job_profile(smfc.jobs, smfc.T))
+            residual = list(job_profile(inst.jobs, inst.T))
             for i in subset:
-                j = smfc.jobs[i]
+                j = inst.jobs[i]
                 for t in range(j.s - 1, j.e):
                     residual[t] -= 1
             key = tuple(max(0, x) for x in residual)
@@ -469,14 +465,16 @@ def plain_smfc(smfc):
             fc = memo[key]
             if not fc.feasible:
                 continue
-            if scost + fc.cost < best.cost:
-                best = SmfcResult(scost + fc.cost, frozenset(subset), fc.counts)
-            elif scost + fc.cost == best.cost:
+            if scost + fc.cost < best[0]:
+                best = (scost + fc.cost, frozenset(subset), fc.counts)
+            elif scost + fc.cost == best[0]:
                 ties += 1
     return best, ties
 
 
 def _random_smfc(rnd):
+    """A prize instance with dense job and resource ids, 0 to 11 jobs and
+    resources in all, over at most 7 slots."""
     T = rnd.randint(1, 7)
     spans = []
     for _ in range(rnd.randint(0, 8) + rnd.randint(0, 3)):
@@ -485,9 +483,9 @@ def _random_smfc(rnd):
     cut = rnd.randint(0, len(spans))
     jobs = tuple(Job(i, s, e, rnd.choice((0, 0, 1, 2, 3, 5)))
                  for i, (s, e) in enumerate(spans[:cut]))
-    m_types = tuple(Resource(i, s, e, rnd.randint(1, 3), rnd.choice((0, 1, 2, 3, 5)))
-                    for i, (s, e) in enumerate(spans[cut:]))
-    return SmfcInstance(T, jobs, m_types)
+    resources = tuple(Resource(i, s, e, rnd.randint(1, 3), rnd.choice((0, 1, 2, 3, 5)))
+                      for i, (s, e) in enumerate(spans[cut:]))
+    return Instance(T, jobs, resources)
 
 
 def test_smfc_tie_break_matches_plain_enumeration(monkeypatch):
@@ -503,15 +501,15 @@ def test_smfc_tie_break_matches_plain_enumeration(monkeypatch):
     rnd = random.Random("smfc-tie-break")
     seen = dict.fromkeys(("dead", "ties", "asked_again", "size_stop"), 0)
     for _ in range(4000):
-        smfc = _random_smfc(rnd)
+        inst = _random_smfc(rnd)
         calls.clear()
-        got = smfc_solve_exact(smfc)
-        want, ties = plain_smfc(smfc)
-        assert (got.cost, got.s_selected, dict(got.m_counts)) == \
-               (want.cost, want.s_selected, dict(want.m_counts)), smfc
+        got = smfc_solve_exact(inst)
+        want, ties = plain_smfc(inst)
+        assert (got.total, uncovered(inst, got), dict(got.solution.counts)) == \
+               (want[0], want[1], dict(want[2])), inst
 
-        live = [any(r.s <= t <= r.e for r in smfc.m_types) for t in range(1, smfc.T + 1)]
-        forced = [i for i, j in enumerate(smfc.jobs)
+        live = [any(r.s <= t <= r.e for r in inst.resources) for t in range(1, inst.T + 1)]
+        forced = [i for i, j in enumerate(inst.jobs)
                   if not all(live[t - 1] for t in range(j.s, j.e + 1))]
         seen["dead"] += bool(forced)
         seen["ties"] += ties > 0
@@ -519,12 +517,12 @@ def test_smfc_tie_break_matches_plain_enumeration(monkeypatch):
         # the number of free jobs reaches the optimum, so smfc_solve_exact
         # stops before the sizes run out (at that number the floor is every
         # penalty, which no optimum exceeds)
-        free_penalties = [j.penalty for i, j in enumerate(smfc.jobs) if i not in forced]
+        free_penalties = [j.penalty for i, j in enumerate(inst.jobs) if i not in forced]
         floor = itertools.accumulate(
             sorted(free_penalties),
-            initial=sum(smfc.jobs[i].penalty for i in forced))
+            initial=sum(inst.jobs[i].penalty for i in forced))
         below_all = itertools.islice(floor, len(free_penalties))
-        seen["size_stop"] += any(f >= got.cost for f in below_all)
+        seen["size_stop"] += any(f >= got.total for f in below_all)
         refused = {}
         for demand, cutoff, feasible in calls:
             if demand in refused and cutoff > refused[demand]:
@@ -540,12 +538,9 @@ def test_solve_prize_matches_plain_enumeration():
     # drops the most prefixes there
     for jobs, seed in [(10, seed) for seed in range(40)] + [(12, seed) for seed in range(10)]:
         inst = generate_uniform(seed, jobs=jobs, resources=4, timeslots=24, penalties=True)
-        smfc = pc_to_smfc(inst)
-        want = plain_smfc(smfc)[0]
+        total, picked, counts = plain_smfc(inst)[0]
         got = solve_prize(inst)
-        lifted = lift_smfc(want, smfc)
-        assert (got.total, got.solution.counts, got.solution.covered) == \
-               (want.cost, lifted.counts, lifted.covered)
+        assert (got.total, got.solution.counts, uncovered(inst, got)) == (total, counts, picked)
 
 
 def test_completion_floor_is_sound(monkeypatch):
@@ -568,9 +563,9 @@ def test_completion_floor_is_sound(monkeypatch):
     rnd = random.Random("smfc-completion-floor")
     seen = dict.fromkeys(("zero_cost", "forced", "pruned", "tight"), 0)
     for _ in range(1000):
-        smfc = _random_smfc(rnd)
+        inst = _random_smfc(rnd)
         nodes.clear()
-        smfc_solve_exact(smfc)
+        smfc_solve_exact(inst)
         cover = {}
         for residual, start, left, stop, value, jobs, free, plan in nodes:
             best = INFEASIBLE
@@ -584,7 +579,7 @@ def test_completion_floor_is_sound(monkeypatch):
                 if key not in cover:
                     cover[key] = full_cover(plan.segment_demand(key), plan).cost
                 best = min(best, sum(jobs[i].penalty for i in extra) + cover[key])
-            assert value <= best, (smfc, residual, start, left)
+            assert value <= best, (inst, residual, start, left)
             # the residual is the profile of the free jobs not yet chosen:
             # never below 0, and 0 in every gap
             assert min(residual) >= 0 and plan.segment_demand(residual) is not None
@@ -598,8 +593,8 @@ def test_completion_floor_is_sound(monkeypatch):
 def test_smfc_instance_validation():
     # capacity 0 would divide by zero in full_cover, a span past T index
     # out of range, and a missing or negative penalty break the cost floor
-    # smfc_solve_exact stops at. SmfcInstance checks nothing itself:
-    # Instance refuses each of these, and pc_to_smfc a missing penalty.
+    # smfc_solve_exact stops at. pc_to_smfc checks only the penalties:
+    # Instance refuses each of the others, and pc_to_smfc a missing one.
     bad = [
         (1, (), (Resource(0, 1, 1, 0, 1),)),
         (2, (), (Resource(0, 1, 3, 1, 1),)),
@@ -616,9 +611,9 @@ def test_smfc_instance_validation():
 def test_smfc_budget_refusal():
     # 20 jobs a resource can cover: every one of them is free
     jobs = tuple(Job(i, 1, 1, 1) for i in range(20))
-    smfc = pc_to_smfc(Instance(1, jobs, (Resource(0, 1, 1, 1, 1),)))
+    inst = pc_to_smfc(Instance(1, jobs, (Resource(0, 1, 1, 1, 1),)))
     with pytest.raises(BudgetExceeded, match="20 free jobs"):
-        smfc_solve_exact(smfc)
+        smfc_solve_exact(inst)
 
 
 def test_prize_cap_counts_only_free_jobs():
@@ -637,35 +632,30 @@ def test_prize_cap_counts_only_free_jobs():
 
 
 def test_lift_smfc_extremes():
+    # every job picked: no cover, every job uncovered
     inst = Instance(2, (Job(0, 1, 1, 2), Job(1, 2, 2, 3)), ())
-    smfc = pc_to_smfc(inst)
-    res = smfc_solve_exact(smfc)
-    assert res.cost == 5  # no resources: pay every penalty
-    sol = lift_smfc(res, smfc)
-    assert sol.covered == frozenset()
-    report = verify_prize(inst, sol)
+    res = smfc_solve_exact(pc_to_smfc(inst))
+    assert res.total == 5  # no resources: pay every penalty
+    assert res.solution == PartialSolution({}, frozenset())
+    report = verify_prize(inst, res.solution)
     assert report.feasible and report.total == 5
 
 
 def test_lift_smfc_nothing_selected_means_full_cover():
     inst = Instance(2, (Job(0, 1, 2, 100), Job(1, 1, 1, 100)),
                     (Resource(0, 1, 2, 2, 3),))
-    smfc = pc_to_smfc(inst)
-    res = smfc_solve_exact(smfc)
-    assert res.cost == 3 and not res.s_selected
-    sol = lift_smfc(res, smfc)
-    assert sol.covered == {0, 1}
-    report = verify_prize(inst, sol)
+    res = smfc_solve_exact(pc_to_smfc(inst))
+    assert res.total == 3 and not uncovered(inst, res)
+    assert res.solution == PartialSolution({0: 1}, frozenset({0, 1}))
+    report = verify_prize(inst, res.solution)
     assert report.feasible and report.total == 3
 
 
 def test_prize_reduction_cost_exact_both_ways():
     for seed in range(60):
         inst = generate_uniform(seed, jobs=7, resources=5, timeslots=10, penalties=True)
-        smfc = pc_to_smfc(inst)
-        res = smfc_solve_exact(smfc)
+        res = smfc_solve_exact(pc_to_smfc(inst))
         ora = oracle_prize(inst)
-        assert res.cost == ora.total
-        sol = lift_smfc(res, smfc)
-        report = verify_prize(inst, sol)
-        assert report.feasible and report.total == res.cost
+        assert res.total == ora.total
+        report = verify_prize(inst, res.solution)
+        assert report.feasible and report.total == res.total
