@@ -16,11 +16,14 @@ unlimited copies, and the instance is solved exactly as a full cover of
 every job. A picked job is a job left uncovered, so the answer is the
 covered set (every job not picked) with the cover of the rest; costs
 match in both directions, so it is exactly optimal. The exact search
-skips the sets of uncovered jobs that cannot be feasible: a job touching
-a slot that no resource covers is always left uncovered. A prefix of the
-walk over the sets of uncovered jobs is dropped once a lower bound on
-every set it starts reaches the best total found so far, and each cover
-of the remaining jobs is pruned against that total.
+walks only the sets of uncovered jobs that can be optimal. A job
+touching a slot that no resource covers (forced) is always left
+uncovered. A job inside one resource that costs less than its penalty
+(settled) is always covered: one copy of that resource replaces leaving
+it uncovered for less. Only the other jobs (free) are enumerated. A
+prefix of that walk is dropped once a lower bound on every set it starts
+reaches the best total found so far, and each cover of the remaining
+jobs is pruned against that total.
 """
 
 from __future__ import annotations

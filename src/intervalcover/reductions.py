@@ -29,9 +29,13 @@ stay available in unlimited copies. A picked job is a job left
 uncovered, so costs transfer exactly in both directions and the exact
 search answers the prize-collecting problem directly: the covered set
 is every job it did not pick. Picking every job covers the demand, so
-every instance has an answer. The exact search always picks the jobs
-touching a slot no resource covers (``CoverPlan.touches_gap``),
-enumerates sets of the other jobs and walks each set size depth first.
+every instance has an answer. The exact search sorts the jobs into three
+classes: it always picks the forced jobs, those touching a slot no
+resource covers (``CoverPlan.touches_gap``); it never picks the settled
+jobs, those inside one resource that costs less than their penalty,
+since a copy of that resource would replace the pick for less; and it
+enumerates sets of the free jobs, all the others, walking each set size
+depth first.
 It drops a prefix, with every set it starts, once a lower bound on its
 completions (the cheapest penalties still to pick plus full cover's
 root bound on the demand left after one unit per job still to pick)
@@ -258,7 +262,8 @@ def _completion_floor(jobs: Sequence[Job], free: Sequence[int], plan: CoverPlan,
     """Cost floors for the prefixes of ``smfc_solve_exact``'s walk.
 
     Built once per instance over the free positions ``free`` and the
-    residual demand ``base`` that the forced jobs leave. Returns
+    residual demand ``base`` that the forced jobs leave (the profile of
+    the free and settled jobs). Returns
     ``(cheap, floor)``. ``cheap[i][m]`` is the sum of the m smallest
     penalties in ``free[i:]``, built in one backward pass over ``free``.
     ``floor(residual, start, left, stop)`` is at most c(E) plus the
@@ -303,15 +308,37 @@ def smfc_solve_exact(inst: Instance) -> PrizeSolveResult:
     minimum wins, with the lexicographically smallest copy vector of its
     cover.
 
-    Sets that cannot be feasible are never visited: forced = the jobs
-    touching a gap (``CoverPlan.touches_gap``). The search runs over
-    ``forced + extra``, with ``extra`` a subset of the free positions,
-    by growing size, and the free jobs' profile is the starting
-    residual. This keeps the visiting order of the feasible sets: for
-    equal-size A and B disjoint from the forced set F, sorted(A + F) <
-    sorted(B + F) exactly when sorted(A) < sorted(B), since both pairs
-    differ first at the smallest element of their symmetric difference.
-    Picking every job leaves no demand, so some set is always feasible.
+    The jobs fall into three classes, and only the free ones are walked:
+
+    - forced: the job touches a gap (``CoverPlan.touches_gap``), so no
+      cover reaches it and every feasible set picks it;
+    - settled: the job touches no gap and lies inside a kept resource r
+      (r.s <= j.s, j.e <= r.e) with r.c < j.penalty, so no optimum picks
+      it;
+    - free: every other job.
+
+    No optimum picks a settled job j: take any set that picks it, un-pick
+    j and add one copy of r. Since r.w >= 1, r covers the unit that j
+    puts back on each of its slots, so the cover stays feasible, and the
+    total falls by j.penalty - r.c > 0. Scanning the kept resources
+    (``plan.order``) is enough: a resource that ``undominated`` drops
+    lies inside a kept one that costs less.
+
+    The search runs over ``forced + extra``, with ``extra`` a subset of
+    the free positions, by growing size; the profile of the free and
+    settled jobs is the starting residual, and a settled job's demand
+    never leaves it. This keeps the visiting order of the sets that
+    remain: for equal-size A and B disjoint from the forced set F,
+    sorted(A + F) < sorted(B + F) exactly when sorted(A) < sorted(B),
+    since both pairs differ first at the smallest element of their
+    symmetric difference. Sets that cannot be feasible (missing a forced
+    job) or cannot be optimal (picking a settled job) are never visited,
+    so the first set in (size, lexicographic) order to reach the minimum
+    is the same with or without them. Its cover is asked for under a
+    cutoff above that minimum, which returns the lexicographically
+    smallest optimal cover whatever the cutoff, so the counts are the
+    same too. Picking every free job leaves the settled jobs' demand,
+    which their resources cover, so some set is always feasible.
 
     Each size is walked depth first, which is the same lexicographic
     order, carrying the cost ``scost`` and the residual demand of the
@@ -327,7 +354,8 @@ def smfc_solve_exact(inst: Instance) -> PrizeSolveResult:
 
     - c(E) >= cheap, since penalties are at least 0;
     - each slot of the final residual is at least ``residual - left``,
-      since each job of E adds one unit to a slot at most;
+      since each job of E takes one unit off a slot at most (the settled
+      jobs' demand only raises the residual, and none is ever taken);
     - ``full_cover``'s root bound, the largest ceil(peak * c / w) over
       the segments of the plan with the cheapest-per-unit resource (c, w)
       of each, is admissible: a cover puts at least the peak of capacity
@@ -353,19 +381,26 @@ def smfc_solve_exact(inst: Instance) -> PrizeSolveResult:
     total the enumeration stops.
 
     Refuses instances with more than ``MAX_STYPES`` free jobs rather than
-    approximating silently.
+    approximating silently; settled jobs do not count against it.
     """
     jobs = inst.jobs
     plan = CoverPlan(inst.resources, inst.T)
+    kept = [plan.resources[p] for p in plan.order]
     forced: list[int] = []
+    settled: list[int] = []
     free: list[int] = []
     for i, j in enumerate(jobs):
-        (forced if plan.touches_gap(j.s, j.e) else free).append(i)
+        if plan.touches_gap(j.s, j.e):
+            forced.append(i)
+        elif any(r.s <= j.s and j.e <= r.e and r.c < j.penalty for r in kept):
+            settled.append(i)
+        else:
+            free.append(i)
     if len(free) > MAX_STYPES:
         raise BudgetExceeded(f"{len(free)} free jobs exceed the subset-enumeration "
                              f"cap MAX_STYPES={MAX_STYPES}")
     # the demand left by the forced and chosen jobs
-    residual = list(job_profile((jobs[i] for i in free), inst.T))
+    residual = list(job_profile((jobs[i] for i in free + settled), inst.T))
     forced_cost = sum(jobs[i].penalty for i in forced)
     # the best total, the free jobs it picked and its cover's counts
     best: Cost = INFEASIBLE

@@ -429,7 +429,8 @@ def test_solve_output_then_verify_round_trip(tmp_path, capsys, problem, extra):
     ("partial", "exact", ("--jobs", "11", "--k", "3"), "MAX_PARTIAL_JOBS=10"),
     ("prize", "exact", ("--jobs", "13", "--penalties"), "MAX_PRIZE_JOBS=12"),
     ("lspc", "exact", None, "MAX_LSPC_CANDIDATES=100000"),
-    ("prize", "approx", ("--jobs", "17", "--penalties"), "MAX_STYPES=16"),
+    ("prize", "approx", ("--jobs", "40", "--resources", "6", "--timeslots", "30", "--penalties"),
+     "MAX_STYPES=16"),
 ])
 def test_solve_refuses_over_a_cap(tmp_path, capsys, problem, algorithm, extra, cap):
     if extra is None:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -499,7 +500,7 @@ def test_smfc_tie_break_matches_plain_enumeration(monkeypatch):
 
     monkeypatch.setattr(reductions, "full_cover", recording_full_cover)
     rnd = random.Random("smfc-tie-break")
-    seen = dict.fromkeys(("dead", "ties", "asked_again", "size_stop"), 0)
+    seen = dict.fromkeys(("dead", "settled", "ties", "asked_again", "size_stop"), 0)
     for _ in range(4000):
         inst = _random_smfc(rnd)
         calls.clear()
@@ -512,6 +513,12 @@ def test_smfc_tie_break_matches_plain_enumeration(monkeypatch):
         forced = [i for i, j in enumerate(inst.jobs)
                   if not all(live[t - 1] for t in range(j.s, j.e + 1))]
         seen["dead"] += bool(forced)
+        # a job inside a resource that costs less than its penalty is
+        # never left uncovered by the winner
+        settled = [j.id for i, j in enumerate(inst.jobs) if i not in forced
+                   and any(r.s <= j.s and j.e <= r.e and r.c < j.penalty for r in inst.resources)]
+        assert set(settled) <= got.solution.covered, inst
+        seen["settled"] += bool(settled)
         seen["ties"] += ties > 0
         # the forced cost plus the cheapest free costs of some size below
         # the number of free jobs reaches the optimum, so smfc_solve_exact
@@ -614,6 +621,24 @@ def test_smfc_budget_refusal():
     inst = pc_to_smfc(Instance(1, jobs, (Resource(0, 1, 1, 1, 1),)))
     with pytest.raises(BudgetExceeded, match="20 free jobs"):
         smfc_solve_exact(inst)
+
+
+def test_settled_jobs_are_covered_without_being_walked():
+    # 40 jobs inside a resource that costs less than each penalty are
+    # settled: covered, never enumerated, and not counted against
+    # MAX_STYPES. Only the 3 jobs at slot 2 are walked; leaving the first
+    # of them uncovered and covering the other two with one copy of
+    # resource 1 beats every other choice there (3 + 4 < 8, 10, 9).
+    settled = tuple(Job(i, 1, 1, 2) for i in range(40))
+    free = tuple(Job(i, 2, 2, 3) for i in range(40, 43))
+    inst = Instance(2, settled + free, (Resource(0, 1, 1, 10, 1), Resource(1, 2, 2, 2, 4)))
+    start = time.perf_counter()
+    res = solve_prize(inst)
+    assert time.perf_counter() - start < 1
+    assert res.total == 4 + 3 + 4
+    assert res.solution == PartialSolution({0: 4, 1: 1}, frozenset(range(40)) | {41, 42})
+    report = verify_prize(inst, res.solution)
+    assert report.feasible and report.total == res.total
 
 
 def test_prize_cap_counts_only_free_jobs():
