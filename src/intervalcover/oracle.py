@@ -10,7 +10,7 @@ because a wrong oracle would poison every ratio test built on it.
 
 Each cap counts what its oracle enumerates: MAX_PARTIAL_JOBS and
 MAX_PRIZE_JOBS the jobs whose subsets oracle_partial and oracle_prize
-walk (for oracle_prize, the jobs touching no gap of the resources),
+walk, the jobs touching no gap of the resources,
 MAX_LSPC_CANDIDATES the (coverage profile, short picks) pairs of
 oracle_lspc, counted as the product over t of (d_t + 1)(1 + shorts at t),
 which bounds the profiles it tries as well.
@@ -62,15 +62,17 @@ def _cheapest_subset(plan: CoverPlan, subsets, penalty) -> tuple:
 
 def oracle_partial(inst: Instance) -> SolveResult:
     """True optimum for partial coverage: best full cover over all size-k
-    job subsets."""
+    subsets of the jobs touching no gap of the resources. A job touching
+    a gap has no cover, so every subset holding one is infeasible."""
     if inst.k is None:
         raise ValueError("instance has no partiality parameter k")
-    n = len(inst.jobs)
+    plan = CoverPlan(inst.resources, inst.T)
+    jobs = [j for j in inst.jobs if not plan.touches_gap(j.s, j.e)]
+    n = len(jobs)
     if n > MAX_PARTIAL_JOBS:
-        raise BudgetExceeded(
-            f"{n} jobs exceed the subset-enumeration cap MAX_PARTIAL_JOBS={MAX_PARTIAL_JOBS}")
-    return SolveResult(*_cheapest_subset(CoverPlan(inst.resources, inst.T),
-                                         itertools.combinations(inst.jobs, inst.k),
+        raise BudgetExceeded(f"{n} jobs touching no gap exceed the subset-enumeration "
+                             f"cap MAX_PARTIAL_JOBS={MAX_PARTIAL_JOBS}")
+    return SolveResult(*_cheapest_subset(plan, itertools.combinations(jobs, inst.k),
                                          lambda subset: 0))
 
 

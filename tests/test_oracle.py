@@ -46,11 +46,22 @@ def test_oracle_partial_k_equals_n():
 
 
 def test_oracle_partial_budget_refusal():
+    # every job of these instances touches no gap, so each one counts
     assert MAX_PARTIAL_JOBS == 10
-    oracle_partial(generate_uniform(1, jobs=10, resources=2, k=3))  # at the cap runs
-    inst = generate_uniform(1, jobs=11, resources=2, k=3)
-    with pytest.raises(BudgetExceeded, match="MAX_PARTIAL_JOBS"):
+    oracle_partial(generate_uniform(1, jobs=10, resources=4, k=3))  # at the cap runs
+    inst = generate_uniform(1, jobs=11, resources=4, k=3)
+    with pytest.raises(BudgetExceeded, match="11 jobs touching no gap .* MAX_PARTIAL_JOBS=10"):
         oracle_partial(inst)
+
+
+def test_oracle_partial_cap_counts_only_jobs_touching_no_gap():
+    # the 8 jobs at slot 2 lie in a gap and are never covered, so only the
+    # 3 at slot 1 are enumerated: one 3-subset, one copy of the resource
+    jobs = tuple(Job(i, 1, 1) for i in range(3)) + tuple(Job(i, 2, 2) for i in range(3, 11))
+    inst = Instance(2, jobs, (Resource(0, 1, 1, 3, 1),), k=3)
+    res = oracle_partial(inst)
+    assert res.cost == 1 and res.solution.covered == {0, 1, 2}
+    assert verify_partial(inst, res.solution).feasible
 
 
 def test_oracle_outputs_verify():
