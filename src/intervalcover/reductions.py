@@ -392,8 +392,11 @@ def smfc_solve_exact(inst: Instance) -> PrizeSolveResult:
     for i, j in enumerate(jobs):
         if plan.touches_gap(j.s, j.e):
             forced.append(i)
-        elif any(r.s <= j.s and j.e <= r.e and r.c < j.penalty for r in kept):
-            settled.append(i)
+            continue
+        for r in kept:
+            if r.s <= j.s and j.e <= r.e and r.c < j.penalty:
+                settled.append(i)
+                break
         else:
             free.append(i)
     if len(free) > MAX_STYPES:
