@@ -81,8 +81,6 @@ def _solve_dispatch(problem: str, algorithm: str, inst) -> tuple:
     """Returns (cost, solution or None, certified factor): 1 is optimal,
     None is no certificate."""
     if problem == "partial":
-        if inst.k is None:
-            raise ParseError("k", "partial coverage needs the partiality parameter")
         if algorithm == "exact":
             res = oracle_partial(inst)
             return res.cost, res.solution, 1

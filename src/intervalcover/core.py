@@ -80,6 +80,13 @@ def check_penalties(jobs: Sequence[Job]) -> None:
         raise ValueError("every job needs a penalty for prize collecting")
 
 
+def check_partiality(k: int | None) -> None:
+    """Raise ValueError unless the partiality parameter k is given, as
+    partial coverage needs."""
+    if k is None:
+        raise ValueError("instance has no partiality parameter k")
+
+
 def check_resources(name: str, resources: Sequence[Resource], T: int) -> None:
     """Raise ValueError unless every resource lies within [1, T] and has
     capacity >= 1 and cost >= 0; ``name`` labels the sequence in messages."""
@@ -281,8 +288,7 @@ def _capacity_shortfall(inst: Instance, sol: PartialSolution) -> int | None:
 def verify_partial(inst: Instance, sol: PartialSolution) -> Report:
     """Check a partial-coverage solution: |covered| >= k and the multiset
     profile dominates the covered jobs' profile."""
-    if inst.k is None:
-        raise ValueError("instance has no partiality parameter k")
+    check_partiality(inst.k)
     err = _solution_structure_error(inst, sol)
     if err is not None:
         return Report(False, INFEASIBLE, reason=err)

@@ -27,6 +27,7 @@ from .core import (
     PartialSolution,
     PrizeSolveResult,
     SolveResult,
+    check_partiality,
     check_penalties,
     job_profile,
 )
@@ -64,8 +65,7 @@ def oracle_partial(inst: Instance) -> SolveResult:
     """True optimum for partial coverage: best full cover over all size-k
     subsets of the jobs touching no gap of the resources. A job touching
     a gap has no cover, so every subset holding one is infeasible."""
-    if inst.k is None:
-        raise ValueError("instance has no partiality parameter k")
+    check_partiality(inst.k)
     plan = CoverPlan(inst.resources, inst.T)
     jobs = [j for j in inst.jobs if not plan.touches_gap(j.s, j.e)]
     n = len(jobs)

@@ -16,14 +16,10 @@ unlimited copies, and the instance is solved exactly as a full cover of
 every job. A picked job is a job left uncovered, so the answer is the
 covered set (every job not picked) with the cover of the rest; costs
 match in both directions, so it is exactly optimal. The exact search
-walks only the sets of uncovered jobs that can be optimal. A job
-touching a slot that no resource covers (forced) is always left
-uncovered. A job inside one resource that costs less than its penalty
-(settled) is always covered: one copy of that resource replaces leaving
-it uncovered for less. Only the other jobs (free) are enumerated. A
-prefix of that walk is dropped once a lower bound on every set it starts
-reaches the best total found so far, and each cover of the remaining
-jobs is pruned against that total.
+always leaves uncovered a job touching a slot no resource covers
+(forced), always covers a job inside one resource that costs no more
+than its penalty (settled), and walks sets of the others (free); see
+``reductions.smfc_solve_exact``.
 """
 
 from __future__ import annotations
@@ -38,6 +34,7 @@ from .core import (
     PartialSolution,
     PrizeSolveResult,
     SolveResult,
+    check_partiality,
     is_feasible,
     multiset_cost,
 )
@@ -150,8 +147,7 @@ def solve_partial(inst: Instance) -> PartialSolveResult:
     be within RANGE_FACTOR * L of the optimum, L being the number of
     ranges in the decomposition.
     """
-    if inst.k is None:
-        raise ValueError("instance has no partiality parameter k")
+    check_partiality(inst.k)
     k = inst.k
     if k == 0:
         return PartialSolveResult(0, EMPTY_SOLUTION, 0, 1)

@@ -29,19 +29,11 @@ stay available in unlimited copies. A picked job is a job left
 uncovered, so costs transfer exactly in both directions and the exact
 search answers the prize-collecting problem directly: the covered set
 is every job it did not pick. Picking every job covers the demand, so
-every instance has an answer. The exact search sorts the jobs into three
-classes: it always picks the forced jobs, those touching a slot no
-resource covers (``CoverPlan.touches_gap``); it never picks the settled
-jobs, those inside one resource that costs less than their penalty,
-since a copy of that resource would replace the pick for less; and it
-enumerates sets of the free jobs, all the others, walking each set size
-depth first.
-It drops a prefix, with every set it starts, once a lower bound on its
-completions (the cheapest penalties still to pick plus full cover's
-root bound on the demand left after one unit per job still to pick)
-reaches the best total found so far, prunes each remaining set's cover
-against that total, and stops at the first set size whose cheapest set
-cannot beat it.
+every instance has an answer. The exact search always picks the jobs
+that touch a slot no resource covers (forced), never picks a job inside
+one resource that costs no more than its penalty (settled), and walks
+sets of all the others (free); ``smfc_solve_exact`` gives the walk and
+its bound.
 """
 
 from __future__ import annotations
@@ -258,22 +250,22 @@ def pc_to_smfc(inst: Instance) -> Instance:
 
 def _completion_floor(jobs: Sequence[Job], free: Sequence[int], plan: CoverPlan,
                       base: Sequence[int],
-                      ) -> tuple[list[list[int]], Callable[[Sequence[int], int, int, Cost], Cost]]:
-    """Cost floors for the prefixes of ``smfc_solve_exact``'s walk.
+                      ) -> Callable[[Sequence[int], int, int, Cost], Cost]:
+    """The cost floor for the prefixes of ``smfc_solve_exact``'s walk.
 
     Built once per instance over the free positions ``free`` and the
     residual demand ``base`` that the forced jobs leave (the profile of
-    the free and settled jobs). Returns
-    ``(cheap, floor)``. ``cheap[i][m]`` is the sum of the m smallest
-    penalties in ``free[i:]``, built in one backward pass over ``free``.
-    ``floor(residual, start, left, stop)`` is at most c(E) plus the
-    optimal cover cost of the residual that E leaves, for every E of
-    ``left`` positions from ``free[start:]`` (the argument is in
-    ``smfc_solve_exact``). It takes the segments' estimates one by one,
-    each a floor on its own, and returns as soon as one reaches ``stop``.
-    Picks only lower the residual, so only the segments of ``plan`` that
-    ``base`` leaves positive count, and one whose cheapest resource costs
-    nothing never does.
+    the free and settled jobs). ``floor(residual, start, left, stop)`` is
+    at most c(E) plus the optimal cover cost of the residual that E
+    leaves, for every E of ``left`` positions from ``free[start:]`` (the
+    argument is in ``smfc_solve_exact``). It starts from the sum of the
+    ``left`` smallest penalties in ``free[start:]`` (the rows ``cheap``,
+    built in one backward pass over ``free``) and returns it at once if
+    it reaches ``stop``; else it takes the segments' estimates one by
+    one, each a floor on its own, and returns as soon as one reaches
+    ``stop``. Picks only lower the residual, so only the segments of
+    ``plan`` that ``base`` leaves positive count, and one whose cheapest
+    resource costs nothing never does.
     """
     k = len(free)
     cheap: list[list[int]] = [[0]] * (k + 1)
@@ -285,8 +277,9 @@ def _completion_floor(jobs: Sequence[Job], free: Sequence[int], plan: CoverPlan,
                 if r.c and max(base[a:b]) > 0]
 
     def floor(residual: Sequence[int], start: int, left: int, stop: Cost) -> Cost:
-        low = cheap[start][left]
-        est = low
+        low = est = cheap[start][left]
+        if low >= stop:
+            return low
         for a, b, c, w in segments:
             p = max(residual[a:b]) - left
             if p > 0 and low - (-p * c // w) > est:
@@ -295,7 +288,7 @@ def _completion_floor(jobs: Sequence[Job], free: Sequence[int], plan: CoverPlan,
                     break
         return est
 
-    return cheap, floor
+    return floor
 
 
 def smfc_solve_exact(inst: Instance) -> PrizeSolveResult:
@@ -313,16 +306,17 @@ def smfc_solve_exact(inst: Instance) -> PrizeSolveResult:
     - forced: the job touches a gap (``CoverPlan.touches_gap``), so no
       cover reaches it and every feasible set picks it;
     - settled: the job touches no gap and lies inside a kept resource r
-      (r.s <= j.s, j.e <= r.e) with r.c < j.penalty, so no optimum picks
-      it;
+      (r.s <= j.s, j.e <= r.e) that costs no more than its penalty
+      (r.c <= j.penalty), so the winner never picks it;
     - free: every other job.
 
-    No optimum picks a settled job j: take any set that picks it, un-pick
-    j and add one copy of r. Since r.w >= 1, r covers the unit that j
-    puts back on each of its slots, so the cover stays feasible, and the
-    total falls by j.penalty - r.c > 0. Scanning the kept resources
-    (``plan.order``) is enough: a resource that ``undominated`` drops
-    lies inside a kept one that costs less.
+    The winner never picks a settled job j: take any set that picks it,
+    un-pick j and add one copy of r. Since r.w >= 1, r covers the unit
+    that j puts back on each of its slots, so the cover stays feasible,
+    and the total does not rise. The new set is one smaller, so the walk
+    visits it first, and only a strictly smaller total replaces the best.
+    Scanning the kept resources (``plan.order``) is enough: a resource
+    that ``undominated`` drops lies inside a kept one that costs less.
 
     The search runs over ``forced + extra``, with ``extra`` a subset of
     the free positions, by growing size; the profile of the free and
@@ -332,13 +326,13 @@ def smfc_solve_exact(inst: Instance) -> PrizeSolveResult:
     sorted(A + F) < sorted(B + F) exactly when sorted(A) < sorted(B),
     since both pairs differ first at the smallest element of their
     symmetric difference. Sets that cannot be feasible (missing a forced
-    job) or cannot be optimal (picking a settled job) are never visited,
-    so the first set in (size, lexicographic) order to reach the minimum
-    is the same with or without them. Its cover is asked for under a
-    cutoff above that minimum, which returns the lexicographically
-    smallest optimal cover whatever the cutoff, so the counts are the
-    same too. Picking every free job leaves the settled jobs' demand,
-    which their resources cover, so some set is always feasible.
+    job) or cannot win (picking a settled job) are never visited, so the
+    first set in (size, lexicographic) order to reach the minimum is the
+    same with or without them. Its cover is asked for under a cutoff
+    above that minimum, which returns the lexicographically smallest
+    optimal cover whatever the cutoff, so the counts are the same too.
+    Picking every free job leaves the settled jobs' demand, which their
+    resources cover, so some set is always feasible.
 
     Each size is walked depth first, which is the same lexicographic
     order, carrying the cost ``scost`` and the residual demand of the
@@ -376,10 +370,6 @@ def smfc_solve_exact(inst: Instance) -> PrizeSolveResult:
     that call would refuse at its root bound costs no call. (No demand
     is left in a gap: the forced jobs take all of it.)
 
-    The penalties give a floor for a whole size: ``forced cost + cheap``
-    over all of ``free`` grows with the size, so once it reaches the best
-    total the enumeration stops.
-
     Refuses instances with more than ``MAX_STYPES`` free jobs rather than
     approximating silently; settled jobs do not count against it.
     """
@@ -394,7 +384,7 @@ def smfc_solve_exact(inst: Instance) -> PrizeSolveResult:
             forced.append(i)
             continue
         for r in kept:
-            if r.s <= j.s and j.e <= r.e and r.c < j.penalty:
+            if r.s <= j.s and j.e <= r.e and r.c <= j.penalty:
                 settled.append(i)
                 break
         else:
@@ -409,7 +399,7 @@ def smfc_solve_exact(inst: Instance) -> PrizeSolveResult:
     best: Cost = INFEASIBLE
     best_picked: frozenset[int] = frozenset()
     best_counts: Mapping[int, int] = {}
-    cheap, floor = _completion_floor(jobs, free, plan, residual)
+    floor = _completion_floor(jobs, free, plan, residual)
 
     chosen: list[int] = []
 
@@ -427,8 +417,6 @@ def smfc_solve_exact(inst: Instance) -> PrizeSolveResult:
             j = jobs[i]
             cost = scost + j.penalty
             room = best - cost
-            if cheap[idx + 1][rest] >= room:
-                continue  # no set this prefix starts can win on cost alone
             for t in range(j.s - 1, j.e):
                 residual[t] -= 1
             if floor(residual, idx + 1, rest, room) < room:
@@ -440,8 +428,6 @@ def smfc_solve_exact(inst: Instance) -> PrizeSolveResult:
 
     for size in range(len(free) + 1):
         room = best - forced_cost
-        if cheap[0][size] >= room:
-            break
         if floor(residual, 0, size, room) < room:
             walk(0, size, forced_cost)
     # job ids are their positions; the forced and picked jobs go uncovered

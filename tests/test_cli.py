@@ -485,3 +485,28 @@ def test_prize_without_penalties_has_one_rule(tmp_path, capsys):
             call(inst)
     code, _, err = run(capsys, "solve", "--problem", "prize", "--input", str(path))
     assert code == 1 and err == f"error: {rule}\n"
+
+
+def test_partial_without_k_has_one_rule(tmp_path, capsys):
+    # the solvers, the oracle, the verifier and the CLI's solve and verify
+    # refuse a partial instance without k with the same words
+    from intervalcover.core import PartialSolution, verify_partial
+    from intervalcover.files import emit_solution
+    from intervalcover.oracle import oracle_partial
+    from intervalcover.pipeline import solve_partial
+
+    rule = "instance has no partiality parameter k"
+    path = gen(tmp_path, capsys, "inst.json", "--profile", "uniform-random", "--penalties")
+    inst = parse_instance(path.read_text())
+    assert inst.k is None
+    empty = PartialSolution({}, frozenset())
+    for call in (solve_partial, oracle_partial, lambda inst: verify_partial(inst, empty)):
+        with pytest.raises(ValueError, match=rule):
+            call(inst)
+    sol = tmp_path / "sol.json"
+    sol.write_text(emit_solution("partial", empty, 0))
+    for argv in (("solve", "--problem", "partial", "--algorithm", "approx"),
+                 ("solve", "--problem", "partial", "--algorithm", "exact"),
+                 ("verify", "--solution", str(sol))):
+        code, out, err = run(capsys, *argv, "--input", str(path))
+        assert (code, out, err) == (1, "", f"error: {rule}\n"), argv

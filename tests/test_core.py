@@ -343,18 +343,6 @@ def test_multiset_cost_exact():
     assert multiset_cost({0: 2, 1: 1}, res) == 16
 
 
-def test_no_assert_in_package_source():
-    # python -O strips asserts, so no check the solvers rely on may live in one
-    src = Path(__file__).resolve().parent.parent / "src" / "intervalcover"
-    files = sorted(src.glob("*.py"))
-    assert files
-    found = [f"{path.name}:{node.lineno}"
-             for path in files
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(node, ast.Assert)]
-    assert not found, found
-
-
 def test_only_cli_imports_sys():
     # solvers must not touch interpreter-global state such as the recursion limit
     src = Path(__file__).resolve().parent.parent / "src" / "intervalcover"

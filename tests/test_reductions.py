@@ -513,17 +513,19 @@ def test_smfc_tie_break_matches_plain_enumeration(monkeypatch):
         forced = [i for i, j in enumerate(inst.jobs)
                   if not all(live[t - 1] for t in range(j.s, j.e + 1))]
         seen["dead"] += bool(forced)
-        # a job inside a resource that costs less than its penalty is
+        # a job inside a resource that costs no more than its penalty is
         # never left uncovered by the winner
         settled = [j.id for i, j in enumerate(inst.jobs) if i not in forced
-                   and any(r.s <= j.s and j.e <= r.e and r.c < j.penalty for r in inst.resources)]
+                   and any(r.s <= j.s and j.e <= r.e and r.c <= j.penalty for r in inst.resources)]
         assert set(settled) <= got.solution.covered, inst
         seen["settled"] += bool(settled)
         seen["ties"] += ties > 0
         # the forced cost plus the cheapest free costs of some size below
-        # the number of free jobs reaches the optimum, so smfc_solve_exact
-        # stops before the sizes run out (at that number the floor is every
-        # penalty, which no optimum exceeds)
+        # the number of free jobs reaches the optimum, so the floor at the
+        # root of that size and of every larger one does too, and once the
+        # best is the optimum smfc_solve_exact refuses those sizes at their
+        # root (at that number the floor is every penalty, which no
+        # optimum exceeds)
         free_penalties = [j.penalty for i, j in enumerate(inst.jobs) if i not in forced]
         floor = itertools.accumulate(
             sorted(free_penalties),
@@ -556,19 +558,19 @@ def test_completion_floor_is_sound(monkeypatch):
     nodes = []
 
     def recording_floor(jobs, free, plan, base):
-        cheap, floor = completion_floor(jobs, free, plan, base)
+        floor = completion_floor(jobs, free, plan, base)
 
         def record(residual, start, left, stop):
             value = floor(residual, start, left, stop)
             nodes.append((tuple(residual), start, left, stop, value, jobs, tuple(free), plan))
             return value
 
-        return cheap, record
+        return record
 
     completion_floor = reductions._completion_floor
     monkeypatch.setattr(reductions, "_completion_floor", recording_floor)
     rnd = random.Random("smfc-completion-floor")
-    seen = dict.fromkeys(("zero_cost", "forced", "pruned", "tight"), 0)
+    seen = dict.fromkeys(("zero_cost", "forced", "pruned", "root", "tight"), 0)
     for _ in range(1000):
         inst = _random_smfc(rnd)
         nodes.clear()
@@ -593,6 +595,8 @@ def test_completion_floor_is_sound(monkeypatch):
             seen["zero_cost"] += left > 0 and any(jobs[i].penalty == 0 for i in free[start:])
             seen["forced"] += len(free) < len(jobs)
             seen["pruned"] += value >= stop
+            # a whole set size refused at its root
+            seen["root"] += start == 0 and value >= stop
             seen["tight"] += left > 0 and value == best != INFEASIBLE
     assert all(count >= 50 for count in seen.values()), seen
 
@@ -600,7 +604,7 @@ def test_completion_floor_is_sound(monkeypatch):
 def test_smfc_instance_validation():
     # capacity 0 would divide by zero in full_cover, a span past T index
     # out of range, and a missing or negative penalty break the cost floor
-    # smfc_solve_exact stops at. pc_to_smfc checks only the penalties:
+    # smfc_solve_exact prunes with. pc_to_smfc checks only the penalties:
     # Instance refuses each of the others, and pc_to_smfc a missing one.
     bad = [
         (1, (), (Resource(0, 1, 1, 0, 1),)),
@@ -616,20 +620,23 @@ def test_smfc_instance_validation():
 
 
 def test_smfc_budget_refusal():
-    # 20 jobs a resource can cover: every one of them is free
+    # 20 jobs a resource can cover, each for less than the resource
+    # costs: every one of them is free
     jobs = tuple(Job(i, 1, 1, 1) for i in range(20))
-    inst = pc_to_smfc(Instance(1, jobs, (Resource(0, 1, 1, 1, 1),)))
+    inst = pc_to_smfc(Instance(1, jobs, (Resource(0, 1, 1, 1, 2),)))
     with pytest.raises(BudgetExceeded, match="20 free jobs"):
         smfc_solve_exact(inst)
 
 
-def test_settled_jobs_are_covered_without_being_walked():
-    # 40 jobs inside a resource that costs less than each penalty are
-    # settled: covered, never enumerated, and not counted against
-    # MAX_STYPES. Only the 3 jobs at slot 2 are walked; leaving the first
-    # of them uncovered and covering the other two with one copy of
-    # resource 1 beats every other choice there (3 + 4 < 8, 10, 9).
-    settled = tuple(Job(i, 1, 1, 2) for i in range(40))
+@pytest.mark.parametrize("penalty", [2, 1], ids=["cheaper", "as-cheap"])
+def test_settled_jobs_are_covered_without_being_walked(penalty):
+    # 40 jobs inside a resource that costs no more than each penalty (less
+    # at 2, as much at 1) are settled: covered, never enumerated, and not
+    # counted against MAX_STYPES. Only the 3 jobs at slot 2 are walked;
+    # leaving the first of them uncovered and covering the other two with
+    # one copy of resource 1 beats every other choice there (3 + 4 < 8,
+    # 10, 9).
+    settled = tuple(Job(i, 1, 1, penalty) for i in range(40))
     free = tuple(Job(i, 2, 2, 3) for i in range(40, 43))
     inst = Instance(2, settled + free, (Resource(0, 1, 1, 10, 1), Resource(1, 2, 2, 2, 4)))
     start = time.perf_counter()
@@ -653,7 +660,7 @@ def test_prize_cap_counts_only_free_jobs():
     free = tuple(Job(i, 1, 1, 1) for i in range(MAX_STYPES + 1))
     in_gap = tuple(Job(i, 2, 2, 1) for i in range(MAX_STYPES + 1, MAX_STYPES + 4))
     with pytest.raises(BudgetExceeded, match="17 free jobs .* MAX_STYPES=16"):
-        solve_prize(Instance(2, free + in_gap, (Resource(0, 1, 1, 1, 1),)))
+        solve_prize(Instance(2, free + in_gap, (Resource(0, 1, 1, 1, 2),)))
 
 
 def test_lift_smfc_extremes():
