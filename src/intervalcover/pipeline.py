@@ -3,11 +3,12 @@
 Partial coverage: decompose the jobs into mountain ranges, solve every
 (range, kappa) subproblem, then stitch ranges together with a table over
 "cover kappa jobs using the first q ranges". A range of one mountain is
-priced directly by the single-mountain solver, within 2 of its optimum
-(see ``_RangePipeline``); any other range goes through the split -> collapse
--> long/short pipeline, certified within a factor of 384 of its optimum
-(3 for the narrow/wide split times 8 for pricing shorts via extremal
-exclusion times 16 for the SLRA restriction). Since 2 <= 384, the
+priced directly by the single-mountain solver, within 2 of its optimum,
+over one cover plan of the instance's resources that every such range
+shares (see ``_RangePipeline``); any other range goes through the split
+-> collapse -> long/short pipeline, certified within a factor of 384 of
+its optimum (3 for the narrow/wide split times 8 for pricing shorts via
+extremal exclusion times 16 for the SLRA restriction). Since 2 <= 384, the
 stitched solution is within 384 * L of the overall optimum for L ranges.
 
 Prize collecting: each job may be picked once, as one unit of capacity
@@ -43,7 +44,6 @@ from .lspc import LspcSolver
 from .mountains import MountainRange, decompose
 from .reductions import (
     build_lspc,
-    clip_resources,
     lift_lspc,
     lift_split,
     pc_to_smfc,
@@ -60,46 +60,56 @@ RANGE_FACTOR = 384
 class _RangePipeline:
     """Price one range for every kappa.
 
-    Both paths cut resources by one rule, ``clip_resources``: a resource
-    touching a span is clipped to it and keeps its id, capacity and cost.
-    Capacity outside the span meets no demand there, so clipping keeps
-    the cost of every cover, and every row comes back keyed by the
-    original resource ids.
-
     A range of one mountain is priced directly: ``price_mountain`` solves
-    every kappa over one ``CoverPlan`` of the resources clipped to the
-    mountain's span. Each row is within 2 of the range's optimum for its
-    kappa.
+    every kappa over ``plan``, the ``CoverPlan`` of the instance's
+    resources that ``solve_partial`` builds once and shares among its
+    ranges. Each row is within 2 of the range's optimum for its kappa.
+
+    Those rows are the ones a plan of the resources clipped to the
+    mountain's span (``clip_resources``) would give, bit for bit:
+
+    - A mountain's candidates have no demand outside its span, so a
+      resource that touches no slot of the span always takes 0 copies.
+    - A resource that some other resource beats once both are clipped to
+      the span is in no optimum over the span: the ``undominated`` swap
+      argument, restricted to the span. So both plans have the same
+      optimal copy vectors, and the same lexicographically smallest one,
+      since clipping keeps the resources' input order and ids.
+    - A job touches a gap of the clipped plan exactly when it touches a
+      slot of the span that no resource reaches, which is exactly when
+      it touches a gap of the instance plan.
 
     A direct row never costs more than the row of the split -> collapse
     -> lift path. On one mountain the split leaves every touching resource
-    one part, narrow or wide, equal to its clipped copy, so both paths
-    price over the same intervals, costs and unlimited copies. That
-    path's row for kappa is the narrow multiset of one short's kept set
-    K', which covers K', plus wide capacity W >= kappa - |K'| over the
-    whole span. K' keeps what dropping a start prefix of q1 jobs and then
-    jobs of the falling end order leaves. If |K'| > kappa, the kappa
-    candidate with the same start prefix keeps a subset of K'. Otherwise
-    some kappa candidate C contains K': the one with the same start
-    prefix if q1 <= n - kappa, since it stops earlier in the end order,
-    and the one dropping the start prefix n - kappa if not. Either way
-    that multiset covers a kappa candidate, and ``single_mountain_solve``
-    covers the cheapest candidate exactly, so the direct row is feasible
-    whenever that row is and costs no more.
+    one part, narrow or wide, equal to its copy clipped to the span, so
+    that path prices over the clipped plan's intervals, costs and
+    unlimited copies. Its row for kappa is the narrow multiset of one
+    short's kept set K', which covers K', plus wide capacity
+    W >= kappa - |K'| over the whole span. K' keeps what dropping a
+    start prefix of q1 jobs and then jobs of the falling end order
+    leaves. If |K'| > kappa, the kappa candidate with the same start
+    prefix keeps a subset of K'. Otherwise some kappa candidate C
+    contains K': the one with the same start prefix if q1 <= n - kappa,
+    since it stops earlier in the end order, and the one dropping the
+    start prefix n - kappa if not. Either way that multiset covers a
+    kappa candidate, and ``single_mountain_solve`` covers the cheapest
+    candidate exactly, so the direct row is feasible whenever that row
+    is and costs no more.
 
     Any other range is split, its parts clipped to mountain spans and to
     blocks of spanned mountains, and collapsed once; each kappa is solved
-    on the shared long/short tables and lifted back.
+    on the shared long/short tables and lifted back. Parts keep their
+    resource's id, so every row comes back keyed by the original ids.
+    ``plan`` is not used there.
     """
 
-    def __init__(self, inst: Instance, rng: MountainRange):
+    def __init__(self, inst: Instance, rng: MountainRange, plan: CoverPlan):
         self.inst = inst
         self.rng = rng
         if len(rng.mountains) == 1:
             (m,) = rng.mountains
             mjobs = [inst.jobs[i] for i in sorted(m.job_ids)]
-            clipped = clip_resources(inst.resources, *m.span)
-            self.rows = price_mountain(mjobs, CoverPlan(clipped, inst.T))
+            self.rows = price_mountain(mjobs, plan)
             return
         self.rows = None
         narrows, wides = split_narrow_wide(rng, inst.resources)
@@ -154,10 +164,11 @@ def solve_partial(inst: Instance) -> PartialSolveResult:
 
     decomp = decompose(inst.jobs)
     L = decomp.L
+    plan = CoverPlan(inst.resources, inst.T)
     range_solutions: list[list[SolveResult]] = []
     for rng in decomp.ranges:
-        pipe = _RangePipeline(inst, rng)
-        size = len(rng.job_ids())
+        pipe = _RangePipeline(inst, rng, plan)
+        size = sum(len(m.job_ids) for m in rng.mountains)
         range_solutions.append([pipe.solve(kappa) for kappa in range(min(k, size) + 1)])
 
     # dp[q][kappa]: cheapest way to cover kappa jobs using ranges 1..q

@@ -425,18 +425,27 @@ def test_solve_output_then_verify_round_trip(tmp_path, capsys, problem, extra):
     assert line["cost_recomputed"] == cost
 
 
+# 17 one-slot jobs under a resource dearer than their penalty are free, one
+# above MAX_STYPES; the three in the gap at slot 2 are not
+_FREE_ABOVE_THE_CAP = Instance(2, tuple(Job(i, 1, 1, 1) for i in range(17))
+                               + tuple(Job(i, 2, 2, 1) for i in range(17, 20)),
+                               (Resource(0, 1, 1, 1, 2),))
+
+
 @pytest.mark.parametrize("problem, algorithm, extra, cap", [
     ("partial", "exact", ("--jobs", "11", "--k", "3"), "MAX_PARTIAL_JOBS=10"),
     ("prize", "exact", ("--jobs", "13", "--penalties"), "MAX_PRIZE_JOBS=12"),
     ("lspc", "exact", None, "MAX_LSPC_CANDIDATES=100000"),
-    ("prize", "approx", ("--jobs", "40", "--resources", "6", "--timeslots", "30", "--penalties"),
-     "MAX_STYPES=16"),
+    ("prize", "approx", _FREE_ABOVE_THE_CAP, "MAX_STYPES=16"),
 ])
 def test_solve_refuses_over_a_cap(tmp_path, capsys, problem, algorithm, extra, cap):
     if extra is None:
         inst = tmp_path / "inst.json"
         inst.write_text(json.dumps({"version": 1, "demands": [9] * 8, "shorts": [],
                                     "longs": [{"s": 1, "e": 8, "w": 9, "c": 1}], "k": 1}))
+    elif isinstance(extra, Instance):
+        inst = tmp_path / "inst.json"
+        inst.write_text(emit_instance(extra))
     else:
         inst = gen(tmp_path, capsys, "inst.json", *extra)
     code, out, err = run(capsys, "solve", "--problem", problem, "--algorithm", algorithm,

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -12,24 +13,34 @@ from intervalcover.core import (
     EMPTY_SOLUTION,
     INFEASIBLE,
     Instance,
+    Job,
     PartialSolution,
+    Resource,
     SolveResult,
     is_feasible,
     multiset_cost,
     verify_partial,
     verify_prize,
 )
-from intervalcover.generate import generate_mountain_range, generate_uniform
+from intervalcover.fullcover import CoverPlan
+from intervalcover.generate import generate, generate_mountain_range, generate_uniform
 from intervalcover.lspc import LspcSolver
 from intervalcover.mountains import decompose
 from intervalcover.oracle import oracle_partial, oracle_prize
 from intervalcover.pipeline import RANGE_FACTOR, _RangePipeline, solve_partial, solve_prize
-from intervalcover.reductions import build_lspc, lift_lspc, lift_split, split_narrow_wide
+from intervalcover.reductions import (
+    build_lspc,
+    clip_resources,
+    lift_lspc,
+    lift_split,
+    price_mountain,
+    split_narrow_wide,
+)
 
 
 def test_range_solve_kappa_zero():
     inst, rng = generate_mountain_range(3, mountains=2)
-    res = _RangePipeline(inst, rng).solve(0)
+    res = _RangePipeline(inst, rng, CoverPlan(inst.resources, inst.T)).solve(0)
     assert res.cost == 0 and res.solution.covered == frozenset()
 
 
@@ -40,7 +51,7 @@ def test_range_solve_single_mountain_bound():
         inst, rng = generate_mountain_range(seed, mountains=1, jobs=5, resources=4,
                                             timeslots=8)
         kappa = random.Random(f"rs{seed}").randint(0, len(inst.jobs))
-        res = _RangePipeline(inst, rng).solve(kappa)
+        res = _RangePipeline(inst, rng, CoverPlan(inst.resources, inst.T)).solve(kappa)
         sub = Instance(inst.T, inst.jobs, inst.resources, kappa)
         ora = oracle_partial(sub)
         assert (res.solution is None) == (ora.solution is None)
@@ -56,7 +67,7 @@ def test_range_solve_two_mountains():
         inst, rng = generate_mountain_range(seed, mountains=2, jobs=6, resources=5,
                                             timeslots=12)
         kappa = random.Random(f"rs2{seed}").randint(0, len(inst.jobs))
-        res = _RangePipeline(inst, rng).solve(kappa)
+        res = _RangePipeline(inst, rng, CoverPlan(inst.resources, inst.T)).solve(kappa)
         sub = Instance(inst.T, inst.jobs, inst.resources, kappa)
         ora = oracle_partial(sub)
         assert (res.solution is None) == (ora.solution is None)
@@ -91,7 +102,7 @@ def test_one_mountain_range_is_priced_directly_at_no_more():
         (m,) = rng.mountains
         build = build_lspc(rng, inst.jobs, *split_narrow_wide(rng, inst.resources), inst.T)
         solver = LspcSolver(build.instance)
-        pipe = _RangePipeline(inst, rng)
+        pipe = _RangePipeline(inst, rng, CoverPlan(inst.resources, inst.T))
         size = len(m.job_ids)
         for kappa in range(size + 1):
             res = pipe.solve(kappa)
@@ -115,6 +126,46 @@ def test_one_mountain_range_is_priced_directly_at_no_more():
         with pytest.raises(ValueError):
             solver.solve_for(-1)
     assert rows > 500 and cheaper > 0, (rows, cheaper)
+
+
+@pytest.mark.parametrize("profile", ["uniform-random", "single-mountain", "mountain-range"])
+def test_one_mountain_rows_over_the_instance_plan_equal_the_clipped_plans(profile):
+    # every one-mountain range is priced over the instance's plan; its rows
+    # equal those over the resources clipped to the mountain's span
+    rnd = random.Random(f"shared-plan:{profile}")
+    ranges = beaten = 0
+    for seed in range(120):
+        inst = generate(profile, seed, jobs=rnd.randint(1, 10), resources=rnd.randint(0, 8),
+                        timeslots=rnd.randint(6, 30), max_w=rnd.randint(1, 3),
+                        max_c=rnd.randint(0, 10))
+        plan = CoverPlan(inst.resources, inst.T)
+        for rng in decompose(inst.jobs).ranges:
+            if len(rng.mountains) != 1:
+                continue
+            (m,) = rng.mountains
+            s, e = m.span
+            mjobs = [inst.jobs[i] for i in sorted(m.job_ids)]
+            clipped = CoverPlan(clip_resources(inst.resources, s, e), inst.T)
+            assert price_mountain(mjobs, plan) == price_mountain(mjobs, clipped), (seed, m)
+            ranges += 1
+            touching = [p for p in plan.order
+                        if inst.resources[p].s <= e and s <= inst.resources[p].e]
+            beaten += len(clipped.order) < len(touching)
+    # on many ranges the instance plan keeps a resource that another one
+    # beats once both are clipped, so the two plans differ where it counts
+    assert ranges > 200 and beaten > 50, (ranges, beaten)
+
+
+def test_a_sparse_instance_deeper_than_the_level_cap_answers():
+    # 1200 one-slot resources beat none of each other, so the shared plan
+    # has 1200 levels; the mountains' demand reaches only the first four
+    T = 1200
+    inst = Instance(T, (Job(0, 1, 1), Job(1, 1, 4)),
+                    tuple(Resource(i, i + 1, i + 1, 1, 1) for i in range(T)), 2)
+    start = time.perf_counter()
+    res = solve_partial(inst)
+    assert time.perf_counter() - start < 1
+    assert res.cost == 5 and res.solution.counts == {0: 2, 1: 1, 2: 1, 3: 1}
 
 
 def test_solve_partial_k0():
@@ -142,7 +193,8 @@ def test_solve_partial_single_range_equals_range_solve():
         # so compare against the solver's own decomposition instead
         decomp = decompose(inst.jobs)
         if inst.k > 0 and decomp.L == 1:
-            direct = _RangePipeline(inst, decomp.ranges[0]).solve(inst.k)
+            plan = CoverPlan(inst.resources, inst.T)
+            direct = _RangePipeline(inst, decomp.ranges[0], plan).solve(inst.k)
             assert res.cost == direct.cost
 
 
@@ -180,8 +232,9 @@ def test_solve_partial_sandwich_and_dp_soundness():
         ranges = decompose(inst.jobs).ranges if k > 0 else ()  # k = 0 solves no range
         assert len(ranges) == L
         range_costs = []
+        plan = CoverPlan(inst.resources, inst.T)
         for rng in ranges:
-            pipe = _RangePipeline(inst, rng)
+            pipe = _RangePipeline(inst, rng, plan)
             range_costs.append([pipe.solve(kappa).cost
                                 for kappa in range(min(k, len(rng.job_ids())) + 1)])
         # per-range covered sets are disjoint and the emitted union matches
