@@ -109,8 +109,6 @@ from .core import INFEASIBLE, BudgetExceeded, Cost, Resource, check_resources, u
 # The search recurses once per level (kept resource), on top of its
 # callers' frames, so a plan with more levels would hit Python's default
 # recursion limit of 1000 mid-search; such a search is refused instead.
-# Once a plan is deeper than the cap, only the levels whose span carries
-# positive demand count: the others take no copies and are not searched.
 MAX_LEVELS = 500
 
 
@@ -272,11 +270,6 @@ def full_cover(demand: Sequence[int] | None, plan: CoverPlan,
         return FullCoverResult({}, 0)
 
     resources, levels = plan.resources, plan.levels
-    if len(levels) > MAX_LEVELS:
-        # A level with no positive demand on its span takes lo = hi = 0
-        # copies, and the last resource covering each positive segment
-        # stays, so the search without such levels returns the same cover.
-        levels = tuple(lv for lv in levels if max(demand[lv[3]:lv[4]]) > 0)
     depth = len(levels)
     if depth > MAX_LEVELS:
         raise BudgetExceeded(f"{depth} kept resources exceed the search depth cap "

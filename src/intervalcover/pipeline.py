@@ -4,12 +4,14 @@ Partial coverage: decompose the jobs into mountain ranges, solve every
 (range, kappa) subproblem, then stitch ranges together with a table over
 "cover kappa jobs using the first q ranges". A range of one mountain is
 priced directly by the single-mountain solver, within 2 of its optimum,
-over one cover plan of the instance's resources that every such range
-shares (see ``_RangePipeline``); any other range goes through the split
--> collapse -> long/short pipeline, certified within a factor of 384 of
-its optimum (3 for the narrow/wide split times 8 for pricing shorts via
-extremal exclusion times 16 for the SLRA restriction). Since 2 <= 384, the
-stitched solution is within 384 * L of the overall optimum for L ranges.
+over a cover plan of the resources clipped to its span or, when at least
+half of the resources touch that span, over one plan of them all that
+such ranges share (see ``_RangePipeline`` and ``_shares_plan``); any
+other range goes through the split -> collapse -> long/short pipeline,
+certified within a factor of 384 of its optimum (3 for the narrow/wide
+split times 8 for pricing shorts via extremal exclusion times 16 for the
+SLRA restriction). Since 2 <= 384, the stitched solution is within
+384 * L of the overall optimum for L ranges.
 
 Prize collecting: each job may be picked once, as one unit of capacity
 over its interval priced at its penalty, beside the resources in
@@ -39,11 +41,12 @@ from .core import (
     is_feasible,
     multiset_cost,
 )
-from .fullcover import CoverPlan
+from .fullcover import MAX_LEVELS, CoverPlan
 from .lspc import LspcSolver
 from .mountains import MountainRange, decompose
 from .reductions import (
     build_lspc,
+    clip_resources,
     lift_lspc,
     lift_split,
     pc_to_smfc,
@@ -61,12 +64,14 @@ class _RangePipeline:
     """Price one range for every kappa.
 
     A range of one mountain is priced directly: ``price_mountain`` solves
-    every kappa over ``plan``, the ``CoverPlan`` of the instance's
-    resources that ``solve_partial`` builds once and shares among its
-    ranges. Each row is within 2 of the range's optimum for its kappa.
+    every kappa over one ``CoverPlan``, ``plan`` when given, else one of
+    the resources clipped to the mountain's span (``clip_resources``: a
+    resource touching the span is cut to it and keeps its id, capacity
+    and cost). Each row is within 2 of the range's optimum for its kappa.
 
-    Those rows are the ones a plan of the resources clipped to the
-    mountain's span (``clip_resources``) would give, bit for bit:
+    ``solve_partial`` passes one plan of all the instance's resources to
+    every one-mountain range it shares it with. The rows over it are the
+    clipped plan's, bit for bit:
 
     - A mountain's candidates have no demand outside its span, so a
       resource that touches no slot of the span always takes 0 copies.
@@ -81,20 +86,19 @@ class _RangePipeline:
 
     A direct row never costs more than the row of the split -> collapse
     -> lift path. On one mountain the split leaves every touching resource
-    one part, narrow or wide, equal to its copy clipped to the span, so
-    that path prices over the clipped plan's intervals, costs and
-    unlimited copies. Its row for kappa is the narrow multiset of one
-    short's kept set K', which covers K', plus wide capacity
-    W >= kappa - |K'| over the whole span. K' keeps what dropping a
-    start prefix of q1 jobs and then jobs of the falling end order
-    leaves. If |K'| > kappa, the kappa candidate with the same start
-    prefix keeps a subset of K'. Otherwise some kappa candidate C
-    contains K': the one with the same start prefix if q1 <= n - kappa,
-    since it stops earlier in the end order, and the one dropping the
-    start prefix n - kappa if not. Either way that multiset covers a
-    kappa candidate, and ``single_mountain_solve`` covers the cheapest
-    candidate exactly, so the direct row is feasible whenever that row
-    is and costs no more.
+    one part, narrow or wide, equal to its clipped copy, so both paths
+    price over the same intervals, costs and unlimited copies. That
+    path's row for kappa is the narrow multiset of one short's kept set
+    K', which covers K', plus wide capacity W >= kappa - |K'| over the
+    whole span. K' keeps what dropping a start prefix of q1 jobs and then
+    jobs of the falling end order leaves. If |K'| > kappa, the kappa
+    candidate with the same start prefix keeps a subset of K'. Otherwise
+    some kappa candidate C contains K': the one with the same start
+    prefix if q1 <= n - kappa, since it stops earlier in the end order,
+    and the one dropping the start prefix n - kappa if not. Either way
+    that multiset covers a kappa candidate, and ``single_mountain_solve``
+    covers the cheapest candidate exactly, so the direct row is feasible
+    whenever that row is and costs no more.
 
     Any other range is split, its parts clipped to mountain spans and to
     blocks of spanned mountains, and collapsed once; each kappa is solved
@@ -103,12 +107,14 @@ class _RangePipeline:
     ``plan`` is not used there.
     """
 
-    def __init__(self, inst: Instance, rng: MountainRange, plan: CoverPlan):
+    def __init__(self, inst: Instance, rng: MountainRange, plan: CoverPlan | None = None):
         self.inst = inst
         self.rng = rng
         if len(rng.mountains) == 1:
             (m,) = rng.mountains
             mjobs = [inst.jobs[i] for i in sorted(m.job_ids)]
+            if plan is None:
+                plan = CoverPlan(clip_resources(inst.resources, *m.span), inst.T)
             self.rows = price_mountain(mjobs, plan)
             return
         self.rows = None
@@ -149,6 +155,25 @@ class PartialSolveResult:
     bound_factor: int
 
 
+def _shares_plan(inst: Instance, span: tuple[int, int]) -> bool:
+    """Whether a one-mountain range over ``span`` is priced over the plan
+    of all the instance's resources rather than its own clipped plan.
+
+    Both give the same rows (see ``_RangePipeline``). The shared plan is
+    built once per instance, but a range searches all its levels, also
+    those of resources off the span. So it is taken only when at least
+    half of the m resources touch the span: its m levels and at most
+    2m + 1 segments then stay within twice the touching resources and
+    the segments they can cut, which bound the clipped plan, and its one
+    build, quadratic in m, within four times the clipped plan's. With m
+    at most ``MAX_LEVELS`` it is never deeper than the search takes, so
+    it answers every range the clipped plan answers.
+    """
+    s, e = span
+    touching = sum(1 for r in inst.resources if r.s <= e and s <= r.e)
+    return len(inst.resources) <= min(2 * touching, MAX_LEVELS)
+
+
 def solve_partial(inst: Instance) -> PartialSolveResult:
     """Cover at least k jobs of the instance at small cost.
 
@@ -164,9 +189,14 @@ def solve_partial(inst: Instance) -> PartialSolveResult:
 
     decomp = decompose(inst.jobs)
     L = decomp.L
-    plan = CoverPlan(inst.resources, inst.T)
+    shared = None  # the instance's plan, built for the first range that takes it
     range_solutions: list[list[SolveResult]] = []
     for rng in decomp.ranges:
+        plan = None
+        if len(rng.mountains) == 1 and _shares_plan(inst, rng.mountains[0].span):
+            if shared is None:
+                shared = CoverPlan(inst.resources, inst.T)
+            plan = shared
         pipe = _RangePipeline(inst, rng, plan)
         size = sum(len(m.job_ids) for m in rng.mountains)
         range_solutions.append([pipe.solve(kappa) for kappa in range(min(k, size) + 1)])

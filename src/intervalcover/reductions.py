@@ -21,8 +21,9 @@ into real coverage; the short itself holds its mountain and kappa.
 prepared once for all of them by ``mountains.candidate_exclusions``: one
 sort by start, one by falling end, each job's segment row and gap flag.
 It takes any plan: here the mountain's narrow parts; for a range of one
-mountain, which is not split, the unclipped instance resources, whose
-plan ``pipeline.solve_partial`` builds once for all such ranges.
+mountain, which is not split, the resources clipped to its span, or the
+plan of all the instance's resources that ``pipeline.solve_partial``
+shares among such ranges (see ``pipeline._shares_plan``).
 
 Prize-collecting side: covering all jobs with an escape hatch per job.
 The reduction leaves the instance as it is. The demand is the jobs' own

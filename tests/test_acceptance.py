@@ -301,14 +301,13 @@ def test_criterion_8_reduction_roundtrips(partial_runs):
         for idx, (inst, result, exact) in enumerate(runs):
             if not 0 < inst.k <= len(inst.jobs):
                 continue  # solve_partial returns before decomposing
-            plan = CoverPlan(inst.resources, inst.T)
             for rng in decompose(inst.jobs).ranges:
                 # the reductions are built here for every range, also for
                 # the one-mountain ranges that _RangePipeline prices directly
                 narrows, wides = split_narrow_wide(rng, inst.resources)
                 build = build_lspc(rng, inst.jobs, narrows, wides, inst.T)
                 solver = LspcSolver(build.instance)
-                pipe = _RangePipeline(inst, rng, plan)
+                pipe = _RangePipeline(inst, rng)
                 for short, priced in zip(build.instance.shorts, build.short_solutions,
                                          strict=True):
                     assert short.w == len(priced.covered), (idx, short.id)

@@ -399,18 +399,6 @@ def test_search_deeper_than_the_level_cap_is_refused():
             full_cover((1,) * n, plan)
 
 
-def test_levels_without_demand_do_not_count_against_the_cap():
-    # a plan deeper than the cap is searched over the levels whose span
-    # carries demand: here 3 of 600, each one segment of its own
-    n = 600
-    plan = CoverPlan(tuple(Resource(i, i + 1, i + 1, 1, 1) for i in range(n)), n)
-    assert len(plan.levels) == n > MAX_LEVELS
-    demand = [0] * n
-    demand[0], demand[299], demand[n - 1] = 2, 1, 3
-    assert full_cover(demand, plan) == FullCoverResult({0: 2, 299: 1, n - 1: 3}, 6)
-    assert full_cover(demand, plan, 6) == INFEASIBLE_COVER
-
-
 def test_plan_rejects_bad_resources():
     for r in (Resource(0, 1, 3, 1, 1), Resource(0, 0, 1, 1, 1),
               Resource(0, 1, 2, 0, 1), Resource(0, 1, 2, 1, -1)):

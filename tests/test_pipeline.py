@@ -3,12 +3,12 @@
 import itertools
 import json
 import random
-import time
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from intervalcover import pipeline
 from intervalcover.core import (
     EMPTY_SOLUTION,
     INFEASIBLE,
@@ -22,7 +22,7 @@ from intervalcover.core import (
     verify_partial,
     verify_prize,
 )
-from intervalcover.fullcover import CoverPlan
+from intervalcover.fullcover import MAX_LEVELS, CoverPlan
 from intervalcover.generate import generate, generate_mountain_range, generate_uniform
 from intervalcover.lspc import LspcSolver
 from intervalcover.mountains import decompose
@@ -40,7 +40,7 @@ from intervalcover.reductions import (
 
 def test_range_solve_kappa_zero():
     inst, rng = generate_mountain_range(3, mountains=2)
-    res = _RangePipeline(inst, rng, CoverPlan(inst.resources, inst.T)).solve(0)
+    res = _RangePipeline(inst, rng).solve(0)
     assert res.cost == 0 and res.solution.covered == frozenset()
 
 
@@ -51,7 +51,7 @@ def test_range_solve_single_mountain_bound():
         inst, rng = generate_mountain_range(seed, mountains=1, jobs=5, resources=4,
                                             timeslots=8)
         kappa = random.Random(f"rs{seed}").randint(0, len(inst.jobs))
-        res = _RangePipeline(inst, rng, CoverPlan(inst.resources, inst.T)).solve(kappa)
+        res = _RangePipeline(inst, rng).solve(kappa)
         sub = Instance(inst.T, inst.jobs, inst.resources, kappa)
         ora = oracle_partial(sub)
         assert (res.solution is None) == (ora.solution is None)
@@ -67,7 +67,7 @@ def test_range_solve_two_mountains():
         inst, rng = generate_mountain_range(seed, mountains=2, jobs=6, resources=5,
                                             timeslots=12)
         kappa = random.Random(f"rs2{seed}").randint(0, len(inst.jobs))
-        res = _RangePipeline(inst, rng, CoverPlan(inst.resources, inst.T)).solve(kappa)
+        res = _RangePipeline(inst, rng).solve(kappa)
         sub = Instance(inst.T, inst.jobs, inst.resources, kappa)
         ora = oracle_partial(sub)
         assert (res.solution is None) == (ora.solution is None)
@@ -102,7 +102,7 @@ def test_one_mountain_range_is_priced_directly_at_no_more():
         (m,) = rng.mountains
         build = build_lspc(rng, inst.jobs, *split_narrow_wide(rng, inst.resources), inst.T)
         solver = LspcSolver(build.instance)
-        pipe = _RangePipeline(inst, rng, CoverPlan(inst.resources, inst.T))
+        pipe = _RangePipeline(inst, rng)
         size = len(m.job_ids)
         for kappa in range(size + 1):
             res = pipe.solve(kappa)
@@ -130,7 +130,7 @@ def test_one_mountain_range_is_priced_directly_at_no_more():
 
 @pytest.mark.parametrize("profile", ["uniform-random", "single-mountain", "mountain-range"])
 def test_one_mountain_rows_over_the_instance_plan_equal_the_clipped_plans(profile):
-    # every one-mountain range is priced over the instance's plan; its rows
+    # a one-mountain range may be priced over the instance's plan; its rows
     # equal those over the resources clipped to the mountain's span
     rnd = random.Random(f"shared-plan:{profile}")
     ranges = beaten = 0
@@ -156,16 +156,59 @@ def test_one_mountain_rows_over_the_instance_plan_equal_the_clipped_plans(profil
     assert ranges > 200 and beaten > 50, (ranges, beaten)
 
 
-def test_a_sparse_instance_deeper_than_the_level_cap_answers():
-    # 1200 one-slot resources beat none of each other, so the shared plan
-    # has 1200 levels; the mountains' demand reaches only the first four
-    T = 1200
-    inst = Instance(T, (Job(0, 1, 1), Job(1, 1, 4)),
-                    tuple(Resource(i, i + 1, i + 1, 1, 1) for i in range(T)), 2)
-    start = time.perf_counter()
+def _plans_built(monkeypatch) -> list[CoverPlan]:
+    """Record every plan solve_partial builds for its one-mountain ranges."""
+    built = []
+
+    def record(resources, T):
+        built.append(CoverPlan(resources, T))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "CoverPlan", record)
+    return built
+
+
+def test_a_range_shares_the_instance_plan_when_half_the_resources_touch_it(monkeypatch):
+    # the jobs lie in two length categories, so in two one-mountain ranges:
+    # 1 of the 3 resources touches slot 1, 2 of them touch slots 2..3
+    inst = Instance(4, (Job(0, 1, 1), Job(1, 2, 3)),
+                    (Resource(0, 1, 2, 1, 1), Resource(1, 2, 3, 1, 1), Resource(2, 4, 4, 1, 1)), 2)
+    built = _plans_built(monkeypatch)
     res = solve_partial(inst)
-    assert time.perf_counter() - start < 1
-    assert res.cost == 5 and res.solution.counts == {0: 2, 1: 1, 2: 1, 3: 1}
+    assert res.num_ranges == 2 and res.cost == 2 and res.solution.counts == {0: 1, 1: 1}
+    assert sorted(len(plan.resources) for plan in built) == [1, 3]
+
+
+@pytest.mark.parametrize("T, jobs, widths, k, cost, plans", [
+    # two jobs under 1200 one-slot resources, over plans of the 1 and 4
+    # resources under them
+    (1200, ((1, 1), (1, 4)), 1, 2, 5, [1, 4]),
+    # seven single-job mountains 1..64 slots long under 300 two-slot resources
+    (600, tuple((1 + 80 * i, 80 * i + 2 ** i) for i in range(7)), 2, 5, 16,
+     [1, 1, 2, 4, 8, 16, 32]),
+])
+def test_a_sparse_instance_builds_plans_of_the_resources_under_each_mountain(
+        monkeypatch, T, jobs, widths, k, cost, plans):
+    inst = Instance(T, tuple(Job(i, s, e) for i, (s, e) in enumerate(jobs)),
+                    tuple(Resource(i, widths * i + 1, widths * i + widths, 1, 1)
+                          for i in range(T // widths)), k)
+    built = _plans_built(monkeypatch)
+    res = solve_partial(inst)
+    assert res.cost == cost and len(res.solution.covered) == k
+    assert sorted(len(plan.resources) for plan in built) == plans
+
+
+def test_a_mountain_under_more_resources_than_the_level_cap_is_priced_clipped(monkeypatch):
+    # 600 nested resources beat none of each other, but once clipped to the
+    # one slot of the job the cheapest beats them all; a shared plan would
+    # be deeper than the search takes
+    n = MAX_LEVELS + 100
+    inst = Instance(n + 1, (Job(0, n + 1, n + 1),),
+                    tuple(Resource(i, n + 1 - i, n + 1, 1, i + 1) for i in range(n)), 1)
+    built = _plans_built(monkeypatch)
+    res = solve_partial(inst)
+    assert res.cost == 1 and res.solution.counts == {0: 1}
+    assert [len(plan.order) for plan in built] == [1]
 
 
 def test_solve_partial_k0():
@@ -193,8 +236,7 @@ def test_solve_partial_single_range_equals_range_solve():
         # so compare against the solver's own decomposition instead
         decomp = decompose(inst.jobs)
         if inst.k > 0 and decomp.L == 1:
-            plan = CoverPlan(inst.resources, inst.T)
-            direct = _RangePipeline(inst, decomp.ranges[0], plan).solve(inst.k)
+            direct = _RangePipeline(inst, decomp.ranges[0]).solve(inst.k)
             assert res.cost == direct.cost
 
 
@@ -232,9 +274,8 @@ def test_solve_partial_sandwich_and_dp_soundness():
         ranges = decompose(inst.jobs).ranges if k > 0 else ()  # k = 0 solves no range
         assert len(ranges) == L
         range_costs = []
-        plan = CoverPlan(inst.resources, inst.T)
         for rng in ranges:
-            pipe = _RangePipeline(inst, rng, plan)
+            pipe = _RangePipeline(inst, rng)
             range_costs.append([pipe.solve(kappa).cost
                                 for kappa in range(min(k, len(rng.job_ids())) + 1)])
         # per-range covered sets are disjoint and the emitted union matches
