@@ -108,14 +108,11 @@ def _verify(problem: str, inst, sol, cost: int) -> tuple[bool, dict]:
     if problem == "lspc":
         report = verify_lspc(inst, sol)
         recomputed, reason_key, reason = report.cost, "violated_clause", report.violated_clause
-    elif problem == "prize":
-        report = verify_prize(inst, sol)
-        recomputed, reason_key, reason = report.total, "reason", report.reason
     else:
         if problem == "fullcover":
             inst = replace(inst, k=len(inst.jobs))
-        report = verify_partial(inst, sol)
-        recomputed, reason_key, reason = report.cost, "reason", report.reason
+        report = (verify_prize if problem == "prize" else verify_partial)(inst, sol)
+        recomputed, reason_key, reason = report.total, "reason", report.reason
     detail = {"feasible": report.feasible,
               "cost_recomputed": recomputed if is_feasible(recomputed) else None}
     if reason:

@@ -24,10 +24,20 @@ from itertools import accumulate
 from typing import Iterable, Mapping, Sequence, Union
 
 MAX_TIMESLOTS = 100_000
+MAX_CANDIDATES = 100_000  # cap on what any exact enumeration walks
 
 
 class BudgetExceeded(RuntimeError):
     """An exact solver refused to run because its search budget was exceeded."""
+
+
+def check_candidates(count: int, what: str) -> None:
+    """Raise BudgetExceeded if an exact enumeration would walk more than
+    MAX_CANDIDATES; a count too long to print is shown by its power of 2."""
+    if count > MAX_CANDIDATES:
+        shown = count if count.bit_length() <= 64 else f"over 2^{count.bit_length() - 1}"
+        raise BudgetExceeded(f"{shown} {what} exceed the enumeration cap "
+                             f"MAX_CANDIDATES={MAX_CANDIDATES}")
 
 
 INFEASIBLE = math.inf
@@ -61,6 +71,14 @@ class Resource:
     e: int
     w: int
     c: int
+
+
+def check_dense_ids(name: str, items: Sequence) -> None:
+    """Raise ValueError unless each item's id equals its position;
+    ``name`` labels the sequence in messages."""
+    for i, item in enumerate(items):
+        if item.id != i:
+            raise ValueError(f"{name}[{i}] has id {item.id}, expected dense id {i}")
 
 
 def check_jobs(name: str, jobs: Sequence[Job], T: int) -> None:
@@ -138,13 +156,9 @@ class Instance:
     def __post_init__(self):
         if not 1 <= self.T <= MAX_TIMESLOTS:
             raise ValueError(f"T must be in [1, {MAX_TIMESLOTS}], got {self.T}")
-        for i, j in enumerate(self.jobs):
-            if j.id != i:
-                raise ValueError(f"jobs[{i}] has id {j.id}, expected dense id {i}")
+        check_dense_ids("jobs", self.jobs)
         check_jobs("jobs", self.jobs, self.T)
-        for i, r in enumerate(self.resources):
-            if r.id != i:
-                raise ValueError(f"resources[{i}] has id {r.id}, expected dense id {i}")
+        check_dense_ids("resources", self.resources)
         check_resources("resources", self.resources, self.T)
         if self.k is not None and not 0 <= self.k <= len(self.jobs):
             raise ValueError(f"k={self.k} not in [0, {len(self.jobs)}]")
@@ -247,20 +261,18 @@ def first_uncovered_slot(p1: Sequence[int], p2: Sequence[int]) -> int | None:
 
 @dataclass(frozen=True, slots=True)
 class Report:
+    """A partial or prize verdict: ``total`` adds the penalties of the
+    uncovered jobs (0 for partial coverage) to the resource ``cost``."""
+
     feasible: bool
     cost: Cost
     reason: str | None = None
     violated_slot: int | None = None
+    penalty: int = 0
 
-
-@dataclass(frozen=True, slots=True)
-class PrizeReport:
-    feasible: bool
-    resource_cost: Cost
-    penalty_total: int
-    total: Cost
-    reason: str | None = None
-    violated_slot: int | None = None
+    @property
+    def total(self) -> Cost:
+        return self.cost + self.penalty
 
 
 def _solution_structure_error(inst: Instance, sol: PartialSolution) -> str | None:
@@ -285,33 +297,29 @@ def _capacity_shortfall(inst: Instance, sol: PartialSolution) -> int | None:
     return first_uncovered_slot(have, need)
 
 
+def _verify(inst: Instance, sol: PartialSolution, k: int, penalty: int) -> Report:
+    """Check that ``sol`` is well formed and has at least k covered jobs,
+    all within its capacity; ``penalty`` prices the jobs it leaves out."""
+    err = _solution_structure_error(inst, sol)
+    if err is not None:
+        return Report(False, INFEASIBLE, reason=err)
+    reason = bad = None
+    if len(sol.covered) < k:
+        reason = f"covers {len(sol.covered)} jobs, needs {k}"
+    elif (bad := _capacity_shortfall(inst, sol)) is not None:
+        reason = "capacity below demand"
+    return Report(reason is None, multiset_cost(sol.counts, inst.resources), reason, bad, penalty)
+
+
 def verify_partial(inst: Instance, sol: PartialSolution) -> Report:
     """Check a partial-coverage solution: |covered| >= k and the multiset
     profile dominates the covered jobs' profile."""
     check_partiality(inst.k)
-    err = _solution_structure_error(inst, sol)
-    if err is not None:
-        return Report(False, INFEASIBLE, reason=err)
-    cost = multiset_cost(sol.counts, inst.resources)
-    if len(sol.covered) < inst.k:
-        return Report(False, cost, reason=f"covers {len(sol.covered)} jobs, needs {inst.k}")
-    bad = _capacity_shortfall(inst, sol)
-    if bad is not None:
-        return Report(False, cost, reason="capacity below demand", violated_slot=bad)
-    return Report(True, cost)
+    return _verify(inst, sol, inst.k, 0)
 
 
-def verify_prize(inst: Instance, sol: PartialSolution) -> PrizeReport:
+def verify_prize(inst: Instance, sol: PartialSolution) -> Report:
     """Check a prize-collecting solution and total its cost: resource cost
     plus the penalties of every job left uncovered."""
     check_penalties(inst.jobs)
-    err = _solution_structure_error(inst, sol)
-    if err is not None:
-        return PrizeReport(False, INFEASIBLE, 0, INFEASIBLE, reason=err)
-    rcost = multiset_cost(sol.counts, inst.resources)
-    penalty = sum(j.penalty for j in inst.jobs if j.id not in sol.covered)
-    bad = _capacity_shortfall(inst, sol)
-    if bad is not None:
-        return PrizeReport(False, rcost, penalty, rcost + penalty,
-                           reason="capacity below demand", violated_slot=bad)
-    return PrizeReport(True, rcost, penalty, rcost + penalty)
+    return _verify(inst, sol, 0, sum(j.penalty for j in inst.jobs if j.id not in sol.covered))

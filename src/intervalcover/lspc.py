@@ -129,7 +129,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import INFEASIBLE, Cost, Resource, check_resources, is_feasible, undominated
+from .core import (INFEASIBLE, Cost, Resource, check_dense_ids, check_resources, is_feasible,
+                   undominated)
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,16 +156,13 @@ class LspcInstance:
             raise ValueError(f"demand profile has length {len(self.d)}, expected {self.T}")
         if any(x < 0 for x in self.d):
             raise ValueError("demands must be non-negative")
+        check_dense_ids("shorts", self.shorts)
         for i, s in enumerate(self.shorts):
-            if s.id != i:
-                raise ValueError(f"shorts[{i}] has id {s.id}, expected dense id {i}")
             if not 1 <= s.t <= self.T:
                 raise ValueError(f"shorts[{i}] slot {s.t} not within [1,{self.T}]")
             if s.w < 1 or s.c < 0:
                 raise ValueError(f"shorts[{i}] needs w >= 1 and c >= 0")
-        for i, r in enumerate(self.longs):
-            if r.id != i:
-                raise ValueError(f"longs[{i}] has id {r.id}, expected dense id {i}")
+        check_dense_ids("longs", self.longs)
         check_resources("longs", self.longs, self.T)
         if not 0 <= self.k <= sum(self.d):
             raise ValueError(f"k={self.k} not in [0, {sum(self.d)}]")

@@ -4,39 +4,37 @@ These exist to check the approximate solvers' bounds; they never feed
 back into the solvers themselves. Each oracle enumerates its whole
 search space (job subsets or coverage profiles) and completes every
 branch with the exact full-cover search, so its answer is the true
-optimum. Caps are hard limits: exceeding one raises BudgetExceeded
-with an explicit message rather than silently truncating the search,
-because a wrong oracle would poison every ratio test built on it.
+optimum. One cap bounds them all: each oracle counts from its input
+what it would walk and hands the count to ``check_candidates``, which
+raises BudgetExceeded above MAX_CANDIDATES with an explicit message
+rather than silently truncating the search, because a wrong oracle
+would poison every ratio test built on it.
 
-Each cap counts what its oracle enumerates: MAX_PARTIAL_JOBS and
-MAX_PRIZE_JOBS the jobs whose subsets oracle_partial and oracle_prize
-walk, the jobs touching no gap of the resources,
-MAX_LSPC_CANDIDATES the (coverage profile, short picks) pairs of
-oracle_lspc, counted as the product over t of (d_t + 1)(1 + shorts at t),
-which bounds the profiles it tries as well.
+oracle_partial counts the C(n, k) subsets of size k of the n jobs
+touching no gap of the resources, oracle_prize the 2^n subsets of those
+n jobs, and oracle_lspc its (coverage profile, short picks) pairs, the
+product over t of (d_t + 1)(1 + shorts at t), which bounds the profiles
+it tries as well.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .core import (
     INFEASIBLE,
-    BudgetExceeded,
     Instance,
     PartialSolution,
     PrizeSolveResult,
     SolveResult,
+    check_candidates,
     check_partiality,
     check_penalties,
     job_profile,
 )
 from .fullcover import CoverPlan, full_cover
 from .lspc import LspcInstance, LspcResult, LspcSolution
-
-MAX_PARTIAL_JOBS = 10
-MAX_PRIZE_JOBS = 12
-MAX_LSPC_CANDIDATES = 100_000
 
 
 def _cheapest_subset(plan: CoverPlan, subsets, penalty) -> tuple:
@@ -68,10 +66,8 @@ def oracle_partial(inst: Instance) -> SolveResult:
     check_partiality(inst.k)
     plan = CoverPlan(inst.resources, inst.T)
     jobs = [j for j in inst.jobs if not plan.touches_gap(j.s, j.e)]
-    n = len(jobs)
-    if n > MAX_PARTIAL_JOBS:
-        raise BudgetExceeded(f"{n} jobs touching no gap exceed the subset-enumeration "
-                             f"cap MAX_PARTIAL_JOBS={MAX_PARTIAL_JOBS}")
+    check_candidates(math.comb(len(jobs), inst.k),
+                     f"{inst.k}-subsets of {len(jobs)} jobs touching no gap")
     return SolveResult(*_cheapest_subset(plan, itertools.combinations(jobs, inst.k),
                                          lambda subset: 0))
 
@@ -97,10 +93,7 @@ def oracle_lspc(inst: LspcInstance) -> LspcResult:
     space = 1
     for dt, options in zip(inst.d, slot_options):
         space *= (dt + 1) * len(options)
-    if space > MAX_LSPC_CANDIDATES:
-        raise BudgetExceeded(
-            f"{space} (coverage profile, short picks) pairs exceed the enumeration cap "
-            f"MAX_LSPC_CANDIDATES={MAX_LSPC_CANDIDATES}")
+    check_candidates(space, "(coverage profile, short picks) pairs")
 
     plan = CoverPlan(inst.longs, inst.T)
     cover_memo: dict[tuple[int, ...] | None, object] = {}  # keyed by segment demand
@@ -137,9 +130,7 @@ def oracle_prize(inst: Instance) -> PrizeSolveResult:
     plan = CoverPlan(inst.resources, inst.T)
     jobs = [j for j in inst.jobs if not plan.touches_gap(j.s, j.e)]
     n = len(jobs)
-    if n > MAX_PRIZE_JOBS:
-        raise BudgetExceeded(f"{n} jobs touching no gap exceed the subset-enumeration "
-                             f"cap MAX_PRIZE_JOBS={MAX_PRIZE_JOBS}")
+    check_candidates(1 << n, f"subsets of {n} jobs touching no gap")
     total_penalty = sum(j.penalty for j in inst.jobs)
     best_cost, best = _cheapest_subset(
         plan, ([jobs[i] for i in range(n) if mask >> i & 1] for mask in range(1 << n)),

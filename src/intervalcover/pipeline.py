@@ -10,8 +10,11 @@ such ranges share (see ``_RangePipeline`` and ``_shares_plan``); any
 other range goes through the split -> collapse -> long/short pipeline,
 certified within a factor of 384 of its optimum (3 for the narrow/wide
 split times 8 for pricing shorts via extremal exclusion times 16 for the
-SLRA restriction). Since 2 <= 384, the stitched solution is within
-384 * L of the overall optimum for L ranges.
+SLRA restriction). If an optimum covers kappa_q jobs of range q, the
+stitched cost is at most the sum of the rows for kappa_q, and each row
+is within its range's factor of that range's optimum, which is at most
+the overall one. So the factor is 2 per one-mountain range plus 384 per
+other range, at most 384 * L for L ranges.
 
 Prize collecting: each job may be picked once, as one unit of capacity
 over its interval priced at its penalty, beside the resources in
@@ -150,8 +153,8 @@ class PartialSolveResult:
     cost: Cost
     solution: PartialSolution | None
     num_ranges: int
-    # certified approximation factor: RANGE_FACTOR * num_ranges, and 1 for
-    # k = 0, where the empty solution is optimal
+    # certified approximation factor: 2 per one-mountain range plus
+    # RANGE_FACTOR per other range, and 1 for k = 0 (the empty solution)
     bound_factor: int
 
 
@@ -179,8 +182,8 @@ def solve_partial(inst: Instance) -> PartialSolveResult:
 
     The emitted solution is the union of per-range solutions chosen by
     a table over (ranges used, jobs covered); its cost is certified to
-    be within RANGE_FACTOR * L of the optimum, L being the number of
-    ranges in the decomposition.
+    be within ``bound_factor`` of the optimum: 2 per one-mountain range
+    plus RANGE_FACTOR per other range of the decomposition.
     """
     check_partiality(inst.k)
     k = inst.k
@@ -189,6 +192,7 @@ def solve_partial(inst: Instance) -> PartialSolveResult:
 
     decomp = decompose(inst.jobs)
     L = decomp.L
+    factor = sum(2 if len(rng.mountains) == 1 else RANGE_FACTOR for rng in decomp.ranges)
     shared = None  # the instance's plan, built for the first range that takes it
     range_solutions: list[list[SolveResult]] = []
     for rng in decomp.ranges:
@@ -223,7 +227,7 @@ def solve_partial(inst: Instance) -> PartialSolveResult:
 
     final = dp[L][k]
     if not is_feasible(final):
-        return PartialSolveResult(INFEASIBLE, None, L, RANGE_FACTOR * L)
+        return PartialSolveResult(INFEASIBLE, None, L, factor)
 
     counts: dict[int, int] = {}
     covered: set[int] = set()
@@ -236,7 +240,7 @@ def solve_partial(inst: Instance) -> PartialSolveResult:
         covered |= sol.covered
         kappa -= kp
     solution = PartialSolution(counts, frozenset(covered))
-    return PartialSolveResult(final, solution, L, RANGE_FACTOR * L)
+    return PartialSolveResult(final, solution, L, factor)
 
 
 def solve_prize(inst: Instance) -> PrizeSolveResult:

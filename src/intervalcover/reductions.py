@@ -49,7 +49,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
     INFEASIBLE,
-    BudgetExceeded,
     Cost,
     Instance,
     Job,
@@ -57,6 +56,7 @@ from .core import (
     PrizeSolveResult,
     Resource,
     SolveResult,
+    check_candidates,
     check_penalties,
     covers,
     job_profile,
@@ -65,8 +65,6 @@ from .core import (
 from .fullcover import CoverPlan, full_cover
 from .lspc import LspcInstance, LspcSolution, ShortResource
 from .mountains import MountainRange, candidate_exclusions, single_mountain_solve
-
-MAX_STYPES = 16  # cap on the free jobs whose subsets smfc_solve_exact enumerates
 
 
 def clip_resources(resources: Sequence[Resource], s: int, e: int) -> list[Resource]:
@@ -374,8 +372,9 @@ def smfc_solve_exact(inst: Instance) -> PrizeSolveResult:
     that call would refuse at its root bound costs no call. (No demand
     is left in a gap: the forced jobs take all of it.)
 
-    Refuses instances with more than ``MAX_STYPES`` free jobs rather than
-    approximating silently; settled jobs do not count against it.
+    Refuses an instance whose 2^f sets of its f free jobs exceed
+    ``MAX_CANDIDATES`` rather than approximating silently; forced and
+    settled jobs do not count against it.
     """
     jobs = inst.jobs
     plan = CoverPlan(inst.resources, inst.T)
@@ -393,9 +392,7 @@ def smfc_solve_exact(inst: Instance) -> PrizeSolveResult:
                 break
         else:
             free.append(i)
-    if len(free) > MAX_STYPES:
-        raise BudgetExceeded(f"{len(free)} free jobs exceed the subset-enumeration "
-                             f"cap MAX_STYPES={MAX_STYPES}")
+    check_candidates(1 << len(free), f"sets of {len(free)} free jobs")
     # the demand left by the forced and chosen jobs
     residual = list(job_profile((jobs[i] for i in free + settled), inst.T))
     forced_cost = sum(jobs[i].penalty for i in forced)

@@ -325,7 +325,7 @@ def test_ratio_fails_when_the_approximation_beats_the_optimum(capsys, monkeypatc
                         lambda inst: replace(oracle(inst), cost=oracle(inst).cost + 1))
     code, stdout, _ = run(capsys, "ratio", "--problem", "partial", "--seeds", "1..1")
     assert code == 1
-    assert stdout == ("1\tapprox=1\texact=2\tratio=1/2\t(0.500000)\tbound=1536\n"
+    assert stdout == ("1\tapprox=1\texact=2\tratio=1/2\t(0.500000)\tbound=8\n"
                       "max-ratio 1/2 (0.500000)\n")
 
 
@@ -425,33 +425,33 @@ def test_solve_output_then_verify_round_trip(tmp_path, capsys, problem, extra):
     assert line["cost_recomputed"] == cost
 
 
-# 17 one-slot jobs under a resource dearer than their penalty are free, one
-# above MAX_STYPES; the three in the gap at slot 2 are not
+# 17 one-slot jobs under a resource dearer than their penalty touch no gap
+# and are free, 2^17 sets, one job above what MAX_CANDIDATES allows; the
+# three in the gap at slot 2 are not counted
 _FREE_ABOVE_THE_CAP = Instance(2, tuple(Job(i, 1, 1, 1) for i in range(17))
                                + tuple(Job(i, 2, 2, 1) for i in range(17, 20)),
                                (Resource(0, 1, 1, 1, 2),))
 
 
-@pytest.mark.parametrize("problem, algorithm, extra, cap", [
-    ("partial", "exact", ("--jobs", "11", "--k", "3"), "MAX_PARTIAL_JOBS=10"),
-    ("prize", "exact", ("--jobs", "13", "--penalties"), "MAX_PRIZE_JOBS=12"),
-    ("lspc", "exact", None, "MAX_LSPC_CANDIDATES=100000"),
-    ("prize", "approx", _FREE_ABOVE_THE_CAP, "MAX_STYPES=16"),
-])
-def test_solve_refuses_over_a_cap(tmp_path, capsys, problem, algorithm, extra, cap):
+@pytest.mark.parametrize("problem, algorithm, extra, counted", [
+    ("partial", "exact", Instance(1, tuple(Job(i, 1, 1) for i in range(20)),
+                                  (Resource(0, 1, 1, 1, 1),), 9),
+     "167960 9-subsets of 20 jobs touching no gap"),
+    ("prize", "exact", _FREE_ABOVE_THE_CAP, "131072 subsets of 17 jobs touching no gap"),
+    ("lspc", "exact", None, "100000000 (coverage profile, short picks) pairs"),
+    ("prize", "approx", _FREE_ABOVE_THE_CAP, "131072 sets of 17 free jobs"),
+], ids=["partial-exact", "prize-exact", "lspc-exact", "prize-approx"])
+def test_solve_refuses_over_a_cap(tmp_path, capsys, problem, algorithm, extra, counted):
+    inst = tmp_path / "inst.json"
     if extra is None:
-        inst = tmp_path / "inst.json"
         inst.write_text(json.dumps({"version": 1, "demands": [9] * 8, "shorts": [],
                                     "longs": [{"s": 1, "e": 8, "w": 9, "c": 1}], "k": 1}))
-    elif isinstance(extra, Instance):
-        inst = tmp_path / "inst.json"
-        inst.write_text(emit_instance(extra))
     else:
-        inst = gen(tmp_path, capsys, "inst.json", *extra)
+        inst.write_text(emit_instance(extra))
     code, out, err = run(capsys, "solve", "--problem", problem, "--algorithm", algorithm,
                          "--input", str(inst))
     assert code == 1 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and cap in err
+    assert err == f"error: {counted} exceed the enumeration cap MAX_CANDIDATES=100000\n"
 
 
 def test_solve_refuses_a_full_cover_deeper_than_its_cap(tmp_path, capsys):

@@ -14,12 +14,14 @@ from hypothesis import given, strategies as st
 import intervalcover
 from intervalcover.core import (
     INFEASIBLE,
+    MAX_CANDIDATES,
+    BudgetExceeded,
     Instance,
     Job,
     PartialSolution,
-    PrizeReport,
     Report,
     Resource,
+    check_candidates,
     covers,
     is_feasible,
     job_profile,
@@ -301,19 +303,22 @@ _SHORT_AT_2 = ({0: 1}, {0, 1})  # one copy of [1,3] for two jobs at slot 2
     (*_SHORT_AT_2, Report(False, 2, reason="capacity below demand", violated_slot=2)),
 ])
 def test_verify_partial_rejections(counts, covered, want):
-    assert verify_partial(_VERIFY_INST, _VERIFY_SOL) == Report(True, 5)
-    assert verify_partial(_VERIFY_INST, PartialSolution(counts, frozenset(covered))) == want
+    valid = verify_partial(_VERIFY_INST, _VERIFY_SOL)
+    assert valid == Report(True, 5) and valid.total == 5  # partial coverage has no penalty
+    report = verify_partial(_VERIFY_INST, PartialSolution(counts, frozenset(covered)))
+    assert report == want and report.total == want.cost
 
 
 @pytest.mark.parametrize("counts, covered, want", [
-    *((c, cv, PrizeReport(False, INFEASIBLE, 0, INFEASIBLE, reason=r))
-      for c, cv, r in _STRUCTURE_BREAKS),
-    (*_SHORT_AT_2, PrizeReport(False, 2, 6, 8, reason="capacity below demand",
-                               violated_slot=2)),
+    *((c, cv, Report(False, INFEASIBLE, reason=r)) for c, cv, r in _STRUCTURE_BREAKS),
+    (*_SHORT_AT_2, Report(False, 2, reason="capacity below demand", violated_slot=2,
+                          penalty=6)),
 ])
 def test_verify_prize_rejections(counts, covered, want):
-    assert verify_prize(_VERIFY_INST, _VERIFY_SOL) == PrizeReport(True, 5, 6, 11)
-    assert verify_prize(_VERIFY_INST, PartialSolution(counts, frozenset(covered))) == want
+    valid = verify_prize(_VERIFY_INST, _VERIFY_SOL)
+    assert valid == Report(True, 5, penalty=6) and valid.total == 11
+    report = verify_prize(_VERIFY_INST, PartialSolution(counts, frozenset(covered)))
+    assert report == want and report.total == want.cost + want.penalty
 
 
 def test_verifiers_refuse_instances_without_their_parameter():
@@ -336,6 +341,21 @@ def test_instance_validation():
         make_instance(3, [(1, 2)], [], k=2)
     with pytest.raises(ValueError):
         Instance(0, (), ())
+    # ids must equal positions, one rule for jobs and resources
+    with pytest.raises(ValueError, match=r"jobs\[1\] has id 2, expected dense id 1"):
+        Instance(3, (Job(0, 1, 1), Job(2, 1, 1)), ())
+    with pytest.raises(ValueError, match=r"resources\[0\] has id 1, expected dense id 0"):
+        Instance(3, (), (Resource(1, 1, 3, 1, 1),))
+
+
+def test_candidate_cap_refuses_above_it_only():
+    check_candidates(MAX_CANDIDATES, "sets")
+    with pytest.raises(BudgetExceeded,
+                       match=r"^100001 sets exceed the enumeration cap MAX_CANDIDATES=100000$"):
+        check_candidates(MAX_CANDIDATES + 1, "sets")
+    # a count past Python's digit limit for printing ints is shown by its power of 2
+    with pytest.raises(BudgetExceeded, match=r"^over 2\^20000 sets exceed"):
+        check_candidates(1 << 20000, "sets")
 
 
 def test_multiset_cost_exact():

@@ -221,6 +221,11 @@ def test_instance_validation():
                           ((1, 3, 1, 1), r"longs\[0\] interval \[1,3\] not within \[1,2\]")]:
         with pytest.raises(ValueError, match=message):
             _inst([1, 1], [], [long], 1)
+    # ids must equal positions, with the rule and messages of Instance
+    with pytest.raises(ValueError, match=r"shorts\[0\] has id 1, expected dense id 0"):
+        LspcInstance(1, (1,), (ShortResource(1, 1, 1, 1),), (), 0)
+    with pytest.raises(ValueError, match=r"longs\[0\] has id 3, expected dense id 0"):
+        LspcInstance(1, (1,), (), (Resource(3, 1, 1, 1, 1),), 0)
 
 
 def test_solver_reusable_across_targets():

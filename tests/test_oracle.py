@@ -4,11 +4,13 @@ import itertools
 import json
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from intervalcover.core import (
+    MAX_CANDIDATES,
     BudgetExceeded,
     Instance,
     Job,
@@ -20,15 +22,8 @@ from intervalcover.core import (
 from intervalcover.fullcover import CoverPlan, full_cover
 from intervalcover.generate import generate_lspc, generate_uniform
 from intervalcover.lspc import LspcInstance, LspcSolution, ShortResource, verify_lspc
-from intervalcover.oracle import (
-    MAX_LSPC_CANDIDATES,
-    MAX_PARTIAL_JOBS,
-    _coverage_profiles,
-    oracle_lspc,
-    oracle_partial,
-    oracle_prize,
-)
-from intervalcover.pipeline import solve_prize
+from intervalcover.oracle import _coverage_profiles, oracle_lspc, oracle_partial, oracle_prize
+from intervalcover.pipeline import solve_partial, solve_prize
 
 
 def test_oracle_partial_k0():
@@ -45,13 +40,30 @@ def test_oracle_partial_k_equals_n():
     assert res.cost == fc.cost
 
 
+def _refuses_fast(call, inst, message):
+    """``call(inst)`` raises BudgetExceeded with ``message`` within 1 s."""
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded, match=f"^{message} exceed the enumeration cap "
+                                             f"MAX_CANDIDATES=100000$"):
+        call(inst)
+    assert time.monotonic() - start < 1
+
+
 def test_oracle_partial_budget_refusal():
-    # every job of these instances touches no gap, so each one counts
-    assert MAX_PARTIAL_JOBS == 10
-    oracle_partial(generate_uniform(1, jobs=10, resources=4, k=3))  # at the cap runs
+    # one-slot jobs under one resource touch no gap, so each one counts:
+    # at k = 1 there are as many subsets as jobs
+    assert MAX_CANDIDATES == 100_000
+    jobs = tuple(Job(i, 1, 1) for i in range(MAX_CANDIDATES + 1))
+    res = (Resource(0, 1, 1, 1, 1),)
+    assert oracle_partial(Instance(1, jobs[:-1], res, k=1)).cost == 1  # at the cap runs
+    _refuses_fast(oracle_partial, Instance(1, jobs, res, k=1),
+                  r"100001 1-subsets of 100001 jobs touching no gap")
+    _refuses_fast(oracle_partial, Instance(1, jobs[:20], res, k=9),
+                  r"167960 9-subsets of 20 jobs touching no gap")
+    # 11 jobs at k = 3 are 165 subsets
     inst = generate_uniform(1, jobs=11, resources=4, k=3)
-    with pytest.raises(BudgetExceeded, match="11 jobs touching no gap .* MAX_PARTIAL_JOBS=10"):
-        oracle_partial(inst)
+    ora, approx = oracle_partial(inst), solve_partial(inst)
+    assert ora.cost <= approx.cost <= approx.bound_factor * ora.cost
 
 
 def test_oracle_partial_cap_counts_only_jobs_touching_no_gap():
@@ -94,9 +106,13 @@ def test_oracle_lspc_k0():
 
 
 def test_oracle_lspc_budget_refusal():
-    inst = LspcInstance(8, (9,) * 8, (), (Resource(0, 1, 8, 9, 1),), 1)
-    with pytest.raises(BudgetExceeded):
-        oracle_lspc(inst)
+    # one slot of demand d and no shorts: d + 1 coverage profiles
+    inst = LspcInstance(1, (MAX_CANDIDATES - 1,), (), (Resource(0, 1, 1, 1, 1),), 1)
+    assert oracle_lspc(inst).cost == 1  # at the cap runs
+    _refuses_fast(oracle_lspc, replace(inst, d=(MAX_CANDIDATES,)),
+                  r"100001 \(coverage profile, short picks\) pairs")
+    _refuses_fast(oracle_lspc, LspcInstance(8, (9,) * 8, (), (Resource(0, 1, 8, 9, 1),), 1),
+                  r"100000000 \(coverage profile, short picks\) pairs")
 
 
 @pytest.mark.parametrize("inst, candidates", [
@@ -109,11 +125,8 @@ def test_oracle_lspc_budget_refusal():
 ], ids=["many-shorts", "six-slots"])
 def test_oracle_lspc_cap_counts_short_picks(inst, candidates):
     # the cap bounds the whole loop nest, not only the coverage profiles
-    assert candidates > MAX_LSPC_CANDIDATES
-    start = time.monotonic()
-    with pytest.raises(BudgetExceeded, match=f"{candidates} .*MAX_LSPC_CANDIDATES"):
-        oracle_lspc(inst)
-    assert time.monotonic() - start < 1
+    assert candidates > MAX_CANDIDATES
+    _refuses_fast(oracle_lspc, inst, rf"{candidates} \(coverage profile, short picks\) pairs")
 
 
 def test_oracle_prize_trivials():
@@ -135,11 +148,13 @@ def test_oracle_prize_two_branch():
 
 
 def test_oracle_prize_budget_refusal():
-    # 13 jobs one resource can cover: every one of them touches no gap
-    jobs = tuple(Job(i, 1, 1, 1) for i in range(13))
-    inst = Instance(1, jobs, (Resource(0, 1, 1, 1, 1),))
-    with pytest.raises(BudgetExceeded, match="13 jobs touching no gap .* MAX_PRIZE_JOBS=12"):
-        oracle_prize(inst)
+    # jobs one resource can cover: every one of them touches no gap, and
+    # 2^16 <= MAX_CANDIDATES < 2^17
+    jobs = tuple(Job(i, 1, 1, 1) for i in range(17))
+    res = (Resource(0, 1, 1, 1, 2),)
+    assert oracle_prize(Instance(1, jobs[:16], res)).total == 16  # at the cap runs
+    _refuses_fast(oracle_prize, Instance(1, jobs, res),
+                  r"131072 subsets of 17 jobs touching no gap")
     # 13 jobs, of which only 8 touch no gap of the two resources: it answers
     inst = generate_uniform(1, jobs=13, resources=2, timeslots=10, penalties=True)
     plan = CoverPlan(inst.resources, inst.T)

@@ -253,26 +253,29 @@ def _best_split(range_costs, k):
     return best
 
 
-def test_solve_partial_sandwich_and_dp_soundness():
+@pytest.mark.parametrize("profile", ["uniform-random", "single-mountain", "mountain-range"])
+def test_solve_partial_sandwich_and_dp_soundness(profile):
     worst = 0.0
     for seed in range(60):
-        inst = generate_uniform(seed, jobs=8, resources=6, timeslots=12)
+        inst = generate(profile, seed, jobs=8, resources=6, timeslots=12)
         res = solve_partial(inst)
         ora = oracle_partial(inst)
         assert (res.solution is None) == (ora.solution is None)
+        k = inst.k
+        ranges = decompose(inst.jobs).ranges if k > 0 else ()  # k = 0 solves no range
+        L = res.num_ranges
+        assert len(ranges) == L
+        # 2 per one-mountain range, priced directly, RANGE_FACTOR per other
+        assert res.bound_factor == (sum(2 if len(rng.mountains) == 1 else RANGE_FACTOR
+                                        for rng in ranges) if k else 1)
         if ora.solution is None:
             continue
-        L = res.num_ranges
-        assert res.bound_factor == (RANGE_FACTOR * L if inst.k else 1)
         assert ora.cost <= res.cost <= res.bound_factor * ora.cost
         report = verify_partial(inst, res.solution)
         assert report.feasible and report.cost == res.cost
         if ora.cost > 0:
             worst = max(worst, res.cost / ora.cost)
 
-        k = inst.k
-        ranges = decompose(inst.jobs).ranges if k > 0 else ()  # k = 0 solves no range
-        assert len(ranges) == L
         range_costs = []
         for rng in ranges:
             pipe = _RangePipeline(inst, rng)

@@ -34,7 +34,6 @@ from intervalcover.mountains import (
 from intervalcover.oracle import oracle_prize
 from intervalcover.pipeline import solve_prize
 from intervalcover.reductions import (
-    MAX_STYPES,
     build_lspc,
     lift_lspc,
     lift_split,
@@ -620,19 +619,24 @@ def test_smfc_instance_validation():
 
 
 def test_smfc_budget_refusal():
-    # 20 jobs a resource can cover, each for less than the resource
-    # costs: every one of them is free
+    # jobs a resource can cover, each for less than the resource costs:
+    # every one of them is free, and 2^16 <= MAX_CANDIDATES < 2^17
     jobs = tuple(Job(i, 1, 1, 1) for i in range(20))
-    inst = pc_to_smfc(Instance(1, jobs, (Resource(0, 1, 1, 1, 2),)))
-    with pytest.raises(BudgetExceeded, match="20 free jobs"):
-        smfc_solve_exact(inst)
+    res = (Resource(0, 1, 1, 1, 2),)
+    assert smfc_solve_exact(pc_to_smfc(Instance(1, jobs[:16], res))).total == 16
+    for n in (17, 20):
+        start = time.monotonic()
+        with pytest.raises(BudgetExceeded, match=f"^{1 << n} sets of {n} free jobs exceed the "
+                                                 f"enumeration cap MAX_CANDIDATES=100000$"):
+            smfc_solve_exact(pc_to_smfc(Instance(1, jobs[:n], res)))
+        assert time.monotonic() - start < 1
 
 
 @pytest.mark.parametrize("penalty", [2, 1], ids=["cheaper", "as-cheap"])
 def test_settled_jobs_are_covered_without_being_walked(penalty):
     # 40 jobs inside a resource that costs no more than each penalty (less
     # at 2, as much at 1) are settled: covered, never enumerated, and not
-    # counted against MAX_STYPES. Only the 3 jobs at slot 2 are walked;
+    # counted against MAX_CANDIDATES. Only the 3 jobs at slot 2 are walked;
     # leaving the first of them uncovered and covering the other two with
     # one copy of resource 1 beats every other choice there (3 + 4 < 8,
     # 10, 9).
@@ -650,16 +654,16 @@ def test_settled_jobs_are_covered_without_being_walked(penalty):
 
 def test_prize_cap_counts_only_free_jobs():
     # jobs touching a gap are always paid for and never enumerated, so
-    # only the free jobs count against MAX_STYPES
+    # only the free jobs count against MAX_CANDIDATES
     gap_only = tuple(Job(i, 1, 1, i + 1) for i in range(20))
     res = solve_prize(Instance(1, gap_only, ()))
     assert res.total == sum(range(1, 21)) and res.solution == PartialSolution({}, frozenset())
     mixed = tuple(Job(i, 1 + i % 2, 1 + i % 2, 1) for i in range(33))  # 17 in the gap, 16 free
     res = solve_prize(Instance(2, mixed, (Resource(0, 2, 2, 16, 5),)))
     assert res.total == 17 + 5 and res.solution.covered == {j.id for j in mixed if j.s == 2}
-    free = tuple(Job(i, 1, 1, 1) for i in range(MAX_STYPES + 1))
-    in_gap = tuple(Job(i, 2, 2, 1) for i in range(MAX_STYPES + 1, MAX_STYPES + 4))
-    with pytest.raises(BudgetExceeded, match="17 free jobs .* MAX_STYPES=16"):
+    free = tuple(Job(i, 1, 1, 1) for i in range(17))
+    in_gap = tuple(Job(i, 2, 2, 1) for i in range(17, 20))
+    with pytest.raises(BudgetExceeded, match="131072 sets of 17 free jobs .* MAX_CANDIDATES="):
         solve_prize(Instance(2, free + in_gap, (Resource(0, 1, 1, 1, 2),)))
 
 
