@@ -46,7 +46,7 @@ from .files import (
 )
 from .fullcover import CoverPlan, full_cover
 from .generate import PROFILES, generate
-from .lspc import LspcSolver, verify_lspc
+from .lspc import SLRA_FACTOR, LspcSolver, verify_lspc
 from .oracle import oracle_lspc, oracle_partial, oracle_prize
 from .pipeline import solve_partial, solve_prize
 
@@ -78,8 +78,7 @@ def _cmd_generate(args) -> int:
 
 
 def _solve_dispatch(problem: str, algorithm: str, inst) -> tuple:
-    """Returns (cost, solution or None, certified factor): 1 is optimal,
-    None is no certificate."""
+    """Returns (cost, solution or None, certified factor): 1 is optimal."""
     if problem == "partial":
         if algorithm == "exact":
             res = oracle_partial(inst)
@@ -91,7 +90,7 @@ def _solve_dispatch(problem: str, algorithm: str, inst) -> tuple:
         return res.total, res.solution, 1  # the reduction is cost-exact
     if problem == "lspc":
         res = oracle_lspc(inst) if algorithm == "exact" else LspcSolver(inst).solve()
-        return res.cost, res.solution, 1 if algorithm == "exact" else None
+        return res.cost, res.solution, 1 if algorithm == "exact" else SLRA_FACTOR
     # fullcover: exact either way (beta = 1)
     plan = CoverPlan(inst.resources, inst.T)
     res = full_cover(plan.segment_demand(job_profile(inst.jobs, inst.T)), plan)
@@ -204,9 +203,9 @@ def _cmd_ratio(args) -> int:
             worst = ratio
         dec = f"{float(ratio):.6f}" if ratio is not None else "inf"
         row = f"{seed}\tapprox={approx_cost}\texact={exact_cost}\tratio={shown}\t({dec})"
-        if factor not in (None, 1):
+        if factor != 1:
             row += f"\tbound={factor}"
-        above = factor is not None and approx_cost > factor * exact_cost
+        above = approx_cost > factor * exact_cost
         if above:
             row += "\tABOVE-FACTOR"
         print(row)

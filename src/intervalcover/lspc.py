@@ -10,25 +10,48 @@ least k_t.
 A solution is an SLRA cover ("single long resource assignment") when at
 every slot one long resource's copies alone can absorb the residual left
 after the slot's short resource. The solver finds the cheapest SLRA
-solution exactly; SLRA solutions are within a constant factor of the
+solution exactly; SLRA solutions are within ``SLRA_FACTOR`` of the
 unrestricted optimum, which is what the callers rely on.
 
-Two tables drive the solver. Both are stored as rows: one list over the
+One table, M, drives the solver. It is stored as rows: one list over the
 residual coverage q = 0..min(k, d_a+...+d_b) per key (range [a,b], free
 height h). Slots whose residual is at most h are already absorbed by a long
-resource chosen at an enclosing level, so they cost nothing here:
+resource chosen at an enclosing level, so they cost nothing here. Slot t's
+price list gamma_t(h) prices q units at t: 0 for q <= h, else the cost of
+the cheapest short at t with w >= q-h, and INFEASIBLE above d_t or with no
+such short. A(a,b,h), the cheapest way to reach q over [a,b] with shorts
+alone, is the min-plus convolution of gamma_a(h), ..., gamma_b(h); the
+proofs below use it as a quantity, and only its one-slot rows, the price
+lists, are stored. With P = max(d_a..d_b) the row's peak, row M(a,b,h) is
+all zero when h >= P (BASEH: every slot is absorbed), and otherwise the
+minimum of
+  E1  shorts alone, on a one-slot row (a = b) only: gamma_a(h)[q],
+  E2  a time cut t: rows M(a,t,h) and M(t+1,b,h) convolved,
+  E3  alpha copies of one long resource that spans all of [a,b]:
+      alpha*c plus row M(a,b,min(P,alpha*w)). From the first alpha with
+      alpha*w >= P on, the range is free and more copies only cost more,
+      so the alpha loop stops there.
 
-  A: cheapest way to reach measure q over [a,b] with shorts alone. Row
-     (a,b,h) is row (a,b-1,h) min-plus convolved with slot b's price
-     list gamma, so a row is built by extending its longest stored
-     prefix row one slot at a time.
-  M: cheapest h-free SLRA q-cover of [a,b]; the minimum of
-     E1  shorts alone (row A(a,b,h)),
-     E2  a time cut t: rows M(a,t,h) and M(t+1,b,h) convolved,
-     E3  alpha copies of one long resource that spans all of [a,b]:
-         alpha*c plus row M(a,b,min(H,alpha*w)). From the first alpha
-         with alpha*w >= H on, the range is free and more copies only cost
-         more, so the alpha loop stops there.
+These are the costs of the SLRA recursion that takes E1 = A(a,b,h)[q] on
+every row, raises E3 to min(H,alpha*w) with H the instance's peak, and
+zeroes only rows with h >= H. By induction over the range length, then
+over h downward from H, each row of one is the row of the other:
+- The clamp. In that recursion a row with P <= h < H is all zero too:
+  E1 prices every slot at 0 there. So raising E3 to min(H,alpha*w) or to
+  min(P,alpha*w) reads equal entries, and past the first alpha with
+  alpha*w >= P each candidate costs at least that alpha's. Both replay
+  the same coverage: in that recursion E1 comes first and wins such a
+  zero row, and a replay of A with zero prices puts on slot b the least
+  q1 that the slots before it leave, max(0, q - d_a-...-d_{b-1}), so it
+  fills the slots from the left, as BASEH does.
+- E1 beyond one slot. Every entry is at most its E1 candidate, so
+  M <= A. For b > a, A(a,b,h) = gamma_a(h) (+) A(a+1,b,h) >=
+  M(a,a,h) (+) M(a+1,b,h) entrywise ((+) the min-plus convolution), and
+  the right side is the cut t = a, which E2 walks in full. So E1 never
+  lowers an entry of a row of two or more slots.
+Apart from the zero rows, where BASEH replays what E1 did, choices differ
+from that recursion's only where E1 ties with the least cut on a row of
+several slots: the first cut that reaches the entry wins it.
 
 Every row is non-decreasing in q, so the convolution loops bisect the
 rows for the window of entries where a candidate can still win and skip
@@ -36,33 +59,36 @@ the rest.
 
 A long spanning only part of [a,b] needs no E3 candidate. Clipped to
 [s,e] != [a,b], with hc = min(H,alpha*w), its "strip" candidate for
-q = q1+q2+q3 is alpha*c + A(a,s-1,h)[q1] + M(s,e,hc)[q2] + A(e+1,b,h)[q3].
-Let M' be the table whose E3 takes strip candidates too. By induction
-over the fill order, M' = M with the same choices. In row (a,b,h), if
-s > a, the cut t = s-1 costs at most the strip candidate: E1 gives
+q = q1+q2+q3 is alpha*c + A(a,s-1,h)[q1] + M(s,e,hc)[q2] + A(e+1,b,h)[q3]
+(M(s,e,hc) is zero at and above the peak of [s,e], so hc may be clamped
+to that peak alike). Let M' be the table whose E3 takes strip candidates
+too. By induction over the fill order, M' = M with the same choices. In
+row (a,b,h), if s > a, the cut t = s-1 costs at most the strip candidate:
 M(a,s-1,h)[q1] <= A(a,s-1,h)[q1], and M'(s,b,h)[q2+q3] is at most row
 (s,b,h)'s own candidate with an empty left strip (where its alpha loop
 stopped at alpha*c >= top, every entry is <= top). If s = a and e < b,
-the cut t = e does, by row (a,e,h)'s E3 and row (e+1,b,h)'s E1. E2 runs
-before E3, its pruning skips only candidates that cannot beat the entry,
-and an update needs a strictly lower cost, so a strip candidate never
-changes an entry or a choice.
+the cut t = e does, by row (a,e,h)'s E3 and M(e+1,b,h) <= A(e+1,b,h). E2
+runs before E3, its pruning skips only candidates that cannot beat the
+entry, and an update needs a strictly lower cost, so a strip candidate
+never changes an entry or a choice.
 
 A cut t > a only needs the left entries won by a long. In row (a,b,h)
-with h < H, let M(a,t,h)[q1] have a choice other than E3; its candidate
+with h < P, let M(a,t,h)[q1] have a choice other than E3; its candidate
 for q = q1+q2 is M(a,t,h)[q1] + M(t+1,b,h)[q2]. If that choice is E2 at
 t' < t with x units left of t', the cut t' offers M(a,t',h)[x] +
 M(t'+1,b,h)[q-x], and cut t of row (t'+1,b,h) makes that at most the
-candidate. If it is E1 (or BASE0, q1 = 0), the entry is A(a,t,h)[q1] =
-A(a,t-1,h)[x] + gamma_t(q1-x) for some x, and the cut t-1 offers
+candidate. Otherwise it is BASE0 (q1 = 0) or BASEH (all-zero row), and in
+both the entry is A(a,t,h)[q1] = A(a,t-1,h)[x] + gamma_t(h)[q1-x] for some
+x (a one-slot row is never a left row of t > a). The cut t-1 offers
 M(a,t-1,h)[x] + M(t,b,h)[q-x], which is at most the candidate because
 M(a,t-1,h) <= A(a,t-1,h) and cut t of row (t,b,h) takes M(t,t,h)[y] <=
-gamma_t(y). By induction over the fill order and over t, every entry is
+gamma_t(h)[y]. By induction over the fill order and over t, every entry is
 at most every candidate of every cut, skipped or not: cut t' runs before
 cut t, its pruning skips only candidates that cannot beat the entry, and
-rows (t'+1,b,h) and (t,b,h) are filled first. An update needs a strictly
-lower cost, so such a candidate never changes an entry or a choice. Cut
-t = a keeps all its left entries, since no cut comes before it.
+rows (t'+1,b,h) and (t,b,h) are filled first (an all-zero row holds it
+trivially). An update needs a strictly lower cost, so such a candidate
+never changes an entry or a choice. Cut t = a keeps all its left entries,
+since no cut comes before it.
 
 So a cut t > a walks only the left row's E3 entries, which each M row
 lists in ascending q. When there are none, or the first already costs
@@ -73,51 +99,51 @@ key alone, so a row left unrequested changes no other row.
 With the pruning above, an entry is the least of all its candidates,
 tried or not, and its choice is the first candidate in order that
 reaches it: every pruning skips only candidates that cannot strictly
-beat the entry at that point. Rows do not increase with h. gamma does
-not, so neither do A rows; E2 candidates do not, by induction over the
-range length; and an E3 candidate of row (a,b,h1) is one of row
-(a,b,h2), h2 > h1, too, unless alpha*w <= h2, and then it is at least
-M(a,b,min(H,alpha*w))[q] >= M(a,b,h2)[q], by induction over h1 downward
-from H, where rows are all zero.
+beat the entry at that point. Rows do not increase with h. Price lists
+do not; E2 candidates do not, by induction over the range length; and an
+E3 candidate of row (a,b,h1) is one of row (a,b,h2), h2 > h1, too, unless
+alpha*w <= h2, and then it is at least M(a,b,min(P,alpha*w))[q] >=
+M(a,b,h2)[q], by induction over h1 downward from P, where rows are all
+zero.
 
 A long that another long beats never wins an entry. Let o beat r:
 o.s <= r.s, r.e <= o.e and ceil(r.w/o.w)*o.c < r.c (``core.undominated``).
 In row (a,b,h), o spans [a,b] whenever r does. For r's candidate at
 alpha, let alpha' = ceil(alpha*r.w/o.w). Then alpha'*o.w >= alpha*r.w > h,
 so alpha' lies in o's alpha range; alpha'*o.c <= alpha*ceil(r.w/o.w)*o.c
-< alpha*r.c; and o's free height min(H,alpha'*o.w) is at least r's, so
+< alpha*r.c; and o's free height min(P,alpha'*o.w) is at least r's, so
 at every q o's candidate at alpha' costs strictly less than r's. o's
 alpha loop either reaches alpha', after which every entry is at most
 o's candidate, or breaks at some alpha'' < alpha', on alpha''*o.c >= top
-or on the all-zero row of free height H; either way every entry is then
+or on the all-zero row of free height P; either way every entry is then
 at most alpha''*o.c, which is below r's candidate. So no candidate of r
 is ever the least of its entry, and the solver leaves out every long
 that another long beats, which requests fewer rows.
 
 Rows end at the target: a solver for target Q = k fills only q = 0..Q
 of a row. These entries are those of the row over the whole demand,
-with the same choices, and an M row lists the same E3 entries up to Q. A candidate for q reads only
-entries at or below q: A(a,b-1,h)[q-q1], a cut's entries q1 and q-q1,
-and M(a,b,hc)[q] in E3. So, by induction over the fill order, each
-candidate for q <= Q has the same cost in both rows. Both rows try the
-candidates in the same order and update only on a strictly lower cost,
-and where one row skips a candidate, that candidate cannot strictly
-lower the entry at that point. So, by induction over the candidates, the
-entry and its choice agree after each one. The ended row skips more only
-through top, which is now best[Q]. At the start of a pass top is at
-least best[q] for every q <= Q, since best is non-decreasing between
-passes, and within a pass best only falls. So the breaks on top == 0 and
-on alpha*c >= top, and the windows ended at top, skip only candidates
-that cannot win an entry at q <= Q. A cut t > a walks the left row's E3
-entries, which agree up to Q; one above Q offers only q > Q.
+with the same choices, and an M row lists the same E3 entries up to Q. A
+candidate for q reads only entries at or below q: gamma_a(h)[q] in E1, a
+cut's entries q1 and q-q1, and M(a,b,hc)[q] in E3. So, by induction over
+the fill order, each candidate for q <= Q has the same cost in both rows.
+Both rows try the candidates in the same order and update only on a
+strictly lower cost, and where one row skips a candidate, that candidate
+cannot strictly lower the entry at that point. So, by induction over the
+candidates, the entry and its choice agree after each one. The ended row
+skips more only through top, which is now best[Q]. At the start of a pass
+top is at least best[q] for every q <= Q, since best is non-decreasing
+between passes, and within a pass best only falls. So the breaks on
+top == 0 and on alpha*c >= top, and the windows ended at top, skip only
+candidates that cannot win an entry at q <= Q. A cut t > a walks the left
+row's E3 entries, which agree up to Q; one above Q offers only q > Q.
 
 Rows are filled on demand, whole rows at a time. An M row needs rows of
 strictly shorter ranges, or of its own range at a strictly larger free
 height, so the requests are acyclic. They are served from an explicit
 stack of row generators rather than by recursion; a row requested while
 it is being filled raises RuntimeError. Within a row, ties keep the
-first candidate in the order E1, E2 by (t, q1), E3 by (long, alpha),
-because every update needs a strictly lower cost.
+first candidate in the order E1 (one-slot rows only), E2 by (t, q1), E3
+by (long, alpha), because every update needs a strictly lower cost.
 
 Entries are (cost, choice); replaying choices reconstructs a feasible
 solution whose recomputed cost equals the root table entry exactly.
@@ -131,6 +157,9 @@ from typing import Mapping
 
 from .core import (INFEASIBLE, Cost, Resource, check_dense_ids, check_resources, is_feasible,
                    undominated)
+
+# certified factor of the cheapest SLRA cover against the unrestricted optimum
+SLRA_FACTOR = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,28 +222,27 @@ class LspcReport:
     violated_slot: int | None = None
 
 
-_EMPTY_ROW = ([0], [None])  # table A over an empty range
-
-
 class LspcSolver:
-    """Tables A and M of one instance, as rows filled on demand.
+    """Table M of one instance, as rows filled on demand.
 
-    ``memo_a`` and ``memo_m`` map (a, b, h) to a row (costs, choices),
-    two lists indexed by q with ``INFEASIBLE`` as the cost of an
-    unreachable q. A choices are the coverage q1 put on slot b. M choices
-    are ("BASE0",) for q = 0, ("BASEH",) when h >= H (slots filled left
-    to right), ("E1",), ("E2", t, q1) for a cut after slot t with q1
-    units in [a,t], and ("E3", long id, alpha), which goes on in row
-    M(a,b,min(H,alpha*w)). An M row carries a third list: the q whose
-    choice is E3, ascending. Rows end at q = ``inst.k``, so one solver
-    answers every target 0..``inst.k``; a target above that but within
-    the demand is a ValueError, and one above the demand is infeasible.
-    Not thread-safe: each solve owns its rows.
+    ``memo_a`` maps (t, h) to slot t's price list gamma_t(h), the costs of
+    q = 0..d_t units at slot t with shorts alone; one-slot M rows start
+    from it (E1). ``memo_m`` maps (a, b, h) to a row (costs, choices, E3
+    list): costs and choices are lists indexed by q, with ``INFEASIBLE`` as
+    the cost of an unreachable q, and the E3 list holds the q whose choice
+    is E3, ascending. Choices are ("BASE0",) for q = 0, ("BASEH",) when h
+    reaches the row's peak demand P (slots filled left to right), ("E1",)
+    on a one-slot row (the slot's cheapest short that suffices, or none),
+    ("E2", t, q1) for a cut after slot t with q1 units in [a,t], and
+    ("E3", long id, alpha), which goes on in row M(a,b,min(P,alpha*w)).
+    Rows end at q = ``inst.k``, so one solver answers every target
+    0..``inst.k``; a target above that but within the demand is a
+    ValueError, and one above the demand is infeasible. Not thread-safe:
+    each solve owns its rows.
     """
 
     def __init__(self, inst: LspcInstance):
         self.inst = inst
-        self.H = inst.H
         d = inst.d
         self._pref = [0] * (inst.T + 1)
         for t in range(inst.T):
@@ -226,8 +254,7 @@ class LspcSolver:
             lst.sort(key=lambda s: (s.c, s.id))
         # A long another one beats never wins an entry (module docstring).
         self._longs = [inst.longs[p] for p in undominated(inst.longs)]
-        self._gamma: dict[tuple[int, int], list[Cost]] = {}  # (t, h) -> gamma costs
-        self.memo_a: dict[tuple[int, int, int], tuple[list, list]] = {}
+        self.memo_a: dict[tuple[int, int], list[Cost]] = {}
         self.memo_m: dict[tuple[int, int, int], tuple[list, list, list]] = {}
 
     def _dsum(self, a: int, b: int) -> int:
@@ -260,54 +287,12 @@ class LspcSolver:
                              f"targets up to its instance's k")
         return True
 
-    def table_a(self, a: int, b: int, q: int, h: int) -> Cost:
-        if not self._has_entry(a, b, q):
-            return INFEASIBLE
-        return self._row_a(a, b, h)[0][q]
-
     def table_m(self, a: int, b: int, q: int, h: int) -> Cost:
         if not self._has_entry(a, b, q):
             return INFEASIBLE
         if q == 0:
             return 0
         return self._row_m(a, b, h)[0][q]
-
-    def _row_a(self, a: int, b: int, h: int) -> tuple[list, list]:
-        """Row A(a,b,h), extending the longest stored prefix row."""
-        if a > b:
-            return _EMPTY_ROW
-        memo = self.memo_a
-        row = memo.get((a, b, h))
-        if row is not None:
-            return row
-        top = b - 1
-        while top >= a and (a, top, h) not in memo:
-            top -= 1
-        prev = memo[(a, top, h)][0] if top >= a else _EMPTY_ROW[0]
-        cap = self.inst.k
-        for t in range(top + 1, b + 1):
-            gamma = self._gamma.get((t, h))
-            if gamma is None:
-                gamma = self._gamma[(t, h)] = [
-                    self.gamma_choice(t, q1, h)[0] for q1 in range(self.inst.d[t - 1] + 1)]
-            n = len(prev) + len(gamma) - 1
-            clip = n > cap + 1  # the row ends at the target (module docstring)
-            if clip:
-                n = cap + 1
-            costs = [INFEASIBLE] * n
-            picks = [None] * n
-            for q1, g in enumerate(gamma[:n] if clip else gamma):
-                if g == INFEASIBLE:
-                    continue
-                q = q1
-                for v in prev[:n - q1] if clip else prev:
-                    if v + g < costs[q]:
-                        costs[q] = v + g
-                        picks[q] = q1
-                    q += 1
-            row = memo[(a, t, h)] = (costs, picks)
-            prev = costs
-        return row
 
     def _row_m(self, a: int, b: int, h: int) -> tuple[list, list]:
         """Row M(a,b,h). Rows it needs are filled first, each by its own
@@ -339,24 +324,33 @@ class LspcSolver:
         of each M row it needs that is not stored yet and is sent that
         row back; it returns its own row."""
         size = min(self._dsum(a, b), self.inst.k) + 1
-        if h >= self.H:
+        peak = max(self.inst.d[a - 1:b])
+        if h >= peak:
             return [0] * size, [("BASE0",)] + [("BASEH",)] * (size - 1), []
         memo = self.memo_m
-        best = list(self._row_a(a, b, h)[0])
-        choice = [None if v == INFEASIBLE else ("E1",) for v in best]
-        choice[0] = ("BASE0",)
+        if a == b:
+            prices = self.memo_a.get((a, h))
+            if prices is None:
+                prices = self.memo_a[(a, h)] = [
+                    self.gamma_choice(a, q, h)[0] for q in range(self.inst.d[a - 1] + 1)]
+            best = prices[:size]
+            choice = [None if v == INFEASIBLE else ("E1",) for v in best]
+            choice[0] = ("BASE0",)
+        else:
+            # shorts alone never beat the cut t = a (module docstring)
+            best = [0] + [INFEASIBLE] * (size - 1)
+            choice = [("BASE0",)] + [None] * (size - 1)
 
-        # Every row is non-decreasing in q: A rows convolve non-decreasing
-        # price lists, and min-plus convolutions and minima of
-        # non-decreasing rows are non-decreasing. So is best between two
-        # passes. In a pass, a candidate lv + v for q can only win where
-        # best[q] > lv, which starts at a bisection point of best, and only
-        # while v < top - lv, which ends at a bisection point of the other
-        # row (lv is alpha * c in E3). Candidates left out that way could
-        # never win, and neither could a cut t > a through a left entry
-        # not won by a long (module docstring): such a cut walks only the
-        # left row's E3 entries, and is skipped when none is below top. An
-        # empty window skips the second bisection.
+        # Every row is non-decreasing in q: price lists are, and min-plus
+        # convolutions and minima of non-decreasing rows are too. So is
+        # best between two passes. In a pass, a candidate lv + v for q can
+        # only win where best[q] > lv, which starts at a bisection point of
+        # best, and only while v < top - lv, which ends at a bisection
+        # point of the other row (lv is alpha * c in E3). Candidates left
+        # out that way could never win, and neither could a cut t > a
+        # through a left entry not won by a long (module docstring): such
+        # a cut walks only the left row's E3 entries, and is skipped when
+        # none is below top. An empty window skips the second bisection.
         for t in range(a, b):
             top = best[-1]
             if top == 0:
@@ -388,18 +382,17 @@ class LspcSolver:
                         choice[q] = ("E2", t, q1)
                     q += 1
 
-        H = self.H
         won = set()
         for r in self._longs:
             if r.s > a or r.e < b:
                 continue  # a strip long never wins (module docstring)
-            for alpha in range(h // r.w + 1, H + 1):
+            for alpha in range(h // r.w + 1, peak + 1):
                 base = alpha * r.c
                 top = best[-1]
                 if base >= top:
                     # copies only get dearer; nothing below can improve
                     break
-                hc = min(H, alpha * r.w)
+                hc = min(peak, alpha * r.w)
                 raised = (memo.get((a, b, hc)) or (yield (a, b, hc)))[0]
                 q = bisect_right(best, base)
                 for v in raised[q:bisect_left(raised, top - base)]:
@@ -408,7 +401,7 @@ class LspcSolver:
                         choice[q] = ("E3", r.id, alpha)
                         won.add(q)
                     q += 1
-                if hc == H:
+                if hc == peak:
                     break
         return best, choice, sorted(won)
 
@@ -445,7 +438,12 @@ class LspcSolver:
                 if rem != 0:
                     raise RuntimeError(f"BASEH entry {(a, b, q, h)} asks {rem} units beyond the demand")
             elif tag == "E1":
-                self._replay_a(a, b, q, h, coverage, shorts)
+                cost, sid = self.gamma_choice(a, q, h)
+                if not is_feasible(cost):
+                    raise RuntimeError(f"E1 entry {(a, b, q, h)} has no short for slot {a}")
+                coverage[a - 1] = q
+                if sid is not None:
+                    shorts.add(sid)
             elif tag == "E2":
                 _, t, q1 = choice
                 todo.append((t + 1, b, q - q1, h))
@@ -453,19 +451,8 @@ class LspcSolver:
             else:
                 _, rid, alpha = choice
                 longs[rid] = longs.get(rid, 0) + alpha
-                todo.append((a, b, q, min(self.H, alpha * self.inst.longs[rid].w)))
-
-    def _replay_a(self, a, b, q, h, coverage, shorts) -> None:
-        while b >= a:
-            q1 = self.memo_a[(a, b, h)][1][q]
-            _, sid = self.gamma_choice(b, q1, h)
-            coverage[b - 1] = q1
-            if sid is not None:
-                shorts.add(sid)
-            q -= q1
-            b -= 1
-        if q != 0:
-            raise RuntimeError(f"table A replay from slot {a} left {q} units uncovered")
+                peak = max(self.inst.d[a - 1:b])
+                todo.append((a, b, q, min(peak, alpha * self.inst.longs[rid].w)))
 
 
 def verify_lspc(inst: LspcInstance, sol: LspcSolution) -> LspcReport:

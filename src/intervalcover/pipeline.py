@@ -45,7 +45,7 @@ from .core import (
     multiset_cost,
 )
 from .fullcover import MAX_LEVELS, CoverPlan
-from .lspc import LspcSolver
+from .lspc import SLRA_FACTOR, LspcSolver
 from .mountains import MountainRange, decompose
 from .reductions import (
     build_lspc,
@@ -58,9 +58,9 @@ from .reductions import (
     split_narrow_wide,
 )
 
-# certified per-range approximation factor: 3 * 8 * 16 for a range of
-# several mountains; a one-mountain range is priced directly, within 2
-RANGE_FACTOR = 384
+# certified per-range approximation factor, 384, for a range of several
+# mountains; a one-mountain range is priced directly, within 2
+RANGE_FACTOR = 3 * 8 * SLRA_FACTOR
 
 
 class _RangePipeline:

@@ -258,6 +258,8 @@ def test_ratio_lspc(capsys):
     assert code == 0
     lines = stdout.strip().splitlines()
     assert len(lines) == 5 and lines[-1].startswith("max-ratio ")
+    # each row carries the SLRA factor as its bound, and none exceeds it
+    assert all(line.endswith("\tbound=16") for line in lines[:-1]), lines
 
 
 def test_ratio_partial_stays_under_certified_bound(capsys):
@@ -342,6 +344,22 @@ def test_ratio_fails_above_the_certified_factor(capsys, monkeypatch):
     rows = stdout.splitlines()[:-1]
     above = [row for row in rows if row.endswith("\tABOVE-FACTOR")]
     assert above and all("ratio=1/1" not in row for row in above)
+
+
+def test_ratio_fails_an_lspc_row_above_the_slra_factor(capsys, monkeypatch):
+    # seed 25 costs 18; an oracle claiming an optimum of 18 // 17 = 1 puts
+    # the row above the SLRA factor of 16
+    from dataclasses import replace
+
+    from intervalcover import cli
+
+    oracle = cli.oracle_lspc
+    monkeypatch.setattr(cli, "oracle_lspc",
+                        lambda inst: replace(oracle(inst), cost=oracle(inst).cost // 17))
+    code, stdout, _ = run(capsys, "ratio", "--problem", "lspc", "--seeds", "25..25")
+    assert code == 1
+    assert stdout == ("25\tapprox=18\texact=1\tratio=18/1\t(18.000000)\tbound=16\tABOVE-FACTOR\n"
+                      "max-ratio 18/1 (18.000000)\n")
 
 
 def test_ratio_rejects_an_approximate_cost_its_solution_does_not_have(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Long/short partial cover: table semantics, reconstruction, invariants."""
 
+import functools
 import inspect
 import itertools
 import json
@@ -47,15 +48,22 @@ def test_gamma_picks_cheapest_sufficient_short():
     assert got == scan == 5
 
 
+# Table A, the cheapest way to reach q over [a,b] with shorts alone, is a
+# quantity of the module docstring's proofs, not a table of the solver.
+# Without longs, table M is table A: every cut convolves two shorts-only
+# rows. So the test_table_a_* tests check table M of long-free instances
+# against a test-local enumeration of the shorts.
+
 def test_table_a_zero_coverage():
     inst = _inst([1, 2, 0], [], [], 0)
-    assert LspcSolver(inst).table_a(1, 3, 0, 0) == 0
-    assert LspcSolver(inst).table_a(2, 1, 0, 0) == 0  # empty range
+    assert LspcSolver(inst).table_m(1, 3, 0, 0) == _enumerate_shorts_only(inst, 1, 3, 0, 0) == 0
+    # empty range
+    assert LspcSolver(inst).table_m(2, 1, 0, 0) == _enumerate_shorts_only(inst, 2, 1, 0, 0) == 0
 
 
 def test_table_a_free_height_covers():
     inst = _inst([1], [], [], 1)
-    assert LspcSolver(inst).table_a(1, 1, 1, 1) == 0
+    assert LspcSolver(inst).table_m(1, 1, 1, 1) == _enumerate_shorts_only(inst, 1, 1, 1, 1) == 0
 
 
 def _enumerate_shorts_only(inst, a, b, q, h):
@@ -80,10 +88,24 @@ def _enumerate_shorts_only(inst, a, b, q, h):
     return best
 
 
+@functools.lru_cache(maxsize=None)
+def _shorts_only_row(inst, a, b, h):
+    """Row A(a,b,h) over q = 0..d_a+...+d_b, as a tuple: each slot's
+    cheapest short that suffices, folded slot by slot."""
+    row = [0]
+    for t in range(a, b + 1):
+        prices = [0 if v <= h else min((s.c for s in inst.shorts if s.t == t and s.w >= v - h),
+                                       default=INFEASIBLE)
+                  for v in range(inst.d[t - 1] + 1)]
+        row = [min(row[q - v] + p for v, p in enumerate(prices) if 0 <= q - v < len(row))
+               for q in range(len(row) + len(prices) - 1)]
+    return tuple(row)
+
+
 def test_table_a_two_slots():
     inst = _inst([1, 1], [(1, 1, 1), (2, 1, 1)], [], 2)
     assert _enumerate_shorts_only(inst, 1, 2, 2, 0) == 2
-    assert LspcSolver(inst).table_a(1, 2, 2, 0) == 2
+    assert LspcSolver(inst).table_m(1, 2, 2, 0) == 2
 
 
 def test_table_a_matches_enumeration():
@@ -91,10 +113,12 @@ def test_table_a_matches_enumeration():
         inst = generate_lspc(seed, timeslots=4, max_demand=2, shorts=3, longs=0)
         inst = replace(inst, k=sum(inst.d))
         solver = LspcSolver(inst)
-        for q in range(sum(inst.d) + 2):
-            for h in range(inst.H + 1):
-                assert solver.table_a(1, inst.T, q, h) == \
-                    _enumerate_shorts_only(inst, 1, inst.T, q, h)
+        for h in range(inst.H + 1):
+            row = _shorts_only_row(inst, 1, inst.T, h)
+            for q in range(sum(inst.d) + 2):
+                want = _enumerate_shorts_only(inst, 1, inst.T, q, h)
+                assert solver.table_m(1, inst.T, q, h) == want
+                assert (row[q] if q < len(row) else INFEASIBLE) == want
 
 
 def test_table_m_base_zero():
@@ -167,7 +191,7 @@ def test_dp_monotonicity_and_domination():
                 assert cost <= solver.table_m(a, b, q + 1, h)
                 if (a, b, h + 1) in solver.memo_m:
                     assert cost >= solver.table_m(a, b, q, h + 1)
-                assert cost <= solver.table_a(a, b, q, h)
+                assert cost <= _shorts_only_row(inst, a, b, h)[q]
 
 
 def test_verify_lspc_trivial_and_double_short():
@@ -250,11 +274,9 @@ def test_targets_above_k_within_the_demand_are_refused():
             solver.solve_for(k)
     for k in (D + 1, D + 5):
         assert solver.solve_for(k) == LspcResult(INFEASIBLE, None)
-    assert solver.table_m(1, 1, D + 1, 0) == solver.table_a(1, 1, D + 1, 0) == INFEASIBLE
+    assert solver.table_m(1, 1, D + 1, 0) == INFEASIBLE
     with pytest.raises(ValueError, match=r"coverage 3 not in \[0, 2\]"):
         solver.table_m(1, inst.T, 3, 0)
-    with pytest.raises(ValueError, match=r"coverage 3 not in \[0, 2\]"):
-        solver.table_a(1, inst.T, 3, 0)
 
 
 def test_negative_targets_are_refused():
@@ -263,8 +285,8 @@ def test_negative_targets_are_refused():
     inst = _inst([1, 2], [(1, 1, 1), (2, 2, 3)], [], 3)
     solver = LspcSolver(inst)
     assert solver.solve().cost == 4
-    for probe in (lambda: solver.table_m(1, 2, -1, 0), lambda: solver.table_a(1, 2, -1, 0),
-                  lambda: solver.table_m(2, 1, -1, 0), lambda: solver.solve_for(-1)):
+    for probe in (lambda: solver.table_m(1, 2, -1, 0), lambda: solver.table_m(2, 1, -1, 0),
+                  lambda: solver.solve_for(-1)):
         with pytest.raises(ValueError, match=r"coverage -1 not in \[0, 3\]"):
             probe()
 
@@ -297,19 +319,75 @@ def test_rows_end_at_the_target_as_prefixes_of_full_rows():
                     assert (costs, choices) == (want[0][:n], want[1][:n]), (config, seed, k, key)
                     assert e3 == [q for q in want[2] if q < n], (config, seed, k, key)
                     clipped += len(want[0]) > n
-                for key, (costs, picks) in capped.memo_a.items():
-                    want = full._row_a(*key)
-                    assert (costs, picks) == (want[0][:len(costs)], want[1][:len(costs)])
                 cases += 1
     assert cases >= 1100 and clipped >= 10000, (cases, clipped)
 
 
+def _reference_m(inst):
+    """Table M by the plain SLRA recursion, as a function of (a, b, h) that
+    returns a row over q = 0..d_a+...+d_b: shorts alone on every row, every
+    cut with every left entry, and every long that spans the range raised to
+    min(H, alpha*w) up to the first alpha with alpha*w >= H; all zero at
+    h >= H. Nothing is pruned."""
+    H = inst.H
+
+    @functools.lru_cache(maxsize=None)
+    def row(a, b, h):
+        if h >= H:
+            return (0,) * (sum(inst.d[a - 1:b]) + 1)
+        best = list(_shorts_only_row(inst, a, b, h))
+        for t in range(a, b):
+            right = row(t + 1, b, h)
+            for q1, lv in enumerate(row(a, t, h)):
+                for q2, rv in enumerate(right):
+                    best[q1 + q2] = min(best[q1 + q2], lv + rv)
+        for r in inst.longs:
+            if r.s <= a and b <= r.e:
+                for alpha in itertools.count(h // r.w + 1):
+                    hc = min(H, alpha * r.w)
+                    best = [min(v, alpha * r.c + u) for v, u in zip(best, row(a, b, hc))]
+                    if hc == H:
+                        break
+        return tuple(best)
+
+    return row
+
+
+_REFERENCE_CONFIGS = (
+    dict(timeslots=5, max_demand=3),
+    dict(timeslots=6, max_demand=4, shorts=8, longs=5),
+    dict(timeslots=8, max_demand=4, shorts=8, longs=6),
+    dict(timeslots=7, max_demand=5, shorts=14, longs=8, max_c=20),
+)
+
+
+def test_table_m_matches_a_plain_recursion():
+    # Every row the solver stores, one-slot price lists included, has the
+    # costs of the unpruned recursion with shorts alone on every row, and
+    # solve_for(k) costs its root entry for every k.
+    rows = 0
+    for config in _REFERENCE_CONFIGS:
+        for seed in range(60):
+            inst = generate_lspc(seed, **config)
+            inst = replace(inst, k=sum(inst.d))
+            solver, reference = LspcSolver(inst), _reference_m(inst)
+            root = reference(1, inst.T, 0)
+            for k in range(inst.k + 1):
+                assert solver.solve_for(k).cost == root[k], (config, seed, k)
+            for key, (costs, _, _) in solver.memo_m.items():
+                assert tuple(costs) == reference(*key), (config, seed, key)
+            for (t, h), prices in solver.memo_a.items():
+                assert tuple(prices) == _shorts_only_row(inst, t, t, h), (config, seed, t, h)
+            rows += len(solver.memo_m)
+    assert rows >= 12000, rows
+
+
 def test_replay_of_a_corrupt_table_raises():
-    inst = LspcInstance(1, (1,), (ShortResource(0, 1, 1, 1),), (), 1)
+    inst = LspcInstance(1, (1,), (), (Resource(0, 1, 1, 1, 1),), 1)
     solver = LspcSolver(inst)
     assert solver.solve().cost == 1
-    solver.memo_a[(1, 1, 0)][1][1] = 0  # q=1 entry: puts nothing on slot 1
-    with pytest.raises(RuntimeError, match="left 1 units uncovered"):
+    solver.memo_m[(1, 1, 0)][1][1] = ("E1",)  # q=1 entry: shorts alone, but slot 1 has none
+    with pytest.raises(RuntimeError, match="has no short for slot 1"):
         solver.solve_for(1)
 
 
@@ -326,8 +404,8 @@ _BENCH_SIZES = dict(timeslots=12, max_demand=6, shorts=30, longs=10, max_c=50)
 
 
 def test_outputs_match_recorded_golden():
-    # (cost, sorted long counts, sorted short picks, coverage), recorded from
-    # the solver before its tables were stored as rows; pins the tie-breaking
+    # (cost, sorted long counts, sorted short picks, coverage); pins the
+    # tie-breaking of E1 on one-slot rows only, then E2 by (t, q1), then E3
     for seed, expected in enumerate(_GOLDEN["solve"]):
         inst = generate_lspc(seed, **_BENCH_SIZES)
         inst = replace(inst, k=sum(inst.d) // 2)
@@ -367,7 +445,7 @@ def test_strip_long_candidates_never_win():
         inst = generate_lspc(seed, timeslots=6, max_demand=4, shorts=8, longs=5)
         solver = LspcSolver(replace(inst, k=sum(inst.d)))
         solver.solve_for(inst.k)
-        H = solver.H
+        H = inst.H
         for a, b, h in list(solver.memo_m):
             if h >= H:
                 continue
@@ -376,8 +454,8 @@ def test_strip_long_candidates_never_win():
                 s2, e2 = max(a, r.s), min(b, r.e)
                 if s2 > e2 or (s2, e2) == (a, b):
                     continue
-                left = [solver.table_a(a, s2 - 1, q1, h) for q1 in _units(inst, a, s2 - 1)]
-                right = [solver.table_a(e2 + 1, b, q3, h) for q3 in _units(inst, e2 + 1, b)]
+                left = _shorts_only_row(inst, a, s2 - 1, h)
+                right = _shorts_only_row(inst, e2 + 1, b, h)
                 for alpha in range(h // r.w + 1, H + 1):
                     hc = min(H, alpha * r.w)
                     mid = [solver.table_m(s2, e2, q2, hc) for q2 in _units(inst, s2, e2)]
@@ -397,7 +475,7 @@ def test_late_cut_left_entries_not_won_by_a_long_never_win():
         inst = generate_lspc(seed, timeslots=6, max_demand=4, shorts=8, longs=5)
         solver = LspcSolver(replace(inst, k=sum(inst.d)))
         solver.solve_for(inst.k)
-        H = solver.H
+        H = inst.H
         memo = solver.memo_m
         for a, b, h in list(memo):
             if h >= H:
