@@ -93,8 +93,15 @@ since no cut comes before it.
 So a cut t > a walks only the left row's E3 entries, which each M row
 lists in ascending q. When there are none, or the first already costs
 at least the row's current top entry, the cut tries no candidate and is
-skipped before its right row is requested. A row is a function of its
-key alone, so a row left unrequested changes no other row.
+skipped before its right row is requested. The span bound ends the pass
+before the left row is even requested. Let span_c(a,t) be the least c of
+a solver long spanning [a,t], INFEASIBLE when none does. An E3 entry of
+row (a,t,h) costs at least alpha*c >= c for such a long, so at least
+span_c(a,t); and a long spanning [a,t+1] spans [a,t], so span_c(a,t) is
+non-decreasing in t, while top only falls during the pass. So once
+span_c(a,t) >= top at a cut t > a, that cut and every later one would be
+skipped, and the pass stops there. A row is a function of its key alone,
+so a row left unrequested changes no other row.
 
 With the pruning above, an entry is the least of all its candidates,
 tried or not, and its choice is the first candidate in order that
@@ -133,9 +140,10 @@ candidates, the entry and its choice agree after each one. The ended row
 skips more only through top, which is now best[Q]. At the start of a pass
 top is at least best[q] for every q <= Q, since best is non-decreasing
 between passes, and within a pass best only falls. So the breaks on
-top == 0 and on alpha*c >= top, and the windows ended at top, skip only
-candidates that cannot win an entry at q <= Q. A cut t > a walks the left
-row's E3 entries, which agree up to Q; one above Q offers only q > Q.
+top == 0, on span_c(a,t) >= top and on alpha*c >= top, and the windows
+ended at top, skip only candidates that cannot win an entry at q <= Q. A
+cut t > a walks the left row's E3 entries, which agree up to Q; one above
+Q offers only q > Q.
 
 Rows are filled on demand, whole rows at a time. An M row needs rows of
 strictly shorter ranges, or of its own range at a strictly larger free
@@ -239,6 +247,15 @@ class LspcSolver:
     0..``inst.k``; a target above that but within the demand is a
     ValueError, and one above the demand is infeasible. Not thread-safe:
     each solve owns its rows.
+
+    A solve fills the root row M(1,T,0) and the rows filled rows request,
+    nothing else. Row (a,b,h) with h below its peak requests, per cut t
+    of its pass, the left row (a,t,h) and then, unless the left row lists
+    no E3 entry below top, the right row (t+1,b,h); the pass stops at
+    top == 0 or at the first t > a with span_c(a,t) >= top (module
+    docstring). Its E3 loop requests (a,b,min(P,alpha*w)) per long that
+    spans [a,b], until alpha*c >= top. Without longs only cut t = a runs,
+    so a solve fills at most 2T - 1 rows: (t,t,0) and (t,T,0).
     """
 
     def __init__(self, inst: LspcInstance):
@@ -254,6 +271,20 @@ class LspcSolver:
             lst.sort(key=lambda s: (s.c, s.id))
         # A long another one beats never wins an entry (module docstring).
         self._longs = [inst.longs[p] for p in undominated(inst.longs)]
+        # _span_c[a][t], t >= a: span_c(a,t), the least cost of one copy of
+        # a long in _longs that spans [a,t], INFEASIBLE when none does.
+        # Walking the longs from the cheapest, each one that holds a and
+        # ends past reach, the farthest end so far, prices t = reach+1..e.
+        by_cost = sorted(self._longs, key=lambda r: r.c)
+        self._span_c: list[list[Cost]] = [[]]
+        for a in range(1, inst.T + 1):
+            span = [INFEASIBLE] * (inst.T + 1)
+            reach = a - 1
+            for r in by_cost:
+                if r.s <= a and r.e > reach:
+                    span[reach + 1:r.e + 1] = [r.c] * (r.e - reach)
+                    reach = r.e
+            self._span_c.append(span)
         self.memo_a: dict[tuple[int, int], list[Cost]] = {}
         self.memo_m: dict[tuple[int, int, int], tuple[list, list, list]] = {}
 
@@ -350,11 +381,14 @@ class LspcSolver:
         # out that way could never win, and neither could a cut t > a
         # through a left entry not won by a long (module docstring): such
         # a cut walks only the left row's E3 entries, and is skipped when
-        # none is below top. An empty window skips the second bisection.
+        # none is below top; as those entries cost at least span[t], the
+        # first cut t > a with span[t] >= top ends the pass before its left
+        # row is requested. An empty window skips the second bisection.
+        span = self._span_c[a]
         for t in range(a, b):
             top = best[-1]
-            if top == 0:
-                break  # costs are non-negative, so no cut can improve
+            if top == 0 or (t > a and span[t] >= top):
+                break  # no later cut can lower an entry
             left = memo.get((a, t, h)) or (yield (a, t, h))
             lcosts = left[0]
             if t == a:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from intervalcover.core import INFEASIBLE, Resource
+from intervalcover.core import INFEASIBLE, Resource, undominated
 from intervalcover.generate import generate_lspc
 from intervalcover.lspc import (
     LspcInstance,
@@ -306,7 +306,7 @@ def test_rows_end_at_the_target_as_prefixes_of_full_rows():
     # solver's solve_for(k), cost and solution alike.
     cases = clipped = 0
     for config in _ROW_CONFIGS:
-        for seed in range(60):
+        for seed in range(80):
             inst = generate_lspc(seed, **config)
             D = sum(inst.d)
             full = LspcSolver(replace(inst, k=D))
@@ -367,7 +367,7 @@ def test_table_m_matches_a_plain_recursion():
     # solve_for(k) costs its root entry for every k.
     rows = 0
     for config in _REFERENCE_CONFIGS:
-        for seed in range(60):
+        for seed in range(70):
             inst = generate_lspc(seed, **config)
             inst = replace(inst, k=sum(inst.d))
             solver, reference = LspcSolver(inst), _reference_m(inst)
@@ -467,16 +467,24 @@ def test_strip_long_candidates_never_win():
                         break
 
 
+def _span_c(inst, a, t):
+    """The least cost of one copy of an undominated long spanning [a,t]."""
+    return min((inst.longs[p].c for p in undominated(inst.longs)
+                if inst.longs[p].s <= a and t <= inst.longs[p].e), default=INFEASIBLE)
+
+
 def test_late_cut_left_entries_not_won_by_a_long_never_win():
     # The cut lemma in the module docstring: in a row (a,b,h) with h < H, a
     # cut t > a whose left entry M(a,t,h)[q1] was not won by a long (its
     # choice is not E3) never offers less than the row's entry, for any q2.
+    unfilled = 0
     for seed in range(61):
         inst = generate_lspc(seed, timeslots=6, max_demand=4, shorts=8, longs=5)
         solver = LspcSolver(replace(inst, k=sum(inst.d)))
         solver.solve_for(inst.k)
         H = inst.H
         memo = solver.memo_m
+        reference = _reference_m(inst)
         for a, b, h in list(memo):
             if h >= H:
                 continue
@@ -484,8 +492,17 @@ def test_late_cut_left_entries_not_won_by_a_long_never_win():
             for t in range(a + 1, b):
                 left = memo.get((a, t, h))
                 if left is None:
-                    # the row's own cut pass stopped at an all-zero row
-                    assert row[-1] == 0, (seed, (a, b, h), t)
+                    # The row's cut pass stopped before cut t: entries won by a
+                    # long cost at least span_c(a,t), which reaches the row's
+                    # top entry. So every left entry, whatever its choice,
+                    # offers no less than the row's entry; the unfilled rows
+                    # are taken from the plain recursion.
+                    assert _span_c(inst, a, t) >= row[-1], (seed, (a, b, h), t)
+                    right = reference(t + 1, b, h)
+                    for q1, lv in enumerate(reference(a, t, h)):
+                        for q2, rv in enumerate(right):
+                            assert lv + rv >= row[q1 + q2], (seed, (a, b, h), t, q1, q2)
+                    unfilled += 1
                     continue
                 right = [solver.table_m(t + 1, b, q2, h) for q2 in _units(inst, t + 1, b)]
                 for q1, lch in enumerate(left[1]):
@@ -494,6 +511,44 @@ def test_late_cut_left_entries_not_won_by_a_long_never_win():
                     lv = solver.table_m(a, t, q1, h)
                     for q2, rv in enumerate(right):
                         assert lv + rv >= row[q1 + q2], (seed, (a, b, h), t, q1, q2)
+    assert unfilled >= 100, unfilled
+
+
+def test_span_c_is_the_least_cost_of_a_spanning_long():
+    # span_c(a,t) bounds from below every entry of a row (a,t,h) won by a
+    # long, and the cut loop's stop relies on it growing with t.
+    spans = 0
+    for config in _ROW_CONFIGS:
+        for seed in range(40):
+            inst = generate_lspc(seed, **config)
+            solver = LspcSolver(inst)
+            for a in range(1, inst.T + 1):
+                got = solver._span_c[a][a:inst.T + 1]
+                assert got == [_span_c(inst, a, t) for t in range(a, inst.T + 1)], (config, seed, a)
+                assert got == sorted(got), (config, seed, a)
+                spans += sum(v != INFEASIBLE for v in got)
+    assert spans >= 4000, spans
+
+
+def test_a_long_free_solve_fills_only_one_slot_and_suffix_rows():
+    # Without longs span_c is INFEASIBLE, so each pass runs only its cut
+    # t = a: a solve fills at most the 2T - 1 rows (t,t,0) and (t,T,0), and
+    # they have the plain recursion's costs.
+    filled = 0
+    for config in ({**c, "longs": 0} for c in _ROW_CONFIGS):
+        for seed in range(20):
+            inst = generate_lspc(seed, **config)
+            inst = replace(inst, k=sum(inst.d))
+            solver, reference = LspcSolver(inst), _reference_m(inst)
+            for k in range(inst.k + 1):
+                assert solver.solve_for(k).cost == reference(1, inst.T, 0)[k], (config, seed, k)
+            T = inst.T
+            assert len(solver.memo_m) <= 2 * T - 1, (config, seed)
+            for key, (costs, _, _) in solver.memo_m.items():
+                assert key[2] == 0 and (key[0] == key[1] or key[1] == T), (config, seed, key)
+                assert tuple(costs) == reference(*key), (config, seed, key)
+            filled += len(solver.memo_m)
+    assert filled >= 1000, filled
 
 
 def _canonical(res, rename=lambda rid: rid):
