@@ -101,7 +101,12 @@ span_c(a,t); and a long spanning [a,t+1] spans [a,t], so span_c(a,t) is
 non-decreasing in t, while top only falls during the pass. So once
 span_c(a,t) >= top at a cut t > a, that cut and every later one would be
 skipped, and the pass stops there. A row is a function of its key alone,
-so a row left unrequested changes no other row.
+so a row left unrequested changes no other row. span_c(a,.) is kept as
+steps, O(longs) per a rather than O(T): walking the longs from the
+cheapest, each one that holds a and ends at e past the farthest end so
+far is a step (e, c), the least c for t up to e. A pass moves through the
+steps as t grows and stops at the first t > a past the last step or whose
+step costs at least top.
 
 With the pruning above, an entry is the least of all its candidates,
 tried or not, and its choice is the first candidate in order that
@@ -163,8 +168,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import (INFEASIBLE, Cost, Resource, check_dense_ids, check_resources, is_feasible,
-                   undominated)
+from .core import (INFEASIBLE, MAX_TIMESLOTS, Cost, Resource, check_dense_ids, check_resources,
+                   first_uncovered_slot, is_feasible, multiset_profile, undominated)
 
 # certified factor of the cheapest SLRA cover against the unrestricted optimum
 SLRA_FACTOR = 16
@@ -187,8 +192,8 @@ class LspcInstance:
     k: int
 
     def __post_init__(self):
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T}")
+        if not 1 <= self.T <= MAX_TIMESLOTS:
+            raise ValueError(f"T must be in [1, {MAX_TIMESLOTS}], got {self.T}")
         if len(self.d) != self.T:
             raise ValueError(f"demand profile has length {len(self.d)}, expected {self.T}")
         if any(x < 0 for x in self.d):
@@ -234,14 +239,15 @@ class LspcSolver:
     """Table M of one instance, as rows filled on demand.
 
     ``memo_a`` maps (t, h) to slot t's price list gamma_t(h), the costs of
-    q = 0..d_t units at slot t with shorts alone; one-slot M rows start
-    from it (E1). ``memo_m`` maps (a, b, h) to a row (costs, choices, E3
-    list): costs and choices are lists indexed by q, with ``INFEASIBLE`` as
-    the cost of an unreachable q, and the E3 list holds the q whose choice
-    is E3, ascending. Choices are ("BASE0",) for q = 0, ("BASEH",) when h
-    reaches the row's peak demand P (slots filled left to right), ("E1",)
-    on a one-slot row (the slot's cheapest short that suffices, or none),
-    ("E2", t, q1) for a cut after slot t with q1 units in [a,t], and
+    q = 0..d_t units at slot t with shorts alone, built with the one-slot
+    M row (t,t,h) (E1). ``memo_m`` maps (a, b, h) to a row (costs,
+    choices, E3 list): costs and choices are lists indexed by q, with
+    ``INFEASIBLE`` as the cost of an unreachable q, and the E3 list holds
+    the q whose choice is E3, ascending. Choices are ("BASE0",) for q = 0,
+    ("BASEH",) when h reaches the row's peak demand P (slots filled left
+    to right), ("E1", short id) on a one-slot row, naming the slot's
+    cheapest short that suffices by (c, id), or None where q <= h needs
+    none, ("E2", t, q1) for a cut after slot t with q1 units in [a,t], and
     ("E3", long id, alpha), which goes on in row M(a,b,min(P,alpha*w)).
     Rows end at q = ``inst.k``, so one solver answers every target
     0..``inst.k``; a target above that but within the demand is a
@@ -271,20 +277,19 @@ class LspcSolver:
             lst.sort(key=lambda s: (s.c, s.id))
         # A long another one beats never wins an entry (module docstring).
         self._longs = [inst.longs[p] for p in undominated(inst.longs)]
-        # _span_c[a][t], t >= a: span_c(a,t), the least cost of one copy of
-        # a long in _longs that spans [a,t], INFEASIBLE when none does.
-        # Walking the longs from the cheapest, each one that holds a and
-        # ends past reach, the farthest end so far, prices t = reach+1..e.
+        # _steps[a]: span_c(a,.) as steps (end, cost), ends ascending, then
+        # (T, INFEASIBLE) for the t past them (module docstring).
         by_cost = sorted(self._longs, key=lambda r: r.c)
-        self._span_c: list[list[Cost]] = [[]]
+        self._steps: list[list[tuple[int, Cost]]] = [[]]
         for a in range(1, inst.T + 1):
-            span = [INFEASIBLE] * (inst.T + 1)
+            steps = []
             reach = a - 1
             for r in by_cost:
                 if r.s <= a and r.e > reach:
-                    span[reach + 1:r.e + 1] = [r.c] * (r.e - reach)
+                    steps.append((r.e, r.c))
                     reach = r.e
-            self._span_c.append(span)
+            steps.append((inst.T, INFEASIBLE))
+            self._steps.append(steps)
         self.memo_a: dict[tuple[int, int], list[Cost]] = {}
         self.memo_m: dict[tuple[int, int, int], tuple[list, list, list]] = {}
 
@@ -293,34 +298,15 @@ class LspcSolver:
             return 0
         return self._pref[b] - self._pref[a - 1]
 
-    def gamma_choice(self, t: int, q: int, h: int) -> tuple[Cost, int | None]:
-        """Price of committing q units at slot t when h of them are free:
-        (cost, short id picked or None)."""
-        if q > self.inst.d[t - 1]:
-            return INFEASIBLE, None
-        if q <= h:
-            return 0, None
-        need = q - h
-        for s in self._shorts_at[t]:
-            if s.w >= need:
-                return s.c, s.id
-        return INFEASIBLE, None
-
-    def _has_entry(self, a: int, b: int, q: int) -> bool:
-        """Whether rows of range [a,b] hold an entry for q. A q above the
-        range's demand has none and is infeasible; a negative q, or one
-        within the demand but above the target ``inst.k`` where rows end,
-        is a ValueError."""
+    def table_m(self, a: int, b: int, q: int, h: int) -> Cost:
+        """Entry M(a,b,h)[q]. A q above the range's demand has no entry and
+        is infeasible; a negative q, or one within the demand but above the
+        target ``inst.k`` where rows end, is a ValueError."""
         if q > self._dsum(a, b):
-            return False
+            return INFEASIBLE
         if not 0 <= q <= self.inst.k:
             raise ValueError(f"coverage {q} not in [0, {self.inst.k}]: a solver answers "
                              f"targets up to its instance's k")
-        return True
-
-    def table_m(self, a: int, b: int, q: int, h: int) -> Cost:
-        if not self._has_entry(a, b, q):
-            return INFEASIBLE
         if q == 0:
             return 0
         return self._row_m(a, b, h)[0][q]
@@ -360,13 +346,21 @@ class LspcSolver:
             return [0] * size, [("BASE0",)] + [("BASEH",)] * (size - 1), []
         memo = self.memo_m
         if a == b:
-            prices = self.memo_a.get((a, h))
-            if prices is None:
-                prices = self.memo_a[(a, h)] = [
-                    self.gamma_choice(a, q, h)[0] for q in range(self.inst.d[a - 1] + 1)]
+            # gamma_a(h), h < peak = d_a: walking the shorts by (c, id), each
+            # that reaches past priced is the cheapest for q = priced+1..h+w.
+            prices = [0] * (h + 1) + [INFEASIBLE] * (peak - h)
+            choice = [("BASE0",)] + [("E1", None)] * h + [None] * (peak - h)
+            priced = h
+            for s in self._shorts_at[a]:
+                if h + s.w > priced:
+                    pick = ("E1", s.id)
+                    for q in range(priced + 1, min(h + s.w, peak) + 1):
+                        prices[q] = s.c
+                        choice[q] = pick
+                    priced = h + s.w
+            self.memo_a[(a, h)] = prices
             best = prices[:size]
-            choice = [None if v == INFEASIBLE else ("E1",) for v in best]
-            choice[0] = ("BASE0",)
+            del choice[size:]
         else:
             # shorts alone never beat the cut t = a (module docstring)
             best = [0] + [INFEASIBLE] * (size - 1)
@@ -381,13 +375,17 @@ class LspcSolver:
         # out that way could never win, and neither could a cut t > a
         # through a left entry not won by a long (module docstring): such
         # a cut walks only the left row's E3 entries, and is skipped when
-        # none is below top; as those entries cost at least span[t], the
-        # first cut t > a with span[t] >= top ends the pass before its left
-        # row is requested. An empty window skips the second bisection.
-        span = self._span_c[a]
+        # none is below top; as those entries cost at least span_c(a,t),
+        # the first cut t > a whose step costs at least top ends the pass
+        # before its left row is requested. An empty window skips the
+        # second bisection.
+        steps = iter(self._steps[a])
+        end, span = next(steps)
         for t in range(a, b):
             top = best[-1]
-            if top == 0 or (t > a and span[t] >= top):
+            if t > end:
+                end, span = next(steps)  # step ends grow, t by one
+            if top == 0 or (t > a and span >= top):
                 break  # no later cut can lower an entry
             left = memo.get((a, t, h)) or (yield (a, t, h))
             lcosts = left[0]
@@ -472,12 +470,12 @@ class LspcSolver:
                 if rem != 0:
                     raise RuntimeError(f"BASEH entry {(a, b, q, h)} asks {rem} units beyond the demand")
             elif tag == "E1":
-                cost, sid = self.gamma_choice(a, q, h)
-                if not is_feasible(cost):
-                    raise RuntimeError(f"E1 entry {(a, b, q, h)} has no short for slot {a}")
-                coverage[a - 1] = q
+                _, sid = choice
                 if sid is not None:
                     shorts.add(sid)
+                elif q > h:
+                    raise RuntimeError(f"E1 entry {(a, b, q, h)} has no short for slot {a}")
+                coverage[a - 1] = q
             elif tag == "E2":
                 _, t, q1 = choice
                 todo.append((t + 1, b, q - q1, h))
@@ -497,15 +495,12 @@ def verify_lspc(inst: LspcInstance, sol: LspcSolution) -> LspcReport:
     capacity at every slot at least k_t, (iii) at most one short per slot.
     """
     short_ids = {s.id for s in inst.shorts}
-    long_ids = {r.id for r in inst.longs}
-    if len(sol.coverage) != inst.T:
+    if len(sol.coverage) != inst.T or not short_ids.issuperset(sol.short_picks):
         return LspcReport(False, INFEASIBLE, violated_clause="structure")
-    for sid in sol.short_picks:
-        if sid not in short_ids:
-            return LspcReport(False, INFEASIBLE, violated_clause="structure")
-    for rid, count in sol.long_counts.items():
-        if rid not in long_ids or count < 1:
-            return LspcReport(False, INFEASIBLE, violated_clause="structure")
+    try:
+        cap = list(multiset_profile(sol.long_counts, inst.longs, inst.T))
+    except ValueError:  # an unknown long id or a count below 1
+        return LspcReport(False, INFEASIBLE, violated_clause="structure")
 
     cost = sum(inst.shorts[sid].c for sid in sol.short_picks)
     cost += sum(count * inst.longs[rid].c for rid, count in sol.long_counts.items())
@@ -515,13 +510,13 @@ def verify_lspc(inst: LspcInstance, sol: LspcSolution) -> LspcReport:
             return LspcReport(False, cost, violated_clause="profile", violated_slot=t + 1)
     if sum(sol.coverage) < inst.k:
         return LspcReport(False, cost, violated_clause="measure")
-    for t in range(1, inst.T + 1):
-        cap = sum(inst.shorts[sid].w for sid in sol.short_picks if inst.shorts[sid].t == t)
-        cap += sum(count * inst.longs[rid].w for rid, count in sol.long_counts.items()
-                   if inst.longs[rid].s <= t <= inst.longs[rid].e)
-        if cap < sol.coverage[t - 1]:
-            return LspcReport(False, cost, violated_clause="capacity", violated_slot=t)
-    for t in range(1, inst.T + 1):
-        if sum(1 for sid in sol.short_picks if inst.shorts[sid].t == t) > 1:
-            return LspcReport(False, cost, violated_clause="one-short-per-slot", violated_slot=t)
+    for sid in sol.short_picks:
+        cap[inst.shorts[sid].t - 1] += inst.shorts[sid].w
+    slot = first_uncovered_slot(cap, sol.coverage)
+    if slot is not None:
+        return LspcReport(False, cost, violated_clause="capacity", violated_slot=slot)
+    slots = sorted(inst.shorts[sid].t for sid in sol.short_picks)
+    slot = next((t for t, u in zip(slots, slots[1:]) if t == u), None)
+    if slot is not None:
+        return LspcReport(False, cost, violated_clause="one-short-per-slot", violated_slot=slot)
     return LspcReport(True, cost)

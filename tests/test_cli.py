@@ -1,12 +1,13 @@
 """CLI contract: exit codes, machine-readable lines, verify/ratio flows."""
 
 import json
+import re
 import time
 
 import pytest
 
 from intervalcover.cli import main
-from intervalcover.core import Instance, Job, Resource
+from intervalcover.core import MAX_TIMESLOTS, Instance, Job, Resource
 from intervalcover.generate import PROFILES, generate
 from intervalcover.lspc import LspcInstance
 from intervalcover.files import (
@@ -171,6 +172,17 @@ def test_bad_lspc_long_is_a_parse_error(tmp_path, capsys, s, e, w, c):
     code, out, err = run(capsys, "solve", "--problem", "lspc", "--input", str(bad))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "longs[0]" in err
+
+
+def test_lspc_timeline_above_the_cap_is_a_parse_error(tmp_path, capsys):
+    doc = {"version": 1, "demands": [0] * (MAX_TIMESLOTS + 1), "shorts": [], "longs": [], "k": 0}
+    rule = f"T must be in [1, {MAX_TIMESLOTS}], got {MAX_TIMESLOTS + 1}"
+    with pytest.raises(ParseError, match=re.escape(rule)):
+        parse_lspc(json.dumps(doc))
+    bad = tmp_path / "lspc.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", "--problem", "lspc", "--input", str(bad))
+    assert (code, out, err) == (1, "", f"error: {rule}\n")
 
 
 def test_penalties_rejected_outside_uniform_random(capsys):

@@ -6,12 +6,13 @@ import itertools
 import json
 import random
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from intervalcover.core import INFEASIBLE, Resource, undominated
+from intervalcover.core import INFEASIBLE, MAX_TIMESLOTS, Resource, undominated
 from intervalcover.generate import generate_lspc
 from intervalcover.lspc import (
     LspcInstance,
@@ -31,21 +32,29 @@ def _inst(d, shorts, longs, k):
     return LspcInstance(len(d), tuple(d), built_s, built_l, k)
 
 
+# A one-slot row of a long-free instance is the slot's price list
+# gamma_t(h), and its E1 choices name the short each entry picks.
+
 def test_gamma_zero_coverage_is_free():
-    inst = _inst([2], [], [], 0)
-    assert LspcSolver(inst).gamma_choice(1, 0, 0)[0] == 0
+    solver = LspcSolver(_inst([2], [], [], 2))
+    assert solver.table_m(1, 1, 0, 0) == 0
+    assert solver.table_m(1, 1, 1, 1) == 0
+    assert solver.memo_m[(1, 1, 1)][1][1] == ("E1", None)  # q <= h: no short
 
 
 def test_gamma_above_demand_infeasible():
     inst = _inst([2], [(1, 5, 1)], [], 0)
-    assert LspcSolver(inst).gamma_choice(1, 3, 5)[0] == INFEASIBLE
+    assert LspcSolver(inst).table_m(1, 1, 3, 5) == INFEASIBLE
 
 
 def test_gamma_picks_cheapest_sufficient_short():
-    inst = _inst([2], [(1, 1, 1), (1, 2, 5)], [], 0)
-    got = LspcSolver(inst).gamma_choice(1, 2, 0)[0]
+    inst = _inst([2], [(1, 1, 1), (1, 2, 5)], [], 2)
+    solver = LspcSolver(inst)
+    got = solver.table_m(1, 1, 2, 0)
     scan = min((s.c for s in inst.shorts if s.w >= 2), default=INFEASIBLE)
     assert got == scan == 5
+    assert solver.memo_m[(1, 1, 0)][1][2] == ("E1", 1)
+    assert solver.solve().solution.short_picks == {1}
 
 
 # Table A, the cheapest way to reach q over [a,b] with shorts alone, is a
@@ -250,6 +259,10 @@ def test_instance_validation():
         LspcInstance(1, (1,), (ShortResource(1, 1, 1, 1),), (), 0)
     with pytest.raises(ValueError, match=r"longs\[0\] has id 3, expected dense id 0"):
         LspcInstance(1, (1,), (), (Resource(3, 1, 1, 1, 1),), 0)
+    # the timeline cap of Instance
+    with pytest.raises(ValueError, match=rf"T must be in \[1, {MAX_TIMESLOTS}\], got {MAX_TIMESLOTS + 1}"):
+        LspcInstance(MAX_TIMESLOTS + 1, (0,) * (MAX_TIMESLOTS + 1), (), (), 0)
+    assert LspcInstance(MAX_TIMESLOTS, (0,) * MAX_TIMESLOTS, (), (), 0).T == MAX_TIMESLOTS
 
 
 def test_solver_reusable_across_targets():
@@ -386,7 +399,7 @@ def test_replay_of_a_corrupt_table_raises():
     inst = LspcInstance(1, (1,), (), (Resource(0, 1, 1, 1, 1),), 1)
     solver = LspcSolver(inst)
     assert solver.solve().cost == 1
-    solver.memo_m[(1, 1, 0)][1][1] = ("E1",)  # q=1 entry: shorts alone, but slot 1 has none
+    solver.memo_m[(1, 1, 0)][1][1] = ("E1", None)  # q=1 entry: shorts alone, but slot 1 has none
     with pytest.raises(RuntimeError, match="has no short for slot 1"):
         solver.solve_for(1)
 
@@ -516,14 +529,18 @@ def test_late_cut_left_entries_not_won_by_a_long_never_win():
 
 def test_span_c_is_the_least_cost_of_a_spanning_long():
     # span_c(a,t) bounds from below every entry of a row (a,t,h) won by a
-    # long, and the cut loop's stop relies on it growing with t.
+    # long, and the cut loop's stop relies on it growing with t. The loop
+    # moves at most one step per cut, so step ends must grow strictly.
     spans = 0
     for config in _ROW_CONFIGS:
         for seed in range(40):
             inst = generate_lspc(seed, **config)
             solver = LspcSolver(inst)
             for a in range(1, inst.T + 1):
-                got = solver._span_c[a][a:inst.T + 1]
+                steps = solver._steps[a]
+                ends = [e for e, _ in steps[:-1]]
+                assert steps[-1] == (inst.T, INFEASIBLE) and ends == sorted(set(ends)), (config, seed, a)
+                got = [next(c for e, c in steps if e >= t) for t in range(a, inst.T + 1)]
                 assert got == [_span_c(inst, a, t) for t in range(a, inst.T + 1)], (config, seed, a)
                 assert got == sorted(got), (config, seed, a)
                 spans += sum(v != INFEASIBLE for v in got)
@@ -549,6 +566,21 @@ def test_a_long_free_solve_fills_only_one_slot_and_suffix_rows():
                 assert tuple(costs) == reference(*key), (config, seed, key)
             filled += len(solver.memo_m)
     assert filled >= 1000, filled
+
+
+def test_a_long_free_solve_on_a_long_timeline_keeps_memory_linear():
+    # Rows of a long-free solve hold at most k + 1 entries each, and span_c
+    # is one step per start, so memory grows with T, not T^2: a table of
+    # span_c(a,t) over every pair alone would take over 120 MB here.
+    inst = generate_lspc(0, timeslots=4000, max_demand=2, shorts=100, longs=0, k=10)
+    tracemalloc.start()
+    try:
+        res = LspcSolver(inst).solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.cost == 4 and verify_lspc(inst, res.solution) == LspcReport(True, 4)
+    assert peak < 32 * 2**20, peak
 
 
 def _canonical(res, rename=lambda rid: rid):
