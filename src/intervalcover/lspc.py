@@ -53,9 +53,25 @@ Apart from the zero rows, where BASEH replays what E1 did, choices differ
 from that recursion's only where E1 ties with the least cut on a row of
 several slots: the first cut that reaches the entry wins it.
 
-Every row is non-decreasing in q, so the convolution loops bisect the
-rows for the window of entries where a candidate can still win and skip
-the rest.
+Every row is non-decreasing in q: price lists are, and min-plus
+convolutions and minima of non-decreasing rows are too. The row being
+filled, best, stays non-decreasing all through its fill, so the
+convolution loops bisect it live, with no copy. The candidates of one
+left entry q1 (of one alpha in E3, with q1 = 0 and lv = alpha*c) form a
+run lv + v over the other row's entries v, non-decreasing in q from q1
+on. The run can only win where best[q] > lv, from the bisection point of
+best past lv (and not before q1), and only while lv + v < top, top being
+best's last entry when the cut or alpha began: E2 stops at the first v
+past it, and E3 ends its window at a bisection point of the raised row.
+Candidates left out either way could never win. Lowering best to the
+minimum of it and the run keeps best non-decreasing. Inside the window
+both are, and past its end best is as it was. Before the window's first
+entry q, best[q-1] <= lv: by the bisection where q > q1, and where
+q = q1 > 0 because best[q1-1] <= M(a,t,h)[q1-1] <= lv already. On cut
+t = a, and on a cut t > a where M(a,t,h)[q1-1] is an E3 entry, that
+entry's run came first (it is below top, as lv is) and starts at that
+cost; otherwise its candidate at q2 = 0 has that cost, and the cut lemma
+below puts best[q1-1] at most that.
 
 A long spanning only part of [a,b] needs no E3 candidate. Clipped to
 [s,e] != [a,b], with hc = min(H,alpha*w), its "strip" candidate for
@@ -166,6 +182,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from typing import Mapping
 
 from .core import (INFEASIBLE, MAX_TIMESLOTS, Cost, Resource, check_dense_ids, check_resources,
@@ -249,6 +266,12 @@ class LspcSolver:
     cheapest short that suffices by (c, id), or None where q <= h needs
     none, ("E2", t, q1) for a cut after slot t with q1 units in [a,t], and
     ("E3", long id, alpha), which goes on in row M(a,b,min(P,alpha*w)).
+    An E2 choice is one tuple per left entry, shared by every entry of
+    the row that left entry wins; choices compare by value, so sharing
+    shows only as fewer allocations. A row's peak P = max(d_a..d_b) is
+    read in O(1) from a sparse table of range maxima, O(T log T) ints
+    built in ``__init__``, so a solve over a long timeline pays no O(T)
+    scan per row.
     Rows end at q = ``inst.k``, so one solver answers every target
     0..``inst.k``; a target above that but within the demand is a
     ValueError, and one above the demand is infeasible. Not thread-safe:
@@ -290,6 +313,14 @@ class LspcSolver:
                     reach = r.e
             steps.append((inst.T, INFEASIBLE))
             self._steps.append(steps)
+        # _peaks[j][i] = max(d[i:i + 2**j]); a range's peak is the larger of
+        # the two windows of its largest power-of-two length at either end.
+        self._peaks = [list(d)]
+        width = 1
+        while 2 * width <= inst.T:
+            prev = self._peaks[-1]
+            self._peaks.append(list(map(max, prev, prev[width:])))
+            width *= 2
         self.memo_a: dict[tuple[int, int], list[Cost]] = {}
         self.memo_m: dict[tuple[int, int, int], tuple[list, list, list]] = {}
 
@@ -297,6 +328,12 @@ class LspcSolver:
         if a > b:
             return 0
         return self._pref[b] - self._pref[a - 1]
+
+    def _peak(self, a: int, b: int) -> int:
+        """max(d_a..d_b) for a <= b, in O(1)."""
+        j = (b - a + 1).bit_length() - 1
+        row = self._peaks[j]
+        return max(row[a - 1], row[b - (1 << j)])
 
     def table_m(self, a: int, b: int, q: int, h: int) -> Cost:
         """Entry M(a,b,h)[q]. A q above the range's demand has no entry and
@@ -341,7 +378,7 @@ class LspcSolver:
         of each M row it needs that is not stored yet and is sent that
         row back; it returns its own row."""
         size = min(self._dsum(a, b), self.inst.k) + 1
-        peak = max(self.inst.d[a - 1:b])
+        peak = self._peak(a, b)
         if h >= peak:
             return [0] * size, [("BASE0",)] + [("BASEH",)] * (size - 1), []
         memo = self.memo_m
@@ -366,19 +403,16 @@ class LspcSolver:
             best = [0] + [INFEASIBLE] * (size - 1)
             choice = [("BASE0",)] + [None] * (size - 1)
 
-        # Every row is non-decreasing in q: price lists are, and min-plus
-        # convolutions and minima of non-decreasing rows are too. So is
-        # best between two passes. In a pass, a candidate lv + v for q can
-        # only win where best[q] > lv, which starts at a bisection point of
-        # best, and only while v < top - lv, which ends at a bisection
-        # point of the other row (lv is alpha * c in E3). Candidates left
-        # out that way could never win, and neither could a cut t > a
-        # through a left entry not won by a long (module docstring): such
-        # a cut walks only the left row's E3 entries, and is skipped when
-        # none is below top; as those entries cost at least span_c(a,t),
-        # the first cut t > a whose step costs at least top ends the pass
-        # before its left row is requested. An empty window skips the
-        # second bisection.
+        # best stays non-decreasing in q, so each run of candidates lv + v
+        # bisects it live for the first q >= q1 with best[q] > lv, and
+        # stops at the first lv + v >= top (module docstring). Candidates
+        # left out that way could never win, and neither could a cut t > a
+        # through a left entry not won by a long: such a cut walks only the
+        # left row's E3 entries, and is skipped when none is below top; as
+        # those entries cost at least span_c(a,t), the first cut t > a whose
+        # step costs at least top ends the pass before its left row is
+        # requested. A left entry's choice is built on its first win and
+        # shared by every entry it wins.
         steps = iter(self._steps[a])
         end, span = next(steps)
         for t in range(a, b):
@@ -395,23 +429,20 @@ class LspcSolver:
                 q1s = left[2]
                 if not q1s or lcosts[q1s[0]] >= top:
                     continue
-            reach = best[:]
-            right = memo.get((t + 1, b, h)) or (yield (t + 1, b, h))
-            rcosts = right[0]
+            rcosts = (memo.get((t + 1, b, h)) or (yield (t + 1, b, h)))[0]
             for q1 in q1s:
                 lv = lcosts[q1]
                 if lv >= top:
                     break
-                lo = bisect_right(reach, lv) - q1
-                if lo < 0:
-                    lo = 0
-                if lo >= len(rcosts) or rcosts[lo] >= top - lv:
-                    continue  # not break: lo may shrink as q1 grows
-                q = q1 + lo
-                for v in rcosts[lo:min(bisect_left(rcosts, top - lv), size - q1)]:
-                    if lv + v < best[q]:
-                        best[q] = lv + v
-                        choice[q] = ("E2", t, q1)
+                pick = None
+                q = bisect_right(best, lv, q1)
+                for v in islice(rcosts, q - q1, size - q1):
+                    v += lv
+                    if v >= top:
+                        break
+                    if v < best[q]:
+                        best[q] = v
+                        choice[q] = pick = pick or ("E2", t, q1)
                     q += 1
 
         won = set()
@@ -483,7 +514,7 @@ class LspcSolver:
             else:
                 _, rid, alpha = choice
                 longs[rid] = longs.get(rid, 0) + alpha
-                peak = max(self.inst.d[a - 1:b])
+                peak = self._peak(a, b)
                 todo.append((a, b, q, min(peak, alpha * self.inst.longs[rid].w)))
 
 

@@ -395,6 +395,71 @@ def test_table_m_matches_a_plain_recursion():
     assert rows >= 12000, rows
 
 
+def _first_reaching_choices(inst, longs, reference, key, costs):
+    """Per q, the first candidate of row ``key`` in the documented order
+    whose cost equals ``costs[q]``, as a choice: E1 on a one-slot row, E2 by
+    (t, q1) over every cut and left entry, E3 by (long in ``longs`` order,
+    alpha) up to the first alpha with alpha*w >= P. Candidates are priced
+    from the plain recursion, so none is pruned. None at q = 0 and where
+    the entry is INFEASIBLE."""
+    a, b, h = key
+    peak = max(inst.d[a - 1:b])
+    want = [None] * len(costs)
+    todo = {q for q in range(1, len(costs)) if costs[q] != INFEASIBLE}
+
+    def offer(q, cost, choice):
+        if q in todo and cost == costs[q]:
+            want[q] = choice
+            todo.discard(q)
+
+    if a == b:
+        shorts = sorted((s for s in inst.shorts if s.t == a), key=lambda s: (s.c, s.id))
+        for q in range(1, len(costs)):
+            if q <= h:
+                offer(q, 0, ("E1", None))
+            for s in shorts:
+                if s.w >= q - h:
+                    offer(q, s.c, ("E1", s.id))
+                    break
+    for t in range(a, b):
+        right = reference(t + 1, b, h)
+        for q1, lv in enumerate(reference(a, t, h)):
+            for q2, rv in enumerate(right):
+                offer(q1 + q2, lv + rv, ("E2", t, q1))
+    for r in longs:
+        if r.s <= a and b <= r.e:
+            for alpha in itertools.count(h // r.w + 1):
+                hc = min(peak, alpha * r.w)
+                for q, v in enumerate(reference(a, b, hc)):
+                    offer(q, alpha * r.c + v, ("E3", r.id, alpha))
+                if hc == peak:
+                    break
+    return want
+
+
+def test_each_choice_is_the_first_candidate_that_reaches_its_entry():
+    # An entry's choice is the first candidate, in the order E1 (one-slot
+    # rows), E2 by (t, q1), E3 by (long, alpha), that reaches its cost
+    # (module docstring). The windows and breaks of the convolution loops
+    # skip candidates that cannot win; recomputing every candidate from the
+    # plain recursion checks that they skip no first one. BASE0 (q = 0) and
+    # BASEH (h at or above the row's peak) entries are left out.
+    entries = 0
+    for config in _REFERENCE_CONFIGS:
+        for seed in range(70):
+            inst = generate_lspc(seed, **config)
+            inst = replace(inst, k=sum(inst.d))
+            solver, reference = LspcSolver(inst), _reference_m(inst)
+            solver.solve()
+            for (a, b, h), (costs, choices, _) in solver.memo_m.items():
+                if h >= max(inst.d[a - 1:b]):
+                    continue
+                want = _first_reaching_choices(inst, solver._longs, reference, (a, b, h), costs)
+                assert choices[1:] == want[1:], (config, seed, (a, b, h))
+                entries += len(costs) - 1
+    assert entries >= 60000, entries
+
+
 def test_replay_of_a_corrupt_table_raises():
     inst = LspcInstance(1, (1,), (), (Resource(0, 1, 1, 1, 1),), 1)
     solver = LspcSolver(inst)
@@ -545,6 +610,20 @@ def test_span_c_is_the_least_cost_of_a_spanning_long():
                 assert got == sorted(got), (config, seed, a)
                 spans += sum(v != INFEASIBLE for v in got)
     assert spans >= 4000, spans
+
+
+def test_row_peaks_are_range_maxima():
+    # A row's peak comes from a sparse table of range maxima in O(1); it
+    # must be max(d_a..d_b) for every range, whether or not T or the
+    # range's length is a power of two.
+    rnd = random.Random("lspc-peaks")
+    for T in range(1, 41):
+        for _ in range(3):
+            d = tuple(rnd.randint(0, 9) for _ in range(T))
+            solver = LspcSolver(LspcInstance(T, d, (), (), 0))
+            for a in range(1, T + 1):
+                for b in range(a, T + 1):
+                    assert solver._peak(a, b) == max(d[a - 1:b]), (d, a, b)
 
 
 def test_a_long_free_solve_fills_only_one_slot_and_suffix_rows():
