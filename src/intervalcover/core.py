@@ -60,9 +60,6 @@ class Job:
     def length(self) -> int:
         return self.e - self.s + 1
 
-    def active_at(self, t: int) -> bool:
-        return self.s <= t <= self.e
-
 
 @dataclass(frozen=True, slots=True)
 class Resource:
@@ -275,38 +272,22 @@ class Report:
         return self.cost + self.penalty
 
 
-def _solution_structure_error(inst: Instance, sol: PartialSolution) -> str | None:
-    res_ids = {r.id for r in inst.resources}
-    job_ids = {j.id for j in inst.jobs}
-    for rid, count in sol.counts.items():
-        if rid not in res_ids:
-            return f"unknown resource id {rid}"
-        if count < 1:
-            return f"resource {rid} has non-positive copy count {count}"
-    for jid in sol.covered:
-        if jid not in job_ids:
-            return f"unknown job id {jid}"
-    return None
-
-
-def _capacity_shortfall(inst: Instance, sol: PartialSolution) -> int | None:
-    """First timeslot where a well-formed solution's multiset falls short
-    of its covered jobs' demand, or None."""
-    need = job_profile((inst.jobs[j] for j in sol.covered), inst.T)
-    have = multiset_profile(sol.counts, inst.resources, inst.T)
-    return first_uncovered_slot(have, need)
-
-
 def _verify(inst: Instance, sol: PartialSolution, k: int, penalty: int) -> Report:
     """Check that ``sol`` is well formed and has at least k covered jobs,
     all within its capacity; ``penalty`` prices the jobs it leaves out."""
-    err = _solution_structure_error(inst, sol)
-    if err is not None:
-        return Report(False, INFEASIBLE, reason=err)
+    try:
+        have = multiset_profile(sol.counts, inst.resources, inst.T)
+    except ValueError as exc:  # an unknown resource id or a count below 1
+        return Report(False, INFEASIBLE, reason=str(exc))
+    job_ids = {j.id for j in inst.jobs}
+    for jid in sol.covered:
+        if jid not in job_ids:
+            return Report(False, INFEASIBLE, reason=f"unknown job id {jid}")
     reason = bad = None
     if len(sol.covered) < k:
         reason = f"covers {len(sol.covered)} jobs, needs {k}"
-    elif (bad := _capacity_shortfall(inst, sol)) is not None:
+    elif (bad := first_uncovered_slot(
+            have, job_profile((inst.jobs[j] for j in sol.covered), inst.T))) is not None:
         reason = "capacity below demand"
     return Report(reason is None, multiset_cost(sol.counts, inst.resources), reason, bad, penalty)
 

@@ -55,7 +55,8 @@ soon as one estimate reaches the cutoff, before the greedy incumbent or
 the search is set up. A call that gets past it has a root bound below
 the cutoff and at most the greedy cap, which is the cost of a feasible
 cover, so the root node is entered without taking that bound again;
-every other node's bound is checked by its parent just before the call.
+every other node's bound is checked by its parent just before it is
+yielded.
 
 The copies tried for a resource follow from the residual demand at its
 level. Fewer than ``lo``, the largest ceil(residual / w) over its
@@ -93,6 +94,17 @@ per child. Copies raise a child's cost and the incumbent only falls, so
 once a child's cost plus the outside bound passes the incumbent, every
 later child is pruned as well and the loop stops.
 
+The search keeps its depth off the interpreter stack. Each level is a
+generator that walks its copy counts and yields the cost of every child
+that survives the bound, and a loop keeps one suspended generator per
+level of the current path: it pushes the next level's generator for a
+yielded child, scores a child of the last level as a leaf, and pops a
+generator once it is done. That visits the nodes of a recursive search in
+the same order, so a plan of any number of levels is searched under any
+recursion limit. One deep but easy (1200 one-slot resources under 1200
+one-slot jobs) is answered at once; one deep and hard runs as long as a
+hard shallow one, since no node budget bounds either.
+
 A caller that only wants covers cheaper than some ``cutoff`` passes it:
 every node whose cost plus bound reaches the cutoff is pruned, and the
 search reports INFEASIBLE_COVER when no cover beats it.
@@ -104,12 +116,7 @@ from dataclasses import dataclass, field
 from functools import cmp_to_key
 from typing import Mapping, Sequence
 
-from .core import INFEASIBLE, BudgetExceeded, Cost, Resource, check_resources, undominated
-
-# The search recurses once per level (kept resource), on top of its
-# callers' frames, so a plan with more levels would hit Python's default
-# recursion limit of 1000 mid-search; such a search is refused instead.
-MAX_LEVELS = 500
+from .core import INFEASIBLE, Cost, Resource, check_resources, undominated
 
 
 @dataclass(frozen=True, slots=True)
@@ -271,9 +278,6 @@ def full_cover(demand: Sequence[int] | None, plan: CoverPlan,
 
     resources, levels = plan.resources, plan.levels
     depth = len(levels)
-    if depth > MAX_LEVELS:
-        raise BudgetExceeded(f"{depth} kept resources exceed the search depth cap "
-                             f"MAX_LEVELS={MAX_LEVELS}")
 
     # Greedy incumbent: a feasible cost cap, not a candidate vector. Only
     # segments not yet visited need their residual lowered.
@@ -296,14 +300,10 @@ def full_cover(demand: Sequence[int] | None, plan: CoverPlan,
     best_cost = greedy_cost if greedy_cost < cutoff else cutoff - 1
     best_vec = None
 
-    def dfs(i: int, cost: int) -> None:
-        nonlocal best_cost, best_vec
-        if i == depth:
-            vec = tuple(counts)
-            if cost < best_cost or best_vec is None or vec < best_vec:
-                best_cost = cost
-                best_vec = vec
-            return
+    def level(i: int, cost: int):
+        """The children of a node at level i that costs ``cost``: yields
+        each child's cost with its copies in ``counts`` and ``residual``,
+        and restores both once done."""
         pos, w, c, a, b, last, inside, outside = levels[i]
         lo = 0
         for j in last:
@@ -334,7 +334,7 @@ def full_cover(demand: Sequence[int] | None, plan: CoverPlan,
                     if est > lb:
                         lb = est
             if child + lb <= best_cost:
-                dfs(i + 1, child)
+                yield child
             if n == hi:
                 break
             n += 1
@@ -347,7 +347,20 @@ def full_cover(demand: Sequence[int] | None, plan: CoverPlan,
             for j in range(a, b):
                 residual[j] += back
 
-    dfs(0, 0)
+    # Depth first: the top generator's next child is a leaf to score or
+    # the node whose level is pushed next.
+    stack = [level(0, 0)]
+    while stack:
+        for child in stack[-1]:
+            if len(stack) < depth:
+                stack.append(level(len(stack), child))
+                break
+            vec = tuple(counts)
+            if child < best_cost or best_vec is None or vec < best_vec:
+                best_cost = child
+                best_vec = vec
+        else:
+            stack.pop()
     if best_vec is None:
         return INFEASIBLE_COVER  # every cover costs at least ``cutoff``
     picked = {resources[pos].id: n for pos, n in enumerate(best_vec) if n > 0}

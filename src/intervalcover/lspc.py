@@ -226,10 +226,6 @@ class LspcInstance:
         if not 0 <= self.k <= sum(self.d):
             raise ValueError(f"k={self.k} not in [0, {sum(self.d)}]")
 
-    @property
-    def H(self) -> int:
-        return max(self.d, default=0)
-
 
 @dataclass(frozen=True, slots=True)
 class LspcSolution:
@@ -348,9 +344,9 @@ class LspcSolver:
             return 0
         return self._row_m(a, b, h)[0][q]
 
-    def _row_m(self, a: int, b: int, h: int) -> tuple[list, list]:
-        """Row M(a,b,h). Rows it needs are filled first, each by its own
-        generator on an explicit stack."""
+    def _row_m(self, a: int, b: int, h: int) -> tuple[list, list, list]:
+        """Row M(a,b,h) as (costs, choices, E3 list). Rows it needs are
+        filled first, each by its own generator on an explicit stack."""
         memo = self.memo_m
         row = memo.get((a, b, h))
         if row is not None:

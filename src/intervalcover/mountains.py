@@ -131,7 +131,7 @@ def verify_mountain_range(rng: MountainRange, jobs: Sequence[Job]) -> bool:
         members = [by_id.get(i) for i in m.job_ids]
         if any(j is None for j in members):
             return False
-        if any(not j.active_at(m.peak) for j in members):
+        if any(not j.s <= m.peak <= j.e for j in members):
             return False
         hull = (min(j.s for j in members), max(j.e for j in members))
         if hull != m.span:

@@ -44,7 +44,7 @@ from .core import (
     is_feasible,
     multiset_cost,
 )
-from .fullcover import MAX_LEVELS, CoverPlan
+from .fullcover import CoverPlan
 from .lspc import SLRA_FACTOR, LspcSolver
 from .mountains import MountainRange, decompose
 from .reductions import (
@@ -168,13 +168,11 @@ def _shares_plan(inst: Instance, span: tuple[int, int]) -> bool:
     half of the m resources touch the span: its m levels and at most
     2m + 1 segments then stay within twice the touching resources and
     the segments they can cut, which bound the clipped plan, and its one
-    build, quadratic in m, within four times the clipped plan's. With m
-    at most ``MAX_LEVELS`` it is never deeper than the search takes, so
-    it answers every range the clipped plan answers.
+    build, quadratic in m, within four times the clipped plan's.
     """
     s, e = span
     touching = sum(1 for r in inst.resources if r.s <= e and s <= r.e)
-    return len(inst.resources) <= min(2 * touching, MAX_LEVELS)
+    return len(inst.resources) <= 2 * touching
 
 
 def solve_partial(inst: Instance) -> PartialSolveResult:

@@ -484,17 +484,23 @@ def test_solve_refuses_over_a_cap(tmp_path, capsys, problem, algorithm, extra, c
     assert err == f"error: {counted} exceed the enumeration cap MAX_CANDIDATES=100000\n"
 
 
-def test_solve_refuses_a_full_cover_deeper_than_its_cap(tmp_path, capsys):
-    # 1200 one-slot jobs over 1200 one-slot resources: a search one level
-    # per resource would pass Python's default recursion limit
+def test_solve_answers_a_full_cover_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # 1200 one-slot jobs over 1200 one-slot resources: a search of one
+    # level per resource, more levels than Python's default recursion limit
     T = 1200
     inst = tmp_path / "inst.json"
     inst.write_text(emit_instance(Instance(T, tuple(Job(i, i + 1, i + 1) for i in range(T)),
                                            tuple(Resource(i, i + 1, i + 1, 1, 1)
                                                  for i in range(T)))))
-    code, out, err = run(capsys, "solve", "--problem", "fullcover", "--input", str(inst))
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and "MAX_LEVELS=500" in err
+    sol = tmp_path / "sol.json"
+    code, out, err = run(capsys, "solve", "--problem", "fullcover", "--input", str(inst),
+                         "--output", str(sol))
+    assert code == 0 and err == ""
+    line = json.loads(out)
+    assert line["cost"] == T and line["optimal"] is True
+    code, out, _ = run(capsys, "verify", "--input", str(inst), "--solution", str(sol))
+    assert code == 0
+    assert out == f'{{"cost_recomputed": {T}, "feasible": true, "problem": "fullcover"}}\n'
 
 
 def test_exact_lspc_walks_a_long_timeline(tmp_path, capsys):

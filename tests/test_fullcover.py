@@ -1,15 +1,17 @@
 """Exact full cover against an unpruned enumeration oracle and against
 the one-shot search it replaced."""
 
+import inspect
 import itertools
 import random
+import sys
 from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
 
-from intervalcover.core import INFEASIBLE, BudgetExceeded, Job, Resource, job_profile
-from intervalcover.fullcover import INFEASIBLE_COVER, MAX_LEVELS, FullCoverResult
+from intervalcover.core import INFEASIBLE, Job, Resource, job_profile
+from intervalcover.fullcover import INFEASIBLE_COVER, FullCoverResult
 from intervalcover.fullcover import CoverPlan, full_cover
 
 
@@ -385,18 +387,22 @@ def test_wrong_length_demand_raises():
             full_cover(demand, plan)
 
 
-def test_search_deeper_than_the_level_cap_is_refused():
-    # one-slot resources beat none of each other, so each is a level of
-    # the search; a plan at the cap is still searched, one above refused
-    for n in (MAX_LEVELS, MAX_LEVELS + 1):
-        plan = CoverPlan(tuple(Resource(i, i + 1, i + 1, 1, 1) for i in range(n)), n)
-        assert len(plan.levels) == n
-        if n == MAX_LEVELS:
-            assert full_cover((1,) * n, plan).cost == n
-            continue
-        assert full_cover((0,) * n, plan) == FullCoverResult({}, 0)  # no search needed
-        with pytest.raises(BudgetExceeded, match=f"MAX_LEVELS={MAX_LEVELS}"):
-            full_cover((1,) * n, plan)
+def test_search_needs_no_deep_stack():
+    # one-slot resources beat none of each other, so each of 1200 is a
+    # level of the search, searched under a recursion limit barely above
+    # the caller's frames
+    n = 1200
+    plan = CoverPlan(tuple(Resource(i, i + 1, i + 1, 1, 1) for i in range(n)), n)
+    assert len(plan.levels) == n
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        lowered = sys.getrecursionlimit()
+        res = full_cover((1,) * n, plan)
+        assert sys.getrecursionlimit() == lowered
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res == FullCoverResult({i: 1 for i in range(n)}, n)
 
 
 def test_plan_rejects_bad_resources():

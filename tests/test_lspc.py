@@ -122,7 +122,7 @@ def test_table_a_matches_enumeration():
         inst = generate_lspc(seed, timeslots=4, max_demand=2, shorts=3, longs=0)
         inst = replace(inst, k=sum(inst.d))
         solver = LspcSolver(inst)
-        for h in range(inst.H + 1):
+        for h in range(max(inst.d) + 1):
             row = _shorts_only_row(inst, 1, inst.T, h)
             for q in range(sum(inst.d) + 2):
                 want = _enumerate_shorts_only(inst, 1, inst.T, q, h)
@@ -342,7 +342,7 @@ def _reference_m(inst):
     cut with every left entry, and every long that spans the range raised to
     min(H, alpha*w) up to the first alpha with alpha*w >= H; all zero at
     h >= H. Nothing is pruned."""
-    H = inst.H
+    H = max(inst.d)
 
     @functools.lru_cache(maxsize=None)
     def row(a, b, h):
@@ -523,7 +523,7 @@ def test_strip_long_candidates_never_win():
         inst = generate_lspc(seed, timeslots=6, max_demand=4, shorts=8, longs=5)
         solver = LspcSolver(replace(inst, k=sum(inst.d)))
         solver.solve_for(inst.k)
-        H = inst.H
+        H = max(inst.d)
         for a, b, h in list(solver.memo_m):
             if h >= H:
                 continue
@@ -560,7 +560,7 @@ def test_late_cut_left_entries_not_won_by_a_long_never_win():
         inst = generate_lspc(seed, timeslots=6, max_demand=4, shorts=8, longs=5)
         solver = LspcSolver(replace(inst, k=sum(inst.d)))
         solver.solve_for(inst.k)
-        H = inst.H
+        H = max(inst.d)
         memo = solver.memo_m
         reference = _reference_m(inst)
         for a, b, h in list(memo):

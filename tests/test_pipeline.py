@@ -22,7 +22,7 @@ from intervalcover.core import (
     verify_partial,
     verify_prize,
 )
-from intervalcover.fullcover import MAX_LEVELS, CoverPlan
+from intervalcover.fullcover import CoverPlan
 from intervalcover.generate import generate, generate_mountain_range, generate_uniform
 from intervalcover.lspc import LspcSolver
 from intervalcover.mountains import decompose
@@ -198,17 +198,19 @@ def test_a_sparse_instance_builds_plans_of_the_resources_under_each_mountain(
     assert sorted(len(plan.resources) for plan in built) == plans
 
 
-def test_a_mountain_under_more_resources_than_the_level_cap_is_priced_clipped(monkeypatch):
+def test_a_mountain_under_hundreds_of_nested_resources_shares_the_instance_plan(monkeypatch):
     # 600 nested resources beat none of each other, but once clipped to the
-    # one slot of the job the cheapest beats them all; a shared plan would
-    # be deeper than the search takes
-    n = MAX_LEVELS + 100
+    # one slot of the job the cheapest beats them all; all of them touch
+    # the job, so its range is priced over the shared plan of 600 levels,
+    # and answers as the clipped plan of one level does
+    n = 600
     inst = Instance(n + 1, (Job(0, n + 1, n + 1),),
                     tuple(Resource(i, n + 1 - i, n + 1, 1, i + 1) for i in range(n)), 1)
     built = _plans_built(monkeypatch)
     res = solve_partial(inst)
     assert res.cost == 1 and res.solution.counts == {0: 1}
-    assert [len(plan.order) for plan in built] == [1]
+    assert [len(plan.order) for plan in built] == [n]
+    assert len(CoverPlan(clip_resources(inst.resources, n + 1, n + 1), n + 1).order) == 1
 
 
 def test_solve_partial_k0():

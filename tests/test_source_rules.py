@@ -4,6 +4,12 @@ No ``assert`` statement: ``python -O`` strips them, so a check written as
 one vanishes in optimised runs. No call that changes interpreter-global
 state (the recursion limit, the garbage collector): a library solver
 must not change them under its caller.
+
+No function of ``fullcover.py`` or ``lspc.py`` calls itself: the depth
+of those two searches grows with the input (a level per kept resource, a
+row per range), so recursion there would be bounded by the interpreter's
+recursion limit instead of by the input. ``reductions.smfc_solve_exact``'s
+``walk`` may recurse: ``MAX_CANDIDATES`` keeps it at most 16 deep.
 """
 
 import ast
@@ -14,8 +20,10 @@ import pytest
 import intervalcover
 
 _GLOBAL_STATE = {("sys", "setrecursionlimit"), ("gc", "disable"), ("gc", "set_threshold")}
-_MODULES = sorted(Path(intervalcover.__file__).parent.glob("*.py"))
+_PACKAGE = Path(intervalcover.__file__).parent
+_MODULES = sorted(_PACKAGE.glob("*.py"))
 assert _MODULES  # an empty glob would parametrize no test and pass silently
+_DEEP_SEARCHES = [_PACKAGE / "fullcover.py", _PACKAGE / "lspc.py"]
 
 
 def violations(source: str) -> list[str]:
@@ -47,3 +55,34 @@ def test_the_scan_finds_every_kind_of_violation():
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
 def test_module_keeps_the_robustness_rules(path):
     assert violations(path.read_text(encoding="utf-8")) == [], path
+
+
+def self_calls(source: str) -> list[str]:
+    """Each call in ``source`` of a function from within its own body, by
+    its name or as ``self.<name>``, as "line N: name calls itself"."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            by_name = isinstance(f, ast.Name) and f.id == fn.name
+            as_method = (isinstance(f, ast.Attribute) and f.attr == fn.name
+                         and isinstance(f.value, ast.Name) and f.value.id == "self")
+            if by_name or as_method:
+                found.append(f"line {node.lineno}: {fn.name} calls itself")
+    return found
+
+
+def test_the_scan_finds_every_self_call():
+    source = ("def f(n):\n    return f(n - 1)\n"
+              "class A:\n    def g(self):\n        def h():\n            return self.g()\n"
+              "        return h\n    def f(self):\n        return g(self)\n")
+    assert self_calls(source) == ["line 2: f calls itself", "line 6: g calls itself"]
+
+
+@pytest.mark.parametrize("path", _DEEP_SEARCHES, ids=lambda p: p.name)
+def test_deep_search_does_not_recurse(path):
+    assert self_calls(path.read_text(encoding="utf-8")) == [], path
